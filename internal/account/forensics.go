@@ -1,6 +1,7 @@
 package account
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -61,14 +62,13 @@ type event struct {
 type Forensics struct {
 	events []event
 	last   map[dynLoad]int32
-	depth  map[core.Tag]int32
+	// depth is indexed by wave tag (tags come densely from
+	// core.TagSource.Next); a tag never recorded reads as depth zero.
+	depth []int32
 }
 
 func NewForensics() *Forensics {
-	return &Forensics{
-		last:  make(map[dynLoad]int32),
-		depth: make(map[core.Tag]int32),
-	}
+	return &Forensics{last: make(map[dynLoad]int32)}
 }
 
 // Record logs one repair.  seq/lsid name the dynamic load, loadPC/storePC
@@ -77,8 +77,14 @@ func NewForensics() *Forensics {
 // store ran un-speculatively), and cost the discarded or squash-equivalent
 // execution count.
 func (f *Forensics) Record(kind EventKind, seq int64, lsid int, loadPC, storePC predictor.PC, tag, parent core.Tag, cost int64) {
-	d := f.depth[parent] + 1
+	d := int32(1)
+	if int(parent) < len(f.depth) {
+		d += f.depth[parent]
+	}
 	if tag != 0 {
+		if i := int(tag); i >= len(f.depth) {
+			f.depth = slices.Grow(f.depth, i+1-len(f.depth))[:i+1]
+		}
 		f.depth[tag] = d
 	}
 	dl := dynLoad{seq: seq, lsid: lsid}
@@ -99,6 +105,13 @@ func (f *Forensics) Events() int { return len(f.events) }
 type StoreCount struct {
 	StorePC string `json:"store_pc"`
 	Count   int64  `json:"count"`
+}
+
+// pcCount tallies one conflicting store PC while Summarize aggregates;
+// PCs compare as values and are formatted once, after the tally.
+type pcCount struct {
+	pc    predictor.PC
+	count int64
 }
 
 // LoadProfile aggregates the audit log for one static load PC, hottest
@@ -144,7 +157,7 @@ func (f *Forensics) Summarize(waveSize func(core.Tag) int64, totalReexecs int64,
 	// profile order is deterministic without sorting keys.
 	idx := make(map[predictor.PC]int)
 	var profiles []*LoadProfile
-	var stores [][]StoreCount // parallel to profiles
+	var stores [][]pcCount // parallel to profiles
 	for i := range f.events {
 		ev := &f.events[i]
 		pi, ok := idx[ev.loadPC]
@@ -185,18 +198,17 @@ func (f *Forensics) Summarize(waveSize func(core.Tag) int64, totalReexecs int64,
 			p.Wasted += re
 		}
 		if ev.storePC != 0 {
-			spc := ev.storePC.String()
 			sc := stores[pi]
 			found := false
 			for j := range sc {
-				if sc[j].StorePC == spc {
-					sc[j].Count++
+				if sc[j].pc == ev.storePC {
+					sc[j].count++
 					found = true
 					break
 				}
 			}
 			if !found {
-				sc = append(sc, StoreCount{StorePC: spc, Count: 1})
+				sc = append(sc, pcCount{pc: ev.storePC, count: 1})
 			}
 			stores[pi] = sc
 		}
@@ -206,11 +218,16 @@ func (f *Forensics) Summarize(waveSize func(core.Tag) int64, totalReexecs int64,
 	ordered := make([]LoadProfile, len(profiles))
 	for i, p := range profiles {
 		sc := stores[i]
-		sort.SliceStable(sc, func(a, b int) bool { return sc[a].Count > sc[b].Count })
+		sort.SliceStable(sc, func(a, b int) bool { return sc[a].count > sc[b].count })
 		if top > 0 && len(sc) > top {
 			sc = sc[:top]
 		}
-		p.TopStores = sc
+		if len(sc) > 0 {
+			p.TopStores = make([]StoreCount, len(sc))
+			for j, c := range sc {
+				p.TopStores[j] = StoreCount{StorePC: c.pc.String(), Count: c.count}
+			}
+		}
 		ordered[i] = *p
 	}
 	sort.SliceStable(ordered, func(a, b int) bool { return ordered[a].Events > ordered[b].Events })

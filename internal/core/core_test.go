@@ -200,6 +200,20 @@ func TestWaveStats(t *testing.T) {
 	if h2 := w2.SizeHist(); h2.N != 1 || h2.Max != 0 {
 		t.Errorf("zero-size wave hist = %v", h2)
 	}
+	// Tags far apart: the unseen tags between them are not waves, and a
+	// tag beyond every seen one reads as size zero.
+	w3 := NewWaveStats()
+	w3.WaveStarted(3)
+	w3.WaveStarted(200)
+	w3.Reexecuted(200)
+	w3.Reexecuted(200)
+	if h3 := w3.SizeHist(); h3.N != 2 || h3.Max != 2 || w3.MeanSize() != 1 {
+		t.Errorf("sparse-tag hist = %v, mean %v", h3, w3.MeanSize())
+	}
+	if w3.WaveSize(100) != 0 || w3.WaveSize(200) != 2 || w3.WaveSize(1000) != 0 {
+		t.Errorf("WaveSize(100, 200, 1000) = %d, %d, %d",
+			w3.WaveSize(100), w3.WaveSize(200), w3.WaveSize(1000))
+	}
 }
 
 func TestSchemeStrings(t *testing.T) {

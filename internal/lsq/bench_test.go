@@ -1,6 +1,7 @@
 package lsq
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/cache"
@@ -60,51 +61,56 @@ func BenchmarkViolationCheck(b *testing.B) {
 	}
 }
 
-// BenchmarkCertifyScan measures a full certification sweep that yields
-// nothing: seven blocks of address-final stores followed by a block of
-// candidate loads parked behind one address-pending store.  Every iteration
-// walks the whole candidate list and, per load, the mask-first older-store
-// filter across the full window before failing at the youngest block — the
-// steady-state cost of a commit wave that has not yet caught up.
+// BenchmarkCertifyScan measures a certification scan that yields nothing
+// because the commit wave has not caught up: the head block holds 31
+// address-final, data-pending stores and then one store whose address is
+// not final, and every younger block holds 31 candidate loads behind it.
+// The scan stops at that barrier, so ns/op should not grow from the
+// 8-block window to the 32-block one.
 func BenchmarkCertifyScan(b *testing.B) {
-	q, _ := benchQueue(b, core.IssueAggressive)
-	stores := make([]OpInfo, 32)
-	for i := range stores {
-		stores[i] = OpInfo{LSID: int8(i), IsStore: true, Size: 8}
-	}
-	for seq := int64(0); seq < 7; seq++ {
-		q.RegisterBlock(seq, stores)
-		for i := 0; i < 32; i++ {
-			// Address committed, data pending: stays an alias candidate.
-			q.StoreUpdate(Key{seq, int8(i)}, uint64(0x1000+8*(seq*32+int64(i))), 1, 0, true, false)
-		}
-	}
-	mixed := make([]OpInfo, 32)
-	for i := range mixed {
-		mixed[i] = OpInfo{LSID: int8(i), IsStore: i == 0, Size: 8}
-	}
-	q.RegisterBlock(7, mixed)
-	q.StoreUpdate(Key{7, 0}, 0x8000, 1, 0, false, false) // address never final
-	for i := 1; i < 32; i++ {
-		k := Key{7, int8(i)}
-		q.LoadTry(0, k, uint64(0x9000+8*int64(i)), 0)
-		q.LoadInputsCommitted(k)
-	}
-	buf := make([]CertifiedLoad, 0, 32)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q.certDirty = true // as a store commit would
-		buf = q.TakeCertifiable(buf[:0])
-		if len(buf) != 0 {
-			b.Fatal("no load should certify past the pending store")
-		}
+	for _, blocks := range []int{8, 32} {
+		b.Run(fmt.Sprintf("blocks=%d", blocks), func(b *testing.B) {
+			q, _ := benchQueue(b, core.IssueAggressive)
+			stores := make([]OpInfo, 32)
+			for i := range stores {
+				stores[i] = OpInfo{LSID: int8(i), IsStore: true, Size: 8}
+			}
+			q.RegisterBlock(0, stores)
+			for i := 0; i < 31; i++ {
+				// Address committed, data pending: stays an alias candidate.
+				q.StoreUpdate(Key{0, int8(i)}, uint64(0x1000+8*i), 1, 0, true, false)
+			}
+			q.StoreUpdate(Key{0, 31}, 0x8000, 1, 0, false, false) // address never final
+			mixed := make([]OpInfo, 32)
+			for i := range mixed {
+				mixed[i] = OpInfo{LSID: int8(i), IsStore: i == 0, Size: 8}
+			}
+			for seq := int64(1); seq < int64(blocks); seq++ {
+				q.RegisterBlock(seq, mixed)
+				for i := 1; i < 32; i++ {
+					k := Key{seq, int8(i)}
+					q.LoadTry(0, k, uint64(0x9000+8*(32*seq+int64(i))), 0)
+					q.LoadInputsCommitted(k)
+				}
+			}
+			buf := make([]CertifiedLoad, 0, 32)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				q.certDirty = true // as a store commit would
+				buf = q.TakeCertifiable(buf[:0])
+				if len(buf) != 0 {
+					b.Fatal("no load should certify past the pending store")
+				}
+			}
+		})
 	}
 }
 
-// BenchmarkAliasSearch measures one older-store safety walk in the case
-// that certifies: a full window of address-final, data-pending stores, so
-// every block's occupancy mask survives the word-level filters and each
-// store must be proven non-overlapping address-by-address.
+// BenchmarkAliasSearch measures a certification scan that certifies one
+// load behind a full window of address-final, data-pending stores: every
+// store lands on the pending list, the load's address words hit the
+// filter, and each store must be proven non-overlapping address by
+// address.
 func BenchmarkAliasSearch(b *testing.B) {
 	q, _ := benchQueue(b, core.IssueAggressive)
 	ops := make([]OpInfo, 32)
@@ -118,11 +124,20 @@ func BenchmarkAliasSearch(b *testing.B) {
 		}
 	}
 	load := Key{7, 31}
+	q.LoadTry(0, load, 0x9000, 0)
+	q.LoadInputsCommitted(load)
+	s, op := q.opSlot(load)
+	buf := make([]CertifiedLoad, 0, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !q.olderStoresSafe(load, 0x9000, 8) {
-			b.Fatal("disjoint load should be safe")
+		buf = q.TakeCertifiable(buf[:0])
+		if len(buf) != 1 {
+			b.Fatal("disjoint load should certify")
 		}
+		// Re-arm the candidate for the next iteration.
+		q.certified[s].Clear(op)
+		q.nCand++
+		q.certDirty = true
 	}
 }
 

@@ -187,14 +187,16 @@ func (q *Queue) TakeReady(now int64, buf []ReadyLoad) []ReadyLoad {
 
 // LoadInputsCommitted marks that the load's address operands are final (the
 // commit wave reached its inputs); the load becomes a certification
-// candidate.
+// candidate, stamped with its arrival order.
 func (q *Queue) LoadInputsCommitted(k Key) {
 	s, op := q.opSlot(k)
 	if s < 0 || q.stores[s].Test(op) || q.inputsCom[s].Test(op) {
 		return
 	}
 	q.inputsCom[s].Set(op)
-	q.certCand = append(q.certCand, k)
+	q.stamp[s*opStride+op] = q.nextStamp
+	q.nextStamp++
+	q.nCand++
 	q.dirty = true
 	q.certDirty = true
 }
@@ -207,81 +209,109 @@ type CertifiedLoad struct {
 }
 
 // TakeCertifiable returns loads that are newly certifiable: issued, address
-// final, and every older store committed — appending into buf (pass buf[:0]
-// to reuse a scratch buffer).  The returned value is asserted equal to the
-// load's current value — every store update re-checked younger loads, so a
+// final, and no older store able to change their value — appending into
+// buf (pass buf[:0] to reuse a scratch buffer) in the order the loads
+// became candidates.  The returned value is asserted equal to the load's
+// current value — every store update re-checked younger loads, so a
 // mismatch here would be a protocol bug.
+//
+// An older store is harmless when it is committed, or when its address is
+// final (committed, executed, not nullified) and does not overlap the
+// load; only true aliases wait for store data.  One walk from the window
+// head in (seq, LSID) order decides every candidate: uncommitted
+// address-final stores join a pending list (summarised by a 64-bit
+// address-word filter), and the first uncommitted store whose address is
+// not final is the barrier — no load younger than it can certify, so the
+// walk stops there.  A candidate before the barrier certifies unless it
+// overlaps a pending store; the pending list is walked only on a filter
+// hit.  The scan costs O(blocks up to the barrier + stores and candidates
+// before it), independent of how deep the window behind the barrier is.
 func (q *Queue) TakeCertifiable(buf []CertifiedLoad) []CertifiedLoad {
-	if len(q.certCand) == 0 || !q.certDirty {
+	if q.nCand == 0 || !q.certDirty {
 		// Nothing to certify, or nothing relevant changed since the last
 		// scan: skipping is behaviour-identical (a yield-less scan moves no
-		// statistics) and avoids the O(candidates × stores) walk.
+		// statistics).
 		return buf
 	}
 	q.certDirty = false
 	out := buf
-	kept := q.certCand[:0]
-	for _, k := range q.certCand {
-		s, op := q.opSlot(k)
-		if s < 0 {
-			continue
+	q.pend = q.pend[:0]
+	q.hitStamp = q.hitStamp[:0]
+	var filter uint64
+	base := q.seqs[q.head]
+	seen := 0
+	for l := 0; l < q.n && seen < q.nCand; l++ {
+		s := (q.head + l) & q.ringMask()
+		open := q.stores[s] &^ q.committed[s]
+		cands := q.inputsCom[s] &^ q.certified[s]
+		barrier := open &^ (q.addrCom[s] & q.exec[s] &^ q.null[s])
+		if !barrier.Empty() {
+			b := barrier.Min()
+			open, cands = open.Below(b), cands.Below(b)
+			seen = q.nCand // nothing past the barrier can certify
+		} else {
+			seen += cands.Count()
 		}
-		if q.certified[s].Test(op) {
-			continue
+		fb := s * opStride
+		for m := open | cands; !m.Empty(); m &= m - 1 { // clear the lowest set bit
+			i := m.Min()
+			f := fb + i
+			laddr, lsize := q.addr[f], int(q.size[f])
+			if open.Test(i) {
+				q.pend = append(q.pend, span{laddr, laddr + uint64(lsize)})
+				filter |= wordBits(laddr, lsize)
+				continue
+			}
+			if !q.issued[s].Test(i) || filter&wordBits(laddr, lsize) != 0 && q.aliasesPending(laddr, lsize) {
+				continue
+			}
+			k := Key{Seq: base + int64(l), LSID: int8(i)}
+			v, _ := q.reconstruct(k, laddr, lsize)
+			if v != q.data[f] {
+				panic("lsq: certification value mismatch for " + k.String() + " (missed violation)")
+			}
+			q.certified[s].Set(i)
+			out = append(out, CertifiedLoad{Load: k, Addr: laddr, Value: v})
+			q.hitStamp = append(q.hitStamp, q.stamp[f])
 		}
-		f := s*opStride + op
-		laddr, lsize := q.addr[f], int(q.size[f])
-		if !q.issued[s].Test(op) || !q.olderStoresSafe(k, laddr, lsize) {
-			kept = append(kept, k)
-			continue
-		}
-		v, _ := q.reconstruct(k, laddr, lsize)
-		if v != q.data[f] {
-			panic("lsq: certification value mismatch for " + k.String() + " (missed violation)")
-		}
-		q.certified[s].Set(op)
-		out = append(out, CertifiedLoad{Load: k, Addr: laddr, Value: v})
 	}
-	q.certCand = kept
+	q.nCand -= len(q.hitStamp)
+	sortByStamp(out[len(buf):], q.hitStamp)
 	return out
 }
 
-// olderStoresSafe reports whether no older store can still change the
-// load's value: every older store is either fully committed, or has a
-// committed (final) address that provably does not overlap the load.  The
-// second case is what keeps the commit wave's memory leg from serialising
-// on false dependences: only true aliases wait for store data.
-//
-// The scan is mask-first: per block, the uncommitted-store candidates are
-// one AND-NOT, the "address provably final and live" filter is one more
-// word expression, and only candidates surviving both reach the per-bit
-// address-overlap check.
-func (q *Queue) olderStoresSafe(k Key, laddr uint64, lsize int) bool {
-	base := q.seqs[q.head]
-	for l := int64(0); ; l++ {
-		bseq := base + l
-		if bseq > k.Seq || l >= int64(q.n) {
+// wordBits maps a byte range onto the certification filter: one bit per
+// 8-byte word it touches (at most two), hashed modulo 64.  Overlapping
+// ranges always share a bit, so a zero intersection proves disjointness.
+func wordBits(addr uint64, size int) uint64 {
+	last := addr
+	if size > 1 {
+		last += uint64(size - 1)
+	}
+	return 1<<(addr>>3&63) | 1<<(last>>3&63)
+}
+
+// aliasesPending reports whether [addr, addr+size) overlaps any store on
+// the scan's pending list.  It walks youngest first: a candidate held by a
+// true alias is usually held by the nearest older store, and such
+// candidates are re-checked on every scan until that store commits.
+func (q *Queue) aliasesPending(addr uint64, size int) bool {
+	end := addr + uint64(size)
+	for j := len(q.pend) - 1; j >= 0; j-- {
+		if sp := q.pend[j]; sp.lo < end && addr < sp.hi {
 			return true
 		}
-		s := (q.head + int(l)) & q.ringMask()
-		cand := q.stores[s] &^ q.committed[s]
-		if bseq == k.Seq {
-			cand = cand.Below(int(k.LSID))
-		}
-		if cand.Empty() {
-			continue
-		}
-		safeAddr := q.addrCom[s] & q.exec[s] &^ q.null[s]
-		if !(cand &^ safeAddr).Empty() {
-			return false
-		}
-		fb := s * opStride
-		for m := cand; !m.Empty(); {
-			i := m.Min()
-			m.Clear(i)
-			if overlap(q.addr[fb+i], int(q.size[fb+i]), laddr, lsize) {
-				return false
-			}
+	}
+	return false
+}
+
+// sortByStamp orders a scan's hits by arrival stamp (insertion sort: the
+// walk finds them in age order, which is nearly arrival order).
+func sortByStamp(hits []CertifiedLoad, stamps []uint64) {
+	for i := 1; i < len(hits); i++ {
+		for j := i; j > 0 && stamps[j] < stamps[j-1]; j-- {
+			hits[j], hits[j-1] = hits[j-1], hits[j]
+			stamps[j], stamps[j-1] = stamps[j-1], stamps[j]
 		}
 	}
 }

@@ -29,7 +29,10 @@
 // fields (addr, data, tag, ...).  Certification and alias search walk only
 // set bits (bits.TrailingZeros under the hood) instead of scanning every
 // entry, and the policy predicate "any older store unexecuted" collapses
-// to one AND-NOT word test per block.
+// to one AND-NOT word test per block.  Certification candidates are a
+// mask too (inputsCom &^ certified), so a certification scan is one
+// age-ordered walk from the window head to the first store whose address
+// is not final, whatever the window depth.
 package lsq
 
 import (
@@ -168,6 +171,7 @@ type Queue struct {
 	size    []uint8
 	pc      []predictor.PC
 	waitFor []predictor.DynRef
+	stamp   []uint64 // certification-candidate arrival order
 
 	resident int // ops across blocks (occupancy is read every cycle)
 
@@ -189,7 +193,18 @@ type Queue struct {
 	// store in its own block.
 	guard map[Key]bool
 
-	certCand []Key // loads awaiting certification
+	// Certification candidates are the resident loads in inputsCom &^
+	// certified.  nCand counts them (the scan's early-out and stopping
+	// point); nextStamp numbers arrivals so a scan reports its hits in
+	// arrival order whatever order it finds them in.
+	nCand     int
+	nextStamp uint64
+
+	// Scan scratch, reused so a steady-state scan allocates nothing: the
+	// byte ranges of the uncommitted address-final stores passed so far,
+	// and the arrival stamps of this scan's hits (parallel to its output).
+	pend     []span
+	hitStamp []uint64
 
 	// ValidateDrain, when set (tests), is called for every drained store
 	// with its final address and data; an error aborts the run loudly.
@@ -245,6 +260,7 @@ func (q *Queue) grow(c int) {
 	q.size = make([]uint8, c*opStride)
 	q.pc = make([]predictor.PC, c*opStride)
 	q.waitFor = make([]predictor.DynRef, c*opStride)
+	q.stamp = make([]uint64, c*opStride)
 	for l := 0; l < old.n; l++ {
 		s := (old.head + l) & (len(old.seqs) - 1)
 		q.seqs[l] = old.seqs[s]
@@ -266,6 +282,7 @@ func (q *Queue) grow(c int) {
 		copy(q.size[l*opStride:(l+1)*opStride], old.size[s*opStride:(s+1)*opStride])
 		copy(q.pc[l*opStride:(l+1)*opStride], old.pc[s*opStride:(s+1)*opStride])
 		copy(q.waitFor[l*opStride:(l+1)*opStride], old.waitFor[s*opStride:(s+1)*opStride])
+		copy(q.stamp[l*opStride:(l+1)*opStride], old.stamp[s*opStride:(s+1)*opStride])
 	}
 	q.head = 0
 }
@@ -366,14 +383,15 @@ func (q *Queue) SquashFrom(seq int64) {
 			cut = 0
 		}
 		for l := int(cut); l < q.n; l++ {
-			q.resident -= int(q.nops[(q.head+l)&q.ringMask()])
+			s := (q.head + l) & q.ringMask()
+			q.resident -= int(q.nops[s])
+			q.nCand -= (q.inputsCom[s] &^ q.certified[s]).Count()
 		}
 		if int64(q.n) > cut {
 			q.n = int(cut)
 		}
 	}
 	q.filterKeys(&q.deferred, seq)
-	q.filterKeys(&q.certCand, seq)
 	q.dirty = true
 	q.certDirty = true
 }
@@ -387,6 +405,10 @@ func (q *Queue) filterKeys(keys *[]Key, fromSeq int64) {
 	}
 	*keys = kept
 }
+
+// span is the byte range [lo, hi) of a store pending in a certification
+// scan.
+type span struct{ lo, hi uint64 }
 
 // overlap reports whether [a, a+as) and [b, b+bs) intersect.
 func overlap(a uint64, as int, b uint64, bs int) bool {

@@ -269,6 +269,7 @@ func (q *Queue) Drain(seq int64) int {
 		}
 	}
 	q.resident -= int(q.nops[s])
+	q.nCand -= (q.inputsCom[s] &^ q.certified[s]).Count()
 	q.head = (q.head + 1) & q.ringMask()
 	q.n--
 	q.dirty = true

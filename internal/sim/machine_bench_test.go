@@ -9,11 +9,12 @@ import (
 	"repro/internal/workload"
 )
 
-// benchMachine is the shared body of the throughput benchmarks: one kernel,
-// event-driven or dense reference ticking, reporting simulated megacycles
-// per wall second (the headline CI tracks) alongside the per-run counters.
-func benchMachine(b *testing.B, kernel string, slowTick bool) {
-	w := workload.MustBuild(kernel, workload.Params{Size: 1024})
+// benchMachine is the shared body of the throughput benchmarks: one kernel
+// at one size, event-driven or dense reference ticking, optionally on a
+// reshaped machine, reporting simulated megacycles per wall second (the
+// headline CI tracks) alongside the per-run counters.
+func benchMachine(b *testing.B, kernel string, size int, slowTick bool, shape func(*Config)) {
+	w := workload.MustBuild(kernel, workload.Params{Size: size})
 	er, _ := emu.Run(w.Program, &w.Regs, w.Mem, emu.Options{})
 	var cycles int64
 	b.ResetTimer()
@@ -22,6 +23,9 @@ func benchMachine(b *testing.B, kernel string, slowTick bool) {
 		cfg.Policy = core.IssueAggressive
 		cfg.Recovery = core.RecoverDSRE
 		cfg.SlowTick = slowTick
+		if shape != nil {
+			shape(&cfg)
+		}
 		mc, err := New(cfg, w.Program, &w.Regs, w.Mem, nil, nil)
 		if err != nil {
 			b.Fatal(err)
@@ -43,8 +47,16 @@ func benchMachine(b *testing.B, kernel string, slowTick bool) {
 // simulated cycles per wall second on the event-driven core.
 func BenchmarkMachine(b *testing.B) {
 	for _, k := range []string{"histogram", "vecsum"} {
-		b.Run(k, func(b *testing.B) { benchMachine(b, k, false) })
+		b.Run(k, func(b *testing.B) { benchMachine(b, k, 1024, false, nil) })
 	}
+	// The paper's 4K-instruction window (32 frames on an 8×8 grid) on a
+	// conflict kernel guards the per-cycle costs that grow with window
+	// depth, which the default 8-frame machine cannot show.
+	b.Run("stencil/frames=32", func(b *testing.B) {
+		benchMachine(b, "stencil", 256, false, func(c *Config) {
+			c.Frames, c.GridWidth, c.GridHeight = 32, 8, 8
+		})
+	})
 }
 
 // BenchmarkMachineDense runs the same kernels under Config.SlowTick — every
@@ -52,7 +64,7 @@ func BenchmarkMachine(b *testing.B) {
 // event-driven speedup is a single benchstat (or mcycles/s ratio) away.
 func BenchmarkMachineDense(b *testing.B) {
 	for _, k := range []string{"histogram", "vecsum"} {
-		b.Run(k, func(b *testing.B) { benchMachine(b, k, true) })
+		b.Run(k, func(b *testing.B) { benchMachine(b, k, 1024, true, nil) })
 	}
 }
 
