@@ -192,11 +192,16 @@ func (q *Queue) reconstruct(k Key, addr uint64, size int) (val int64, forwarded 
 			}
 		}
 	}
+	// Uncovered bytes come from one committed-memory read.
+	var mv uint64
+	if remaining > 0 {
+		mv = q.mem.Uint(addr, size)
+	}
 	var v uint64
 	for i := 0; i < size; i++ {
 		bv := bytes[i]
 		if !have[i] {
-			bv = q.mem.ByteAt(addr + uint64(i))
+			bv = byte(mv >> (8 * i))
 		}
 		v |= uint64(bv) << (8 * i)
 	}

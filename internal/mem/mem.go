@@ -5,6 +5,8 @@
 // so that speculative timing models can never corrupt architectural state.
 package mem
 
+import "encoding/binary"
+
 // pageBits selects a 4 KiB page granularity for the sparse map.
 const pageBits = 12
 const pageSize = 1 << pageBits
@@ -119,17 +121,38 @@ func (m *Memory) SetByte(addr uint64, b byte) {
 	m.page(addr, true)[addr&pageMask] = b
 }
 
+// Uint returns the size bytes (1 to 8) at addr as a little-endian unsigned
+// integer.  A read within one page costs one page lookup; only a read that
+// crosses a page boundary falls back to per-byte reads.
+func (m *Memory) Uint(addr uint64, size int) uint64 {
+	var v uint64
+	off := addr & pageMask
+	if off+uint64(size) > pageSize {
+		for i := 0; i < size; i++ {
+			v |= uint64(m.ByteAt(addr+uint64(i))) << (8 * i)
+		}
+		return v
+	}
+	p := m.page(addr, false)
+	if p == nil {
+		return 0
+	}
+	if size == 8 {
+		return binary.LittleEndian.Uint64(p[off:])
+	}
+	for i, b := range p[off : off+uint64(size)] {
+		v |= uint64(b) << (8 * i)
+	}
+	return v
+}
+
 // Read returns size bytes at addr as a little-endian integer.
 // size must be 1 or 8.
 func (m *Memory) Read(addr uint64, size int) int64 {
 	if size == 1 {
 		return int64(m.ByteAt(addr))
 	}
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(m.ByteAt(addr+uint64(i))) << (8 * i)
-	}
-	return int64(v)
+	return int64(m.Uint(addr, 8))
 }
 
 // Write stores the low size bytes of v at addr, little-endian.

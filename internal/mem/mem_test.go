@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -98,7 +99,35 @@ func TestRoundTripProperty(t *testing.T) {
 		m.SetByte(a+8, b)
 		return m.Read(a, 8) == v && m.ByteAt(a+8) == b
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, &quick.Config{Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestUintMatchesBytes checks the one-lookup read against per-byte reads at
+// every size, at offsets that straddle a page boundary, and on a page that
+// was never written.
+func TestUintMatchesBytes(t *testing.T) {
+	m := New()
+	for i := uint64(0); i < 24; i++ {
+		m.SetByte(2*pageSize-12+i, byte(0xA0+i)) // straddles pages 1 and 2
+	}
+	m.SetByte(0x30, 0x7F)
+	for _, base := range []uint64{2*pageSize - 12, 0x30, 5 * pageSize, ^uint64(0) - 3} {
+		for off := uint64(0); off < 16; off++ {
+			addr := base + off
+			for size := 1; size <= 8; size++ {
+				var want uint64
+				for i := 0; i < size; i++ {
+					want |= uint64(m.ByteAt(addr+uint64(i))) << (8 * i)
+				}
+				if got := m.Uint(addr, size); got != want {
+					t.Errorf("Uint(%#x, %d) = %#x, per-byte %#x", addr, size, got, want)
+				}
+			}
+		}
+	}
+	if m.Footprint() != 3 {
+		t.Errorf("footprint %d pages, want 3: reads must not allocate", m.Footprint())
 	}
 }

@@ -8,10 +8,12 @@
 // routes may be reordered — the DSRE protocol's wave tags are what make that
 // safe, and the simulator's tests rely on it.
 //
-// Ticking is activity-tracked: an index of routers with resident flits
-// (non-empty link queues) lets Tick visit only live routers,
-// in ascending node order so results are bit-identical to the dense scan
-// (Config.DenseTick restores the dense scan for differential testing).
+// State is kept per link, not per router.  Flits awaiting bandwidth sit in
+// per-link FIFOs indexed by link id (node*4 + direction) under one occupancy
+// bitmask; flits on the wire sit in one flat list per transmit cycle.  The
+// transmit phase walks the bitmask in ascending link id and each FIFO from
+// its head, so a wire list is born in (link, FIFO) order — the order its
+// arrivals are processed in, a cycle's worth at a time.
 package noc
 
 import (
@@ -41,10 +43,6 @@ type Config struct {
 	// LocalLatency is the delivery delay for messages whose source and
 	// destination coincide (same-tile bypass); >= 1.
 	LocalLatency int
-	// DenseTick makes Tick scan every router instead of only the active
-	// ones — the reference path the active-index bookkeeping is verified
-	// against (sim.Config.SlowTick selects it).
-	DenseTick bool
 }
 
 // Stats counts network activity.
@@ -55,53 +53,48 @@ type Stats struct {
 	QueueWait int64 // cycles messages spent waiting for link bandwidth
 }
 
-// flit is one in-flight message's pooled payload: the message plus its
-// routing header.  Flits live in the network's pool and are written once at
-// injection and read once at delivery; the link queues move 24-byte entry
-// indices between hops, never the payload.
-type flit[T any] struct {
-	msg T
-	dst int32
-	// dstX/dstY are dst's mesh coordinates, resolved once at injection so
-	// per-hop routing is pure compares (no divisions).
+// await is one flit in a link FIFO, waiting for bandwidth: its pool slot,
+// destination coordinates (so per-hop routing never divides) and the cycle
+// it entered the FIFO, for QueueWait.
+type await struct {
+	idx        int32
+	dstX, dstY int16
+	enqueued   int64
+}
+
+// wire is one flit in transit on a link: its pool slot, the link's far end
+// (node index and coordinates) and its destination coordinates.
+type wire struct {
+	idx        int32
+	node       int32
+	x, y       int16
 	dstX, dstY int16
 }
 
-// entry is one link-queue (or local-queue) element: a pool index plus the
-// timing the queue tracks.  This is what per-hop forwarding copies.
-type entry struct {
+// localMsg is a src==dst message awaiting same-tile delivery.
+type localMsg struct {
 	idx      int32
-	enqueued int64 // cycle it entered the current queue, for QueueWait
+	node     int32
 	arriveAt int64
 }
 
-// link is one outgoing mesh link's FIFO, with two watermarks instead of two
-// queues: entries in [head, sent) are on the wire (arriveAt stamped),
-// entries in [sent, len) await link bandwidth, and entries before head have
-// been consumed and are reclaimed when the queue drains (or by occasional
-// compaction).  Transmission is therefore a pure in-place stamp — only an
-// entry is copied per hop, into the next router's queue.
-type link struct {
-	q          []entry
-	head, sent int
+// fifo is one link's queue of awaiting flits.  Entries before head have been
+// transmitted; they are reclaimed when the queue drains, or by compaction
+// once they dominate (amortised O(1) per flit).
+type fifo struct {
+	q    []await
+	head int
 }
 
-type router struct {
-	links [numDirs]link
-	// resident counts unconsumed flits across the links; the active index
-	// tracks resident > 0.
-	resident int
-	// wireMask/waitMask mark directions whose wire region [head, sent) /
-	// awaiting region [sent, len) is non-empty, so the tick phases probe
-	// only occupied links instead of all five headers.
-	wireMask, waitMask uint8
-	// neigh[d] is the static far end of link d (node index and mesh
-	// coordinates); node is -1 on mesh edges, where routing never sends.
-	neigh [numDirs]neighborInfo
+// batch is the wire list one transmit cycle produced: every flit in it
+// arrives at the same cycle.
+type batch struct {
+	at int64
+	w  []wire
 }
 
-// neighborInfo is one precomputed link endpoint.
-type neighborInfo struct {
+// linkEnd is a link's precomputed far end.
+type linkEnd struct {
 	node int32
 	x, y int16
 }
@@ -109,26 +102,33 @@ type neighborInfo struct {
 // Network is the mesh.  Deliver is invoked during Tick for every message
 // reaching its destination's local port.
 type Network[T any] struct {
-	cfg     Config
-	routers []router
+	cfg Config
+	// ends and fifos are indexed by link id node*4 + dir; occ has bit l set
+	// iff fifos[l] holds an awaiting flit.
+	ends  []linkEnd
+	fifos []fifo
+	occ   []uint64
+	// ring holds the in-flight wire lists, oldest at ring[rhead], in
+	// ascending arrival order.  Under Tick's contract at most HopLatency
+	// lists are in flight, so HopLatency+1 slots with recycled buffers
+	// suffice and steady state is allocation-free.
+	ring          []batch
+	rhead, nbatch int
 	// flits is the payload pool; free lists its reusable slots.  Both reach
 	// a high-water mark and stay allocation-free in steady state.
-	flits []flit[T]
+	flits []T
 	free  []int32
-	local []entry // src==dst messages awaiting local delivery
+	local []localMsg
 	// localSpare is the detached buffer Tick swaps with local, so local
 	// delivery with stragglers does not reallocate every cycle.
-	localSpare []entry
+	localSpare []localMsg
 	deliver    func(now int64, node int, msg T)
 	pending    int
-	// active is a bitmask over routers with resident flits, iterated in
-	// ascending node order to match the dense scan exactly.
-	active []uint64
-	Stats  Stats
+	Stats      Stats
 }
 
-// New builds a mesh network.  deliver must not call back into Send
-// synchronously for the same cycle's delivery (enqueueing is fine).
+// New builds a mesh network.  deliver may Send (the message is queued, never
+// delivered within the same call).
 func New[T any](cfg Config, deliver func(now int64, node int, msg T)) (*Network[T], error) {
 	if cfg.Width <= 0 || cfg.Height <= 0 {
 		return nil, fmt.Errorf("noc: %dx%d mesh", cfg.Width, cfg.Height)
@@ -142,33 +142,31 @@ func New[T any](cfg Config, deliver func(now int64, node int, msg T)) (*Network[
 	if cfg.LocalLatency < 1 {
 		return nil, fmt.Errorf("noc: local latency %d < 1", cfg.LocalLatency)
 	}
-	nn := cfg.Width * cfg.Height
+	nl := cfg.Width * cfg.Height * int(numDirs)
 	n := &Network[T]{
 		cfg:     cfg,
-		routers: make([]router, nn),
-		active:  make([]uint64, (nn+63)/64),
+		ends:    make([]linkEnd, nl),
+		fifos:   make([]fifo, nl),
+		occ:     make([]uint64, (nl+63)/64),
+		ring:    make([]batch, cfg.HopLatency+1),
 		deliver: deliver,
 	}
-	for node := range n.routers {
-		x, y := n.Coords(node)
-		for d := dir(0); d < numDirs; d++ {
-			nx, ny := x, y
-			switch d {
-			case dirE:
-				nx++
-			case dirW:
-				nx--
-			case dirN:
-				ny++
-			case dirS:
-				ny--
-			}
-			nb := &n.routers[node].neigh[d]
-			if nx < 0 || nx >= cfg.Width || ny < 0 || ny >= cfg.Height {
-				nb.node = -1
-				continue
-			}
-			nb.node, nb.x, nb.y = int32(n.Node(nx, ny)), int16(nx), int16(ny)
+	for l := range n.ends {
+		x, y := n.Coords(l / int(numDirs))
+		switch dir(l % int(numDirs)) {
+		case dirE:
+			x++
+		case dirW:
+			x--
+		case dirN:
+			y++
+		case dirS:
+			y--
+		}
+		// Edge links lead off the mesh; routing never sends on them.
+		n.ends[l] = linkEnd{node: -1}
+		if x >= 0 && x < cfg.Width && y >= 0 && y < cfg.Height {
+			n.ends[l] = linkEnd{node: int32(n.Node(x, y)), x: int16(x), y: int16(y)}
 		}
 	}
 	return n, nil
@@ -196,50 +194,43 @@ func abs(v int) int {
 	return v
 }
 
-// addResident maintains the active-router index (the invariant: a node's
-// active bit is set iff its resident count is positive).  tickArrivals
-// adjusts counts in batch form inline.
-func (n *Network[T]) addResident(node int) {
-	r := &n.routers[node]
-	if r.resident == 0 {
-		n.active[node>>6] |= 1 << (uint(node) & 63)
-	}
-	r.resident++
-}
-
-// alloc places a flit in the pool and returns its slot.
-func (n *Network[T]) alloc(f flit[T]) int32 {
+// alloc places a payload in the pool and returns its slot.
+func (n *Network[T]) alloc(msg T) int32 {
 	if k := len(n.free); k > 0 {
 		i := n.free[k-1]
 		n.free = n.free[:k-1]
-		n.flits[i] = f
+		n.flits[i] = msg
 		return i
 	}
-	n.flits = append(n.flits, f)
+	n.flits = append(n.flits, msg)
 	return int32(len(n.flits) - 1)
+}
+
+// enqueue appends a flit to link l's FIFO.
+func (n *Network[T]) enqueue(l int, a await) {
+	f := &n.fifos[l]
+	f.q = append(f.q, a)
+	n.occ[l>>6] |= 1 << (uint(l) & 63)
 }
 
 // Send injects a message at src destined for dst.
 func (n *Network[T]) Send(now int64, src, dst int, msg T) {
 	n.Stats.Messages++
 	n.pending++
-	dx, dy := n.Coords(dst)
-	i := n.alloc(flit[T]{msg: msg, dst: int32(dst), dstX: int16(dx), dstY: int16(dy)})
+	i := n.alloc(msg)
 	if src == dst {
-		n.local = append(n.local, entry{idx: i, arriveAt: now + int64(n.cfg.LocalLatency)})
+		n.local = append(n.local, localMsg{idx: i, node: int32(dst), arriveAt: now + int64(n.cfg.LocalLatency)})
 		return
 	}
 	x, y := n.Coords(src)
+	dx, dy := n.Coords(dst)
 	d := routeXY(x, y, dx, dy)
-	sr := &n.routers[src]
-	sr.links[d].q = append(sr.links[d].q, entry{idx: i, enqueued: now})
-	sr.waitMask |= 1 << d
-	n.addResident(src)
+	n.enqueue(src*int(numDirs)+int(d), await{idx: i, dstX: int16(dx), dstY: int16(dy), enqueued: now})
 }
 
 // routeXY picks the next direction from (x, y) toward (dx, dy) — dimension-
 // ordered: X first, then Y.  Pure compares; the destination coordinates ride
-// in the flit so per-hop routing never divides.
+// with the flit so per-hop routing never divides.
 func routeXY(x, y, dx, dy int) dir {
 	switch {
 	case dx > x:
@@ -253,10 +244,16 @@ func routeXY(x, y, dx, dy int) dir {
 	}
 }
 
-// Tick advances the network one cycle: arrivals are processed (delivered or
-// forwarded), then each link transmits up to its bandwidth.  It reports
-// whether anything moved — false means the cycle was a provable no-op (all
-// resident flits, if any, are still in transit toward a future cycle).
+// Tick advances the network one cycle: local and wire arrivals are
+// processed (delivered, or forwarded into the next link's FIFO), then each
+// link transmits up to its bandwidth.  It reports whether anything moved —
+// false means the cycle was a provable no-op (all pending flits, if any, are
+// still in transit toward a future cycle).
+//
+// Contract: now strictly increases across calls, and Tick runs at every
+// cycle NextEvent names.  Then at most one wire list is due per call — the
+// one transmitted HopLatency cycles earlier — and delivery order is (link
+// id, FIFO) order within each cycle's arrivals.
 func (n *Network[T]) Tick(now int64) bool {
 	moved := false
 
@@ -267,15 +264,14 @@ func (n *Network[T]) Tick(now int64) bool {
 	if len(n.local) > 0 {
 		pending := n.local
 		n.local = n.localSpare[:0]
-		for i := range pending {
-			t := pending[i]
+		for _, t := range pending {
 			if t.arriveAt <= now {
 				n.Stats.Delivered++
 				n.pending--
 				// The msg argument is copied out of the pool before the
 				// callback runs; the slot is freed after, so a reentrant
 				// Send cannot clobber it.
-				n.deliver(now, int(n.flits[t.idx].dst), n.flits[t.idx].msg)
+				n.deliver(now, int(t.node), n.flits[t.idx])
 				n.free = append(n.free, t.idx)
 				moved = true
 			} else {
@@ -285,174 +281,77 @@ func (n *Network[T]) Tick(now int64) bool {
 		n.localSpare = pending[:0]
 	}
 
-	// Arrivals at the far end of each link, then transmissions bounded by
-	// link bandwidth.  Arrival forwarding only appends to the awaiting
-	// region of link queues (never to the wire region it is scanning), and
-	// transmission only stamps flits within one router, so visiting routers
-	// in ascending order — dense or via the index — processes exactly the
-	// same flits in the same order.
-	if n.cfg.DenseTick {
-		for node := range n.routers {
-			if n.tickArrivals(now, node) {
-				moved = true
-			}
-		}
-		for node := range n.routers {
-			if n.tickTransmit(now, node) {
-				moved = true
-			}
-		}
-		return moved
-	}
-	for w, word := range n.active {
-		// The word is snapshotted: arrivals may activate routers ahead of
-		// the scan, but a freshly activated router has an empty wire
-		// region, so skipping it matches the dense scan's no-op visit.
-		for word != 0 {
-			node := w<<6 + bits.TrailingZeros64(word)
-			word &= word - 1
-			if n.tickArrivals(now, node) {
-				moved = true
-			}
-		}
-	}
-	for w, word := range n.active {
-		// Transmission never touches other routers, and routers activated
-		// by the arrival phase hold only awaiting flits enqueued *this*
-		// cycle — the dense scan would visit them, find enqueued == now
-		// flits, and transmit them.  So the transmit phase must see bits
-		// set during the arrival phase: the live mask is re-read here, and
-		// within a word the snapshot is safe because tickTransmit never
-		// sets or clears any bit (resident counts are unchanged).
-		for word != 0 {
-			node := w<<6 + bits.TrailingZeros64(word)
-			word &= word - 1
-			if n.tickTransmit(now, node) {
-				moved = true
-			}
-		}
-	}
-	return moved
-}
-
-// tickArrivals processes one router's due on-the-wire flits: delivery at
-// the destination, or forwarding into the next router's link queue.
-//
-// The wire region [head, sent) is sorted by arriveAt — tickTransmit stamps
-// now + HopLatency, and simulated time never decreases — so the due flits
-// are a prefix.  The whole prefix is processed as one batch: the link's
-// far-end node, its coordinates, and the neighbour router pointer are
-// resolved once per queue, consumption is a head-index advance (no
-// compaction copy), and the resident count is adjusted once.
-func (n *Network[T]) tickArrivals(now int64, node int) bool {
-	r := &n.routers[node]
-	moved := false
-	// The deliver callback may Send from this node, but an injection lands
-	// in an awaiting region (waitMask), never on the wire — the snapshot of
-	// wireMask covers exactly the links this phase must probe.
-	for wm := r.wireMask; wm != 0; wm &= wm - 1 {
-		d := dir(bits.TrailingZeros8(wm))
-		l := &r.links[d]
-		// Snapshot: the deliver callback may Send onto this same link,
-		// growing l.q; entries in [head, sent) are immutable across that.
-		ts := l.q
-		if ts[l.head].arriveAt > now {
-			continue
-		}
-		due := l.sent
-		for i := l.head + 1; i < l.sent; i++ {
-			if ts[i].arriveAt > now {
-				due = i
-				break
-			}
-		}
-		moved = true
-		nb := r.neigh[d]
-		at := int(nb.node)
-		atx, aty := int(nb.x), int(nb.y)
-		ar := &n.routers[at]
-		// Forwarding appends land in the neighbour's awaiting region
-		// [sent, len), which this phase never reads — the transmit phase
-		// puts them on the wire, exactly as the dense reference would.
-		for i := l.head; i < due; i++ {
-			t := ts[i]
-			// The pool pointer is re-read per flit: a delivery's reentrant
-			// Send may grow n.flits.
-			fl := &n.flits[t.idx]
-			if at == int(fl.dst) {
+	// Wire arrivals, one sequential pass over the due list.  Forwarding and
+	// reentrant Sends only append to link FIFOs, never to a wire list.
+	for n.nbatch > 0 && n.ring[n.rhead].at <= now {
+		b := &n.ring[n.rhead]
+		for _, w := range b.w {
+			if w.x == w.dstX && w.y == w.dstY {
 				n.Stats.Delivered++
 				n.pending--
-				// msg is copied into the argument before the callback runs;
-				// the slot is freed after, so a reentrant Send cannot
-				// clobber it.
-				n.deliver(now, at, fl.msg)
-				n.free = append(n.free, t.idx)
+				n.deliver(now, int(w.node), n.flits[w.idx])
+				n.free = append(n.free, w.idx)
 				continue
 			}
-			nd := routeXY(atx, aty, int(fl.dstX), int(fl.dstY))
-			if ar.resident == 0 {
-				n.active[at>>6] |= 1 << (uint(at) & 63)
-			}
-			ar.resident++
-			ar.waitMask |= 1 << nd
-			al := &ar.links[nd]
-			al.q = append(al.q, entry{idx: t.idx, enqueued: now})
+			d := routeXY(int(w.x), int(w.y), int(w.dstX), int(w.dstY))
+			n.enqueue(int(w.node)*int(numDirs)+int(d), await{idx: w.idx, dstX: w.dstX, dstY: w.dstY, enqueued: now})
 		}
-		// Batched resident accounting: the deliver callback may have Sent new
-		// flits from this node mid-batch, so the count can stay positive.
-		k := due - l.head
-		l.head = due
-		if l.head == l.sent {
-			r.wireMask &^= 1 << d
+		b.w = b.w[:0]
+		if n.rhead++; n.rhead == len(n.ring) {
+			n.rhead = 0
 		}
-		r.resident -= k
-		if r.resident == 0 {
-			n.active[node>>6] &^= 1 << (uint(node) & 63)
-		}
-		// Reclaim consumed entries: reset when drained, else compact once
-		// the dead prefix dominates (amortised O(1) per flit).
-		if l.head == len(l.q) {
-			l.q, l.head, l.sent = l.q[:0], 0, 0
-		} else if l.head >= 32 && 2*l.head >= len(l.q) {
-			m := copy(l.q, l.q[l.head:])
-			l.q = l.q[:m]
-			l.sent -= l.head
-			l.head = 0
-		}
+		n.nbatch--
+		moved = true
+	}
+
+	if n.transmit(now) {
+		moved = true
 	}
 	return moved
 }
 
-// tickTransmit puts up to LinkBandwidth awaiting flits per link onto the
-// wire: a pure in-place arriveAt stamp plus a watermark advance — no flit
-// is copied.  arriveAt is the same for the whole batch, and now never
-// decreases, so the wire region stays sorted — the invariant tickArrivals'
-// prefix batching and NextEvent's head read rely on.
-func (n *Network[T]) tickTransmit(now int64, node int) bool {
-	r := &n.routers[node]
-	moved := false
-	for wm := r.waitMask; wm != 0; wm &= wm - 1 {
-		d := dir(bits.TrailingZeros8(wm))
-		l := &r.links[d]
-		waiting := len(l.q) - l.sent
-		moved = true
-		k := n.cfg.LinkBandwidth
-		if k > waiting {
-			k = waiting
-		}
-		arriveAt := now + int64(n.cfg.HopLatency)
-		n.Stats.Hops += int64(k)
-		for i := l.sent; i < l.sent+k; i++ {
-			n.Stats.QueueWait += now - l.q[i].enqueued
-			l.q[i].arriveAt = arriveAt
-		}
-		l.sent += k
-		r.wireMask |= 1 << d
-		if l.sent == len(l.q) {
-			r.waitMask &^= 1 << d
+// transmit moves up to LinkBandwidth flits from the head of every occupied
+// link's FIFO, in ascending link id, onto one new wire list arriving at
+// now + HopLatency.  It reports whether any flit moved.
+func (n *Network[T]) transmit(now int64) bool {
+	tail := n.rhead + n.nbatch
+	if tail >= len(n.ring) {
+		tail -= len(n.ring)
+	}
+	b := &n.ring[tail]
+	bw := n.cfg.LinkBandwidth
+	var hops, wait int64
+	for wi, word := range n.occ {
+		// Transmission never sets a bit, so the snapshot is exact.
+		for word != 0 {
+			l := wi<<6 + bits.TrailingZeros64(word)
+			word &= word - 1
+			f := &n.fifos[l]
+			k := min(bw, len(f.q)-f.head)
+			e := n.ends[l]
+			for _, a := range f.q[f.head : f.head+k] {
+				wait += now - a.enqueued
+				b.w = append(b.w, wire{idx: a.idx, node: e.node, x: e.x, y: e.y, dstX: a.dstX, dstY: a.dstY})
+			}
+			hops += int64(k)
+			f.head += k
+			if f.head == len(f.q) {
+				f.q, f.head = f.q[:0], 0
+				n.occ[wi] &^= 1 << (uint(l) & 63)
+			} else if f.head >= 32 && 2*f.head >= len(f.q) {
+				m := copy(f.q, f.q[f.head:])
+				f.q, f.head = f.q[:m], 0
+			}
 		}
 	}
-	return moved
+	if hops == 0 {
+		return false
+	}
+	b.at = now + int64(n.cfg.HopLatency)
+	n.nbatch++
+	n.Stats.Hops += hops
+	n.Stats.QueueWait += wait
+	return true
 }
 
 // NextEvent returns the earliest cycle >= now at which Tick would move
@@ -463,27 +362,18 @@ func (n *Network[T]) NextEvent(now int64) int64 {
 	if n.pending == 0 {
 		return Never
 	}
+	for _, word := range n.occ {
+		if word != 0 {
+			return now
+		}
+	}
 	next := Never
+	if n.nbatch > 0 {
+		next = n.ring[n.rhead].at
+	}
 	for _, t := range n.local {
 		if t.arriveAt < next {
 			next = t.arriveAt
-		}
-	}
-	for w, word := range n.active {
-		for word != 0 {
-			node := w<<6 + bits.TrailingZeros64(word)
-			word &= word - 1
-			r := &n.routers[node]
-			if r.waitMask != 0 {
-				return now
-			}
-			for wm := r.wireMask; wm != 0; wm &= wm - 1 {
-				l := &r.links[bits.TrailingZeros8(wm)]
-				// Wire region sorted by arriveAt: the head is the earliest.
-				if t := l.q[l.head].arriveAt; t < next {
-					next = t
-				}
-			}
 		}
 	}
 	if next < now {

@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -144,7 +145,7 @@ func TestAllPairsDelivery(t *testing.T) {
 		wantMax := int64(n.Distance(src, dst)*cfg.HopLatency) + 2
 		return deliveries[0].now <= wantMax && n.Pending() == 0
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, &quick.Config{Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Error(err)
 	}
 }
@@ -196,6 +197,8 @@ func BenchmarkMeshThroughput(b *testing.B) {
 		n.Send(cyc, i%25, (i*7)%25, i)
 		n.Tick(cyc)
 	}
+	b.StopTimer()
+	reportHops(b, n)
 	// Drain so Pending doesn't grow unboundedly across -benchtime runs.
 	for c := int64(b.N); n.Pending() > 0; c++ {
 		n.Tick(c)
@@ -204,9 +207,9 @@ func BenchmarkMeshThroughput(b *testing.B) {
 
 // BenchmarkMeshSaturated measures per-tick cost with every link loaded:
 // each cycle, every node injects one message to the node diagonally across
-// the mesh, keeping all routers resident and forcing bandwidth-limited
-// transmits, multi-hop forwards, and queue-reclaim — the hot loop the
-// simulator's operand traffic drives at full window occupancy.
+// the mesh, keeping all links occupied and forcing bandwidth-limited
+// transmits, multi-hop forwards, and queue-reclaim.  The simulator's
+// traffic never gets this dense; BenchmarkMeshSparse models it.
 func BenchmarkMeshSaturated(b *testing.B) {
 	cfg := Config{Width: 5, Height: 5, HopLatency: 1, LinkBandwidth: 2, LocalLatency: 1}
 	delivered := 0
@@ -224,103 +227,170 @@ func BenchmarkMeshSaturated(b *testing.B) {
 		n.Tick(cyc)
 	}
 	b.StopTimer()
+	reportHops(b, n)
 	for c := int64(b.N); n.Pending() > 0; c++ {
 		n.Tick(c)
 	}
 	b.ReportMetric(float64(delivered)/float64(b.N), "msgs/tick")
 }
 
-// TestIndexedTickMatchesDense is the active-router index's differential
-// property test: under randomized traffic — bursts, quiet gaps, src==dst
-// local bypass, repeated sources — the indexed Tick must deliver the same
-// messages in the same order at the same cycles as the dense scan, with
-// identical Pending() and Stats at every cycle boundary.
-func TestIndexedTickMatchesDense(t *testing.T) {
-	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		cfg := Config{
-			Width:         2 + rng.Intn(4),
-			Height:        2 + rng.Intn(4),
-			HopLatency:    1 + rng.Intn(3),
-			LinkBandwidth: 1 + rng.Intn(3),
-			LocalLatency:  1 + rng.Intn(2),
-		}
-		dcfg := cfg
-		dcfg.DenseTick = true
-
-		var fastLog, denseLog []rec
-		fast, err := New[int](cfg, func(now int64, node int, msg int) {
-			fastLog = append(fastLog, rec{now, node, msg})
+// BenchmarkMeshSparse measures per-tick cost at the load the simulator
+// actually puts on the mesh: default bandwidth 4, 2–9 injections per cycle
+// between uniformly drawn nodes, so links rarely contend and most of the
+// cost is per-hop bookkeeping.  5×5 is the default grid's mesh (4×4 tiles
+// plus the D/G column and register row), 9×9 the 8×8 wide-window grid's.
+func BenchmarkMeshSparse(b *testing.B) {
+	for _, side := range []int{5, 9} {
+		b.Run(fmt.Sprintf("%dx%d", side, side), func(b *testing.B) {
+			cfg := Config{Width: side, Height: side, HopLatency: 1, LinkBandwidth: 4, LocalLatency: 1}
+			n, _ := New[int](cfg, func(int64, int, int) {})
+			// A fixed table of draws keeps the generator out of the timed loop.
+			rng := rand.New(rand.NewSource(1))
+			draws := make([]int, 1<<12)
+			for i := range draws {
+				draws[i] = rng.Intn(side * side)
+			}
+			next := 0
+			draw := func() int {
+				next = (next + 1) & (len(draws) - 1)
+				return draws[next]
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cyc := int64(i)
+				for k := 2 + draw()%8; k > 0; k-- {
+					n.Send(cyc, draw(), draw(), i)
+				}
+				n.Tick(cyc)
+			}
+			b.StopTimer()
+			reportHops(b, n)
+			for c := int64(b.N); n.Pending() > 0; c++ {
+				n.Tick(c)
+			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		dense, err := New[int](dcfg, func(now int64, node int, msg int) {
-			denseLog = append(denseLog, rec{now, node, msg})
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+	}
+}
 
-		nodes := cfg.Width * cfg.Height
-		msg := 0
-		for cycle := int64(0); cycle < 120; cycle++ {
-			// Bursty injection: quiet stretches exercise the empty-index
-			// path, bursts exercise link contention and multi-activation.
-			k := 0
+// reportHops adds host time per link traversal and traversals per tick to
+// a mesh benchmark's output; call it after stopping the timer, before
+// draining.
+func reportHops(b *testing.B, n *Network[int]) {
+	if n.Stats.Hops == 0 {
+		return
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n.Stats.Hops), "ns/hop")
+	b.ReportMetric(float64(n.Stats.Hops)/float64(b.N), "hops/tick")
+}
+
+// TestWireListMatchesReference is the network's differential test against
+// the reference mesh (reference_test.go), in both its active-index and its
+// dense mode.  Over fixed seeds it draws a mesh of 1–6 nodes on a side,
+// hop latency 1–3, bandwidth 1–4 and local latency 1–2, then drives bursty
+// traffic — quiet gaps, src==dst local bypass, repeated sources, and sends
+// from inside deliver — under every-cycle ticking and under NextEvent
+// fast-forward jumps.  The delivery log must match exactly, and so must
+// Stats, Pending and NextEvent after every tick.
+func TestWireListMatchesReference(t *testing.T) {
+	seeds := int64(400)
+	if testing.Short() {
+		seeds = 80
+	}
+	for seed := int64(1); seed <= seeds; seed++ {
+		if msg := diffReference(seed, seed%2 == 0); msg != "" {
+			t.Fatalf("seed %d: %s", seed, msg)
+		}
+	}
+}
+
+// diffReference runs one seed's traffic through the network and both
+// reference modes and returns the first divergence, or "".
+func diffReference(seed int64, fastForward bool) string {
+	rng := rand.New(rand.NewSource(seed))
+	cfg := Config{
+		Width:         1 + rng.Intn(6),
+		Height:        1 + rng.Intn(6),
+		HopLatency:    1 + rng.Intn(3),
+		LinkBandwidth: 1 + rng.Intn(4),
+		LocalLatency:  1 + rng.Intn(2),
+	}
+	nodes := cfg.Width * cfg.Height
+	// Deliveries of positive multiples of 3 send a reply (negated, so it
+	// is not answered again) from the delivering node; the reply's
+	// destination depends only on the message, so a network that delivers
+	// correctly sends exactly the reference's replies.
+	logger := func(log *[]rec, send func(now int64, src, dst, msg int)) func(int64, int, int) {
+		return func(now int64, node, msg int) {
+			*log = append(*log, rec{now, node, msg})
+			if msg > 0 && msg%3 == 0 {
+				send(now, node, (msg*7+node)%nodes, -msg)
+			}
+		}
+	}
+	// cfg is valid by construction, so New's error is not checked.
+	var got, idxLog, denseLog []rec
+	var net *Network[int]
+	var idx, dense *refNetwork[int]
+	net, _ = New[int](cfg, logger(&got, func(now int64, src, dst, msg int) { net.Send(now, src, dst, msg) }))
+	idx, _ = newRef[int](cfg, false, logger(&idxLog, func(now int64, src, dst, msg int) { idx.Send(now, src, dst, msg) }))
+	dense, _ = newRef[int](cfg, true, logger(&denseLog, func(now int64, src, dst, msg int) { dense.Send(now, src, dst, msg) }))
+
+	msg := 0
+	cycle := int64(0)
+	for step := 0; step < 400 && (step < 150 || net.Pending() > 0); step++ {
+		// Bursty injection, only during the first 150 steps: quiet stretches
+		// leave the mesh empty, bursts contend for links.
+		k := 0
+		if step < 150 {
 			switch rng.Intn(4) {
 			case 0:
-				k = rng.Intn(6)
+				k = rng.Intn(7)
 			case 1:
 				k = rng.Intn(2)
 			}
-			for i := 0; i < k; i++ {
-				src := rng.Intn(nodes)
-				dst := src // src==dst local bypass, deliberately common
-				if rng.Intn(3) != 0 {
-					dst = rng.Intn(nodes)
-				}
-				msg++
-				fast.Send(cycle, src, dst, msg)
-				dense.Send(cycle, src, dst, msg)
-			}
-			fast.Tick(cycle)
-			dense.Tick(cycle)
-			if fast.Pending() != dense.Pending() {
-				t.Logf("seed %d cycle %d: pending fast=%d dense=%d", seed, cycle, fast.Pending(), dense.Pending())
-				return false
-			}
-			if fast.Stats != dense.Stats {
-				t.Logf("seed %d cycle %d: stats fast=%+v dense=%+v", seed, cycle, fast.Stats, dense.Stats)
-				return false
-			}
 		}
-		// Drain both networks.
-		for cycle := int64(120); fast.Pending() > 0 || dense.Pending() > 0; cycle++ {
-			fast.Tick(cycle)
-			dense.Tick(cycle)
-			if cycle > 10000 {
-				t.Logf("seed %d: networks failed to drain", seed)
-				return false
+		for i := 0; i < k; i++ {
+			src := rng.Intn(nodes)
+			dst := src // src==dst local bypass, deliberately common
+			if rng.Intn(3) != 0 {
+				dst = rng.Intn(nodes)
 			}
+			msg++
+			net.Send(cycle, src, dst, msg)
+			idx.Send(cycle, src, dst, msg)
+			dense.Send(cycle, src, dst, msg)
 		}
-		if fast.Stats != dense.Stats {
-			t.Logf("seed %d: final stats fast=%+v dense=%+v", seed, fast.Stats, dense.Stats)
-			return false
+		moved := net.Tick(cycle)
+		if m := idx.Tick(cycle); m != moved || dense.Tick(cycle) != moved {
+			return fmt.Sprintf("cycle %d: Tick moved=%v, reference %v", cycle, moved, m)
 		}
-		if !reflect.DeepEqual(fastLog, denseLog) {
-			t.Logf("seed %d: delivery logs diverge (fast %d, dense %d deliveries)", seed, len(fastLog), len(denseLog))
-			return false
+		cycle++
+		ne := net.NextEvent(cycle)
+		switch {
+		case net.Pending() != idx.Pending() || net.Pending() != dense.Pending():
+			return fmt.Sprintf("cycle %d: pending %d, reference %d/%d", cycle, net.Pending(), idx.Pending(), dense.Pending())
+		case net.Stats != idx.Stats || net.Stats != dense.Stats:
+			return fmt.Sprintf("cycle %d: stats %+v, reference %+v/%+v", cycle, net.Stats, idx.Stats, dense.Stats)
+		case ne != idx.NextEvent(cycle) || ne != dense.NextEvent(cycle):
+			return fmt.Sprintf("cycle %d: next event %d, reference %d/%d", cycle, ne, idx.NextEvent(cycle), dense.NextEvent(cycle))
 		}
-		return true
+		// Fast-forward mode jumps like the simulator does after a no-op
+		// cycle: to the next network event, or sooner for a random
+		// injection gap.
+		if fastForward && !moved && ne != Never {
+			if gap := cycle + int64(rng.Intn(8)); gap < ne {
+				ne = gap
+			}
+			cycle = ne
+		}
 	}
-	qc := &quick.Config{MaxCount: 40}
-	if testing.Short() {
-		qc.MaxCount = 8
+	if net.Pending() != 0 {
+		return "network failed to drain"
 	}
-	if err := quick.Check(prop, qc); err != nil {
-		t.Error(err)
+	if !reflect.DeepEqual(got, idxLog) || !reflect.DeepEqual(got, denseLog) {
+		return fmt.Sprintf("delivery logs diverge (%d deliveries, reference %d/%d)", len(got), len(idxLog), len(denseLog))
 	}
+	return ""
 }
 
 // TestNextEventAgreesWithTick pins NextEvent's contract on random traffic:

@@ -94,12 +94,14 @@ type Config struct {
 	// (a protocol bug, not a modelling condition).  Zero means 200000.
 	DeadlockCycles int64
 
-	// SlowTick disables the event-driven fast paths (active-router network
-	// ticking, active-tile worklists, idle-gap fast-forward) and steps every
-	// structure every cycle.  It is a differential-testing escape hatch: the
-	// fast paths are required to produce byte-identical results, so the flag
-	// cannot change any output and Canonical() erases it (two configs
-	// differing only in SlowTick share a sweep cache entry).
+	// SlowTick disables the event-driven fast paths (active-tile worklists,
+	// idle-gap fast-forward) and steps every structure every cycle.  It is a
+	// differential-testing escape hatch: the fast paths are required to
+	// produce byte-identical results, so the flag cannot change any output
+	// and Canonical() erases it (two configs differing only in SlowTick
+	// share a sweep cache entry).  The mesh has no dense path: it ticks the
+	// same way under either setting, and its oracle is the reference
+	// implementation in internal/noc's tests.
 	SlowTick bool
 }
 
@@ -255,7 +257,6 @@ func (c *Config) netConfig() noc.Config {
 		HopLatency:    c.HopLatency,
 		LinkBandwidth: c.LinkBandwidth,
 		LocalLatency:  1,
-		DenseTick:     c.SlowTick,
 	}
 }
 

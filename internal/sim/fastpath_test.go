@@ -67,13 +67,13 @@ type sampleFunc func(Sample)
 
 func (f sampleFunc) Sample(s Sample) { f(s) }
 
-// TestFastPathByteIdentical is the PR's central differential contract: the
-// event-driven core (active-router network ticking, active-tile worklists,
-// scheduled injections, idle-gap fast-forward, object pooling) must produce
-// results byte-identical to stepping every structure every cycle — same
-// architectural state, same cycle count, same statistics to the last
-// counter, same telemetry windows, same CPI stack.  Any divergence means a
-// fast path changed machine semantics instead of skipping provable no-ops.
+// TestFastPathByteIdentical is the central differential contract: the
+// event-driven core (active-tile worklists, scheduled injections, idle-gap
+// fast-forward, object pooling) must produce results byte-identical to
+// stepping every structure every cycle — same architectural state, same
+// cycle count, same statistics to the last counter, same telemetry
+// windows, same CPI stack.  Any divergence means a fast path changed
+// machine semantics instead of skipping provable no-ops.
 func TestFastPathByteIdentical(t *testing.T) {
 	for _, kernel := range []string{"histogram", "vecsum", "listsum"} {
 		for _, s := range fastpathSchemes {

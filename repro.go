@@ -98,6 +98,9 @@ type Config struct {
 	// every structure every cycle.  Results are byte-identical either way
 	// (the fast paths are differentially tested against this flag); it
 	// exists for correctness triage and does not enter sweep cache keys.
+	// The operand mesh has no dense path, so it ticks the same way under
+	// either setting; its oracle is the reference mesh in internal/noc's
+	// tests.
 	SlowTick bool
 }
 
