@@ -7,6 +7,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/mem"
+	"repro/internal/predictor"
 )
 
 func benchQueue(b *testing.B, policy core.IssuePolicy) (*Queue, *mem.Memory) {
@@ -154,5 +155,106 @@ func BenchmarkLoadIssue(b *testing.B) {
 		q.RegisterBlock(seq, ops)
 		q.LoadTry(int64(i), Key{seq, 0}, 0x2000, 0)
 		q.Drain(seq)
+	}
+}
+
+// BenchmarkStoreRecheck measures a store update whose violation re-check
+// finds nothing: the store sits in the oldest block and every younger
+// block holds 31 issued loads at addresses disjoint from it (and from its
+// address words), so each younger block is skipped on its load summary.
+// ns/op should not grow from the 8-block window to the 32-block one.
+func BenchmarkStoreRecheck(b *testing.B) {
+	for _, blocks := range []int{8, 32} {
+		b.Run(fmt.Sprintf("blocks=%d", blocks), func(b *testing.B) {
+			q, _ := benchQueue(b, core.IssueAggressive)
+			ops := make([]OpInfo, 32)
+			for i := range ops {
+				ops[i] = OpInfo{LSID: int8(i), IsStore: i == 0, Size: 8}
+			}
+			for seq := int64(0); seq < int64(blocks); seq++ {
+				q.RegisterBlock(seq, ops)
+				for i := 1; i < 32; i++ {
+					// Words 8..38 of each 512-byte page: never word 0.
+					q.LoadTry(0, Key{seq, int8(i)}, uint64(0x10000+0x200*seq+8*int64(i+7)), 0)
+				}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if vs := q.StoreUpdate(Key{0, 0}, 0x1000, int64(i&1), 0, false, false); len(vs) != 0 {
+					b.Fatal("disjoint loads violated")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkReconstructMiss measures forwarding for a load no store covers:
+// the load sits in the youngest block behind a window of executed stores
+// at other addresses (and other address words), so every older block is
+// skipped on its store summary and the value comes from memory.
+func BenchmarkReconstructMiss(b *testing.B) {
+	for _, blocks := range []int{8, 32} {
+		b.Run(fmt.Sprintf("blocks=%d", blocks), func(b *testing.B) {
+			q, _ := benchQueue(b, core.IssueAggressive)
+			ops := make([]OpInfo, 32)
+			for i := range ops {
+				ops[i] = OpInfo{LSID: int8(i), IsStore: i < 31, Size: 8}
+			}
+			for seq := int64(0); seq < int64(blocks); seq++ {
+				q.RegisterBlock(seq, ops)
+				for i := 0; i < 31; i++ {
+					q.StoreUpdate(Key{seq, int8(i)}, uint64(0x10000+0x200*seq+8*int64(i+8)), seq, 0, false, false)
+				}
+			}
+			load := Key{int64(blocks - 1), 31}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, fwd := q.reconstruct(load, 0x1000, 8); fwd != 0 {
+					b.Fatal("no store covers the load")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkTakeReadyParked measures a re-evaluation pass over 248 loads
+// parked by the store-set policy on stores that have not executed, with no
+// store executing between passes: each parked load is kept without
+// re-running the policy check.
+func BenchmarkTakeReadyParked(b *testing.B) {
+	m := mem.New()
+	h, err := cache.NewHierarchy(cache.DefaultHierConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	q := New(Config{Policy: core.IssueStoreSet}, m, h, &core.TagSource{}, predictor.MustNew(predictor.DefaultConfig()), nil)
+	ops := make([]OpInfo, 32)
+	for i := range ops {
+		ops[i] = OpInfo{LSID: int8(i), IsStore: i == 0, Size: 8, PC: predictor.PC(i)}
+	}
+	for seq := int64(0); seq < 8; seq++ {
+		q.RegisterBlock(seq, ops)
+	}
+	// Train every load PC into the store's set, then register a window
+	// whose loads each wait on their block's unexecuted store.
+	for i := 1; i < 32; i++ {
+		q.ss.Violation(predictor.PC(i), 0)
+	}
+	q.SquashFrom(0)
+	for seq := int64(0); seq < 8; seq++ {
+		q.RegisterBlock(seq, ops)
+		for i := 1; i < 32; i++ {
+			if r := q.LoadTry(0, Key{seq, int8(i)}, uint64(0x1000+8*i), 0); r.Reason != DeferPolicy {
+				b.Fatalf("load not parked by the store-set policy: %+v", r)
+			}
+		}
+	}
+	buf := make([]ReadyLoad, 0, 8)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q.MarkDirty() // as an unrelated queue event would
+		if buf = q.TakeReady(int64(i), buf[:0]); len(buf) != 0 {
+			b.Fatal("no parked load can issue")
+		}
 	}
 }

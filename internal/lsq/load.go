@@ -28,6 +28,7 @@ func (q *Queue) LoadTry(now int64, k Key, addr uint64, tag core.Tag) LoadResult 
 	first := !q.exec[s].Test(op)
 	q.exec[s].Set(op)
 	q.addr[f] = addr
+	q.lwords[s] |= wordBits(addr, int(q.size[f]))
 	if first {
 		q.Stats.Loads++
 	}
@@ -40,18 +41,13 @@ func (q *Queue) LoadTry(now int64, k Key, addr uint64, tag core.Tag) LoadResult 
 // tryIssue applies the policy and, if permitted, produces the load's value.
 func (q *Queue) tryIssue(now int64, k Key, s, op int) LoadResult {
 	f := s*opStride + op
-	if reason := q.mustDefer(k, s, op); reason != DeferNone {
-		if !q.parked[s].Test(op) {
-			q.parked[s].Set(op)
-			q.deferred = append(q.deferred, k)
-		}
-		if reason == DeferPolicy {
-			q.Stats.DeferredPolicy++
-		} else {
-			q.Stats.DeferredMSHR++
-		}
-		return LoadResult{Deferred: true, Reason: reason}
+	if q.mustDefer(k, s, op) {
+		q.park(k, s, op)
+		q.deferredAt[f] = q.storeExecs + 1
+		q.Stats.DeferredPolicy++
+		return LoadResult{Deferred: true, Reason: DeferPolicy}
 	}
+	q.deferredAt[f] = 0
 	size := int(q.size[f])
 	v, fwd := q.reconstruct(k, q.addr[f], size)
 	lat := q.cfg.ForwardLatency
@@ -61,10 +57,7 @@ func (q *Queue) tryIssue(now int64, k Key, s, op int) LoadResult {
 		clat, ok := q.hier.DataAccess(now, q.addr[f], false)
 		if !ok {
 			// All MSHRs busy: park and retry as time passes.
-			if !q.parked[s].Test(op) {
-				q.parked[s].Set(op)
-				q.deferred = append(q.deferred, k)
-			}
+			q.park(k, s, op)
 			q.mshrWait = true
 			q.Stats.DeferredMSHR++
 			return LoadResult{Deferred: true, Reason: DeferMSHR}
@@ -84,6 +77,14 @@ func (q *Queue) tryIssue(now int64, k Key, s, op int) LoadResult {
 	return LoadResult{Value: v, Tag: q.tag[f], Latency: lat, PC: q.pc[f]}
 }
 
+// park puts a load on the deferred list unless it is already there.
+func (q *Queue) park(k Key, s, op int) {
+	if !q.parked[s].Test(op) {
+		q.parked[s].Set(op)
+		q.deferred = append(q.deferred, k)
+	}
+}
+
 // GuardLoad marks a flushed violating load: its replayed instance (same
 // dynamic key) issues conservatively, guaranteeing forward progress.
 func (q *Queue) GuardLoad(k Key) {
@@ -91,35 +92,33 @@ func (q *Queue) GuardLoad(k Key) {
 	q.Stats.GuardedLoads++
 }
 
-// mustDefer evaluates the issue policy for a load whose address is known.
-func (q *Queue) mustDefer(k Key, s, op int) DeferReason {
+// mustDefer evaluates the issue policy for a load whose address is known:
+// whether it must wait for older stores.  Every reason it returns true
+// lifts only when some store executes for the first time (see the package
+// comment), which is what lets TakeReady skip re-evaluating it until then.
+func (q *Queue) mustDefer(k Key, s, op int) bool {
 	if q.guard[k] && q.anyOlderStoreUnexecuted(k) {
-		return DeferPolicy
+		return true
 	}
 	switch q.cfg.Policy {
 	case core.IssueAggressive:
-		return DeferNone
+		return false
 	case core.IssueConservative:
-		if q.anyOlderStoreUnexecuted(k) {
-			return DeferPolicy
-		}
-		return DeferNone
+		return q.anyOlderStoreUnexecuted(k)
 	case core.IssueStoreSet, core.IssueOracle:
 		f := s*opStride + op
 		if !q.waitValid[s].Test(op) || !q.waitFor[f].Valid() {
-			return DeferNone
+			return false
 		}
 		w := Key{Seq: q.waitFor[f].Seq, LSID: q.waitFor[f].LSID}
 		if !w.Less(k) {
-			return DeferNone // not actually older; ignore
+			return false // not actually older; ignore
 		}
 		ws, wop := q.opSlot(w)
-		if ws < 0 || !q.stores[ws].Test(wop) || q.exec[ws].Test(wop) {
-			return DeferNone // gone from the window, or already executed
-		}
-		return DeferPolicy
+		// Gone from the window, or already executed: no wait.
+		return ws >= 0 && q.stores[ws].Test(wop) && !q.exec[ws].Test(wop)
 	}
-	return DeferNone
+	return false
 }
 
 // anyOlderStoreUnexecuted reports whether some store older than k in the
@@ -159,7 +158,10 @@ func (q *Queue) HasReadyWork() bool {
 // appending into buf (pass buf[:0] to reuse a scratch buffer; the result
 // must be consumed before the next call).  Call once per cycle; it is cheap
 // when nothing changed.  Loads parked on a full MSHR file are retried every
-// cycle regardless of queue events.
+// cycle regardless of queue events.  A load deferred by policy is
+// re-evaluated only once a store has executed for the first time since its
+// deferral; until then it is counted as deferred again without the policy
+// check, which would have deferred it (see the package comment).
 func (q *Queue) TakeReady(now int64, buf []ReadyLoad) []ReadyLoad {
 	if !q.HasReadyWork() {
 		q.dirty = false
@@ -173,6 +175,11 @@ func (q *Queue) TakeReady(now int64, buf []ReadyLoad) []ReadyLoad {
 		s, op := q.opSlot(k)
 		if s < 0 || !q.parked[s].Test(op) {
 			continue // squashed or already issued
+		}
+		if q.deferredAt[s*opStride+op] == q.storeExecs+1 {
+			q.Stats.DeferredPolicy++
+			kept = append(kept, k)
+			continue
 		}
 		r := q.tryIssue(now, k, s, op)
 		if r.Deferred {
@@ -278,17 +285,6 @@ func (q *Queue) TakeCertifiable(buf []CertifiedLoad) []CertifiedLoad {
 	q.nCand -= len(q.hitStamp)
 	sortByStamp(out[len(buf):], q.hitStamp)
 	return out
-}
-
-// wordBits maps a byte range onto the certification filter: one bit per
-// 8-byte word it touches (at most two), hashed modulo 64.  Overlapping
-// ranges always share a bit, so a zero intersection proves disjointness.
-func wordBits(addr uint64, size int) uint64 {
-	last := addr
-	if size > 1 {
-		last += uint64(size - 1)
-	}
-	return 1<<(addr>>3&63) | 1<<(last>>3&63)
 }
 
 // aliasesPending reports whether [addr, addr+size) overlaps any store on

@@ -33,6 +33,30 @@
 // mask too (inputsCom &^ certified), so a certification scan is one
 // age-ordered walk from the window head to the first store whose address
 // is not final, whatever the window depth.
+//
+// Address summaries: each block slot carries two 64-bit address-word
+// summaries built from wordBits (one bit per 8-byte word, hashed modulo
+// 64): lwords covers every address any of the block's loads has been
+// given, swords every address any of its stores has executed at.  They are
+// ORed into and zeroed only when the slot is (re)registered, never
+// cleared otherwise, so they are supersets: a stale bit costs one wasted
+// block walk, never a missed overlap.  A store's violation re-check skips
+// every younger block whose lwords misses the store's words, and a load's
+// forwarding walk skips every older block whose swords misses the load's.
+// lwords is written in LoadTry, where a load's address is set, not at
+// issue: a load that re-executes at a new address while the MSHRs are busy
+// keeps its issued bit, and the re-check must find it at the new address.
+//
+// Store-execution epoch: a policy deferral waits either on "some older
+// store unexecuted" (conservative policy, guarded replays) or on "the
+// awaited store executed" (store-set, oracle).  Both lift only when a
+// store executes for the first time: a squash that removes a load's older
+// store removes the load too, a drain removes only a block whose stores
+// have all executed, and a resident load's guard is never dropped.
+// storeExecs counts those first executions; a load deferred by policy
+// records the count, and TakeReady re-runs its policy check only once the
+// count has moved.  Skipping the check is exact: it would have deferred
+// the load again, so TakeReady counts the deferral all the same.
 package lsq
 
 import (
@@ -172,6 +196,24 @@ type Queue struct {
 	pc      []predictor.PC
 	waitFor []predictor.DynRef
 	stamp   []uint64 // certification-candidate arrival order
+	// deferredAt is storeExecs+1 as of a load's last policy deferral, or 0
+	// when its last issue attempt ended otherwise.
+	deferredAt []uint64
+
+	// Per-block address-word summaries (see the package comment): the
+	// words of every address the block's loads were given, and of every
+	// address its stores executed at.
+	lwords []uint64
+	swords []uint64
+
+	// storeExecs counts first store executions (StoreUpdate or
+	// StoreNullify on an unexecuted store), the only event that can lift a
+	// policy deferral.
+	storeExecs uint64
+
+	// viol is the violation list StoreUpdate and StoreNullify return,
+	// reused so a violating store allocates nothing.
+	viol []Violation
 
 	resident int // ops across blocks (occupancy is read every cycle)
 
@@ -254,6 +296,8 @@ func (q *Queue) grow(c int) {
 	q.inputsCom, masks = masks[:c:c], masks[c:]
 	q.parked, masks = masks[:c:c], masks[c:]
 	q.waitValid = masks[:c:c]
+	q.lwords = make([]uint64, c)
+	q.swords = make([]uint64, c)
 	q.addr = make([]uint64, c*opStride)
 	q.data = make([]int64, c*opStride)
 	q.tag = make([]core.Tag, c*opStride)
@@ -261,6 +305,7 @@ func (q *Queue) grow(c int) {
 	q.pc = make([]predictor.PC, c*opStride)
 	q.waitFor = make([]predictor.DynRef, c*opStride)
 	q.stamp = make([]uint64, c*opStride)
+	q.deferredAt = make([]uint64, c*opStride)
 	for l := 0; l < old.n; l++ {
 		s := (old.head + l) & (len(old.seqs) - 1)
 		q.seqs[l] = old.seqs[s]
@@ -276,6 +321,8 @@ func (q *Queue) grow(c int) {
 		q.inputsCom[l] = old.inputsCom[s]
 		q.parked[l] = old.parked[s]
 		q.waitValid[l] = old.waitValid[s]
+		q.lwords[l] = old.lwords[s]
+		q.swords[l] = old.swords[s]
 		copy(q.addr[l*opStride:(l+1)*opStride], old.addr[s*opStride:(s+1)*opStride])
 		copy(q.data[l*opStride:(l+1)*opStride], old.data[s*opStride:(s+1)*opStride])
 		copy(q.tag[l*opStride:(l+1)*opStride], old.tag[s*opStride:(s+1)*opStride])
@@ -283,6 +330,7 @@ func (q *Queue) grow(c int) {
 		copy(q.pc[l*opStride:(l+1)*opStride], old.pc[s*opStride:(s+1)*opStride])
 		copy(q.waitFor[l*opStride:(l+1)*opStride], old.waitFor[s*opStride:(s+1)*opStride])
 		copy(q.stamp[l*opStride:(l+1)*opStride], old.stamp[s*opStride:(s+1)*opStride])
+		copy(q.deferredAt[l*opStride:(l+1)*opStride], old.deferredAt[s*opStride:(s+1)*opStride])
 	}
 	q.head = 0
 }
@@ -338,6 +386,7 @@ func (q *Queue) RegisterBlock(seq int64, ops []OpInfo) {
 	q.committed[s], q.addrCom[s], q.dataCom[s] = 0, 0, 0
 	q.issued[s], q.certified[s], q.inputsCom[s] = 0, 0, 0
 	q.parked[s], q.waitValid[s] = 0, 0
+	q.lwords[s], q.swords[s] = 0, 0
 	base := s * opStride
 	end := base + len(ops)
 	clear(q.addr[base:end])
@@ -413,4 +462,15 @@ type span struct{ lo, hi uint64 }
 // overlap reports whether [a, a+as) and [b, b+bs) intersect.
 func overlap(a uint64, as int, b uint64, bs int) bool {
 	return a < b+uint64(bs) && b < a+uint64(as)
+}
+
+// wordBits maps a byte range onto a 64-bit address-word summary: one bit
+// per 8-byte word it touches (at most two), hashed modulo 64.  Overlapping
+// ranges always share a bit, so a zero intersection proves disjointness.
+func wordBits(addr uint64, size int) uint64 {
+	last := addr
+	if size > 1 {
+		last += uint64(size - 1)
+	}
+	return 1<<(addr>>3&63) | 1<<(last>>3&63)
 }

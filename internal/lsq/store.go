@@ -11,6 +11,9 @@ import (
 // reconstructed value changed.  tag is the wave tag the store executed
 // under (zero when un-speculative); violations it exposes carry it as
 // StoreTag so forensics can chain wave depths.
+//
+// The returned slice is owned by the queue and valid only until the next
+// StoreUpdate or StoreNullify call; consume it before then.
 func (q *Queue) StoreUpdate(k Key, addr uint64, data int64, tag core.Tag, addrCom, dataCom bool) []Violation {
 	s, op := q.opSlot(k)
 	if s < 0 || !q.stores[s].Test(op) {
@@ -25,6 +28,7 @@ func (q *Queue) StoreUpdate(k Key, addr uint64, data int64, tag core.Tag, addrCo
 	q.addr[f] = addr
 	q.data[f] = data
 	q.tag[f] = tag
+	q.swords[s] |= wordBits(addr, int(q.size[f]))
 	if addrCom {
 		q.addrCom[s].Set(op)
 	}
@@ -35,10 +39,7 @@ func (q *Queue) StoreUpdate(k Key, addr uint64, data int64, tag core.Tag, addrCo
 		q.markStoreCommitted(s, op)
 	}
 	if first {
-		q.Stats.Stores++
-		if q.ss != nil {
-			q.ss.StoreDone(q.pc[f], predictor.DynRef{Seq: k.Seq, LSID: k.LSID})
-		}
+		q.storeDone(k, f)
 	}
 	q.dirty = true
 	q.certDirty = true
@@ -46,20 +47,32 @@ func (q *Queue) StoreUpdate(k Key, addr uint64, data int64, tag core.Tag, addrCo
 	// Affected range: where the store's bytes used to land plus where they
 	// land now.
 	size := int(q.size[f])
-	var vs []Violation
-	vs = q.recheckLoads(k, addr, size, vs)
+	vs := q.recheckLoads(k, addr, size, q.viol[:0])
 	if wasLive && (oldAddr != addr || oldSize != size) {
 		vs = q.recheckLoads(k, oldAddr, oldSize, vs)
 	}
+	q.viol = vs
 	if len(vs) == 0 && !first {
 		q.Stats.SilentStoreHits++
 	}
 	return vs
 }
 
+// storeDone accounts a store's first execution (or nullification): it
+// counts the store, retires it from the store-set LFST, and advances the
+// epoch that lets parked loads be re-evaluated.
+func (q *Queue) storeDone(k Key, f int) {
+	q.Stats.Stores++
+	q.storeExecs++
+	if q.ss != nil {
+		q.ss.StoreDone(q.pc[f], predictor.DynRef{Seq: k.Seq, LSID: k.LSID})
+	}
+}
+
 // StoreNullify records that a predicated store resolved to not execute.
 // Loads that had forwarded from a previous (mis-speculated) execution of
-// this store must be re-checked.
+// this store must be re-checked.  The returned slice is owned by the queue,
+// as StoreUpdate's is.
 func (q *Queue) StoreNullify(k Key) []Violation {
 	s, op := q.opSlot(k)
 	if s < 0 || !q.stores[s].Test(op) {
@@ -72,28 +85,29 @@ func (q *Queue) StoreNullify(k Key) []Violation {
 	q.exec[s].Set(op)
 	q.null[s].Set(op)
 	if first {
-		q.Stats.Stores++
-		if q.ss != nil {
-			q.ss.StoreDone(q.pc[f], predictor.DynRef{Seq: k.Seq, LSID: k.LSID})
-		}
+		q.storeDone(k, f)
 	}
 	q.dirty = true
 	q.certDirty = true
-	if wasLive {
-		return q.recheckLoads(k, oldAddr, oldSize, nil)
+	if !wasLive {
+		return nil
 	}
-	return nil
+	q.viol = q.recheckLoads(k, oldAddr, oldSize, q.viol[:0])
+	return q.viol
 }
 
 // recheckLoads re-reconstructs every younger issued load overlapping
 // [addr, addr+size) and emits violations for those whose value changed.
-// Candidate loads per block are one mask expression (issued, not a store,
-// younger than the store in its own block); the walk touches only set bits
-// in ascending (violation-report) order.
+// Blocks whose load summary misses the store's address words hold no load
+// the store can overlap and are skipped.  Candidate loads per block are one
+// mask expression (issued, not a store, younger than the store in its own
+// block); the walk touches only set bits in ascending (violation-report)
+// order.
 func (q *Queue) recheckLoads(store Key, addr uint64, size int, vs []Violation) []Violation {
 	if size == 0 {
 		return vs
 	}
+	words := wordBits(addr, size)
 	ss, sop := q.opSlot(store)
 	sf := ss*opStride + sop
 	storePC, storeTag := q.pc[sf], q.tag[sf]
@@ -102,7 +116,7 @@ func (q *Queue) recheckLoads(store Key, addr uint64, size int, vs []Violation) [
 	if start < 0 {
 		start = 0
 	}
-	for l := start; l < int64(q.n); l++ {
+	for l := q.firstHit(q.lwords, words, start); l < int64(q.n); l = q.firstHit(q.lwords, words, l+1) {
 		s := (q.head + int(l)) & q.ringMask()
 		cands := q.issued[s] &^ q.stores[s]
 		if base+l == store.Seq {
@@ -144,15 +158,51 @@ func (q *Queue) recheckLoads(store Key, addr uint64, size int, vs []Violation) [
 	return vs
 }
 
+// firstHit returns the first window position at or after l whose block
+// summary in sum intersects words, or q.n when none does.  It scans the
+// ring as at most two contiguous runs, so a skipped block costs one AND.
+func (q *Queue) firstHit(sum []uint64, words uint64, l int64) int64 {
+	for l < int64(q.n) {
+		s := (q.head + int(l)) & q.ringMask()
+		run := sum[s:min(len(sum), s+q.n-int(l))]
+		for i, w := range run {
+			if w&words != 0 {
+				return l + int64(i)
+			}
+		}
+		l += int64(len(run))
+	}
+	return int64(q.n)
+}
+
+// lastHit returns the last window position at or before l whose block
+// summary in sum intersects words, or -1 when none does.
+func (q *Queue) lastHit(sum []uint64, words uint64, l int64) int64 {
+	for l >= 0 {
+		s := (q.head + int(l)) & q.ringMask()
+		run := sum[max(0, s-int(l)) : s+1]
+		for i := len(run) - 1; i >= 0; i-- {
+			if run[i]&words != 0 {
+				return l - int64(len(run)-1-i)
+			}
+		}
+		l -= int64(len(run))
+	}
+	return -1
+}
+
 // reconstruct assembles the value a load at key sees: for each byte, the
 // youngest older live store covering it wins; uncovered bytes come from
 // committed memory.  forwarded is the number of bytes supplied by stores.
-// The youngest-first walk iterates live-store masks high-bit-first, so
-// only executed, non-null stores are ever touched.
+// The youngest-first walk skips every block whose store summary misses the
+// load's address words and iterates live-store masks high-bit-first, so
+// only executed, non-null stores of possibly overlapping blocks are ever
+// touched.
 func (q *Queue) reconstruct(k Key, addr uint64, size int) (val int64, forwarded int) {
 	var bytes [8]byte
 	var have [8]bool
 	remaining := size
+	words := wordBits(addr, size)
 
 	var base int64
 	if q.n > 0 {
@@ -163,7 +213,7 @@ func (q *Queue) reconstruct(k Key, addr uint64, size int) (val int64, forwarded 
 		top = int64(q.n) - 1
 	}
 	// Walk blocks youngest-to-oldest up to the load's block.
-	for l := top; l >= 0 && remaining > 0; l-- {
+	for l := q.lastHit(q.swords, words, top); l >= 0 && remaining > 0; l = q.lastHit(q.swords, words, l-1) {
 		s := (q.head + int(l)) & q.ringMask()
 		live := q.stores[s] & q.exec[s] &^ q.null[s]
 		if base+l == k.Seq {

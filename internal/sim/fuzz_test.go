@@ -169,7 +169,7 @@ func TestFuzzProgramsAllSchemes(t *testing.T) {
 		}
 		return true
 	}
-	cfg := &quick.Config{MaxCount: 60}
+	cfg := &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(1))}
 	if testing.Short() {
 		cfg.MaxCount = 10
 	}

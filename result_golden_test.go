@@ -39,6 +39,11 @@ var goldenMachines = []struct {
 	{"f32g8", repro.Config{Frames: 32, GridWidth: 8, GridHeight: 8}},
 }
 
+// goldenSchemes covers every LSQ issue policy: conservative deferral, the
+// guarded replay of flushed loads (aggressive+flush), store-set deferral
+// under both recoveries, and oracle deferral.
+var goldenSchemes = []string{"storeset+flush", "dsre", "oracle", "conservative", "aggressive+flush", "storeset+dsre"}
+
 // resultDigests runs the golden matrix and returns one "kernel/scheme/machine
 // hex-sha256" line per point, the digest taken over the Result's JSON
 // encoding.
@@ -46,7 +51,7 @@ func resultDigests(t *testing.T) []string {
 	t.Helper()
 	var lines []string
 	for _, k := range conflictKernels {
-		for _, s := range []string{"storeset+flush", "dsre", "oracle"} {
+		for _, s := range goldenSchemes {
 			for _, m := range goldenMachines {
 				cfg := m.cfg
 				cfg.Workload, cfg.Scheme, cfg.Size = k, s, goldenSizes[k]
