@@ -34,11 +34,11 @@ func buildProgram() *isa.Program {
 	loop := b.NewBlock("loop")
 	sum := loop.Read(2)
 	curp := loop.Const(cursorAddr)
-	cursor := loop.Load(curp, 0)            // load the in-memory cursor
-	v := loop.Load(cursor, 0)               // load the element it points at
-	sum = loop.Op(isa.OpAdd, sum, v)        // accumulate
+	cursor := loop.Load(curp, 0)     // load the in-memory cursor
+	v := loop.Load(cursor, 0)        // load the element it points at
+	sum = loop.Op(isa.OpAdd, sum, v) // accumulate
 	next := loop.Op(isa.OpAdd, cursor, loop.Const(8))
-	loop.Store(curp, 0, next)               // store the advanced cursor
+	loop.Store(curp, 0, next) // store the advanced cursor
 	loop.Write(2, sum)
 	end := loop.Const(arrayBase + 8*elems)
 	more := loop.Op(isa.OpTltu, next, end)

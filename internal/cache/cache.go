@@ -66,9 +66,12 @@ func New(cfg Config) (*Cache, error) {
 	if nSets&(nSets-1) != 0 {
 		return nil, fmt.Errorf("cache: %d sets is not a power of two", nSets)
 	}
+	// One backing array for every line, sliced into sets (capped, so a set
+	// can never grow into its neighbour): two allocations, not one per set.
+	lines := make([]line, nLines)
 	c := &Cache{cfg: cfg, sets: make([][]line, nSets)}
 	for i := range c.sets {
-		c.sets[i] = make([]line, cfg.Assoc)
+		c.sets[i] = lines[i*cfg.Assoc : (i+1)*cfg.Assoc : (i+1)*cfg.Assoc]
 	}
 	shift := uint(0)
 	for 1<<shift < cfg.LineBytes {

@@ -141,3 +141,23 @@ func TestMissRate(t *testing.T) {
 		t.Errorf("miss rate = %v", got)
 	}
 }
+
+// TestNewAllocatesPerLevelNotPerSet pins New's allocation count: the lines
+// of a level share one backing array, so building the default hierarchy
+// (2,048 sets over three levels) costs a handful of allocations, and each
+// set is capped at its ways so it can never grow into its neighbour.
+func TestNewAllocatesPerLevelNotPerSet(t *testing.T) {
+	cfg := DefaultHierConfig()
+	if a := testing.AllocsPerRun(10, func() { MustNew(cfg.L2) }); a > 3 {
+		t.Errorf("New(L2) made %.0f allocations, want <= 3", a)
+	}
+	if a := testing.AllocsPerRun(10, func() { NewHierarchy(cfg) }); a > 10 {
+		t.Errorf("NewHierarchy made %.0f allocations, want <= 10", a)
+	}
+	c := MustNew(Config{SizeBytes: 512, Assoc: 2, LineBytes: 64, HitLatency: 1})
+	for i, set := range c.sets {
+		if len(set) != 2 || cap(set) != 2 {
+			t.Fatalf("set %d: len %d cap %d, want 2 and 2", i, len(set), cap(set))
+		}
+	}
+}

@@ -7,12 +7,12 @@ import (
 
 // Architectural limits, modelled on the TRIPS prototype.
 const (
-	MaxInsts  = 128 // instructions per block
-	MaxReads  = 32  // register read slots per block
-	MaxWrites = 32  // register write slots per block
-	MaxMemOps = 32  // load/store IDs per block
-	NumRegs   = 64  // architectural registers
-	MaxTargets = 2  // dataflow targets per instruction; wider fanout uses mov trees
+	MaxInsts   = 128 // instructions per block
+	MaxReads   = 32  // register read slots per block
+	MaxWrites  = 32  // register write slots per block
+	MaxMemOps  = 32  // load/store IDs per block
+	NumRegs    = 64  // architectural registers
+	MaxTargets = 2   // dataflow targets per instruction; wider fanout uses mov trees
 )
 
 // Slot identifies which operand of a consumer a target feeds.

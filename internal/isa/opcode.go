@@ -44,12 +44,12 @@ const (
 	OpSra // result = arithmetic A >> (B & 63)
 
 	// Comparisons ("test" ops); result is 1 when the relation holds, else 0.
-	OpTeq // A == B
-	OpTne // A != B
-	OpTlt // A < B   (signed)
-	OpTle // A <= B  (signed)
-	OpTgt // A > B   (signed)
-	OpTge // A >= B  (signed)
+	OpTeq  // A == B
+	OpTne  // A != B
+	OpTlt  // A < B   (signed)
+	OpTle  // A <= B  (signed)
+	OpTgt  // A > B   (signed)
+	OpTge  // A >= B  (signed)
 	OpTltu // A < B  (unsigned)
 
 	// Memory.  Effective address is A + Imm.  Loads deliver the loaded

@@ -13,7 +13,9 @@
 // bitmask; flits on the wire sit in one flat list per transmit cycle.  The
 // transmit phase walks the bitmask in ascending link id and each FIFO from
 // its head, so a wire list is born in (link, FIFO) order — the order its
-// arrivals are processed in, a cycle's worth at a time.
+// arrivals are processed in, a cycle's worth at a time.  Flits carry their
+// destination node, and each hop's link is one load from a next-link table
+// New fills from the X-then-Y rule.
 package noc
 
 import (
@@ -54,21 +56,19 @@ type Stats struct {
 }
 
 // await is one flit in a link FIFO, waiting for bandwidth: its pool slot,
-// destination coordinates (so per-hop routing never divides) and the cycle
-// it entered the FIFO, for QueueWait.
+// destination node and the cycle it entered the FIFO, for QueueWait.
 type await struct {
-	idx        int32
-	dstX, dstY int16
-	enqueued   int64
+	idx      int32
+	dst      int32
+	enqueued int64
 }
 
 // wire is one flit in transit on a link: its pool slot, the link's far end
-// (node index and coordinates) and its destination coordinates.
+// and its destination node.
 type wire struct {
-	idx        int32
-	node       int32
-	x, y       int16
-	dstX, dstY int16
+	idx  int32
+	node int32
+	dst  int32
 }
 
 // localMsg is a src==dst message awaiting same-tile delivery.
@@ -93,19 +93,20 @@ type batch struct {
 	w  []wire
 }
 
-// linkEnd is a link's precomputed far end.
-type linkEnd struct {
-	node int32
-	x, y int16
-}
-
 // Network is the mesh.  Deliver is invoked during Tick for every message
 // reaching its destination's local port.
 type Network[T any] struct {
-	cfg Config
-	// ends and fifos are indexed by link id node*4 + dir; occ has bit l set
-	// iff fifos[l] holds an awaiting flit.
-	ends  []linkEnd
+	cfg   Config
+	nodes int
+	// next is the routing table: next[src*nodes+dst] is the link a flit at
+	// src takes toward dst, src*4 + routeXY(src, dst), filled once in New so
+	// per-hop routing is one load.  It costs nodes² × 4 B: 2.5 KB on the
+	// default 5×5 mesh, 26 KB on 9×9.
+	next []int32
+	// ends and fifos are indexed by link id node*4 + dir: ends[l] is link
+	// l's far-end node (-1 off the mesh).  occ has bit l set iff fifos[l]
+	// holds an awaiting flit.
+	ends  []int32
 	fifos []fifo
 	occ   []uint64
 	// ring holds the in-flight wire lists, oldest at ring[rhead], in
@@ -142,10 +143,13 @@ func New[T any](cfg Config, deliver func(now int64, node int, msg T)) (*Network[
 	if cfg.LocalLatency < 1 {
 		return nil, fmt.Errorf("noc: local latency %d < 1", cfg.LocalLatency)
 	}
-	nl := cfg.Width * cfg.Height * int(numDirs)
+	nodes := cfg.Width * cfg.Height
+	nl := nodes * int(numDirs)
 	n := &Network[T]{
 		cfg:     cfg,
-		ends:    make([]linkEnd, nl),
+		nodes:   nodes,
+		next:    make([]int32, nodes*nodes),
+		ends:    make([]int32, nl),
 		fifos:   make([]fifo, nl),
 		occ:     make([]uint64, (nl+63)/64),
 		ring:    make([]batch, cfg.HopLatency+1),
@@ -164,9 +168,16 @@ func New[T any](cfg Config, deliver func(now int64, node int, msg T)) (*Network[
 			y--
 		}
 		// Edge links lead off the mesh; routing never sends on them.
-		n.ends[l] = linkEnd{node: -1}
+		n.ends[l] = -1
 		if x >= 0 && x < cfg.Width && y >= 0 && y < cfg.Height {
-			n.ends[l] = linkEnd{node: int32(n.Node(x, y)), x: int16(x), y: int16(y)}
+			n.ends[l] = int32(n.Node(x, y))
+		}
+	}
+	for src := 0; src < nodes; src++ {
+		x, y := n.Coords(src)
+		for dst := 0; dst < nodes; dst++ {
+			dx, dy := n.Coords(dst)
+			n.next[src*nodes+dst] = int32(src*int(numDirs) + int(routeXY(x, y, dx, dy)))
 		}
 	}
 	return n, nil
@@ -222,15 +233,12 @@ func (n *Network[T]) Send(now int64, src, dst int, msg T) {
 		n.local = append(n.local, localMsg{idx: i, node: int32(dst), arriveAt: now + int64(n.cfg.LocalLatency)})
 		return
 	}
-	x, y := n.Coords(src)
-	dx, dy := n.Coords(dst)
-	d := routeXY(x, y, dx, dy)
-	n.enqueue(src*int(numDirs)+int(d), await{idx: i, dstX: int16(dx), dstY: int16(dy), enqueued: now})
+	n.enqueue(int(n.next[src*n.nodes+dst]), await{idx: i, dst: int32(dst), enqueued: now})
 }
 
 // routeXY picks the next direction from (x, y) toward (dx, dy) — dimension-
-// ordered: X first, then Y.  Pure compares; the destination coordinates ride
-// with the flit so per-hop routing never divides.
+// ordered: X first, then Y.  New tabulates it into next; the hot path never
+// calls it.
 func routeXY(x, y, dx, dy int) dir {
 	switch {
 	case dx > x:
@@ -286,15 +294,15 @@ func (n *Network[T]) Tick(now int64) bool {
 	for n.nbatch > 0 && n.ring[n.rhead].at <= now {
 		b := &n.ring[n.rhead]
 		for _, w := range b.w {
-			if w.x == w.dstX && w.y == w.dstY {
+			if w.node == w.dst {
 				n.Stats.Delivered++
 				n.pending--
 				n.deliver(now, int(w.node), n.flits[w.idx])
 				n.free = append(n.free, w.idx)
 				continue
 			}
-			d := routeXY(int(w.x), int(w.y), int(w.dstX), int(w.dstY))
-			n.enqueue(int(w.node)*int(numDirs)+int(d), await{idx: w.idx, dstX: w.dstX, dstY: w.dstY, enqueued: now})
+			l := n.next[int(w.node)*n.nodes+int(w.dst)]
+			n.enqueue(int(l), await{idx: w.idx, dst: w.dst, enqueued: now})
 		}
 		b.w = b.w[:0]
 		if n.rhead++; n.rhead == len(n.ring) {
@@ -328,10 +336,10 @@ func (n *Network[T]) transmit(now int64) bool {
 			word &= word - 1
 			f := &n.fifos[l]
 			k := min(bw, len(f.q)-f.head)
-			e := n.ends[l]
+			end := n.ends[l]
 			for _, a := range f.q[f.head : f.head+k] {
 				wait += now - a.enqueued
-				b.w = append(b.w, wire{idx: a.idx, node: e.node, x: e.x, y: e.y, dstX: a.dstX, dstY: a.dstY})
+				b.w = append(b.w, wire{idx: a.idx, node: end, dst: a.dst})
 			}
 			hops += int64(k)
 			f.head += k

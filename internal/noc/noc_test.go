@@ -150,6 +150,44 @@ func TestAllPairsDelivery(t *testing.T) {
 	}
 }
 
+// TestNextLinkMatchesRouteXY pins the routing table New builds to the
+// dimension-order rule it replaces on the hot path: on every mesh from 1×1
+// to 9×9, square or not, next[src*nodes+dst] must be src*4 + routeXY for
+// every (src, dst) pair, and for src != dst the chosen link must lead onto
+// the mesh, one hop closer to dst.
+func TestNextLinkMatchesRouteXY(t *testing.T) {
+	for w := 1; w <= 9; w++ {
+		for h := 1; h <= 9; h++ {
+			cfg := Config{Width: w, Height: h, HopLatency: 1, LinkBandwidth: 1, LocalLatency: 1}
+			n, err := New[int](cfg, func(int64, int, int) {})
+			if err != nil {
+				t.Fatal(err)
+			}
+			nodes := w * h
+			if len(n.next) != nodes*nodes {
+				t.Fatalf("%dx%d: table has %d entries, want %d", w, h, len(n.next), nodes*nodes)
+			}
+			for src := 0; src < nodes; src++ {
+				x, y := n.Coords(src)
+				for dst := 0; dst < nodes; dst++ {
+					dx, dy := n.Coords(dst)
+					got := n.next[src*nodes+dst]
+					if want := int32(src*int(numDirs) + int(routeXY(x, y, dx, dy))); got != want {
+						t.Fatalf("%dx%d: next[%d→%d] = %d, want %d", w, h, src, dst, got, want)
+					}
+					if src == dst {
+						continue
+					}
+					end := n.ends[got]
+					if end < 0 || n.Distance(int(end), dst) != n.Distance(src, dst)-1 {
+						t.Fatalf("%dx%d: next[%d→%d] leads to node %d, not one hop closer", w, h, src, dst, end)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestConfigValidation(t *testing.T) {
 	bad := []Config{
 		{Width: 0, Height: 1, HopLatency: 1, LinkBandwidth: 1, LocalLatency: 1},

@@ -66,10 +66,10 @@ type StoreSet struct {
 	nextSSID int32
 
 	// Stats.
-	Merges     int64 // violation-driven set assignments
-	Clears     int64
-	LoadWaits  int64 // loads told to wait
-	LoadFrees  int64 // loads told to go
+	Merges    int64 // violation-driven set assignments
+	Clears    int64
+	LoadWaits int64 // loads told to wait
+	LoadFrees int64 // loads told to go
 }
 
 // New builds a predictor.

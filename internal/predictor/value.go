@@ -13,9 +13,9 @@ type StrideValue struct {
 	table map[PC]*svEntry
 
 	// Stats.
-	Lookups    int64
-	Predicted  int64 // confident predictions issued
-	Trained    int64
+	Lookups   int64
+	Predicted int64 // confident predictions issued
+	Trained   int64
 }
 
 type svEntry struct {

@@ -80,7 +80,7 @@ func TestWheelReuse(t *testing.T) {
 	var w Wheel[string]
 	w.Push(3, "a")
 	w.Pop()
-	w.Push(1 << 40, "b")
+	w.Push(1<<40, "b")
 	w.Push(1<<40+1, "c")
 	if at, v := w.Pop(); at != 1<<40 || v != "b" {
 		t.Fatalf("got (%d,%q)", at, v)

@@ -155,18 +155,32 @@ func (mc *Machine) attributeCycle(a *acctState, cur, prev acctCounters) account.
 // squashEquivCost is what a flush recovery at fromSeq would discard right
 // now: every execution already fired in blocks at or younger than fromSeq.
 // DSRE forensics records it per violation so the wave-vs-flush trade is
-// measurable per static load.
+// measurable per static load.  Blocks keep their executions summed, so the
+// cost is one add per younger block, not a walk over its instructions.
 func (mc *Machine) squashEquivCost(fromSeq int64) int64 {
 	var n int64
 	for _, b := range mc.window {
 		if b.seq < fromSeq {
 			continue
 		}
-		for i := range b.insts {
-			n += b.insts[i].fired
+		if assertsEnabled {
+			mc.assertFired(b)
 		}
+		n += b.fired
 	}
 	return n
+}
+
+// assertFired checks a block's running execution sum against a walk over
+// its instructions (dsre_assert builds only).
+func (mc *Machine) assertFired(b *blockInst) {
+	var walk int64
+	for i := range b.insts {
+		walk += b.insts[i].fired
+	}
+	if walk != b.fired {
+		mc.failAssert("block %d: fired sum %d, instructions fired %d", b.seq, b.fired, walk)
+	}
 }
 
 // failAssert is assertFailf plus the flight recorder: the last recorded

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math/bits"
+
 	"repro/internal/bitset"
 	"repro/internal/core"
 	"repro/internal/isa"
@@ -55,26 +57,52 @@ func (b *blockInst) storeCommitFlags(i int, in *isa.Inst) (addrCom, dataCom bool
 	return predOK && b.slot(i, isa.SlotA).Committed, predOK && b.slot(i, isa.SlotB).Committed
 }
 
+// slotMask packs one flag of each of three operand slots into bits A, B
+// and P, the layout of the per-instruction need masks (see needMask).
+func slotMask(a, b, p bool) uint8 {
+	var m uint8
+	if a {
+		m |= 1 << isa.SlotA
+	}
+	if b {
+		m |= 1 << isa.SlotB
+	}
+	if p {
+		m |= 1 << isa.SlotP
+	}
+	return m
+}
+
+// needMask is the operand-need mask of one static instruction: bit s set
+// iff it waits on slot s (isa.Inst.NeedsSlot).
+func needMask(in *isa.Inst) uint8 {
+	return slotMask(in.NeedsSlot(isa.SlotA), in.NeedsSlot(isa.SlotB), in.NeedsSlot(isa.SlotP))
+}
+
 // inputsCommitted reports whether every operand slot instruction i waits
 // on holds a committed value.
-func (b *blockInst) inputsCommitted(i int, in *isa.Inst) bool {
-	for s := isa.SlotA; s < isa.NumSlots; s++ {
-		if in.NeedsSlot(s) && !b.slot(i, s).Committed {
-			return false
-		}
-	}
-	return true
+func (b *blockInst) inputsCommitted(i int) bool {
+	o := b.ops[i*int(isa.NumSlots) : (i+1)*int(isa.NumSlots)]
+	m := b.needs[i]
+	return slotMask(o[isa.SlotA].Committed, o[isa.SlotB].Committed, o[isa.SlotP].Committed)&m == m
 }
 
 // operandsPresent reports whether every needed slot of instruction i holds
 // a value.
-func (b *blockInst) operandsPresent(i int, in *isa.Inst) bool {
-	for s := isa.SlotA; s < isa.NumSlots; s++ {
-		if in.NeedsSlot(s) && !b.slot(i, s).Present {
-			return false
-		}
+func (b *blockInst) operandsPresent(i int) bool {
+	o := b.ops[i*int(isa.NumSlots) : (i+1)*int(isa.NumSlots)]
+	m := b.needs[i]
+	return slotMask(o[isa.SlotA].Present, o[isa.SlotB].Present, o[isa.SlotP].Present)&m == m
+}
+
+// inputTag is the tag an execution of instruction i carries: the newest
+// tag among the operand slots it waits on.
+func (b *blockInst) inputTag(i int) core.Tag {
+	t := core.Tag(0)
+	for m := b.needs[i]; m != 0; m &= m - 1 {
+		t = core.MaxTag(t, b.slot(i, isa.Slot(bits.TrailingZeros8(m))).Tag)
 	}
-	return true
+	return t
 }
 
 // predEnabled reports instruction i's predicate check: ok is false while
@@ -108,6 +136,12 @@ type blockInst struct {
 
 	insts  []instState
 	writes []writeState
+	// needs[i] is instruction i's operand-need mask (see needMask), the
+	// machine's per-program table shared by every instance of the block.
+	needs []uint8
+	// fired is the sum of insts[i].fired: executions the block has done,
+	// what a squash of it discards.
+	fired int64
 
 	// ops is the block's operand buffer in structure-of-arrays form: the
 	// isa.NumSlots operand slots of instruction i live at

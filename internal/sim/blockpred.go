@@ -65,9 +65,9 @@ func (p *lastTargetPred) train(blockID, actual int) { p.m[blockID] = actual }
 // table index.  History is committed (not speculative), so deep windows
 // predict with slightly stale history — a fidelity-neutral simplification.
 type twoLevelPred struct {
-	hist  uint32
-	table []int32
-	mask  uint32
+	hist     uint32
+	table    []int32
+	mask     uint32
 	fallback *lastTargetPred
 }
 

@@ -50,9 +50,10 @@ func (mc *Machine) squashFrom(fromSeq int64, resumeID int) {
 		mc.frameBusy[b.frame] = false
 		mc.frameGens[b.frame]++
 		mc.stats.SquashedBlocks++
-		for j := range b.insts {
-			mc.stats.SquashedExecs += b.insts[j].fired
+		if assertsEnabled {
+			mc.assertFired(b)
 		}
+		mc.stats.SquashedExecs += b.fired
 		mc.reclaimReadyBits(b)
 		// Recycle the block and nil the window tail so retired blocks are
 		// unreachable.  A handler that squashed its own block may still hold

@@ -3,7 +3,6 @@ package sim
 import (
 	"math/bits"
 
-	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/trace"
 )
@@ -14,11 +13,10 @@ func (mc *Machine) enqueueReady(b *blockInst, idx int) {
 	if b.queued.Test(idx) || !b.need.Test(idx) {
 		return
 	}
-	in := &b.bdef.Insts[idx]
-	if !b.operandsPresent(idx, in) {
+	if !b.operandsPresent(idx) {
 		return
 	}
-	if en, ok := b.predEnabled(idx, in); !ok || !en {
+	if en, ok := b.predEnabled(idx, &b.bdef.Insts[idx]); !ok || !en {
 		return
 	}
 	b.queued.Set(idx)
@@ -102,7 +100,7 @@ func (mc *Machine) stepTile(ti int) bool {
 			// enqueue).
 			in := &b.bdef.Insts[idx]
 			switch {
-			case !b.need.Test(idx) || !b.operandsPresent(idx, in):
+			case !b.need.Test(idx) || !b.operandsPresent(idx):
 			default:
 				if en, ok := b.predEnabled(idx, in); ok && en {
 					b.need.Clear(idx)
@@ -165,20 +163,16 @@ func (mc *Machine) completeExec(j aluJob) {
 	if en, ok := b.predEnabled(j.idx, in); !ok || !en {
 		return
 	}
-	if !b.operandsPresent(j.idx, in) {
+	if !b.operandsPresent(j.idx) {
 		return
 	}
 
 	a := b.slot(j.idx, isa.SlotA).Value
 	bv := b.slot(j.idx, isa.SlotB).Value
-	outTag := core.Tag(0)
-	for s := isa.SlotA; s < isa.NumSlots; s++ {
-		if in.NeedsSlot(s) {
-			outTag = core.MaxTag(outTag, b.slot(j.idx, s).Tag)
-		}
-	}
+	outTag := b.inputTag(j.idx)
 
 	st.fired++
+	b.fired++
 	mc.stats.Executed++
 	if st.fired > 1 {
 		mc.stats.Reexecs++
@@ -194,7 +188,7 @@ func (mc *Machine) completeExec(j aluJob) {
 		mc.spans.RecordSpan(trace.SpanExec, b.seq, j.idx, uint64(outTag), mc.cycle-lat, mc.cycle)
 	}
 
-	committed := b.inputsCommitted(j.idx, in)
+	committed := b.inputsCommitted(j.idx)
 	src := mc.tiles[mc.instTile(b.blockID, j.idx)].node
 
 	switch {
@@ -250,7 +244,7 @@ func (mc *Machine) maybeEmitCommitOnly(b *blockInst, idx int) {
 	if en, ok := b.predEnabled(idx, in); !ok || !en {
 		return
 	}
-	if !b.inputsCommitted(idx, in) {
+	if !b.inputsCommitted(idx) {
 		return
 	}
 	st.committedSent = true

@@ -129,6 +129,7 @@ func (mc *Machine) mapBlock(seq int64, blockID int) {
 		frame:    int32(frame),
 		gen:      mc.frameGens[frame],
 		insts:    resliceCleared(b.insts, len(bdef.Insts)),
+		needs:    mc.needs[blockID],
 		writes:   resliceCleared(b.writes, len(bdef.Writes)),
 		ops:      resliceCleared(b.ops, len(bdef.Insts)*int(isa.NumSlots)),
 		readBind: b.readBind, // sized below, every element assigned

@@ -118,6 +118,13 @@ type Machine struct {
 
 	// memIdx[blockID][lsid] = instruction index, for LSQ-side broadcasts.
 	memIdx [][]int
+	// needs[blockID][instIdx] is the instruction's operand-need mask (see
+	// needMask), decoded once here; mapped blocks share their block's row.
+	needs [][]uint8
+	// regNodes[reg] is register reg's bank tile; memNodes[bank] is D-tile
+	// port bank's node, with the bank count already clamped to the grid.
+	regNodes [isa.NumRegs]int
+	memNodes []int
 	// placement[blockID][instIdx] = execution tile.
 	placement [][]int
 
@@ -263,14 +270,25 @@ func New(cfg Config, prog *isa.Program, regs *[isa.NumRegs]int64, m *mem.Memory,
 	}, mc.mem, hier, &mc.tags, mc.ss, oracle)
 
 	mc.memIdx = make([][]int, len(prog.Blocks))
+	mc.needs = make([][]uint8, len(prog.Blocks))
 	for i, b := range prog.Blocks {
 		idx := make([]int, 0, isa.MaxMemOps)
+		needs := make([]uint8, len(b.Insts))
 		for j := range b.Insts {
 			if b.Insts[j].Op.IsMem() {
 				idx = append(idx, j)
 			}
+			needs[j] = needMask(&b.Insts[j])
 		}
-		mc.memIdx[i] = idx
+		mc.memIdx[i], mc.needs[i] = idx, needs
+	}
+	for reg := range mc.regNodes {
+		mc.regNodes[reg] = mc.net.Node(1+reg%cfg.GridWidth, 0)
+	}
+	banks := min(max(cfg.DTileBanks, 1), cfg.GridHeight)
+	mc.memNodes = make([]int, banks)
+	for bank := range mc.memNodes {
+		mc.memNodes[bank] = mc.net.Node(0, 1+bank)
 	}
 
 	nt := cfg.GridWidth * cfg.GridHeight
@@ -303,19 +321,13 @@ func (mc *Machine) ctrlNode() int { return mc.net.Node(0, 0) }
 // is logically unified; banking distributes its network ports (the TRIPS
 // D-tile arrangement).
 func (mc *Machine) memNode(addr uint64) int {
-	banks := mc.cfg.DTileBanks
-	if banks < 1 {
-		banks = 1
-	}
-	if banks > mc.cfg.GridHeight {
-		banks = mc.cfg.GridHeight
-	}
-	y := 1 + int((addr>>6)%uint64(banks))
-	return mc.net.Node(0, y)
+	return mc.memNodes[(addr>>6)%uint64(len(mc.memNodes))]
 }
 
+// regNode returns register reg's bank on the top row, interleaved by
+// register number.
 func (mc *Machine) regNode(reg uint8) int {
-	return mc.net.Node(1+int(reg)%mc.cfg.GridWidth, 0)
+	return mc.regNodes[reg]
 }
 
 func (mc *Machine) execNode(tile int) int {

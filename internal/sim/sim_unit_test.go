@@ -198,7 +198,6 @@ func TestStatsString(t *testing.T) {
 	}
 }
 
-
 // TestValuePredictionCorrectness runs every kernel with map-time value
 // prediction enabled under both aggressive and conservative issue: wrong
 // guesses must always be repaired exactly.
@@ -251,8 +250,8 @@ func TestIndirectBranchDispatch(t *testing.T) {
 
 	d := b.NewBlock("dispatch")
 	{
-		state := d.Read(1)   // next handler block id (1..3), or 0 to halt
-		n := d.Read(2)       // iterations left
+		state := d.Read(1) // next handler block id (1..3), or 0 to halt
+		n := d.Read(2)     // iterations left
 		pz := d.Op(isa.OpTgt, n, d.Const(0))
 		tgt := d.Select(pz, state, d.Const(-1)) // halt when done
 		d.Write(1, state)

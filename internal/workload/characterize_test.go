@@ -22,7 +22,7 @@ var conflictClass = map[string]bool{
 	"dotprod":  false,
 	"listsum":  false, // node values are visited once; no revisits
 	"matmul":   false,
-	"sort":     true,  // cross-pass unit-distance conflicts
+	"sort":     true, // cross-pass unit-distance conflicts
 	"spmv":     false,
 	"strmatch": false,
 	"treewalk": true, // shared path-prefix counters

@@ -14,13 +14,13 @@ func init() {
 
 // Registers used by matmul.
 const (
-	rI = 1
-	rJ = 2
-	rK = 3
-	rC = 4
-	rN = 5
-	rA = 6
-	rB = 7
+	rI     = 1
+	rJ     = 2
+	rK     = 3
+	rC     = 4
+	rN     = 5
+	rA     = 6
+	rB     = 7
 	rCBase = 8
 )
 

@@ -121,7 +121,7 @@ const (
 	rYBase = 7
 	rNRows = 8
 	// sort
-	rPass = 2
+	rPass  = 2
 	rABase = 6
 )
 

@@ -16,8 +16,8 @@ func init() {
 
 // Registers shared by the random-access kernels.
 const (
-	rIdxP  = 2
-	rBase  = 6
+	rIdxP   = 2
+	rBase   = 6
 	rIdxEnd = 7
 )
 

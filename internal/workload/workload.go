@@ -22,10 +22,10 @@ import (
 
 // Standard memory-layout bases shared by the kernels.
 const (
-	ResultBase = 0x8000    // kernels store their final scalars here
-	DataBase   = 0x100000  // first input/working array
-	DataBase2  = 0x400000  // second array
-	DataBase3  = 0x800000  // third array
+	ResultBase = 0x8000   // kernels store their final scalars here
+	DataBase   = 0x100000 // first input/working array
+	DataBase2  = 0x400000 // second array
+	DataBase3  = 0x800000 // third array
 )
 
 // Params scales a workload.
@@ -164,4 +164,3 @@ func checkU64(m *mem.Memory, addr uint64, want int64, what string) error {
 	}
 	return nil
 }
-
