@@ -10,7 +10,7 @@ import (
 // TestAccountingConservationMatrix is the end-to-end version of the CPI
 // conservation invariant: across conflict-heavy and streaming kernels under
 // the paper's three interesting schemes, every simulated cycle must land in
-// exactly one bucket, and the forensic event log must agree with the
+// exactly one bucket, and the forensic audit must agree with the
 // simulator's own recovery counters.  The same invariant is enforced at run
 // time under the dsre_assert build tag; this test keeps it on the default
 // build too.

@@ -106,7 +106,7 @@ func TestFlightRecorderWraps(t *testing.T) {
 }
 
 func TestForensicsDepthWastedAndProfiles(t *testing.T) {
-	f := NewForensics()
+	f := NewForensics(8)
 	loadA := predictor.MakePC(3, 1)
 	loadB := predictor.MakePC(7, 2)
 	store1 := predictor.MakePC(2, 0)
@@ -169,7 +169,7 @@ func TestForensicsDepthWastedAndProfiles(t *testing.T) {
 }
 
 func TestForensicsTopTruncation(t *testing.T) {
-	f := NewForensics()
+	f := NewForensics(8)
 	for i := 0; i < 6; i++ {
 		load := predictor.MakePC(i, 0)
 		for j := 0; j <= i; j++ {

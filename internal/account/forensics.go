@@ -1,10 +1,12 @@
 package account
 
 import (
+	"fmt"
 	"slices"
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/isa"
 	"repro/internal/predictor"
 )
 
@@ -33,73 +35,136 @@ func (k EventKind) String() string {
 	return "?"
 }
 
-// dynLoad identifies one dynamic load instance (block sequence number +
-// load/store ID within the block), so repeated repairs of the same load can
-// be detected.
-type dynLoad struct {
+// tagState is what Summarize needs of one wave tag: its wave depth and,
+// when an audited wave or VP repair was recorded with the tag, the owning
+// profile and whether a later repair of the same dynamic load superseded
+// it.  ev is zero for a tag with no such repair, else
+// (profile index+1)<<1 | superseded.
+type tagState struct {
+	depth int32
+	ev    uint32
+}
+
+// lastSlot is one frame's supersede state: the block sequence number it
+// holds and, per load/store ID, the tag of the latest repair recorded for
+// that dynamic load (zero when none).
+type lastSlot struct {
 	seq  int64
-	lsid int
+	tags [isa.MaxMemOps]core.Tag
 }
 
-// event is one audited repair.  cost is the number of executions the repair
-// discarded (flush) or would have discarded under flush recovery
-// (squash-equivalent, for waves).
-type event struct {
-	kind       EventKind
-	loadPC     predictor.PC
-	storePC    predictor.PC
-	tag        core.Tag
-	depth      int32
-	cost       int64
-	superseded bool
-}
-
-// Forensics is the always-on violation audit log: one event per repaired
-// violation (or value-prediction correction), plus the wave-depth chain
-// (a wave triggered by a store that itself ran under wave T has depth
-// depth(T)+1) and re-violation tracking (a later repair of the same dynamic
-// load marks the earlier event superseded — its re-executions were wasted).
+// Forensics is the always-on violation audit.  Each repaired violation (or
+// value-prediction correction) is folded, as it is recorded, into running
+// totals and a per-static-load-PC profile; no event is kept.  Two pieces of
+// state outlive a Record call:
+//
+//   - tags, dense per wave tag: the wave-depth chain (a wave triggered by a
+//     store that itself ran under wave T has depth depth(T)+1) and, for
+//     wave and VP repairs, the owning profile plus a superseded bit, so
+//     Summarize can attribute each wave's final size;
+//   - ring, one lastSlot per frame: re-violation tracking, where a later
+//     repair of the same dynamic load (seq, LSID) marks the earlier one
+//     superseded — its re-executions were wasted.
+//
+// The ring is indexed by seq modulo the frame count.  A squash rewinds the
+// next sequence number, so a refetched block reuses its seq and slot, and
+// a repair of the refetched load supersedes the squashed instance's.  A
+// slot is only reset by seq+frames, which cannot be mapped until seq has
+// committed and will never be repaired again; Record panics if a stream
+// breaks that rule.  Wave and VP repairs must carry fresh non-zero tags
+// (core.TagSource.Next), as the machine's do.
 type Forensics struct {
-	events []event
-	last   map[dynLoad]int32
-	// depth is indexed by wave tag (tags come densely from
-	// core.TagSource.Next); a tag never recorded reads as depth zero.
-	depth []int32
+	tot      Summary
+	profiles []LoadProfile // first-seen order; Reexecs/Wasted filled by Summarize
+	stores   [][]pcCount   // parallel to profiles, first-seen order
+	index    map[predictor.PC]int
+	tags     []tagState
+	ring     []lastSlot
 }
 
-func NewForensics() *Forensics {
-	return &Forensics{last: make(map[dynLoad]int32)}
+// NewForensics returns an empty audit for a machine of frames in-flight
+// blocks.
+func NewForensics(frames int) *Forensics {
+	return &Forensics{
+		index: make(map[predictor.PC]int),
+		ring:  make([]lastSlot, max(frames, 1)),
+	}
 }
 
-// Record logs one repair.  seq/lsid name the dynamic load, loadPC/storePC
-// the static violation pair (storePC is zero for value-prediction events),
-// tag the repair wave, parent the conflicting store's wave tag (zero if the
-// store ran un-speculatively), and cost the discarded or squash-equivalent
-// execution count.
+// Record folds one repair into the audit.  seq/lsid name the dynamic load,
+// loadPC/storePC the static violation pair (storePC is zero for
+// value-prediction events), tag the repair wave, parent the conflicting
+// store's wave tag (zero if the store ran un-speculatively), and cost the
+// discarded or squash-equivalent execution count.
 func (f *Forensics) Record(kind EventKind, seq int64, lsid int, loadPC, storePC predictor.PC, tag, parent core.Tag, cost int64) {
 	d := int32(1)
-	if int(parent) < len(f.depth) {
-		d += f.depth[parent]
+	if parent < core.Tag(len(f.tags)) {
+		d += f.tags[parent].depth
+	}
+	pi, ok := f.index[loadPC]
+	if !ok {
+		pi = len(f.profiles)
+		f.index[loadPC] = pi
+		f.profiles = append(f.profiles, LoadProfile{LoadPC: loadPC.String()})
+		f.stores = append(f.stores, nil)
+	}
+	p, s := &f.profiles[pi], &f.tot
+	p.Events++
+	s.Events++
+	p.SquashCost += cost
+	s.SquashCost += cost
+	p.MaxDepth = max(p.MaxDepth, int64(d))
+	s.MaxDepth = max(s.MaxDepth, int64(d))
+	switch kind {
+	case EventFlush:
+		p.Flushes++
+		s.FlushEvents++
+	case EventWave:
+		p.Waves++
+		s.WaveEvents++
+	case EventVP:
+		p.VPRepairs++
+		s.VPEvents++
+	}
+	if storePC != 0 {
+		f.stores[pi] = tally(f.stores[pi], storePC)
 	}
 	if tag != 0 {
-		if i := int(tag); i >= len(f.depth) {
-			f.depth = slices.Grow(f.depth, i+1-len(f.depth))[:i+1]
+		if i := int(tag); i >= len(f.tags) {
+			f.tags = slices.Grow(f.tags, i+1-len(f.tags))[:i+1]
 		}
-		f.depth[tag] = d
+		ts := &f.tags[tag]
+		ts.depth = d
+		if kind != EventFlush {
+			ts.ev = uint32(pi+1) << 1
+		}
 	}
-	dl := dynLoad{seq: seq, lsid: lsid}
-	if prev, ok := f.last[dl]; ok {
-		f.events[prev].superseded = true
+	slot := &f.ring[int(seq%int64(len(f.ring)))]
+	if slot.seq != seq {
+		if slot.seq > seq {
+			panic(fmt.Sprintf("account: forensics recorded seq %d after seq %d reused its frame", seq, slot.seq))
+		}
+		*slot = lastSlot{seq: seq}
 	}
-	f.last[dl] = int32(len(f.events))
-	f.events = append(f.events, event{
-		kind: kind, loadPC: loadPC, storePC: storePC,
-		tag: tag, depth: d, cost: cost,
-	})
+	if prev := slot.tags[lsid]; prev != 0 && f.tags[prev].ev != 0 {
+		f.tags[prev].ev |= 1
+	}
+	slot.tags[lsid] = tag
+}
+
+// tally counts one more conflict with store pc.
+func tally(sc []pcCount, pc predictor.PC) []pcCount {
+	for j := range sc {
+		if sc[j].pc == pc {
+			sc[j].count++
+			return sc
+		}
+	}
+	return append(sc, pcCount{pc: pc, count: 1})
 }
 
 // Events returns the number of audited repairs.
-func (f *Forensics) Events() int { return len(f.events) }
+func (f *Forensics) Events() int { return int(f.tot.Events) }
 
 // StoreCount is one conflicting-store entry of a load profile.
 type StoreCount struct {
@@ -107,14 +172,14 @@ type StoreCount struct {
 	Count   int64  `json:"count"`
 }
 
-// pcCount tallies one conflicting store PC while Summarize aggregates;
-// PCs compare as values and are formatted once, after the tally.
+// pcCount tallies one conflicting store PC of a profile; PCs compare as
+// values and are formatted once, in Summarize.
 type pcCount struct {
 	pc    predictor.PC
 	count int64
 }
 
-// LoadProfile aggregates the audit log for one static load PC, hottest
+// LoadProfile aggregates the audit for one static load PC, hottest
 // first in Summary.Loads.
 type LoadProfile struct {
 	LoadPC     string       `json:"load_pc"`
@@ -129,7 +194,7 @@ type LoadProfile struct {
 	TopStores  []StoreCount `json:"top_stores,omitempty"`
 }
 
-// Summary is the aggregated audit log, embedded in sim.Stats (and thus in
+// Summary is the aggregated audit, embedded in sim.Stats (and thus in
 // dsre-report/v1).  The counters tie exactly to the Stats totals:
 // FlushEvents+WaveEvents == LSQ.Violations, VPEvents == VPCorrections, and
 // WaveReexecs+UnattributedReexecs == Reexecs.
@@ -146,90 +211,45 @@ type Summary struct {
 	Loads               []LoadProfile `json:"loads,omitempty"`
 }
 
-// Summarize folds the audit log into per-PC profiles.  waveSize reports the
-// re-executions attributed to a wave tag (core.WaveStats.WaveSize);
-// totalReexecs is the machine's total re-execution counter, so the summary
-// can expose the re-executions no audited wave accounts for.  top caps the
-// Loads list and each TopStores list (<= 0 means unlimited).
+// Summarize completes the folded audit: each audited wave or VP tag's
+// final size is added to its profile (and to Wasted when superseded), then
+// the profiles are ranked.  waveSize reports the re-executions attributed
+// to a wave tag (core.WaveStats.WaveSize); totalReexecs is the machine's
+// total re-execution counter, so the summary can expose the re-executions
+// no audited wave accounts for.  top caps the Loads list and each
+// TopStores list (<= 0 means unlimited).  Summarize does not modify f.
 func (f *Forensics) Summarize(waveSize func(core.Tag) int64, totalReexecs int64, top int) Summary {
-	s := Summary{Events: int64(len(f.events))}
-	// Aggregate in first-seen order: the event log is a slice, so the
-	// profile order is deterministic without sorting keys.
-	idx := make(map[predictor.PC]int)
-	var profiles []*LoadProfile
-	var stores [][]pcCount // parallel to profiles
-	for i := range f.events {
-		ev := &f.events[i]
-		pi, ok := idx[ev.loadPC]
-		if !ok {
-			pi = len(profiles)
-			idx[ev.loadPC] = pi
-			profiles = append(profiles, &LoadProfile{LoadPC: ev.loadPC.String()})
-			stores = append(stores, nil)
+	s := f.tot
+	ordered := slices.Clone(f.profiles)
+	for t, ts := range f.tags {
+		if ts.ev == 0 {
+			continue
 		}
-		p := profiles[pi]
-		p.Events++
-		p.SquashCost += ev.cost
-		s.SquashCost += ev.cost
-		if int64(ev.depth) > p.MaxDepth {
-			p.MaxDepth = int64(ev.depth)
-		}
-		if int64(ev.depth) > s.MaxDepth {
-			s.MaxDepth = int64(ev.depth)
-		}
-		var re int64
-		switch ev.kind {
-		case EventFlush:
-			s.FlushEvents++
-			p.Flushes++
-		case EventWave:
-			s.WaveEvents++
-			p.Waves++
-			re = waveSize(ev.tag)
-		case EventVP:
-			s.VPEvents++
-			p.VPRepairs++
-			re = waveSize(ev.tag)
-		}
+		re := waveSize(core.Tag(t))
+		p := &ordered[ts.ev>>1-1]
 		s.WaveReexecs += re
 		p.Reexecs += re
-		if ev.superseded {
+		if ts.ev&1 != 0 {
 			s.WastedReexecs += re
 			p.Wasted += re
 		}
-		if ev.storePC != 0 {
-			sc := stores[pi]
-			found := false
-			for j := range sc {
-				if sc[j].pc == ev.storePC {
-					sc[j].count++
-					found = true
-					break
-				}
-			}
-			if !found {
-				sc = append(sc, pcCount{pc: ev.storePC, count: 1})
-			}
-			stores[pi] = sc
-		}
 	}
 	s.UnattributedReexecs = totalReexecs - s.WaveReexecs
-	// Hottest loads first; ties keep first-seen (dynamic) order.
-	ordered := make([]LoadProfile, len(profiles))
-	for i, p := range profiles {
-		sc := stores[i]
+	for i := range ordered {
+		sc := slices.Clone(f.stores[i])
 		sort.SliceStable(sc, func(a, b int) bool { return sc[a].count > sc[b].count })
 		if top > 0 && len(sc) > top {
 			sc = sc[:top]
 		}
 		if len(sc) > 0 {
-			p.TopStores = make([]StoreCount, len(sc))
+			ts := make([]StoreCount, len(sc))
 			for j, c := range sc {
-				p.TopStores[j] = StoreCount{StorePC: c.pc.String(), Count: c.count}
+				ts[j] = StoreCount{StorePC: c.pc.String(), Count: c.count}
 			}
+			ordered[i].TopStores = ts
 		}
-		ordered[i] = *p
 	}
+	// Hottest loads first; ties keep first-seen (dynamic) order.
 	sort.SliceStable(ordered, func(a, b int) bool { return ordered[a].Events > ordered[b].Events })
 	if top > 0 && len(ordered) > top {
 		ordered = ordered[:top]

@@ -61,7 +61,7 @@ func (mc *Machine) acctCounters() acctCounters {
 func (mc *Machine) EnableAccounting() {
 	mc.acct = &acctState{
 		flight:     account.NewFlightRecorder(account.DefaultFlightDepth),
-		forensics:  account.NewForensics(),
+		forensics:  account.NewForensics(mc.cfg.Frames),
 		startCycle: mc.cycle,
 		waveUntil:  -1,
 	}

@@ -79,6 +79,20 @@ func needMask(in *isa.Inst) uint8 {
 	return slotMask(in.NeedsSlot(isa.SlotA), in.NeedsSlot(isa.SlotB), in.NeedsSlot(isa.SlotP))
 }
 
+// readSlots is a block's register-read table: entry reg is the index in
+// Reads of the block's read of register reg (the last one, should a
+// register appear twice), or -1 when the block does not read it.
+func readSlots(b *isa.Block) []int8 {
+	t := make([]int8, isa.NumRegs)
+	for reg := range t {
+		t[reg] = -1
+	}
+	for r := range b.Reads {
+		t[b.Reads[r].Reg] = int8(r)
+	}
+	return t
+}
+
 // inputsCommitted reports whether every operand slot instruction i waits
 // on holds a committed value.
 func (b *blockInst) inputsCommitted(i int) bool {
@@ -161,8 +175,10 @@ type blockInst struct {
 	// readBind maps each register read slot to the producing older block's
 	// sequence number, or -1 for the architectural register file.
 	readBind []int64
-	// regRead maps register number -> read slot index, for producer pushes.
-	regRead map[uint8]int
+	// regRead[reg] is the read slot of register reg, or -1 if the block
+	// does not read it, for producer pushes; shared with the block's row
+	// of Machine.regReads.
+	regRead []int8
 
 	writesCommitted int
 	storesCommitted int

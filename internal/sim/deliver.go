@@ -107,11 +107,11 @@ func (mc *Machine) handleWrite(m message) {
 		if y.seq <= b.seq {
 			continue
 		}
-		r, ok := y.regRead[reg]
-		if !ok || y.readBind[r] != b.seq {
+		r := y.regRead[reg]
+		if r < 0 || y.readBind[r] != b.seq {
 			continue
 		}
-		mc.pushRead(y, r, ws.slot.Value, ws.slot.Tag, ws.slot.Committed, 0, src)
+		mc.pushRead(y, int(r), ws.slot.Value, ws.slot.Tag, ws.slot.Committed, 0, src)
 	}
 }
 

@@ -133,13 +133,8 @@ func (mc *Machine) mapBlock(seq int64, blockID int) {
 		writes:   resliceCleared(b.writes, len(bdef.Writes)),
 		ops:      resliceCleared(b.ops, len(bdef.Insts)*int(isa.NumSlots)),
 		readBind: b.readBind, // sized below, every element assigned
-		regRead:  b.regRead,
+		regRead:  mc.regReads[blockID],
 		mapCycle: mc.cycle,
-	}
-	if b.regRead == nil {
-		b.regRead = make(map[uint8]int, len(bdef.Reads))
-	} else {
-		clear(b.regRead)
 	}
 	mc.window = append(mc.window, b)
 	mc.nextSeq = seq + 1
@@ -203,7 +198,6 @@ func (mc *Machine) mapBlock(seq int64, blockID int) {
 	}
 	for r := range bdef.Reads {
 		reg := bdef.Reads[r].Reg
-		b.regRead[reg] = r
 		b.readBind[r] = -1
 		for i := len(mc.window) - 2; i >= 0; i-- {
 			p := mc.window[i]

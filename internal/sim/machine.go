@@ -121,6 +121,9 @@ type Machine struct {
 	// needs[blockID][instIdx] is the instruction's operand-need mask (see
 	// needMask), decoded once here; mapped blocks share their block's row.
 	needs [][]uint8
+	// regReads[blockID][reg] is the block's read slot for register reg, or
+	// -1 (see readSlots); mapped blocks share their block's row.
+	regReads [][]int8
 	// regNodes[reg] is register reg's bank tile; memNodes[bank] is D-tile
 	// port bank's node, with the bank count already clamped to the grid.
 	regNodes [isa.NumRegs]int
@@ -271,7 +274,9 @@ func New(cfg Config, prog *isa.Program, regs *[isa.NumRegs]int64, m *mem.Memory,
 
 	mc.memIdx = make([][]int, len(prog.Blocks))
 	mc.needs = make([][]uint8, len(prog.Blocks))
+	mc.regReads = make([][]int8, len(prog.Blocks))
 	for i, b := range prog.Blocks {
+		mc.regReads[i] = readSlots(b)
 		idx := make([]int, 0, isa.MaxMemOps)
 		needs := make([]uint8, len(b.Insts))
 		for j := range b.Insts {
@@ -402,7 +407,7 @@ func resliceCleared[T any](s []T, n int) []T {
 }
 
 // takeBlock pops a recycled blockInst (or allocates one).  The caller fills
-// every field; recycled backing arrays (insts, writes, readBind, regRead)
+// every field; recycled backing arrays (insts, writes, readBind)
 // keep their capacity so steady-state block turnover does not allocate.
 func (mc *Machine) takeBlock() *blockInst {
 	if len(mc.blockPool) == 0 {

@@ -118,3 +118,41 @@ func TestMachineTables(t *testing.T) {
 		}
 	}
 }
+
+// TestReadSlotsMatchMap pins the register-read table New builds against
+// the per-block map it replaced (register -> read slot, filled in Reads
+// order so a register read twice keeps its last slot), over every block of
+// every kernel.
+func TestReadSlotsMatchMap(t *testing.T) {
+	for _, name := range workload.Names() {
+		w := workload.MustBuild(name, workload.Params{Size: 64})
+		mc, err := New(DefaultConfig(), w.Program, &w.Regs, w.Mem, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id, blk := range w.Program.Blocks {
+			old := make(map[uint8]int, len(blk.Reads))
+			for r := range blk.Reads {
+				old[blk.Reads[r].Reg] = r
+			}
+			row := mc.regReads[id]
+			if len(row) != isa.NumRegs {
+				t.Fatalf("%s block %d: table has %d registers", name, id, len(row))
+			}
+			for reg := 0; reg < isa.NumRegs; reg++ {
+				want, ok := old[uint8(reg)]
+				if !ok {
+					want = -1
+				}
+				if got := int(row[reg]); got != want {
+					t.Errorf("%s block %d reg %d: read slot %d, want %d", name, id, reg, got, want)
+				}
+			}
+		}
+	}
+	// A register read twice: the map kept the later slot.
+	blk := &isa.Block{Reads: []isa.RegRead{{Reg: 5}, {Reg: 9}, {Reg: 5}}}
+	if got := readSlots(blk); got[5] != 2 || got[9] != 1 || got[0] != -1 {
+		t.Errorf("duplicate read: slots %d/%d/%d, want 2/1/-1", got[5], got[9], got[0])
+	}
+}
