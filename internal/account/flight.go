@@ -25,8 +25,9 @@ type Snapshot struct {
 // dumped on deadlock and on dsre_assert failures so the last moments
 // before a wedge are visible without re-running under a tracer.
 type FlightRecorder struct {
-	buf []Snapshot
-	n   int // total snapshots ever recorded
+	buf  []Snapshot
+	next int  // slot the next Record overwrites
+	full bool // every slot holds a snapshot: the ring has wrapped
 }
 
 func NewFlightRecorder(depth int) *FlightRecorder {
@@ -36,28 +37,30 @@ func NewFlightRecorder(depth int) *FlightRecorder {
 	return &FlightRecorder{buf: make([]Snapshot, depth)}
 }
 
-// Record overwrites the oldest slot with s.
+// Record overwrites the oldest slot with s.  It runs every simulated
+// cycle, so it advances a wrapping index rather than dividing.
 func (fr *FlightRecorder) Record(s Snapshot) {
-	fr.buf[fr.n%len(fr.buf)] = s
-	fr.n++
+	fr.buf[fr.next] = s
+	if fr.next++; fr.next == len(fr.buf) {
+		fr.next, fr.full = 0, true
+	}
 }
 
 // Len is the number of snapshots currently held (<= the ring depth).
 func (fr *FlightRecorder) Len() int {
-	if fr.n < len(fr.buf) {
-		return fr.n
+	if fr.full {
+		return len(fr.buf)
 	}
-	return len(fr.buf)
+	return fr.next
 }
 
 // Snapshots returns the held snapshots oldest-first.
 func (fr *FlightRecorder) Snapshots() []Snapshot {
-	held := fr.Len()
-	out := make([]Snapshot, 0, held)
-	for i := fr.n - held; i < fr.n; i++ {
-		out = append(out, fr.buf[i%len(fr.buf)])
+	out := make([]Snapshot, 0, fr.Len())
+	if fr.full {
+		out = append(out, fr.buf[fr.next:]...)
 	}
-	return out
+	return append(out, fr.buf[:fr.next]...)
 }
 
 // Dump renders the ring oldest-first, one line per cycle.

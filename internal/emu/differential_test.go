@@ -1,0 +1,298 @@
+package emu_test
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"strings"
+	"testing"
+
+	"repro/internal/emu"
+	"repro/internal/isa"
+	"repro/internal/mem"
+	"repro/internal/program"
+	"repro/internal/workload"
+)
+
+// diffOptions turns on every artifact the emulator can produce.
+var diffOptions = emu.Options{CollectOracle: true, TraceBlocks: 1 << 30, TraceStores: true}
+
+// smallSizes scales each kernel to a few hundred blocks, the second size
+// the kernel differential runs at besides the kernel default.
+var smallSizes = map[string]int{
+	"bank": 128, "cursor": 128, "dotprod": 256, "hashmap": 128,
+	"histogram": 128, "listsum": 128, "matmul": 6, "queue": 64,
+	"sort": 16, "spmv": 32, "stencil": 64, "strmatch": 128,
+	"treewalk": 128, "vecsum": 256,
+}
+
+// diffRun runs the emulator and the reference on the same inputs and
+// reports every Result field, or error string, on which they differ.
+func diffRun(t *testing.T, name string, p *isa.Program, regs *[isa.NumRegs]int64, m *mem.Memory, opt emu.Options) *emu.Result {
+	t.Helper()
+	got, gotErr := emu.Run(p, regs, m, opt)
+	want, wantErr := emu.ReferenceRun(p, regs, m, opt)
+	if gotErr != nil || wantErr != nil {
+		if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() {
+			t.Errorf("%s: error %v, reference %v", name, gotErr, wantErr)
+		}
+		return nil
+	}
+	if err := diffResults(got, want); err != nil {
+		t.Errorf("%s: %v", name, err)
+	}
+	return got
+}
+
+func diffResults(got, want *emu.Result) error {
+	switch {
+	case got.Regs != want.Regs:
+		return fmt.Errorf("Regs differ")
+	case got.Blocks != want.Blocks || got.Insts != want.Insts ||
+		got.Loads != want.Loads || got.Stores != want.Stores:
+		return fmt.Errorf("counts %d/%d/%d/%d, reference %d/%d/%d/%d",
+			got.Blocks, got.Insts, got.Loads, got.Stores,
+			want.Blocks, want.Insts, want.Loads, want.Stores)
+	case !reflect.DeepEqual(got.Oracle, want.Oracle):
+		return fmt.Errorf("Oracle: %d entries, reference %d (or an entry differs)", len(got.Oracle), len(want.Oracle))
+	case got.DepDistance != want.DepDistance:
+		return fmt.Errorf("DepDistance %v, reference %v", got.DepDistance, want.DepDistance)
+	case !reflect.DeepEqual(got.BlockTrace, want.BlockTrace):
+		return fmt.Errorf("BlockTrace differs")
+	case !reflect.DeepEqual(got.StoreTrace, want.StoreTrace):
+		return fmt.Errorf("StoreTrace differs")
+	case !got.Mem.Equal(want.Mem):
+		a, _ := got.Mem.FirstDiff(want.Mem)
+		return fmt.Errorf("memory differs first at %#x", a)
+	case got.Mem.Footprint() != want.Mem.Footprint():
+		return fmt.Errorf("Footprint %d pages, reference %d", got.Mem.Footprint(), want.Mem.Footprint())
+	}
+	return nil
+}
+
+// TestDifferentialKernels compares the emulator with the reference on every
+// kernel at two sizes and three seeds.
+func TestDifferentialKernels(t *testing.T) {
+	for _, k := range workload.Names() {
+		for _, size := range []int{smallSizes[k], 0} {
+			for seed := uint64(1); seed <= 3; seed++ {
+				w, err := workload.Build(k, workload.Params{Size: size, Seed: seed})
+				if err != nil {
+					t.Fatal(err)
+				}
+				name := fmt.Sprintf("%s/size=%d/seed=%d", k, size, seed)
+				res := diffRun(t, name, w.Program, &w.Regs, w.Mem, diffOptions)
+				if res == nil {
+					t.Errorf("%s: no result", name)
+				} else if k == "stencil" && len(res.Oracle) == 0 {
+					t.Errorf("%s: conflict kernel produced an empty oracle", name)
+				}
+			}
+		}
+	}
+}
+
+// shadowLo and shadowSpan bound the random programs' addresses: they
+// straddle the 4 KiB boundary at 0x1000, so 8-byte accesses at 0xff9–0xfff
+// cross it.
+const (
+	shadowLo   = 0xff8
+	shadowSpan = 0x1008 - shadowLo
+)
+
+// randomProgram builds a looping program of one to three blocks whose
+// loads and stores (ld, ld1, st, st1, some predicated) hit overlapping and
+// page-straddling addresses in [0xff8, 0x1007], plus a second region on
+// another page so the shadow's page cache switches.
+func randomProgram(t *testing.T, rng *rand.Rand) (*isa.Program, [isa.NumRegs]int64, *mem.Memory) {
+	t.Helper()
+	b := program.New("random")
+	nblk := 1 + rng.Intn(3)
+	for j := 0; j < nblk; j++ {
+		blk := b.NewBlock(fmt.Sprintf("b%d", j))
+		i := blk.Read(1)
+		x := blk.Read(2)
+		for k, n := 0, 2+rng.Intn(6); k < n; k++ {
+			base := int64(shadowLo)
+			if rng.Intn(4) == 0 {
+				base = 0x5ff8
+			}
+			off := blk.Op(isa.OpAnd,
+				blk.Op(isa.OpAdd, blk.Op(isa.OpMul, i, blk.Const(int64(1+rng.Intn(7)))), blk.Const(rng.Int63n(shadowSpan))),
+				blk.Const(shadowSpan-1))
+			addr := blk.Op(isa.OpAdd, blk.Const(base), off)
+			kind := rng.Intn(6)
+			switch kind {
+			case 0:
+				x = blk.Op(isa.OpAdd, x, blk.Load(addr, 0))
+				continue
+			case 1:
+				x = blk.Op(isa.OpAdd, x, blk.Load1(addr, 0))
+				continue
+			}
+			data := blk.Op(isa.OpXor, x, blk.Const(rng.Int63()))
+			switch kind {
+			case 2:
+				blk.Store(addr, 0, data)
+			case 3:
+				blk.Store1(addr, 0, data)
+			case 4:
+				odd := blk.Op(isa.OpAnd, i, blk.Const(1))
+				blk.StoreIf(odd, rng.Intn(2) == 0, addr, 0, data)
+			case 5:
+				odd := blk.Op(isa.OpAnd, i, blk.Const(1))
+				blk.Store1If(odd, rng.Intn(2) == 0, addr, 0, data)
+			}
+		}
+		i2 := blk.Op(isa.OpSub, i, blk.Const(1))
+		blk.Write(1, i2)
+		blk.Write(2, x)
+		blk.BranchIf(blk.Op(isa.OpTgt, i2, blk.Const(0)), fmt.Sprintf("b%d", (j+1)%nblk), "@halt")
+	}
+	p, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var regs [isa.NumRegs]int64
+	regs[1] = int64(10 + rng.Intn(60))
+	regs[2] = rng.Int63()
+	m := mem.New()
+	for k := rng.Intn(4); k > 0; k-- {
+		m.Write(uint64(shadowLo+rng.Intn(shadowSpan)), rng.Int63(), 8)
+	}
+	return p, regs, m
+}
+
+// TestDifferentialRandomPrograms compares the emulator with the reference
+// on fixed-seed random programs built around a page boundary.
+func TestDifferentialRandomPrograms(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	conflicts := 0
+	for n := 0; n < 400; n++ {
+		p, regs, m := randomProgram(t, rng)
+		if res := diffRun(t, fmt.Sprintf("program %d", n), p, &regs, m, diffOptions); res != nil {
+			conflicts += len(res.Oracle)
+		}
+	}
+	if conflicts == 0 {
+		t.Fatal("no random program has a store→load conflict: the oracle is untested")
+	}
+}
+
+// corruptCase builds a valid program, then corrupts it so execution fails.
+type corruptCase struct {
+	name    string
+	want    string // a substring of the error that proves the intended check fired
+	build   func(*program.Builder)
+	corrupt func(*isa.Program)
+	opt     emu.Options
+}
+
+// chain is a block that stores r1 at 0xffc, loads the word at 0xff8 (an
+// overlapping conflict) and writes r2 = (r1 + 1) + load, so the oracle and
+// the store trace hold state when an error strikes.
+func chain(b *program.Builder) {
+	blk := b.NewBlock("only")
+	x := blk.Read(1)
+	blk.Store(blk.Const(0xffc), 0, x)
+	ld := blk.Load(blk.Const(0xff8), 0)
+	y := blk.Op(isa.OpAdd, x, blk.Const(1))
+	z := blk.Op(isa.OpAdd, y, ld)
+	blk.Write(2, z)
+	blk.Halt()
+}
+
+// instWith returns the first instruction of block 0 with the given opcode.
+func instWith(p *isa.Program, op isa.Opcode) *isa.Inst {
+	for i := range p.Blocks[0].Insts {
+		if in := &p.Blocks[0].Insts[i]; in.Op == op {
+			return in
+		}
+	}
+	panic(fmt.Sprintf("no %s instruction", op))
+}
+
+// lastAdd returns the last add of block 0, the one that feeds the write.
+func lastAdd(p *isa.Program) *isa.Inst {
+	var last *isa.Inst
+	for i := range p.Blocks[0].Insts {
+		if in := &p.Blocks[0].Insts[i]; in.Op == isa.OpAdd {
+			last = in
+		}
+	}
+	return last
+}
+
+var corruptCases = []corruptCase{
+	{name: "operand receives two values", want: "operand i6.a received two values", build: chain, corrupt: func(p *isa.Program) {
+		in := instWith(p, isa.OpAdd)
+		in.Targets = append(in.Targets, in.Targets[0])
+	}},
+	{name: "write slot receives two values", want: "write slot 0 received two values", build: chain, corrupt: func(p *isa.Program) {
+		in := lastAdd(p)
+		in.Targets = append(in.Targets, in.Targets[0])
+	}},
+	{name: "register read delivers twice", want: "read r1: operand i1.b received two values", build: chain, corrupt: func(p *isa.Program) {
+		r := &p.Blocks[0].Reads[0]
+		r.Targets = append(r.Targets, r.Targets[0])
+	}},
+	{name: "missing operand", want: "i6 (add): operand b missing", build: chain, corrupt: func(p *isa.Program) {
+		instWith(p, isa.OpLd).Targets = nil
+	}},
+	{name: "missing write", want: "write slot 0 (r2) received no value", build: chain, corrupt: func(p *isa.Program) {
+		lastAdd(p).Targets = nil
+	}},
+	{name: "second branch", want: "second branch fired", build: chain, corrupt: func(p *isa.Program) {
+		b := p.Blocks[0]
+		b.Insts = append(b.Insts, isa.Inst{Op: isa.OpBro, Imm: isa.HaltTarget, LSID: isa.NoLSID})
+	}},
+	{name: "no branch", want: "no branch fired", build: chain, corrupt: func(p *isa.Program) {
+		in := instWith(p, isa.OpBro)
+		in.Op, in.Targets = isa.OpNop, nil
+	}},
+	{name: "out-of-range branch", want: "out-of-range block 99", build: chain, corrupt: func(p *isa.Program) {
+		instWith(p, isa.OpBro).Imm = 99
+	}},
+	{name: "nonexistent entry", want: "nonexistent block 7", build: chain, corrupt: func(p *isa.Program) {
+		p.Entry = 7
+	}},
+	{name: "block budget exhausted", want: "block budget 100 exhausted", build: func(b *program.Builder) {
+		blk := b.NewBlock("spin")
+		x := blk.Read(1)
+		blk.Store(x, 0, x)
+		blk.Write(1, blk.Op(isa.OpAdd, x, blk.Const(3)))
+		blk.Branch("spin")
+	}, opt: emu.Options{MaxBlocks: 100}},
+}
+
+// TestDifferentialCorruptPrograms requires the emulator to reject each
+// hand-corrupted program with exactly the reference's error string.
+func TestDifferentialCorruptPrograms(t *testing.T) {
+	for _, c := range corruptCases {
+		b := program.New("bad")
+		c.build(b)
+		p, err := b.Build()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if c.corrupt != nil {
+			c.corrupt(p)
+		}
+		var regs [isa.NumRegs]int64
+		regs[1] = 0xff0
+		opt := c.opt
+		opt.CollectOracle, opt.TraceStores, opt.TraceBlocks = true, true, 16
+		_, gotErr := emu.Run(p, &regs, mem.New(), opt)
+		_, wantErr := emu.ReferenceRun(p, &regs, mem.New(), opt)
+		if gotErr == nil || wantErr == nil {
+			t.Errorf("%s: error %v, reference %v: both must fail", c.name, gotErr, wantErr)
+			continue
+		}
+		if gotErr.Error() != wantErr.Error() {
+			t.Errorf("%s:\n got  %q\n want %q", c.name, gotErr, wantErr)
+		}
+		if !strings.Contains(wantErr.Error(), c.want) {
+			t.Errorf("%s: reference error %q lacks %q", c.name, wantErr, c.want)
+		}
+	}
+}

@@ -17,6 +17,7 @@ package emu
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/isa"
 	"repro/internal/mem"
@@ -105,7 +106,7 @@ func Run(p *isa.Program, regs *[isa.NumRegs]int64, m *mem.Memory, opt Options) (
 	}
 	if opt.CollectOracle {
 		e.oracle = make(map[MemRef]MemRef)
-		e.lastWriter = make(map[uint64]writerInfo)
+		e.shadow = &shadow{pages: make(map[uint64]*shadowPage)}
 	}
 	if opt.TraceStores {
 		e.storeTrace = make(map[MemRef]StoreRecord)
@@ -145,9 +146,21 @@ type emulator struct {
 	stores int64
 	memSeq int64
 
+	// Per-block operand and write slots.  The backing arrays are reused
+	// by every block and grow to the largest block seen; slots and writes
+	// are the executing block's views of them, cut to its length so a
+	// target past the block still fails its bounds check.  An operand is
+	// present when its stamp equals gen, which begin bumps once per
+	// block, so nothing is cleared between blocks.
+	slotBuf  [][isa.NumSlots]operand
+	writeBuf []operand
+	slots    [][isa.NumSlots]operand
+	writes   []operand
+	gen      uint64
+
 	oracle     map[MemRef]MemRef
 	storeTrace map[MemRef]StoreRecord
-	lastWriter map[uint64]writerInfo
+	shadow     *shadow
 	depDist    [24]int64
 	trace      []int
 }
@@ -177,68 +190,87 @@ func (e *emulator) run() error {
 	}
 }
 
-// operand is one operand slot during a block execution.
+// operand is one operand slot during a block execution; it holds a value
+// for the executing block only when gen equals the emulator's stamp.
 type operand struct {
-	val     int64
-	present bool
-	dups    int
+	val int64
+	gen uint64
+}
+
+// begin stamps a new block generation and points the slot views at
+// scratch sized for b.  Fresh scratch is zeroed, and the stamp is never
+// zero, so a grown array starts with every slot absent.
+func (e *emulator) begin(b *isa.Block) {
+	e.gen++
+	if n := len(b.Insts); n > len(e.slotBuf) {
+		e.slotBuf = make([][isa.NumSlots]operand, n)
+	}
+	if n := len(b.Writes); n > len(e.writeBuf) {
+		e.writeBuf = make([]operand, n)
+	}
+	e.slots = e.slotBuf[:len(b.Insts)]
+	e.writes = e.writeBuf[:len(b.Writes)]
+}
+
+// deliver sends v to every target, enforcing that each operand and write
+// slot receives at most one value per block.
+func (e *emulator) deliver(ts []isa.Target, v int64) error {
+	for _, t := range ts {
+		switch t.Kind {
+		case isa.TargetWrite:
+			w := &e.writes[t.Index]
+			if w.gen == e.gen {
+				return fmt.Errorf("write slot %d received two values", t.Index)
+			}
+			w.val, w.gen = v, e.gen
+		case isa.TargetInst:
+			s := &e.slots[t.Index][t.Slot]
+			if s.gen == e.gen {
+				return fmt.Errorf("operand %s received two values", t)
+			}
+			s.val, s.gen = v, e.gen
+		}
+	}
+	return nil
+}
+
+// get returns instruction i's operand in slot s, or an error when no
+// producer delivered it.
+func (e *emulator) get(i int, in *isa.Inst, s isa.Slot) (int64, error) {
+	o := &e.slots[i][s]
+	if o.gen != e.gen {
+		return 0, fmt.Errorf("i%d (%s): operand %s missing", i, in.Op, s)
+	}
+	return o.val, nil
 }
 
 func (e *emulator) execBlock(b *isa.Block) (next int, err error) {
 	seq := e.blocks
-	slots := make([][isa.NumSlots]operand, len(b.Insts))
-	writes := make([]operand, len(b.Writes))
-	var branch operand
+	e.begin(b)
+	var target int64
 	branchTaken := false
 
-	deliver := func(ts []isa.Target, v int64) error {
-		for _, t := range ts {
-			switch t.Kind {
-			case isa.TargetWrite:
-				w := &writes[t.Index]
-				if w.present {
-					return fmt.Errorf("write slot %d received two values", t.Index)
-				}
-				w.val, w.present = v, true
-			case isa.TargetInst:
-				s := &slots[t.Index][t.Slot]
-				if s.present {
-					return fmt.Errorf("operand %s received two values", t)
-				}
-				s.val, s.present = v, true
-			}
-		}
-		return nil
-	}
-
 	for _, r := range b.Reads {
-		if err := deliver(r.Targets, e.regs[r.Reg]); err != nil {
+		if err := e.deliver(r.Targets, e.regs[r.Reg]); err != nil {
 			return 0, fmt.Errorf("read r%d: %w", r.Reg, err)
 		}
 	}
 
 	for i := range b.Insts {
 		in := &b.Insts[i]
-		get := func(s isa.Slot) (int64, error) {
-			o := &slots[i][s]
-			if !o.present {
-				return 0, fmt.Errorf("i%d (%s): operand %s missing", i, in.Op, s)
-			}
-			return o.val, nil
-		}
 		var a, bv, pv int64
-		if in.NeedsSlot(isa.SlotA) {
-			if a, err = get(isa.SlotA); err != nil {
+		if nd := in.Op.NumDataOperands(); nd >= 1 {
+			if a, err = e.get(i, in, isa.SlotA); err != nil {
 				return 0, err
 			}
-		}
-		if in.NeedsSlot(isa.SlotB) {
-			if bv, err = get(isa.SlotB); err != nil {
-				return 0, err
+			if nd >= 2 {
+				if bv, err = e.get(i, in, isa.SlotB); err != nil {
+					return 0, err
+				}
 			}
 		}
 		if in.Pred != isa.PredNone {
-			if pv, err = get(isa.SlotP); err != nil {
+			if pv, err = e.get(i, in, isa.SlotP); err != nil {
 				return 0, err
 			}
 			if (in.Pred == isa.PredTrue) != (pv != 0) {
@@ -256,7 +288,7 @@ func (e *emulator) execBlock(b *isa.Block) (next int, err error) {
 				e.recordLoad(MemRef{seq, in.LSID}, addr, size)
 			}
 			e.memSeq++
-			if err := deliver(in.Targets, v); err != nil {
+			if err := e.deliver(in.Targets, v); err != nil {
 				return 0, fmt.Errorf("i%d: %w", i, err)
 			}
 		case in.Op.IsStore():
@@ -268,7 +300,9 @@ func (e *emulator) execBlock(b *isa.Block) (next int, err error) {
 				e.storeTrace[MemRef{seq, in.LSID}] = StoreRecord{Addr: addr, Data: bv, Size: size}
 			}
 			if e.oracle != nil {
-				e.recordStore(MemRef{seq, in.LSID}, addr, size)
+				if err := e.recordStore(MemRef{seq, in.LSID}, addr, size); err != nil {
+					return 0, err
+				}
 			}
 			e.memSeq++
 		case in.Op.IsBranch():
@@ -280,10 +314,10 @@ func (e *emulator) execBlock(b *isa.Block) (next int, err error) {
 				return 0, fmt.Errorf("i%d: second branch fired", i)
 			}
 			branchTaken = true
-			branch.val = t
+			target = t
 		default:
 			v := isa.Eval(in.Op, a, bv, in.Imm)
-			if err := deliver(in.Targets, v); err != nil {
+			if err := e.deliver(in.Targets, v); err != nil {
 				return 0, fmt.Errorf("i%d: %w", i, err)
 			}
 		}
@@ -292,38 +326,27 @@ func (e *emulator) execBlock(b *isa.Block) (next int, err error) {
 	if !branchTaken {
 		return 0, fmt.Errorf("no branch fired")
 	}
-	for w := range writes {
-		if !writes[w].present {
+	for w := range e.writes {
+		if e.writes[w].gen != e.gen {
 			return 0, fmt.Errorf("write slot %d (r%d) received no value", w, b.Writes[w].Reg)
 		}
 	}
-	for w := range writes {
-		e.regs[b.Writes[w].Reg] = writes[w].val
+	for w := range e.writes {
+		e.regs[b.Writes[w].Reg] = e.writes[w].val
 	}
-	next = int(branch.val)
+	next = int(target)
 	if next != isa.HaltTarget && (next < 0 || next >= len(e.p.Blocks)) {
 		return 0, fmt.Errorf("branch to out-of-range block %d", next)
 	}
 	return next, nil
 }
 
-func (e *emulator) recordStore(ref MemRef, addr uint64, size int) {
-	wi := writerInfo{ref: ref, memSeq: e.memSeq}
-	for i := 0; i < size; i++ {
-		e.lastWriter[addr+uint64(i)] = wi
-	}
+func (e *emulator) recordStore(ref MemRef, addr uint64, size int) error {
+	return e.shadow.store(addr, size, writerInfo{ref: ref, memSeq: e.memSeq})
 }
 
 func (e *emulator) recordLoad(ref MemRef, addr uint64, size int) {
-	var best writerInfo
-	found := false
-	for i := 0; i < size; i++ {
-		if wi, ok := e.lastWriter[addr+uint64(i)]; ok {
-			if !found || wi.memSeq > best.memSeq {
-				best, found = wi, true
-			}
-		}
-	}
+	best, found := e.shadow.youngest(addr, size)
 	if !found {
 		return
 	}
@@ -335,4 +358,90 @@ func (e *emulator) recordLoad(ref MemRef, addr uint64, size int) {
 		bucket++
 	}
 	e.depDist[bucket]++
+}
+
+// The oracle's shadow memory mirrors mem's 4 KiB pages.
+const (
+	shadowBits = 12
+	shadowSize = 1 << shadowBits
+	shadowMask = shadowSize - 1
+)
+
+// shadowPage holds, per byte of one page, 1 + the writers index of the
+// youngest store that wrote the byte, or 0 if no store has.
+type shadowPage [shadowSize]int32
+
+// shadow is the oracle's last-writer memory.  Every dynamic store appends
+// one entry to writers, in memSeq order, and stamps its bytes with that
+// entry; so among the bytes a load covers, the youngest writer is simply
+// the one with the highest index.
+type shadow struct {
+	pages   map[uint64]*shadowPage
+	lastKey uint64
+	last    *shadowPage // page lastKey, or nil before the first hit
+	writers []writerInfo
+}
+
+// page returns the shadow page holding addr, creating it when create is
+// set; without create a missing page is nil.
+func (s *shadow) page(addr uint64, create bool) *shadowPage {
+	k := addr >> shadowBits
+	if s.last != nil && k == s.lastKey {
+		return s.last
+	}
+	p := s.pages[k]
+	if p == nil {
+		if !create {
+			return nil
+		}
+		p = new(shadowPage)
+		s.pages[k] = p
+	}
+	s.lastKey, s.last = k, p
+	return p
+}
+
+// store records w as the last writer of the size bytes at addr.
+func (s *shadow) store(addr uint64, size int, w writerInfo) error {
+	if len(s.writers) == math.MaxInt32 {
+		return fmt.Errorf("emu: oracle shadow holds at most %d stores", math.MaxInt32)
+	}
+	s.writers = append(s.writers, w)
+	id := int32(len(s.writers))
+	if off := addr & shadowMask; off+uint64(size) <= shadowSize {
+		row := s.page(addr, true)[off : off+uint64(size)]
+		for i := range row {
+			row[i] = id
+		}
+		return nil
+	}
+	for i := 0; i < size; i++ {
+		a := addr + uint64(i)
+		s.page(a, true)[a&shadowMask] = id
+	}
+	return nil
+}
+
+// youngest returns the youngest store that wrote any of the size bytes at
+// addr, and whether there is one.
+func (s *shadow) youngest(addr uint64, size int) (writerInfo, bool) {
+	var id int32
+	if off := addr & shadowMask; off+uint64(size) <= shadowSize {
+		if p := s.page(addr, false); p != nil {
+			for _, v := range p[off : off+uint64(size)] {
+				id = max(id, v)
+			}
+		}
+	} else {
+		for i := 0; i < size; i++ {
+			a := addr + uint64(i)
+			if p := s.page(a, false); p != nil {
+				id = max(id, p[a&shadowMask])
+			}
+		}
+	}
+	if id == 0 {
+		return writerInfo{}, false
+	}
+	return s.writers[id-1], true
 }

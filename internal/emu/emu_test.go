@@ -166,37 +166,3 @@ func TestMemRefString(t *testing.T) {
 		t.Errorf("String = %q", got)
 	}
 }
-
-// BenchmarkEmulation measures golden-model throughput in instructions per
-// second on a loop-heavy program.
-func BenchmarkEmulation(b *testing.B) {
-	bld := program.New("bench")
-	blk := bld.NewBlock("loop")
-	i := blk.Read(1)
-	acc := blk.Read(2)
-	for k := 0; k < 16; k++ {
-		acc = blk.Op(isa.OpAdd, acc, blk.Const(int64(k)))
-	}
-	i2 := blk.Op(isa.OpSub, i, blk.Const(1))
-	blk.Write(1, i2)
-	blk.Write(2, acc)
-	more := blk.Op(isa.OpTgt, i2, blk.Const(0))
-	blk.BranchIf(more, "loop", "@halt")
-	p, err := bld.Build()
-	if err != nil {
-		b.Fatal(err)
-	}
-	var regs [isa.NumRegs]int64
-	regs[1] = 1000
-	m := mem.New()
-	b.ResetTimer()
-	var insts int64
-	for n := 0; n < b.N; n++ {
-		res, err := Run(p, &regs, m, Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		insts = res.Insts
-	}
-	b.ReportMetric(float64(insts), "insts/run")
-}

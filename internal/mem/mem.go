@@ -156,13 +156,20 @@ func (m *Memory) Read(addr uint64, size int) int64 {
 }
 
 // Write stores the low size bytes of v at addr, little-endian.
-// size must be 1 or 8.
+// size must be 1 or 8.  A write within one page costs one page lookup;
+// only a write that crosses a page boundary falls back to per-byte writes.
+// Either way every page the write touches becomes resident, even when v
+// is zero.
 func (m *Memory) Write(addr uint64, v int64, size int) {
 	if size == 1 {
 		m.SetByte(addr, byte(v))
 		return
 	}
 	u := uint64(v)
+	if off := addr & pageMask; off+8 <= pageSize {
+		binary.LittleEndian.PutUint64(m.page(addr, true)[off:], u)
+		return
+	}
 	for i := 0; i < 8; i++ {
 		m.SetByte(addr+uint64(i), byte(u>>(8*i)))
 	}

@@ -131,3 +131,53 @@ func TestUintMatchesBytes(t *testing.T) {
 		t.Errorf("footprint %d pages, want 3: reads must not allocate", m.Footprint())
 	}
 }
+
+// TestWriteMatchesBytes checks the one-lookup 8-byte write against eight
+// per-byte SetByte calls at random offsets, every offset that straddles a
+// page boundary (4089–4095), and the top of the address space.
+func TestWriteMatchesBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	fast, slow := New(), New()
+	var addrs []uint64
+	for off := uint64(pageSize - 7); off < pageSize; off++ {
+		addrs = append(addrs, 3*pageSize+off)
+	}
+	addrs = append(addrs, ^uint64(0)-3)
+	for i := 0; i < 2000; i++ {
+		addrs = append(addrs, uint64(rng.Intn(8*pageSize)))
+	}
+	for _, addr := range addrs {
+		v := int64(rng.Uint64())
+		fast.Write(addr, v, 8)
+		for i := 0; i < 8; i++ {
+			slow.SetByte(addr+uint64(i), byte(uint64(v)>>(8*i)))
+		}
+		if got := fast.Read(addr, 8); got != v {
+			t.Fatalf("Write(%#x, %#x) reads back %#x", addr, v, got)
+		}
+	}
+	if !fast.Equal(slow) || fast.Footprint() != slow.Footprint() {
+		a, _ := fast.FirstDiff(slow)
+		t.Fatalf("one-lookup write differs from per-byte writes (first at %#x; footprint %d vs %d)",
+			a, fast.Footprint(), slow.Footprint())
+	}
+}
+
+// TestWriteResidency pins which pages a write makes resident: a zero write
+// still creates its page, and a page-crossing write writes both pages.
+func TestWriteResidency(t *testing.T) {
+	m := New()
+	m.Write(0x5000, 0, 8)
+	if m.Footprint() != 1 {
+		t.Fatalf("zero write: footprint %d, want 1", m.Footprint())
+	}
+	m.Write(2*pageSize-3, 0x0807060504030201, 8)
+	if m.Footprint() != 3 {
+		t.Fatalf("page-crossing write: footprint %d, want 3", m.Footprint())
+	}
+	for i := uint64(0); i < 8; i++ {
+		if got := m.ByteAt(2*pageSize - 3 + i); got != byte(i+1) {
+			t.Errorf("byte %d = %#x, want %#x", i, got, i+1)
+		}
+	}
+}
