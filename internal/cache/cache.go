@@ -40,14 +40,23 @@ type line struct {
 	lru   int64
 }
 
+// slabLines is the size of the slabs a level carves its sets from: a set
+// gets its ways on its first fill, so a run pays for the sets it touches,
+// not for the whole level.
+const slabLines = 256
+
 // Cache is one set-associative, write-back, write-allocate cache level.
 type Cache struct {
-	cfg   Config
-	sets  [][]line
-	shift uint
-	mask  uint64
-	tick  int64
-	Stats Stats
+	cfg Config
+	// sets[i] is nil until set i's first fill carves its ways; an uncarved
+	// set misses like a set of invalid lines.
+	sets     [][]line
+	slab     []line // carved-from slab: lines not yet given to a set
+	uncarved int    // lines of the level not yet in any slab
+	shift    uint
+	mask     uint64
+	tick     int64
+	Stats    Stats
 }
 
 // New builds a cache from its configuration.
@@ -66,13 +75,7 @@ func New(cfg Config) (*Cache, error) {
 	if nSets&(nSets-1) != 0 {
 		return nil, fmt.Errorf("cache: %d sets is not a power of two", nSets)
 	}
-	// One backing array for every line, sliced into sets (capped, so a set
-	// can never grow into its neighbour): two allocations, not one per set.
-	lines := make([]line, nLines)
-	c := &Cache{cfg: cfg, sets: make([][]line, nSets)}
-	for i := range c.sets {
-		c.sets[i] = lines[i*cfg.Assoc : (i+1)*cfg.Assoc : (i+1)*cfg.Assoc]
-	}
+	c := &Cache{cfg: cfg, sets: make([][]line, nSets), uncarved: nLines}
 	shift := uint(0)
 	for 1<<shift < cfg.LineBytes {
 		shift++
@@ -101,8 +104,8 @@ type AccessResult struct {
 // write marks the line dirty.
 func (c *Cache) Access(addr uint64, write bool) AccessResult {
 	c.tick++
-	set := c.sets[(addr>>c.shift)&c.mask]
 	tag := addr >> c.shift
+	set := c.sets[tag&c.mask]
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
 			c.Stats.Hits++
@@ -114,6 +117,9 @@ func (c *Cache) Access(addr uint64, write bool) AccessResult {
 		}
 	}
 	c.Stats.Misses++
+	if set == nil {
+		set = c.carve(tag & c.mask)
+	}
 	// Fill, evicting LRU.
 	victim := 0
 	for i := range set {
@@ -137,10 +143,25 @@ func (c *Cache) Access(addr uint64, write bool) AccessResult {
 	return res
 }
 
+// carve gives set i its ways, all invalid, from the current slab, starting
+// a new slab when that one is used up.  Each set is capped at its ways, so
+// it can never grow into its neighbour.
+func (c *Cache) carve(i uint64) []line {
+	a := c.cfg.Assoc
+	if len(c.slab) < a {
+		c.slab = make([]line, min(max(slabLines/a, 1)*a, c.uncarved))
+		c.uncarved -= len(c.slab)
+	}
+	set := c.slab[:a:a]
+	c.slab = c.slab[a:]
+	c.sets[i] = set
+	return set
+}
+
 // Probe reports whether addr currently hits, without changing state.
 func (c *Cache) Probe(addr uint64) bool {
-	set := c.sets[(addr>>c.shift)&c.mask]
 	tag := addr >> c.shift
+	set := c.sets[tag&c.mask]
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
 			return true

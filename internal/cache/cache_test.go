@@ -1,6 +1,10 @@
 package cache
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+	"unsafe"
+)
 
 func TestHitAfterFill(t *testing.T) {
 	c := MustNew(Config{SizeBytes: 1024, Assoc: 2, LineBytes: 64, HitLatency: 2})
@@ -142,10 +146,12 @@ func TestMissRate(t *testing.T) {
 	}
 }
 
-// TestNewAllocatesPerLevelNotPerSet pins New's allocation count: the lines
-// of a level share one backing array, so building the default hierarchy
-// (2,048 sets over three levels) costs a handful of allocations, and each
-// set is capped at its ways so it can never grow into its neighbour.
+// TestNewAllocatesPerLevelNotPerSet pins how a level pays for its lines.
+// New allocates the set headers only (O(sets) bytes, not O(lines)), in a
+// handful of allocations per level.  A set that is never filled holds no
+// lines, and probing it allocates nothing.  A set's first fill carves its
+// ways from a slab shared with later sets, and each set is capped at its
+// ways so it can never grow into its neighbour.
 func TestNewAllocatesPerLevelNotPerSet(t *testing.T) {
 	cfg := DefaultHierConfig()
 	if a := testing.AllocsPerRun(10, func() { MustNew(cfg.L2) }); a > 3 {
@@ -154,10 +160,63 @@ func TestNewAllocatesPerLevelNotPerSet(t *testing.T) {
 	if a := testing.AllocsPerRun(10, func() { NewHierarchy(cfg) }); a > 10 {
 		t.Errorf("NewHierarchy made %.0f allocations, want <= 10", a)
 	}
+	nSets := cfg.L2.SizeBytes / cfg.L2.LineBytes / cfg.L2.Assoc
+	lineBytes := int(unsafe.Sizeof(line{}))
+	headerBytes := int(unsafe.Sizeof([]line{}))
+	setBytes := bytesPerRun(10, func() { MustNew(cfg.L2) })
+	// The slack covers the Cache itself and size-class rounding; all of
+	// the lines would be 16 times the headers.
+	if limit := nSets*headerBytes*5/4 + 1024; setBytes > limit {
+		t.Errorf("New(L2) allocated %d bytes, want <= %d (%d sets; the lines alone are %d)", setBytes, limit, nSets, nSets*cfg.L2.Assoc*lineBytes)
+	}
+
+	l2 := MustNew(cfg.L2)
+	if a := testing.AllocsPerRun(10, func() { l2.Probe(0x1000) }); a != 0 {
+		t.Errorf("Probe of an untouched set made %.0f allocations", a)
+	}
+	touched := map[uint64]bool{}
+	for i := uint64(0); i < 40; i++ {
+		addr := i * 0x1040 // a new set each time (set bits 6..15)
+		l2.Access(addr, false)
+		touched[(addr>>6)&l2.mask] = true
+	}
+	for i, set := range l2.sets {
+		if touched[uint64(i)] != (set != nil) {
+			t.Fatalf("set %d: carved %v, touched %v", i, set != nil, touched[uint64(i)])
+		}
+		if set != nil && (len(set) != cfg.L2.Assoc || cap(set) != cfg.L2.Assoc) {
+			t.Fatalf("set %d: len %d cap %d, want %d and %d", i, len(set), cap(set), cfg.L2.Assoc, cfg.L2.Assoc)
+		}
+	}
+	// Touching one set of a fresh level costs at most one slab of lines.
+	oneSet := bytesPerRun(10, func() { MustNew(cfg.L2).Access(0x40, false) })
+	if limit := setBytes + slabLines*lineBytes + 1024; oneSet > limit {
+		t.Errorf("New(L2) plus one fill allocated %d bytes, want <= %d", oneSet, limit)
+	}
+
+	// Filling every set of a small level carves exactly its lines.
 	c := MustNew(Config{SizeBytes: 512, Assoc: 2, LineBytes: 64, HitLatency: 1})
+	for a := uint64(0); a < 512; a += 64 {
+		c.Access(a, false)
+	}
 	for i, set := range c.sets {
 		if len(set) != 2 || cap(set) != 2 {
 			t.Fatalf("set %d: len %d cap %d, want 2 and 2", i, len(set), cap(set))
 		}
 	}
+	if c.uncarved != 0 || len(c.slab) != 0 {
+		t.Errorf("after filling every set: %d lines uncarved, %d left in the slab", c.uncarved, len(c.slab))
+	}
+}
+
+// bytesPerRun returns the mean heap bytes f allocates per call.
+func bytesPerRun(runs int, f func()) int {
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return int(after.TotalAlloc-before.TotalAlloc) / runs
 }

@@ -58,10 +58,14 @@ func DefaultConfig() Config {
 // Simplification vs. the original: stores within a set are not serialised
 // against each other (store-store ordering existed to keep the D-cache
 // write order simple, which this LSQ does not need).
+//
+// Both tables treat zero as empty, so building and cyclically clearing the
+// predictor fill nothing.  SSIDs are handed out in order from 0, masked to
+// the SSIT size, and the LFST grows to the highest one handed out.
 type StoreSet struct {
 	cfg      Config
-	ssit     []int32 // PC hash -> SSID, -1 invalid
-	lfst     []DynRef
+	ssit     []int32  // PC hash -> SSID+1, 0 invalid
+	lfst     []DynRef // SSID -> last fetched store with Seq+1, zero = NoDynRef
 	events   int64
 	nextSSID int32
 
@@ -77,13 +81,7 @@ func New(cfg Config) (*StoreSet, error) {
 	if cfg.SSITSize <= 0 || cfg.SSITSize&(cfg.SSITSize-1) != 0 {
 		return nil, fmt.Errorf("predictor: SSIT size %d is not a power of two", cfg.SSITSize)
 	}
-	s := &StoreSet{
-		cfg:  cfg,
-		ssit: make([]int32, cfg.SSITSize),
-		lfst: make([]DynRef, cfg.SSITSize),
-	}
-	s.clear()
-	return s, nil
+	return &StoreSet{cfg: cfg, ssit: make([]int32, cfg.SSITSize)}, nil
 }
 
 // MustNew is New that panics on error.
@@ -95,11 +93,12 @@ func MustNew(cfg Config) *StoreSet {
 	return s
 }
 
-func (s *StoreSet) clear() {
-	for i := range s.ssit {
-		s.ssit[i] = -1
-		s.lfst[i] = NoDynRef
-	}
+// lfstEntry is ref as the LFST holds it: Seq+1, so NoDynRef is zero.
+func lfstEntry(ref DynRef) DynRef { return DynRef{Seq: ref.Seq + 1, LSID: ref.LSID} }
+
+func (s *StoreSet) reset() {
+	clear(s.ssit)
+	clear(s.lfst)
 	s.nextSSID = 0
 }
 
@@ -111,7 +110,7 @@ func (s *StoreSet) index(pc PC) int {
 func (s *StoreSet) tick() {
 	s.events++
 	if s.cfg.ClearInterval > 0 && s.events%s.cfg.ClearInterval == 0 {
-		s.clear()
+		s.reset()
 		s.Clears++
 	}
 }
@@ -120,9 +119,8 @@ func (s *StoreSet) tick() {
 // Call at block map time for every store in the block.
 func (s *StoreSet) StoreFetched(pc PC, ref DynRef) {
 	s.tick()
-	i := s.index(pc)
-	if ssid := s.ssit[i]; ssid >= 0 {
-		s.lfst[int(ssid)&(len(s.lfst)-1)] = ref
+	if ssid := s.ssit[s.index(pc)]; ssid > 0 {
+		s.lfst[ssid-1] = lfstEntry(ref)
 	}
 }
 
@@ -130,12 +128,8 @@ func (s *StoreSet) StoreFetched(pc PC, ref DynRef) {
 // known) or left the window; the set's LFST entry is cleared if it still
 // names this instance.
 func (s *StoreSet) StoreDone(pc PC, ref DynRef) {
-	i := s.index(pc)
-	if ssid := s.ssit[i]; ssid >= 0 {
-		li := int(ssid) & (len(s.lfst) - 1)
-		if s.lfst[li] == ref {
-			s.lfst[li] = NoDynRef
-		}
+	if ssid := s.ssit[s.index(pc)]; ssid > 0 && s.lfst[ssid-1] == lfstEntry(ref) {
+		s.lfst[ssid-1] = DynRef{}
 	}
 }
 
@@ -144,13 +138,13 @@ func (s *StoreSet) StoreDone(pc PC, ref DynRef) {
 // becomes ready.
 func (s *StoreSet) LoadDependence(pc PC) DynRef {
 	s.tick()
-	i := s.index(pc)
-	ssid := s.ssit[i]
-	if ssid < 0 {
+	ssid := s.ssit[s.index(pc)]
+	if ssid == 0 {
 		s.LoadFrees++
 		return NoDynRef
 	}
-	ref := s.lfst[int(ssid)&(len(s.lfst)-1)]
+	ref := s.lfst[ssid-1]
+	ref.Seq--
 	if ref.Valid() {
 		s.LoadWaits++
 	} else {
@@ -168,13 +162,16 @@ func (s *StoreSet) Violation(loadPC, storePC PC) {
 	li, si := s.index(loadPC), s.index(storePC)
 	ls, ss := s.ssit[li], s.ssit[si]
 	switch {
-	case ls < 0 && ss < 0:
+	case ls == 0 && ss == 0:
 		ssid := s.nextSSID
 		s.nextSSID = (s.nextSSID + 1) & int32(len(s.ssit)-1)
-		s.ssit[li], s.ssit[si] = ssid, ssid
-	case ls >= 0 && ss < 0:
+		if int(ssid) == len(s.lfst) { // first time this SSID is handed out
+			s.lfst = append(s.lfst, DynRef{})
+		}
+		s.ssit[li], s.ssit[si] = ssid+1, ssid+1
+	case ls != 0 && ss == 0:
 		s.ssit[si] = ls
-	case ls < 0 && ss >= 0:
+	case ls == 0 && ss != 0:
 		s.ssit[li] = ss
 	default:
 		// Both assigned: the smaller SSID wins (declining-order rule).

@@ -66,22 +66,18 @@ func (p *lastTargetPred) train(blockID, actual int) { p.m[blockID] = actual }
 // predict with slightly stale history — a fidelity-neutral simplification.
 type twoLevelPred struct {
 	hist     uint32
-	table    []int32
+	table    []int32 // successor block ID + 1; 0 = untrained
 	mask     uint32
 	fallback *lastTargetPred
 }
 
 func newTwoLevelPred(bits int) *twoLevelPred {
 	size := 1 << bits
-	t := &twoLevelPred{
+	return &twoLevelPred{
 		table:    make([]int32, size),
 		mask:     uint32(size - 1),
 		fallback: newLastTargetPred(),
 	}
-	for i := range t.table {
-		t.table[i] = -1
-	}
-	return t
 }
 
 func (p *twoLevelPred) index(blockID int) uint32 {
@@ -90,15 +86,15 @@ func (p *twoLevelPred) index(blockID int) uint32 {
 }
 
 func (p *twoLevelPred) predict(blockID int) int {
-	if t := p.table[p.index(blockID)]; t >= 0 {
-		return int(t)
+	if t := p.table[p.index(blockID)]; t > 0 {
+		return int(t - 1)
 	}
 	return p.fallback.predict(blockID)
 }
 
 func (p *twoLevelPred) train(blockID, actual int) {
 	if actual >= 0 {
-		p.table[p.index(blockID)] = int32(actual)
+		p.table[p.index(blockID)] = int32(actual + 1)
 	}
 	p.fallback.train(blockID, actual)
 	p.hist = p.hist<<3 ^ uint32(actual+1)&7

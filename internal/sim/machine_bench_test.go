@@ -57,6 +57,39 @@ func BenchmarkMachine(b *testing.B) {
 			c.Frames, c.GridWidth, c.GridHeight = 32, 8, 8
 		})
 	})
+	// A sweep-sized point: histogram at the 128 elements a sweep grid
+	// runs, a few milliseconds of simulation, so building the machine
+	// (inside the timed loop, as for every sub-benchmark) is a visible
+	// share of each run.
+	b.Run("histogram/size=128", func(b *testing.B) { benchMachine(b, "histogram", 128, false, nil) })
+}
+
+// BenchmarkMachineNew measures building a machine, New plus
+// EnableAccounting as every verified run does, once per issue policy.
+// Construction should cost what the run touches, not what the machine
+// could hold: the caches carve sets on first fill and the predictor tables
+// start as zeroed memory.
+func BenchmarkMachineNew(b *testing.B) {
+	w := workload.MustBuild("histogram", workload.Params{Size: 128})
+	er, err := emu.Run(w.Program, &w.Regs, w.Mem, emu.Options{CollectOracle: true, TraceBlocks: 1 << 30})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, p := range []core.IssuePolicy{core.IssueConservative, core.IssueAggressive, core.IssueStoreSet, core.IssueOracle} {
+		b.Run(p.String(), func(b *testing.B) {
+			cfg := DefaultConfig()
+			cfg.Policy = p
+			cfg.Recovery = core.RecoverDSRE
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				mc, err := New(cfg, w.Program, &w.Regs, w.Mem, er.Oracle, er.BlockTrace)
+				if err != nil {
+					b.Fatal(err)
+				}
+				mc.EnableAccounting()
+			}
+		})
+	}
 }
 
 // BenchmarkMachineDense runs the same kernels under Config.SlowTick — every

@@ -134,7 +134,7 @@ func buildMatmul(p Params) (*Workload, error) {
 	}
 	w.Check = func(regs *[isa.NumRegs]int64, m *mem.Memory) error {
 		for i := 0; i < n*n; i++ {
-			if err := checkU64(m, DataBase3+uint64(8*i), want[i], fmt.Sprintf("matmul C[%d]", i)); err != nil {
+			if err := checkU64(m, DataBase3+uint64(8*i), want[i], "matmul C[%d]", i); err != nil {
 				return err
 			}
 		}

@@ -93,7 +93,7 @@ func buildListsum(p Params) (*Workload, error) {
 			return err
 		}
 		for i := 0; i < n; i++ {
-			if err := checkU64(m, uint64(addr(i))+8, 2*vals[i], fmt.Sprintf("listsum node %d", i)); err != nil {
+			if err := checkU64(m, uint64(addr(i))+8, 2*vals[i], "listsum node %d", i); err != nil {
 				return err
 			}
 		}
@@ -227,7 +227,7 @@ func buildTreewalk(p Params) (*Workload, error) {
 	}
 	w.Check = func(regs *[isa.NumRegs]int64, m *mem.Memory) error {
 		for _, a := range nodeAddr {
-			if err := checkU64(m, uint64(a)+tnCount, counts[a], fmt.Sprintf("treewalk count @%#x", a)); err != nil {
+			if err := checkU64(m, uint64(a)+tnCount, counts[a], "treewalk count @%#x", int(a)); err != nil {
 				return err
 			}
 		}

@@ -221,7 +221,7 @@ func buildSPMV(p Params) (*Workload, error) {
 	w.Regs[rNRows] = int64(rows)
 	w.Check = func(regs *[isa.NumRegs]int64, m *mem.Memory) error {
 		for r := 0; r < rows; r++ {
-			if err := checkU64(m, yBase+uint64(8*r), want[r], fmt.Sprintf("spmv y[%d]", r)); err != nil {
+			if err := checkU64(m, yBase+uint64(8*r), want[r], "spmv y[%d]", r); err != nil {
 				return err
 			}
 		}
@@ -367,7 +367,7 @@ func buildSort(p Params) (*Workload, error) {
 	}
 	w.Check = func(regs *[isa.NumRegs]int64, m *mem.Memory) error {
 		for i := 0; i < n; i++ {
-			if err := checkU64(m, DataBase+uint64(8*i), ref[i], fmt.Sprintf("sort[%d]", i)); err != nil {
+			if err := checkU64(m, DataBase+uint64(8*i), ref[i], "sort[%d]", i); err != nil {
 				return err
 			}
 		}

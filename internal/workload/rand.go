@@ -76,7 +76,7 @@ func buildHistogram(p Params) (*Workload, error) {
 	w.Regs[rIdxEnd] = DataBase2 + int64(8*iters)
 	w.Check = func(regs *[isa.NumRegs]int64, m *mem.Memory) error {
 		for i := 0; i < bins; i++ {
-			if err := checkU64(m, DataBase+uint64(8*i), want[i], fmt.Sprintf("histogram[%d]", i)); err != nil {
+			if err := checkU64(m, DataBase+uint64(8*i), want[i], "histogram[%d]", i); err != nil {
 				return err
 			}
 		}
@@ -144,7 +144,7 @@ func buildBank(p Params) (*Workload, error) {
 	w.Regs[rIdxEnd] = DataBase2 + int64(16*iters)
 	w.Check = func(regs *[isa.NumRegs]int64, m *mem.Memory) error {
 		for i := 0; i < accounts; i++ {
-			if err := checkU64(m, DataBase+uint64(8*i), ref[i], fmt.Sprintf("bank[%d]", i)); err != nil {
+			if err := checkU64(m, DataBase+uint64(8*i), ref[i], "bank[%d]", i); err != nil {
 				return err
 			}
 		}
@@ -217,10 +217,10 @@ func buildHashmap(p Params) (*Workload, error) {
 	w.Check = func(regs *[isa.NumRegs]int64, m *mem.Memory) error {
 		for i := 0; i < slots; i++ {
 			a := DataBase + uint64(16*i)
-			if err := checkU64(m, a, ref[i].key, fmt.Sprintf("hashmap key[%d]", i)); err != nil {
+			if err := checkU64(m, a, ref[i].key, "hashmap key[%d]", i); err != nil {
 				return err
 			}
-			if err := checkU64(m, a+8, ref[i].val, fmt.Sprintf("hashmap val[%d]", i)); err != nil {
+			if err := checkU64(m, a+8, ref[i].val, "hashmap val[%d]", i); err != nil {
 				return err
 			}
 		}

@@ -170,7 +170,7 @@ func buildStencil(p Params) (*Workload, error) {
 	w.Regs[rEnd] = DataBase + int64(8*n)
 	w.Check = func(regs *[isa.NumRegs]int64, m *mem.Memory) error {
 		for i := 0; i < n; i++ {
-			if err := checkU64(m, DataBase+uint64(8*i), ref[i], fmt.Sprintf("stencil[%d]", i)); err != nil {
+			if err := checkU64(m, DataBase+uint64(8*i), ref[i], "stencil[%d]", i); err != nil {
 				return err
 			}
 		}

@@ -157,10 +157,16 @@ const (
 
 func lcgNext(x int64) int64 { return x*lcgMul + lcgAdd }
 
-// checkU64 compares one 8-byte memory word against an expected value.
-func checkU64(m *mem.Memory, addr uint64, want int64, what string) error {
+// checkU64 compares one 8-byte memory word against an expected value.  The
+// word's label is format applied to args, built only when the check fails:
+// verifying a run formats nothing.
+func checkU64(m *mem.Memory, addr uint64, want int64, format string, args ...int) error {
 	if got := m.Read(addr, 8); got != want {
-		return fmt.Errorf("%s: mem[%#x] = %d, want %d", what, addr, got, want)
+		boxed := make([]any, len(args))
+		for i, v := range args {
+			boxed[i] = v
+		}
+		return fmt.Errorf("%s: mem[%#x] = %d, want %d", fmt.Sprintf(format, boxed...), addr, got, want)
 	}
 	return nil
 }
