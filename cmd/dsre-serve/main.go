@@ -53,8 +53,6 @@ func main() {
 	batchLinger := flag.Duration("batch-linger", 25*time.Millisecond, "wait after first queued job so a burst coalesces into one batch")
 	leaseTTL := flag.Duration("lease-ttl", 10*time.Second, "fleet lease heartbeat deadline")
 	maxAttempts := flag.Int("max-attempts", 3, "lease grants per job before it fails terminally")
-	quotaRate := flag.Float64("quota-rate", 0, "per-tenant submitted-specs-per-second quota (0 = unlimited)")
-	quotaBurst := flag.Float64("quota-burst", 0, "per-tenant quota burst (0 = one second of rate)")
 	manifestDir := flag.String("manifest-dir", "", "write one sweep manifest per sweep here on drain (empty disables)")
 	eventsPath := flag.String("events", "", "write a dsre-events/v2 JSONL lifecycle log (empty disables)")
 	spanTrace := flag.String("span-trace", "", "write lifecycle spans as a Chrome trace on exit (empty disables)")
@@ -84,7 +82,6 @@ func main() {
 		addr: *addr, cache: *cache, localWorkers: *localWorkers,
 		batch: *batch, batchLinger: *batchLinger,
 		leaseTTL: *leaseTTL, maxAttempts: *maxAttempts,
-		quotaRate: *quotaRate, quotaBurst: *quotaBurst,
 		manifestDir: *manifestDir, eventsPath: *eventsPath, spanTrace: *spanTrace,
 		slowRequest:  *slowRequest,
 		drainTimeout: *drainTimeout, timeout: *timeout, retries: *retries,
@@ -97,7 +94,6 @@ type daemonConfig struct {
 	batchLinger           time.Duration
 	leaseTTL              time.Duration
 	maxAttempts           int
-	quotaRate, quotaBurst float64
 	manifestDir           string
 	eventsPath, spanTrace string
 	slowRequest           time.Duration
@@ -147,7 +143,6 @@ func runDaemon(c daemonConfig) {
 		Store: store, Obs: srvObs, Engine: engine, EngineObs: engObs,
 		LeaseTTL: c.leaseTTL, MaxAttempts: c.maxAttempts,
 		BatchMax: c.batch, BatchLinger: c.batchLinger,
-		QuotaRate: c.quotaRate, QuotaBurst: c.quotaBurst,
 		ManifestDir: c.manifestDir,
 		Sink:        sink, SlowRequest: c.slowRequest,
 	})

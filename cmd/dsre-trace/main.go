@@ -90,14 +90,11 @@ func main() {
 	t.Row("insts/block", float64(res.Insts)/float64(res.Blocks))
 	t.Row("loads", res.Loads)
 	t.Row("stores", res.Stores)
-	t.Row("loads with in-window deps (est)", len(res.Oracle))
+	t.Row("loads with in-window deps (est)", res.DependentLoads())
 	fmt.Println(t)
 
 	fmt.Println("store→load dependence distance histogram (dynamic memory ops):")
-	total := int64(0)
-	for _, n := range res.DepDistance {
-		total += n
-	}
+	total := res.DependentLoads()
 	if total == 0 {
 		fmt.Println("  (no store→load dependences)")
 	}
@@ -124,14 +121,14 @@ func main() {
 			InstsBlock  float64 `json:"insts_per_block"`
 			Loads       int64   `json:"loads"`
 			Stores      int64   `json:"stores"`
-			OracleDeps  int     `json:"loads_with_in_window_deps"`
+			OracleDeps  int64   `json:"loads_with_in_window_deps"`
 			DepDistance []int64 `json:"dep_distance_hist"`
 		}{
 			Schema: "dsre-profile/v1", Workload: w.Name,
 			Blocks: res.Blocks, Insts: res.Insts,
 			InstsBlock: float64(res.Insts) / float64(res.Blocks),
 			Loads:      res.Loads, Stores: res.Stores,
-			OracleDeps: len(res.Oracle), DepDistance: res.DepDistance[:],
+			OracleDeps: res.DependentLoads(), DepDistance: res.DepDistance[:],
 		}
 		data, err := json.MarshalIndent(&profile, "", "  ")
 		if err != nil {

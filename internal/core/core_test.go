@@ -253,3 +253,12 @@ func BenchmarkWaveAccounting(b *testing.B) {
 		w.Reexecuted(Tag(i &^ 7))
 	}
 }
+
+func TestDynRefString(t *testing.T) {
+	if got := (DynRef{Seq: 3, LSID: 2}).String(); got != "b3.ls2" {
+		t.Errorf("String = %q", got)
+	}
+	if NoDynRef.Valid() || !(DynRef{}).Valid() {
+		t.Error("Valid: NoDynRef must be invalid and the zero reference valid")
+	}
+}

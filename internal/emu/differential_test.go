@@ -2,11 +2,13 @@ package emu_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/emu"
 	"repro/internal/isa"
 	"repro/internal/mem"
@@ -27,11 +29,13 @@ var smallSizes = map[string]int{
 }
 
 // diffRun runs the emulator and the reference on the same inputs and
-// reports every Result field, or error string, on which they differ.
+// reports every Result field, or error string, on which they differ, and
+// every (seq, LSID) pair on which the oracle table and the reference's
+// dependence map disagree.
 func diffRun(t *testing.T, name string, p *isa.Program, regs *[isa.NumRegs]int64, m *mem.Memory, opt emu.Options) *emu.Result {
 	t.Helper()
 	got, gotErr := emu.Run(p, regs, m, opt)
-	want, wantErr := emu.ReferenceRun(p, regs, m, opt)
+	want, wantOracle, wantErr := emu.ReferenceRun(p, regs, m, opt)
 	if gotErr != nil || wantErr != nil {
 		if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() {
 			t.Errorf("%s: error %v, reference %v", name, gotErr, wantErr)
@@ -41,7 +45,43 @@ func diffRun(t *testing.T, name string, p *isa.Program, regs *[isa.NumRegs]int64
 	if err := diffResults(got, want); err != nil {
 		t.Errorf("%s: %v", name, err)
 	}
+	if err := diffOracle(p, got, wantOracle); err != nil {
+		t.Errorf("%s: %v", name, err)
+	}
 	return got
+}
+
+// diffOracle checks the oracle table against the reference's map on every
+// (seq, LSID) pair: each committed block and one past either end, each
+// LSID from -1 to one past the program's highest.  So a dependence the
+// table misses, one it invents (a store's own slot, say) and one that
+// names the wrong store all show, as does a table that holds the right
+// stores under the wrong block.  An LSID outside the ISA's range names no
+// slot, so the table answers NoDynRef for it by design; only a corrupted
+// program has one.
+func diffOracle(p *isa.Program, got *emu.Result, want map[core.DynRef]core.DynRef) error {
+	if got.Oracle == nil {
+		return fmt.Errorf("Oracle: no table")
+	}
+	hi := 0
+	for _, b := range p.Blocks {
+		for i := range b.Insts {
+			hi = max(hi, int(b.Insts[i].LSID)+1)
+		}
+	}
+	for seq := int64(-1); seq <= got.Blocks; seq++ {
+		for l := -1; l <= min(hi, math.MaxInt8); l++ {
+			ref := core.DynRef{Seq: seq, LSID: int8(l)}
+			w, ok := want[ref]
+			if !ok || l < 0 || l >= isa.MaxMemOps {
+				w = core.NoDynRef
+			}
+			if d := got.Oracle.Dep(ref); d != w {
+				return fmt.Errorf("Oracle: load %v depends on %v, reference %v (ok=%v)", ref, d, w, ok)
+			}
+		}
+	}
+	return nil
 }
 
 func diffResults(got, want *emu.Result) error {
@@ -53,8 +93,6 @@ func diffResults(got, want *emu.Result) error {
 		return fmt.Errorf("counts %d/%d/%d/%d, reference %d/%d/%d/%d",
 			got.Blocks, got.Insts, got.Loads, got.Stores,
 			want.Blocks, want.Insts, want.Loads, want.Stores)
-	case !reflect.DeepEqual(got.Oracle, want.Oracle):
-		return fmt.Errorf("Oracle: %d entries, reference %d (or an entry differs)", len(got.Oracle), len(want.Oracle))
 	case got.DepDistance != want.DepDistance:
 		return fmt.Errorf("DepDistance %v, reference %v", got.DepDistance, want.DepDistance)
 	case !reflect.DeepEqual(got.BlockTrace, want.BlockTrace):
@@ -84,7 +122,7 @@ func TestDifferentialKernels(t *testing.T) {
 				res := diffRun(t, name, w.Program, &w.Regs, w.Mem, diffOptions)
 				if res == nil {
 					t.Errorf("%s: no result", name)
-				} else if k == "stencil" && len(res.Oracle) == 0 {
+				} else if k == "stencil" && res.DependentLoads() == 0 {
 					t.Errorf("%s: conflict kernel produced an empty oracle", name)
 				}
 			}
@@ -167,11 +205,11 @@ func randomProgram(t *testing.T, rng *rand.Rand) (*isa.Program, [isa.NumRegs]int
 // on fixed-seed random programs built around a page boundary.
 func TestDifferentialRandomPrograms(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
-	conflicts := 0
+	var conflicts int64
 	for n := 0; n < 400; n++ {
 		p, regs, m := randomProgram(t, rng)
 		if res := diffRun(t, fmt.Sprintf("program %d", n), p, &regs, m, diffOptions); res != nil {
-			conflicts += len(res.Oracle)
+			conflicts += res.DependentLoads()
 		}
 	}
 	if conflicts == 0 {
@@ -283,7 +321,7 @@ func TestDifferentialCorruptPrograms(t *testing.T) {
 		opt := c.opt
 		opt.CollectOracle, opt.TraceStores, opt.TraceBlocks = true, true, 16
 		_, gotErr := emu.Run(p, &regs, mem.New(), opt)
-		_, wantErr := emu.ReferenceRun(p, &regs, mem.New(), opt)
+		_, _, wantErr := emu.ReferenceRun(p, &regs, mem.New(), opt)
 		if gotErr == nil || wantErr == nil {
 			t.Errorf("%s: error %v, reference %v: both must fail", c.name, gotErr, wantErr)
 			continue
@@ -293,6 +331,86 @@ func TestDifferentialCorruptPrograms(t *testing.T) {
 		}
 		if !strings.Contains(wantErr.Error(), c.want) {
 			t.Errorf("%s: reference error %q lacks %q", c.name, wantErr, c.want)
+		}
+	}
+}
+
+// lsidLoop is a looping block whose three loads each read a byte one of
+// its two stores wrote, so every load has an oracle entry in every
+// iteration; the corruptions below then rewrite its LSIDs.
+func lsidLoop(b *program.Builder) {
+	blk := b.NewBlock("loop")
+	i := blk.Read(1)
+	blk.Store(blk.Const(0xff8), 0, i)
+	x := blk.Load(blk.Const(0xffc), 0)
+	blk.Store1(blk.Const(0x1000), 0, x)
+	y := blk.Op(isa.OpAdd, x, blk.Load1(blk.Const(0x1000), 0))
+	y = blk.Op(isa.OpAdd, y, blk.Load(blk.Const(0xff8), 0))
+	i2 := blk.Op(isa.OpSub, i, blk.Const(1))
+	blk.Write(1, i2)
+	blk.Write(2, y)
+	blk.BranchIf(blk.Op(isa.OpTgt, i2, blk.Const(0)), "loop", "@halt")
+}
+
+// memInsts returns block 0's memory instructions in instruction order.
+func memInsts(p *isa.Program) []*isa.Inst {
+	var ms []*isa.Inst
+	for i := range p.Blocks[0].Insts {
+		if in := &p.Blocks[0].Insts[i]; in.Op.IsMem() {
+			ms = append(ms, in)
+		}
+	}
+	return ms
+}
+
+// TestDifferentialOracleCorruptLSIDs runs programs whose LSIDs break the
+// validator's rules but still execute.  The table must agree with the
+// reference's map wherever an LSID names a slot, keep the younger of two
+// loads sharing one, and drop an LSID outside the ISA's range rather than
+// write past its block.
+func TestDifferentialOracleCorruptLSIDs(t *testing.T) {
+	cases := []struct {
+		name    string
+		corrupt func(ms []*isa.Inst) // ms: st, ld, st1, ld1, ld
+		dropped bool                 // the reference holds an entry the table drops
+	}{
+		{"valid", func([]*isa.Inst) {}, false},
+		{"loads share an LSID", func(ms []*isa.Inst) { ms[4].LSID = ms[1].LSID }, false},
+		{"load shares a store's LSID", func(ms []*isa.Inst) { ms[3].LSID = ms[2].LSID }, false},
+		{"LSID gap", func(ms []*isa.Inst) { ms[4].LSID = isa.MaxMemOps - 1 }, false},
+		{"LSIDs reversed", func(ms []*isa.Inst) {
+			for k, in := range ms {
+				in.LSID = int8(len(ms) - 1 - k)
+			}
+		}, false},
+		{"LSID beyond the ISA", func(ms []*isa.Inst) { ms[3].LSID = isa.MaxMemOps + 8 }, true},
+		{"load without an LSID", func(ms []*isa.Inst) { ms[1].LSID = isa.NoLSID }, true},
+	}
+	for _, c := range cases {
+		b := program.New("lsid")
+		lsidLoop(b)
+		p, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.corrupt(memInsts(p))
+		var regs [isa.NumRegs]int64
+		regs[1] = 4
+		res := diffRun(t, c.name, p, &regs, mem.New(), diffOptions)
+		if res == nil {
+			t.Errorf("%s: no result", c.name)
+			continue
+		}
+		_, want, err := emu.ReferenceRun(p, &regs, mem.New(), diffOptions)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dropped := false
+		for ref := range want {
+			dropped = dropped || ref.LSID < 0 || int(ref.LSID) >= isa.MaxMemOps
+		}
+		if dropped != c.dropped {
+			t.Errorf("%s: reference holds an out-of-range LSID: %v, want %v", c.name, dropped, c.dropped)
 		}
 	}
 }

@@ -6,9 +6,9 @@
 // Besides architectural results, the emulator produces two artifacts the
 // evaluation needs:
 //
-//   - the perfect-oracle table: for each dynamic load, the dynamic store
-//     (if any) that most recently wrote an overlapping byte.  The Oracle
-//     dependence predictor (internal/predictor) is driven by this table,
+//   - the perfect-oracle table (Oracle): for each dynamic load, the dynamic
+//     store (if any) that most recently wrote an overlapping byte.  The
+//     load/store queue reads it directly under the oracle issue policy,
 //     implementing the paper's "perfect oracle directing the issue of
 //     loads";
 //   - a dynamic profile (instruction mix, store→load dependence distance
@@ -19,21 +19,10 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/mem"
 )
-
-// MemRef identifies a dynamic memory operation by the dynamic block sequence
-// number it belongs to and its load/store ID within the block.  Block
-// sequence numbers count committed blocks from zero, so they are identical
-// between the emulator and any correct simulator run.
-type MemRef struct {
-	BlockSeq int64
-	LSID     int8
-}
-
-// String renders the reference for diagnostics.
-func (r MemRef) String() string { return fmt.Sprintf("b%d.ls%d", r.BlockSeq, r.LSID) }
 
 // Options configures a Run.
 type Options struct {
@@ -47,14 +36,15 @@ type Options struct {
 	// simulator divergence).  Zero disables; otherwise at most TraceBlocks
 	// entries are kept.
 	TraceBlocks int
-	// TraceStores records every dynamic store's final address and data,
-	// keyed by MemRef — the golden reference used by simulator tests to
-	// validate each drained store at its source.
+	// TraceStores records every dynamic store's final address and data
+	// — the golden reference used by simulator tests to validate each
+	// drained store at its source.
 	TraceStores bool
 }
 
 // StoreRecord is one dynamic store in the golden trace.
 type StoreRecord struct {
+	Ref  core.DynRef
 	Addr uint64
 	Data int64
 	Size int
@@ -72,10 +62,9 @@ type Result struct {
 	Loads  int64
 	Stores int64
 
-	// Oracle maps each dynamic load to the dynamic store that most recently
-	// wrote an overlapping byte.  Loads with no conflicting store in the
-	// run's history are absent.  Populated when Options.CollectOracle.
-	Oracle map[MemRef]MemRef
+	// Oracle is the perfect-oracle dependence table.  Populated when
+	// Options.CollectOracle.
+	Oracle *Oracle
 
 	// DepDistance histograms store→load dependence distances, measured in
 	// dynamic memory operations between the store and the dependent load.
@@ -86,8 +75,20 @@ type Result struct {
 	// BlockTrace is the committed block-ID sequence, when requested.
 	BlockTrace []int
 
-	// StoreTrace is the golden store trace, when requested.
-	StoreTrace map[MemRef]StoreRecord
+	// StoreTrace is the golden store trace in execution order, when
+	// requested.
+	StoreTrace []StoreRecord
+}
+
+// DependentLoads returns the number of dynamic loads that read a byte an
+// earlier store wrote, the sum of DepDistance.  In a valid program each is
+// one oracle entry.
+func (r *Result) DependentLoads() int64 {
+	var n int64
+	for _, c := range r.DepDistance {
+		n += c
+	}
+	return n
 }
 
 // Run executes the program from the given initial state.  The initial
@@ -105,11 +106,8 @@ func Run(p *isa.Program, regs *[isa.NumRegs]int64, m *mem.Memory, opt Options) (
 		e.opt.MaxBlocks = DefaultMaxBlocks
 	}
 	if opt.CollectOracle {
-		e.oracle = make(map[MemRef]MemRef)
+		e.oracle = &Oracle{}
 		e.shadow = &shadow{pages: make(map[uint64]*shadowPage)}
-	}
-	if opt.TraceStores {
-		e.storeTrace = make(map[MemRef]StoreRecord)
 	}
 	if err := e.run(); err != nil {
 		return nil, err
@@ -121,7 +119,10 @@ func Run(p *isa.Program, regs *[isa.NumRegs]int64, m *mem.Memory, opt Options) (
 		Insts:  e.insts,
 		Loads:  e.loads,
 		Stores: e.stores,
-		Oracle: e.oracle,
+	}
+	if e.oracle != nil {
+		e.oracle.stores = e.shadow.writers
+		res.Oracle = e.oracle
 	}
 	res.DepDistance = e.depDist
 	res.BlockTrace = e.trace
@@ -130,7 +131,7 @@ func Run(p *isa.Program, regs *[isa.NumRegs]int64, m *mem.Memory, opt Options) (
 }
 
 type writerInfo struct {
-	ref    MemRef
+	ref    core.DynRef
 	memSeq int64 // dynamic memory-op sequence number of the writer
 }
 
@@ -158,8 +159,8 @@ type emulator struct {
 	writes   []operand
 	gen      uint64
 
-	oracle     map[MemRef]MemRef
-	storeTrace map[MemRef]StoreRecord
+	oracle     *Oracle
+	storeTrace []StoreRecord
 	shadow     *shadow
 	depDist    [24]int64
 	trace      []int
@@ -247,6 +248,11 @@ func (e *emulator) get(i int, in *isa.Inst, s isa.Slot) (int64, error) {
 func (e *emulator) execBlock(b *isa.Block) (next int, err error) {
 	seq := e.blocks
 	e.begin(b)
+	if e.oracle != nil {
+		if err := e.oracle.begin(); err != nil {
+			return 0, err
+		}
+	}
 	var target int64
 	branchTaken := false
 
@@ -285,7 +291,7 @@ func (e *emulator) execBlock(b *isa.Block) (next int, err error) {
 			v := e.m.Read(addr, size)
 			e.loads++
 			if e.oracle != nil {
-				e.recordLoad(MemRef{seq, in.LSID}, addr, size)
+				e.recordLoad(in.LSID, addr, size)
 			}
 			e.memSeq++
 			if err := e.deliver(in.Targets, v); err != nil {
@@ -296,11 +302,12 @@ func (e *emulator) execBlock(b *isa.Block) (next int, err error) {
 			size := in.Op.MemSize()
 			e.m.Write(addr, bv, size)
 			e.stores++
-			if e.storeTrace != nil {
-				e.storeTrace[MemRef{seq, in.LSID}] = StoreRecord{Addr: addr, Data: bv, Size: size}
+			ref := core.DynRef{Seq: seq, LSID: in.LSID}
+			if e.opt.TraceStores {
+				e.storeTrace = append(e.storeTrace, StoreRecord{Ref: ref, Addr: addr, Data: bv, Size: size})
 			}
 			if e.oracle != nil {
-				if err := e.recordStore(MemRef{seq, in.LSID}, addr, size); err != nil {
+				if err := e.recordStore(ref, addr, size); err != nil {
 					return 0, err
 				}
 			}
@@ -341,17 +348,18 @@ func (e *emulator) execBlock(b *isa.Block) (next int, err error) {
 	return next, nil
 }
 
-func (e *emulator) recordStore(ref MemRef, addr uint64, size int) error {
+func (e *emulator) recordStore(ref core.DynRef, addr uint64, size int) error {
 	return e.shadow.store(addr, size, writerInfo{ref: ref, memSeq: e.memSeq})
 }
 
-func (e *emulator) recordLoad(ref MemRef, addr uint64, size int) {
-	best, found := e.shadow.youngest(addr, size)
-	if !found {
+// recordLoad enters the executing block's load lsid in the oracle table.
+func (e *emulator) recordLoad(lsid int8, addr uint64, size int) {
+	id := e.shadow.youngest(addr, size)
+	if id == 0 {
 		return
 	}
-	e.oracle[ref] = best.ref
-	d := e.memSeq - best.memSeq
+	e.oracle.set(lsid, id)
+	d := e.memSeq - e.shadow.writers[id-1].memSeq
 	bucket := 0
 	for d > 1 && bucket < len(e.depDist)-1 {
 		d >>= 1
@@ -422,9 +430,9 @@ func (s *shadow) store(addr uint64, size int, w writerInfo) error {
 	return nil
 }
 
-// youngest returns the youngest store that wrote any of the size bytes at
-// addr, and whether there is one.
-func (s *shadow) youngest(addr uint64, size int) (writerInfo, bool) {
+// youngest returns 1 + the writers index of the youngest store that wrote
+// any of the size bytes at addr, or 0 if no store has.
+func (s *shadow) youngest(addr uint64, size int) int32 {
 	var id int32
 	if off := addr & shadowMask; off+uint64(size) <= shadowSize {
 		if p := s.page(addr, false); p != nil {
@@ -440,8 +448,59 @@ func (s *shadow) youngest(addr uint64, size int) (writerInfo, bool) {
 			}
 		}
 	}
-	if id == 0 {
-		return writerInfo{}, false
+	return id
+}
+
+// Oracle is the perfect-oracle table: for each dynamic load, the dynamic
+// store (if any) that most recently wrote an overlapping byte.  It is dense
+// and read-only once Run returns.  Committed block seq owns the slots from
+// base[seq] up to the next block's base, one per LSID up to its highest
+// dependent load; a slot holds 1 + the index of the conflicting store in
+// stores, or 0 when there is none.  stores is the shadow's append-only
+// store list, which the table shares rather than copies.
+type Oracle struct {
+	base   []int32
+	slots  []int32
+	stores []writerInfo
+}
+
+// begin opens the next committed block's slot range.
+func (o *Oracle) begin() error {
+	if len(o.slots) > math.MaxInt32-isa.MaxMemOps {
+		return fmt.Errorf("emu: oracle table holds at most %d slots", math.MaxInt32)
 	}
-	return s.writers[id-1], true
+	o.base = append(o.base, int32(len(o.slots)))
+	return nil
+}
+
+// set records that the executing block's load lsid depends on store id-1,
+// growing the block's slot range to reach it.  An LSID outside the ISA's
+// range names no slot (only a corrupted program has one) and is dropped.
+func (o *Oracle) set(lsid int8, id int32) {
+	if lsid < 0 || int(lsid) >= isa.MaxMemOps {
+		return
+	}
+	i := int(o.base[len(o.base)-1]) + int(lsid)
+	if i >= len(o.slots) {
+		o.slots = append(o.slots, make([]int32, i+1-len(o.slots))...)
+	}
+	o.slots[i] = id
+}
+
+// Dep returns the store the dynamic load must wait for, or core.NoDynRef.
+// A store, a load with no conflicting store and any reference the run
+// never committed all answer core.NoDynRef.
+func (o *Oracle) Dep(load core.DynRef) core.DynRef {
+	if load.Seq < 0 || load.Seq >= int64(len(o.base)) || load.LSID < 0 {
+		return core.NoDynRef
+	}
+	i := int(o.base[load.Seq]) + int(load.LSID)
+	end := len(o.slots)
+	if load.Seq+1 < int64(len(o.base)) {
+		end = int(o.base[load.Seq+1])
+	}
+	if i >= end || o.slots[i] == 0 {
+		return core.NoDynRef
+	}
+	return o.stores[o.slots[i]-1].ref
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/program"
@@ -102,13 +103,15 @@ func TestOracleAndStoreTrace(t *testing.T) {
 	if res.Regs[1] != 7 {
 		t.Fatalf("r1 = %d", res.Regs[1])
 	}
-	dep, ok := res.Oracle[MemRef{0, 1}]
-	if !ok || dep != (MemRef{0, 0}) {
-		t.Errorf("oracle = %v (ok=%v)", dep, ok)
+	if dep := res.Oracle.Dep(core.DynRef{Seq: 0, LSID: 1}); dep != (core.DynRef{Seq: 0, LSID: 0}) {
+		t.Errorf("oracle = %v", dep)
 	}
-	rec, ok := res.StoreTrace[MemRef{0, 0}]
-	if !ok || rec.Addr != 0x100 || rec.Data != 7 || rec.Size != 8 {
-		t.Errorf("store trace = %+v (ok=%v)", rec, ok)
+	if dep := res.Oracle.Dep(core.DynRef{Seq: 0, LSID: 0}); dep.Valid() {
+		t.Errorf("store has a dependence %v", dep)
+	}
+	want := StoreRecord{Ref: core.DynRef{Seq: 0, LSID: 0}, Addr: 0x100, Data: 7, Size: 8}
+	if len(res.StoreTrace) != 1 || res.StoreTrace[0] != want {
+		t.Errorf("store trace = %+v", res.StoreTrace)
 	}
 	if len(res.BlockTrace) != 1 || res.BlockTrace[0] != 0 {
 		t.Errorf("block trace = %v", res.BlockTrace)
@@ -158,11 +161,5 @@ func TestBranchOutOfRange(t *testing.T) {
 	if _, err := Run(p, &regs, mem.New(), Options{}); err == nil ||
 		!strings.Contains(err.Error(), "out-of-range") {
 		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestMemRefString(t *testing.T) {
-	if got := (MemRef{BlockSeq: 3, LSID: 2}).String(); got != "b3.ls2" {
-		t.Errorf("String = %q", got)
 	}
 }

@@ -8,6 +8,7 @@ package emu
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/mem"
 )
@@ -15,8 +16,10 @@ import (
 // ReferenceRun is the refEmulator as it was before the allocation-free rewrite:
 // fresh slot arrays and closures per block, a per-byte last-writer map for
 // the oracle.  It executes the program from the given initial state.  The initial
-// registers and memory are not modified; the Result holds copies.
-func ReferenceRun(p *isa.Program, regs *[isa.NumRegs]int64, m *mem.Memory, opt Options) (*Result, error) {
+// registers and memory are not modified; the Result holds copies.  The
+// reference keeps its oracle as a map from each dependent load to its
+// store, returned beside a Result whose Oracle is nil.
+func ReferenceRun(p *isa.Program, regs *[isa.NumRegs]int64, m *mem.Memory, opt Options) (*Result, map[core.DynRef]core.DynRef, error) {
 	e := &refEmulator{
 		p:   p,
 		m:   m.Clone(),
@@ -29,14 +32,11 @@ func ReferenceRun(p *isa.Program, regs *[isa.NumRegs]int64, m *mem.Memory, opt O
 		e.opt.MaxBlocks = DefaultMaxBlocks
 	}
 	if opt.CollectOracle {
-		e.oracle = make(map[MemRef]MemRef)
+		e.oracle = make(map[core.DynRef]core.DynRef)
 		e.lastWriter = make(map[uint64]refWriterInfo)
 	}
-	if opt.TraceStores {
-		e.storeTrace = make(map[MemRef]StoreRecord)
-	}
 	if err := e.run(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	res := &Result{
 		Regs:   e.regs,
@@ -45,16 +45,15 @@ func ReferenceRun(p *isa.Program, regs *[isa.NumRegs]int64, m *mem.Memory, opt O
 		Insts:  e.insts,
 		Loads:  e.loads,
 		Stores: e.stores,
-		Oracle: e.oracle,
 	}
 	res.DepDistance = e.depDist
 	res.BlockTrace = e.trace
 	res.StoreTrace = e.storeTrace
-	return res, nil
+	return res, e.oracle, nil
 }
 
 type refWriterInfo struct {
-	ref    MemRef
+	ref    core.DynRef
 	memSeq int64 // dynamic memory-op sequence number of the writer
 }
 
@@ -70,8 +69,8 @@ type refEmulator struct {
 	stores int64
 	memSeq int64
 
-	oracle     map[MemRef]MemRef
-	storeTrace map[MemRef]StoreRecord
+	oracle     map[core.DynRef]core.DynRef
+	storeTrace []StoreRecord
 	lastWriter map[uint64]refWriterInfo
 	depDist    [24]int64
 	trace      []int
@@ -178,7 +177,7 @@ func (e *refEmulator) execBlock(b *isa.Block) (next int, err error) {
 			v := e.m.Read(addr, size)
 			e.loads++
 			if e.oracle != nil {
-				e.recordLoad(MemRef{seq, in.LSID}, addr, size)
+				e.recordLoad(core.DynRef{Seq: seq, LSID: in.LSID}, addr, size)
 			}
 			e.memSeq++
 			if err := deliver(in.Targets, v); err != nil {
@@ -189,11 +188,12 @@ func (e *refEmulator) execBlock(b *isa.Block) (next int, err error) {
 			size := in.Op.MemSize()
 			e.m.Write(addr, bv, size)
 			e.stores++
-			if e.storeTrace != nil {
-				e.storeTrace[MemRef{seq, in.LSID}] = StoreRecord{Addr: addr, Data: bv, Size: size}
+			ref := core.DynRef{Seq: seq, LSID: in.LSID}
+			if e.opt.TraceStores {
+				e.storeTrace = append(e.storeTrace, StoreRecord{Ref: ref, Addr: addr, Data: bv, Size: size})
 			}
 			if e.oracle != nil {
-				e.recordStore(MemRef{seq, in.LSID}, addr, size)
+				e.recordStore(ref, addr, size)
 			}
 			e.memSeq++
 		case in.Op.IsBranch():
@@ -232,14 +232,14 @@ func (e *refEmulator) execBlock(b *isa.Block) (next int, err error) {
 	return next, nil
 }
 
-func (e *refEmulator) recordStore(ref MemRef, addr uint64, size int) {
+func (e *refEmulator) recordStore(ref core.DynRef, addr uint64, size int) {
 	wi := refWriterInfo{ref: ref, memSeq: e.memSeq}
 	for i := 0; i < size; i++ {
 		e.lastWriter[addr+uint64(i)] = wi
 	}
 }
 
-func (e *refEmulator) recordLoad(ref MemRef, addr uint64, size int) {
+func (e *refEmulator) recordLoad(ref core.DynRef, addr uint64, size int) {
 	var best refWriterInfo
 	found := false
 	for i := 0; i < size; i++ {

@@ -31,12 +31,12 @@ func BenchmarkForwardingScan(b *testing.B) {
 	for seq := int64(0); seq < 8; seq++ {
 		q.RegisterBlock(seq, ops)
 		for i := 0; i < 32; i += 2 {
-			q.StoreUpdate(Key{seq, int8(i)}, uint64(0x1000+8*((seq*16+int64(i))%64)), seq, 0, false, false)
+			q.StoreUpdate(core.DynRef{Seq: seq, LSID: int8(i)}, uint64(0x1000+8*((seq*16+int64(i))%64)), seq, 0, false, false)
 		}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q.reconstruct(Key{7, 31}, 0x1000, 8)
+		q.reconstruct(core.DynRef{Seq: 7, LSID: 31}, 0x1000, 8)
 	}
 }
 
@@ -51,14 +51,14 @@ func BenchmarkViolationCheck(b *testing.B) {
 	for seq := int64(0); seq < 8; seq++ {
 		q.RegisterBlock(seq, ops)
 		for i := 1; i < 32; i++ {
-			q.LoadTry(0, Key{seq, int8(i)}, uint64(0x1000+8*int64(i%8)), 0)
+			q.LoadTry(0, core.DynRef{Seq: seq, LSID: int8(i)}, uint64(0x1000+8*int64(i%8)), 0)
 		}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// Alternating value prevents silent-store short-circuits from
 		// making the measurement trivial.
-		q.StoreUpdate(Key{0, 0}, 0x1000, int64(i&1), 0, false, false)
+		q.StoreUpdate(core.DynRef{Seq: 0, LSID: 0}, 0x1000, int64(i&1), 0, false, false)
 	}
 }
 
@@ -79,9 +79,9 @@ func BenchmarkCertifyScan(b *testing.B) {
 			q.RegisterBlock(0, stores)
 			for i := 0; i < 31; i++ {
 				// Address committed, data pending: stays an alias candidate.
-				q.StoreUpdate(Key{0, int8(i)}, uint64(0x1000+8*i), 1, 0, true, false)
+				q.StoreUpdate(core.DynRef{Seq: 0, LSID: int8(i)}, uint64(0x1000+8*i), 1, 0, true, false)
 			}
-			q.StoreUpdate(Key{0, 31}, 0x8000, 1, 0, false, false) // address never final
+			q.StoreUpdate(core.DynRef{Seq: 0, LSID: 31}, 0x8000, 1, 0, false, false) // address never final
 			mixed := make([]OpInfo, 32)
 			for i := range mixed {
 				mixed[i] = OpInfo{LSID: int8(i), IsStore: i == 0, Size: 8}
@@ -89,7 +89,7 @@ func BenchmarkCertifyScan(b *testing.B) {
 			for seq := int64(1); seq < int64(blocks); seq++ {
 				q.RegisterBlock(seq, mixed)
 				for i := 1; i < 32; i++ {
-					k := Key{seq, int8(i)}
+					k := core.DynRef{Seq: seq, LSID: int8(i)}
 					q.LoadTry(0, k, uint64(0x9000+8*(32*seq+int64(i))), 0)
 					q.LoadInputsCommitted(k)
 				}
@@ -121,10 +121,10 @@ func BenchmarkAliasSearch(b *testing.B) {
 	for seq := int64(0); seq < 8; seq++ {
 		q.RegisterBlock(seq, ops)
 		for i := 0; i < 31; i++ {
-			q.StoreUpdate(Key{seq, int8(i)}, uint64(0x1000+8*(seq*32+int64(i))), 1, 0, true, false)
+			q.StoreUpdate(core.DynRef{Seq: seq, LSID: int8(i)}, uint64(0x1000+8*(seq*32+int64(i))), 1, 0, true, false)
 		}
 	}
-	load := Key{7, 31}
+	load := core.DynRef{Seq: 7, LSID: 31}
 	q.LoadTry(0, load, 0x9000, 0)
 	q.LoadInputsCommitted(load)
 	s, op := q.opSlot(load)
@@ -153,7 +153,7 @@ func BenchmarkLoadIssue(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		seq := int64(i)
 		q.RegisterBlock(seq, ops)
-		q.LoadTry(int64(i), Key{seq, 0}, 0x2000, 0)
+		q.LoadTry(int64(i), core.DynRef{Seq: seq, LSID: 0}, 0x2000, 0)
 		q.Drain(seq)
 	}
 }
@@ -175,12 +175,12 @@ func BenchmarkStoreRecheck(b *testing.B) {
 				q.RegisterBlock(seq, ops)
 				for i := 1; i < 32; i++ {
 					// Words 8..38 of each 512-byte page: never word 0.
-					q.LoadTry(0, Key{seq, int8(i)}, uint64(0x10000+0x200*seq+8*int64(i+7)), 0)
+					q.LoadTry(0, core.DynRef{Seq: seq, LSID: int8(i)}, uint64(0x10000+0x200*seq+8*int64(i+7)), 0)
 				}
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if vs := q.StoreUpdate(Key{0, 0}, 0x1000, int64(i&1), 0, false, false); len(vs) != 0 {
+				if vs := q.StoreUpdate(core.DynRef{Seq: 0, LSID: 0}, 0x1000, int64(i&1), 0, false, false); len(vs) != 0 {
 					b.Fatal("disjoint loads violated")
 				}
 			}
@@ -203,10 +203,10 @@ func BenchmarkReconstructMiss(b *testing.B) {
 			for seq := int64(0); seq < int64(blocks); seq++ {
 				q.RegisterBlock(seq, ops)
 				for i := 0; i < 31; i++ {
-					q.StoreUpdate(Key{seq, int8(i)}, uint64(0x10000+0x200*seq+8*int64(i+8)), seq, 0, false, false)
+					q.StoreUpdate(core.DynRef{Seq: seq, LSID: int8(i)}, uint64(0x10000+0x200*seq+8*int64(i+8)), seq, 0, false, false)
 				}
 			}
-			load := Key{int64(blocks - 1), 31}
+			load := core.DynRef{Seq: int64(blocks - 1), LSID: 31}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, fwd := q.reconstruct(load, 0x1000, 8); fwd != 0 {
@@ -244,7 +244,7 @@ func BenchmarkTakeReadyParked(b *testing.B) {
 	for seq := int64(0); seq < 8; seq++ {
 		q.RegisterBlock(seq, ops)
 		for i := 1; i < 32; i++ {
-			if r := q.LoadTry(0, Key{seq, int8(i)}, uint64(0x1000+8*i), 0); r.Reason != DeferPolicy {
+			if r := q.LoadTry(0, core.DynRef{Seq: seq, LSID: int8(i)}, uint64(0x1000+8*i), 0); r.Reason != DeferPolicy {
 				b.Fatalf("load not parked by the store-set policy: %+v", r)
 			}
 		}

@@ -14,7 +14,7 @@ import (
 // against: no store older than k may still change the load's value — each
 // is committed, or has a final, live address that does not overlap the
 // load.  It walks every older block for every candidate.
-func refOlderStoresSafe(q *Queue, k Key, laddr uint64, lsize int) bool {
+func refOlderStoresSafe(q *Queue, k core.DynRef, laddr uint64, lsize int) bool {
 	base := q.seqs[q.head]
 	for l := int64(0); ; l++ {
 		bseq := base + l
@@ -46,7 +46,7 @@ func refOlderStoresSafe(q *Queue, k Key, laddr uint64, lsize int) bool {
 
 // refCertifiable returns what a scan must certify, in candidate arrival
 // order, without mutating the queue.
-func refCertifiable(q *Queue, cands []Key) []CertifiedLoad {
+func refCertifiable(q *Queue, cands []core.DynRef) []CertifiedLoad {
 	var out []CertifiedLoad
 	for _, k := range cands {
 		s, op := q.opSlot(k)
@@ -83,7 +83,7 @@ type certDriver struct {
 	maxBlocks int
 	next      int64 // next block sequence to register
 	now       int64 // advanced past every miss, so no load parks on MSHRs
-	cands     []Key
+	cands     []core.DynRef
 	scans     int
 	hits      int
 }
@@ -98,19 +98,19 @@ func (d *certDriver) randAddr(size int) uint64 {
 }
 
 // pick returns a random resident op matching want, or ok=false.
-func (d *certDriver) pick(want func(s, op int) bool) (k Key, ok bool) {
+func (d *certDriver) pick(want func(s, op int) bool) (k core.DynRef, ok bool) {
 	q := d.q
-	var keys []Key
+	var keys []core.DynRef
 	for l := 0; l < q.n; l++ {
 		s := (q.head + l) & q.ringMask()
 		for op := 0; op < int(q.nops[s]); op++ {
 			if want(s, op) {
-				keys = append(keys, Key{Seq: q.seqs[s], LSID: int8(op)})
+				keys = append(keys, core.DynRef{Seq: q.seqs[s], LSID: int8(op)})
 			}
 		}
 	}
 	if len(keys) == 0 {
-		return Key{}, false
+		return core.DynRef{}, false
 	}
 	return keys[d.rng.Intn(len(keys))], true
 }
@@ -268,18 +268,18 @@ func TestCertificationBarrierInOwnBlock(t *testing.T) {
 	m.Write(0x200, 9, 8)
 	regBlock(q, 0, OpInfo{}, OpInfo{IsStore: true}, OpInfo{})
 	regBlock(q, 1, OpInfo{})
-	for _, k := range []Key{{0, 0}, {0, 2}, {1, 0}} {
+	for _, k := range []core.DynRef{{Seq: 0, LSID: 0}, {Seq: 0, LSID: 2}, {Seq: 1, LSID: 0}} {
 		q.LoadTry(0, k, 0x100, 0)
 		q.LoadInputsCommitted(k)
 	}
-	q.StoreUpdate(Key{0, 1}, 0x200, 1, 0, false, false) // address not final
+	q.StoreUpdate(core.DynRef{Seq: 0, LSID: 1}, 0x200, 1, 0, false, false) // address not final
 	cs := q.TakeCertifiable(nil)
-	if len(cs) != 1 || cs[0].Load != (Key{0, 0}) || cs[0].Value != 7 {
+	if len(cs) != 1 || cs[0].Load != (core.DynRef{Seq: 0, LSID: 0}) || cs[0].Value != 7 {
 		t.Fatalf("certified %+v, want only b0.ls0", cs)
 	}
-	q.StoreUpdate(Key{0, 1}, 0x200, 1, 0, true, false) // final, disjoint, data pending
+	q.StoreUpdate(core.DynRef{Seq: 0, LSID: 1}, 0x200, 1, 0, true, false) // final, disjoint, data pending
 	cs = q.TakeCertifiable(nil)
-	if len(cs) != 2 || cs[0].Load != (Key{0, 2}) || cs[1].Load != (Key{1, 0}) {
+	if len(cs) != 2 || cs[0].Load != (core.DynRef{Seq: 0, LSID: 2}) || cs[1].Load != (core.DynRef{Seq: 1, LSID: 0}) {
 		t.Fatalf("certified %+v, want b0.ls2 then b1.ls0", cs)
 	}
 	if q.nCand != 0 {
@@ -294,12 +294,12 @@ func TestCertificationKeepsArrivalOrder(t *testing.T) {
 	regBlock(q, 0, OpInfo{}, OpInfo{})
 	regBlock(q, 1, OpInfo{})
 	regBlock(q, 2, OpInfo{}, OpInfo{})
-	arrival := []Key{{2, 1}, {0, 1}, {1, 0}, {0, 0}, {2, 0}}
+	arrival := []core.DynRef{{Seq: 2, LSID: 1}, {Seq: 0, LSID: 1}, {Seq: 1, LSID: 0}, {Seq: 0, LSID: 0}, {Seq: 2, LSID: 0}}
 	for i, k := range arrival {
 		q.LoadTry(0, k, uint64(0x100+8*i), 0)
 		q.LoadInputsCommitted(k)
 	}
-	var got []Key
+	var got []core.DynRef
 	for _, c := range q.TakeCertifiable(nil) {
 		got = append(got, c.Load)
 	}
@@ -316,7 +316,7 @@ func TestCandidateCountSquashDrain(t *testing.T) {
 	for seq := int64(0); seq < 4; seq++ {
 		regBlock(q, seq, OpInfo{IsStore: true}, OpInfo{}, OpInfo{})
 		for lsid := int8(1); lsid <= 2; lsid++ {
-			k := Key{seq, lsid}
+			k := core.DynRef{Seq: seq, LSID: lsid}
 			q.LoadTry(0, k, 0x100, 0)
 			q.LoadInputsCommitted(k)
 		}
@@ -326,7 +326,7 @@ func TestCandidateCountSquashDrain(t *testing.T) {
 	}
 	// Block 0's store commits: its two loads certify, block 1 stays behind
 	// its own pending store.
-	q.StoreUpdate(Key{0, 0}, 0x300, 1, 0, true, true)
+	q.StoreUpdate(core.DynRef{Seq: 0, LSID: 0}, 0x300, 1, 0, true, true)
 	if cs := q.TakeCertifiable(nil); len(cs) != 2 {
 		t.Fatalf("certified %+v, want block 0's loads", cs)
 	}
@@ -341,7 +341,7 @@ func TestCandidateCountSquashDrain(t *testing.T) {
 	if q.nCand != 2 {
 		t.Fatalf("candidate count %d after draining a certified block, want 2", q.nCand)
 	}
-	q.StoreUpdate(Key{1, 0}, 0x300, 1, 0, true, true)
+	q.StoreUpdate(core.DynRef{Seq: 1, LSID: 0}, 0x300, 1, 0, true, true)
 	q.Drain(1) // drops block 1's two uncertified candidates
 	if q.nCand != 0 {
 		t.Fatalf("candidate count %d after draining block 1, want 0", q.nCand)

@@ -1,6 +1,8 @@
 package lsq
 
 import (
+	"slices"
+
 	"repro/internal/core"
 	"repro/internal/predictor"
 )
@@ -19,7 +21,7 @@ type LoadResult struct {
 // attempts to issue it under the configured policy.  Re-executions of the
 // same load (a new address under DSRE) re-enter here and produce a fresh
 // reply.  now is the current cycle, used for MSHR accounting.
-func (q *Queue) LoadTry(now int64, k Key, addr uint64, tag core.Tag) LoadResult {
+func (q *Queue) LoadTry(now int64, k core.DynRef, addr uint64, tag core.Tag) LoadResult {
 	s, op := q.opSlot(k)
 	if s < 0 || q.stores[s].Test(op) {
 		return LoadResult{Deferred: true, Reason: DeferNone} // stale message for a squashed block
@@ -39,7 +41,7 @@ func (q *Queue) LoadTry(now int64, k Key, addr uint64, tag core.Tag) LoadResult 
 }
 
 // tryIssue applies the policy and, if permitted, produces the load's value.
-func (q *Queue) tryIssue(now int64, k Key, s, op int) LoadResult {
+func (q *Queue) tryIssue(now int64, k core.DynRef, s, op int) LoadResult {
 	f := s*opStride + op
 	if q.mustDefer(k, s, op) {
 		q.park(k, s, op)
@@ -78,7 +80,7 @@ func (q *Queue) tryIssue(now int64, k Key, s, op int) LoadResult {
 }
 
 // park puts a load on the deferred list unless it is already there.
-func (q *Queue) park(k Key, s, op int) {
+func (q *Queue) park(k core.DynRef, s, op int) {
 	if !q.parked[s].Test(op) {
 		q.parked[s].Set(op)
 		q.deferred = append(q.deferred, k)
@@ -87,8 +89,10 @@ func (q *Queue) park(k Key, s, op int) {
 
 // GuardLoad marks a flushed violating load: its replayed instance (same
 // dynamic key) issues conservatively, guaranteeing forward progress.
-func (q *Queue) GuardLoad(k Key) {
-	q.guard[k] = true
+func (q *Queue) GuardLoad(k core.DynRef) {
+	if !slices.Contains(q.guard, k) {
+		q.guard = append(q.guard, k)
+	}
 	q.Stats.GuardedLoads++
 }
 
@@ -96,8 +100,8 @@ func (q *Queue) GuardLoad(k Key) {
 // whether it must wait for older stores.  Every reason it returns true
 // lifts only when some store executes for the first time (see the package
 // comment), which is what lets TakeReady skip re-evaluating it until then.
-func (q *Queue) mustDefer(k Key, s, op int) bool {
-	if q.guard[k] && q.anyOlderStoreUnexecuted(k) {
+func (q *Queue) mustDefer(k core.DynRef, s, op int) bool {
+	if slices.Contains(q.guard, k) && q.anyOlderStoreUnexecuted(k) {
 		return true
 	}
 	switch q.cfg.Policy {
@@ -110,7 +114,7 @@ func (q *Queue) mustDefer(k Key, s, op int) bool {
 		if !q.waitValid[s].Test(op) || !q.waitFor[f].Valid() {
 			return false
 		}
-		w := Key{Seq: q.waitFor[f].Seq, LSID: q.waitFor[f].LSID}
+		w := q.waitFor[f]
 		if !w.Less(k) {
 			return false // not actually older; ignore
 		}
@@ -124,7 +128,7 @@ func (q *Queue) mustDefer(k Key, s, op int) bool {
 // anyOlderStoreUnexecuted reports whether some store older than k in the
 // window has not yet executed: one AND-NOT word test per block (the
 // bitmap replacement for the old per-entry scan).
-func (q *Queue) anyOlderStoreUnexecuted(k Key) bool {
+func (q *Queue) anyOlderStoreUnexecuted(k core.DynRef) bool {
 	if q.n == 0 {
 		return false
 	}
@@ -195,7 +199,7 @@ func (q *Queue) TakeReady(now int64, buf []ReadyLoad) []ReadyLoad {
 // LoadInputsCommitted marks that the load's address operands are final (the
 // commit wave reached its inputs); the load becomes a certification
 // candidate, stamped with its arrival order.
-func (q *Queue) LoadInputsCommitted(k Key) {
+func (q *Queue) LoadInputsCommitted(k core.DynRef) {
 	s, op := q.opSlot(k)
 	if s < 0 || q.stores[s].Test(op) || q.inputsCom[s].Test(op) {
 		return
@@ -210,7 +214,7 @@ func (q *Queue) LoadInputsCommitted(k Key) {
 
 // CertifiedLoad is a load whose value is final.
 type CertifiedLoad struct {
-	Load  Key
+	Load  core.DynRef
 	Addr  uint64
 	Value int64
 }
@@ -272,7 +276,7 @@ func (q *Queue) TakeCertifiable(buf []CertifiedLoad) []CertifiedLoad {
 			if !q.issued[s].Test(i) || filter&wordBits(laddr, lsize) != 0 && q.aliasesPending(laddr, lsize) {
 				continue
 			}
-			k := Key{Seq: base + int64(l), LSID: int8(i)}
+			k := core.DynRef{Seq: base + int64(l), LSID: int8(i)}
 			v, _ := q.reconstruct(k, laddr, lsize)
 			if v != q.data[f] {
 				panic("lsq: certification value mismatch for " + k.String() + " (missed violation)")

@@ -65,6 +65,7 @@ import (
 	"repro/internal/bitset"
 	"repro/internal/cache"
 	"repro/internal/core"
+	"repro/internal/emu"
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/predictor"
@@ -72,23 +73,6 @@ import (
 
 // opStride is the per-block op-array stride: the ISA's LSID space.
 const opStride = isa.MaxMemOps
-
-// Key orders dynamic memory operations: block sequence first, then LSID.
-type Key struct {
-	Seq  int64
-	LSID int8
-}
-
-// Less reports whether k is older than o in memory order.
-func (k Key) Less(o Key) bool {
-	if k.Seq != o.Seq {
-		return k.Seq < o.Seq
-	}
-	return k.LSID < o.LSID
-}
-
-// String renders the key.
-func (k Key) String() string { return fmt.Sprintf("b%d.ls%d", k.Seq, k.LSID) }
 
 // OpInfo declares one memory operation at block map time.
 type OpInfo struct {
@@ -100,7 +84,7 @@ type OpInfo struct {
 
 // Violation reports a load whose previously returned value is stale.
 type Violation struct {
-	Load    Key
+	Load    core.DynRef
 	Addr    uint64 // the load's address (for D-tile bank routing)
 	Value   int64  // corrected value
 	Tag     core.Tag
@@ -113,7 +97,7 @@ type Violation struct {
 
 // ReadyLoad is a load whose value is (now) available.
 type ReadyLoad struct {
-	Load Key
+	Load core.DynRef
 	Addr uint64
 	Res  LoadResult
 }
@@ -159,7 +143,7 @@ type Queue struct {
 	hier   *cache.Hierarchy
 	tags   *core.TagSource
 	ss     *predictor.StoreSet
-	oracle *predictor.Oracle
+	oracle *emu.Oracle
 
 	// Block window: a power-of-two ring of block slots in ascending-
 	// sequence order.  head is the physical slot of the oldest block, n
@@ -194,7 +178,7 @@ type Queue struct {
 	tag     []core.Tag
 	size    []uint8
 	pc      []predictor.PC
-	waitFor []predictor.DynRef
+	waitFor []core.DynRef
 	stamp   []uint64 // certification-candidate arrival order
 	// deferredAt is storeExecs+1 as of a load's last policy deferral, or 0
 	// when its last issue attempt ended otherwise.
@@ -217,7 +201,7 @@ type Queue struct {
 
 	resident int // ops across blocks (occupancy is read every cycle)
 
-	deferred []Key // parked loads, re-evaluated when dirty
+	deferred []core.DynRef // parked loads, re-evaluated when dirty
 	dirty    bool
 	mshrWait bool // some load parked on MSHR pressure; retry every cycle
 
@@ -232,8 +216,9 @@ type Queue struct {
 	// guard holds dynamic loads that violated and were flushed: their
 	// refetched instances (same key) replay conservatively, which is what
 	// keeps flush recovery livelock-free when a load conflicts with a
-	// store in its own block.
-	guard map[Key]bool
+	// store in its own block.  It holds one entry per flushed load whose
+	// block has not committed yet, few enough to scan.
+	guard []core.DynRef
 
 	// Certification candidates are the resident loads in inputsCom &^
 	// certified.  nCand counts them (the scan's early-out and stopping
@@ -250,7 +235,7 @@ type Queue struct {
 
 	// ValidateDrain, when set (tests), is called for every drained store
 	// with its final address and data; an error aborts the run loudly.
-	ValidateDrain func(k Key, addr uint64, data int64, size int) error
+	ValidateDrain func(k core.DynRef, addr uint64, data int64, size int) error
 
 	Stats Stats
 }
@@ -258,7 +243,7 @@ type Queue struct {
 // New builds a queue.  mem holds committed state; hier provides data-side
 // timing; tags allocates violation wave tags; ss and oracle may be nil when
 // the policy does not use them.
-func New(cfg Config, m *mem.Memory, hier *cache.Hierarchy, tags *core.TagSource, ss *predictor.StoreSet, oracle *predictor.Oracle) *Queue {
+func New(cfg Config, m *mem.Memory, hier *cache.Hierarchy, tags *core.TagSource, ss *predictor.StoreSet, oracle *emu.Oracle) *Queue {
 	if cfg.ForwardLatency <= 0 {
 		cfg.ForwardLatency = 1
 	}
@@ -272,7 +257,6 @@ func New(cfg Config, m *mem.Memory, hier *cache.Hierarchy, tags *core.TagSource,
 		tags:   tags,
 		ss:     ss,
 		oracle: oracle,
-		guard:  make(map[Key]bool),
 	}
 	q.grow(16)
 	return q
@@ -303,7 +287,7 @@ func (q *Queue) grow(c int) {
 	q.tag = make([]core.Tag, c*opStride)
 	q.size = make([]uint8, c*opStride)
 	q.pc = make([]predictor.PC, c*opStride)
-	q.waitFor = make([]predictor.DynRef, c*opStride)
+	q.waitFor = make([]core.DynRef, c*opStride)
 	q.stamp = make([]uint64, c*opStride)
 	q.deferredAt = make([]uint64, c*opStride)
 	for l := 0; l < old.n; l++ {
@@ -353,7 +337,7 @@ func (q *Queue) slot(seq int64) int {
 
 // opSlot resolves a key to its block slot and op index, or (-1, 0) when the
 // key names no resident op.
-func (q *Queue) opSlot(k Key) (slot, op int) {
+func (q *Queue) opSlot(k core.DynRef) (slot, op int) {
 	s := q.slot(k.Seq)
 	if s < 0 || int(k.LSID) >= int(q.nops[s]) {
 		return -1, 0
@@ -398,7 +382,7 @@ func (q *Queue) RegisterBlock(seq int64, ops []OpInfo) {
 		}
 		q.size[base+i] = uint8(op.Size)
 		q.pc[base+i] = op.PC
-		ref := predictor.DynRef{Seq: seq, LSID: op.LSID}
+		ref := core.DynRef{Seq: seq, LSID: op.LSID}
 		// Dependence capture happens here, in LSID (dispatch) order, so a
 		// load's LFST lookup sees exactly the stores older than it — the
 		// in-order dispatch semantics of the store-set design.
@@ -412,7 +396,7 @@ func (q *Queue) RegisterBlock(seq int64, ops []OpInfo) {
 			q.waitFor[base+i] = q.ss.LoadDependence(op.PC)
 			q.waitValid[s].Set(i)
 		case q.cfg.Policy == core.IssueOracle && q.oracle != nil:
-			q.waitFor[base+i] = q.oracle.LoadDependence(ref)
+			q.waitFor[base+i] = q.oracle.Dep(ref)
 			q.waitValid[s].Set(i)
 		}
 	}
@@ -445,7 +429,7 @@ func (q *Queue) SquashFrom(seq int64) {
 	q.certDirty = true
 }
 
-func (q *Queue) filterKeys(keys *[]Key, fromSeq int64) {
+func (q *Queue) filterKeys(keys *[]core.DynRef, fromSeq int64) {
 	kept := (*keys)[:0]
 	for _, k := range *keys {
 		if k.Seq < fromSeq {

@@ -5,11 +5,14 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/core"
+	"repro/internal/emu"
+	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/predictor"
+	"repro/internal/program"
 )
 
-func newQueue(t *testing.T, policy core.IssuePolicy, ss *predictor.StoreSet, oracle *predictor.Oracle) (*Queue, *mem.Memory, *core.TagSource) {
+func newQueue(t *testing.T, policy core.IssuePolicy, ss *predictor.StoreSet, oracle *emu.Oracle) (*Queue, *mem.Memory, *core.TagSource) {
 	t.Helper()
 	m := mem.New()
 	h, err := cache.NewHierarchy(cache.DefaultHierConfig())
@@ -36,10 +39,10 @@ func TestForwarding(t *testing.T) {
 	m.Write(0x100, 7, 8)
 	regBlock(q, 0, OpInfo{IsStore: true}, OpInfo{})
 
-	if vs := q.StoreUpdate(Key{0, 0}, 0x100, 42, 0, false, false); len(vs) != 0 {
+	if vs := q.StoreUpdate(core.DynRef{Seq: 0, LSID: 0}, 0x100, 42, 0, false, false); len(vs) != 0 {
 		t.Fatalf("unexpected violations %v", vs)
 	}
-	r := q.LoadTry(0, Key{0, 1}, 0x100, 0)
+	r := q.LoadTry(0, core.DynRef{Seq: 0, LSID: 1}, 0x100, 0)
 	if r.Deferred {
 		t.Fatal("aggressive load deferred")
 	}
@@ -55,7 +58,7 @@ func TestLoadFromMemoryWhenNoStore(t *testing.T) {
 	q, m, _ := newQueue(t, core.IssueAggressive, nil, nil)
 	m.Write(0x100, 99, 8)
 	regBlock(q, 0, OpInfo{})
-	r := q.LoadTry(0, Key{0, 0}, 0x100, 0)
+	r := q.LoadTry(0, core.DynRef{Seq: 0, LSID: 0}, 0x100, 0)
 	if r.Deferred || r.Value != 99 {
 		t.Fatalf("r = %+v", r)
 	}
@@ -70,16 +73,16 @@ func TestViolationOnLateStore(t *testing.T) {
 	regBlock(q, 0, OpInfo{IsStore: true}, OpInfo{})
 
 	// Load issues aggressively before the older store's address is known.
-	r := q.LoadTry(0, Key{0, 1}, 0x100, 0)
+	r := q.LoadTry(0, core.DynRef{Seq: 0, LSID: 1}, 0x100, 0)
 	if r.Value != 7 {
 		t.Fatalf("speculative value = %d, want 7 (memory)", r.Value)
 	}
 	// The older store now executes to the same address: violation.
-	vs := q.StoreUpdate(Key{0, 0}, 0x100, 42, 0, false, false)
+	vs := q.StoreUpdate(core.DynRef{Seq: 0, LSID: 0}, 0x100, 42, 0, false, false)
 	if len(vs) != 1 {
 		t.Fatalf("violations = %v", vs)
 	}
-	if vs[0].Load != (Key{0, 1}) || vs[0].Value != 42 {
+	if vs[0].Load != (core.DynRef{Seq: 0, LSID: 1}) || vs[0].Value != 42 {
 		t.Fatalf("violation = %+v", vs[0])
 	}
 	if vs[0].Tag == 0 {
@@ -94,9 +97,9 @@ func TestNoViolationWhenValueUnchanged(t *testing.T) {
 	q, m, _ := newQueue(t, core.IssueAggressive, nil, nil)
 	m.Write(0x100, 42, 8)
 	regBlock(q, 0, OpInfo{IsStore: true}, OpInfo{})
-	q.LoadTry(0, Key{0, 1}, 0x100, 0)
+	q.LoadTry(0, core.DynRef{Seq: 0, LSID: 1}, 0x100, 0)
 	// Store writes the value the load already read: silent, no wave.
-	vs := q.StoreUpdate(Key{0, 0}, 0x100, 42, 0, false, false)
+	vs := q.StoreUpdate(core.DynRef{Seq: 0, LSID: 0}, 0x100, 42, 0, false, false)
 	if len(vs) != 0 {
 		t.Fatalf("violations = %v", vs)
 	}
@@ -106,11 +109,11 @@ func TestYoungerStoreDoesNotViolateOlderLoad(t *testing.T) {
 	q, m, _ := newQueue(t, core.IssueAggressive, nil, nil)
 	m.Write(0x100, 7, 8)
 	regBlock(q, 0, OpInfo{}, OpInfo{IsStore: true})
-	r := q.LoadTry(0, Key{0, 0}, 0x100, 0)
+	r := q.LoadTry(0, core.DynRef{Seq: 0, LSID: 0}, 0x100, 0)
 	if r.Value != 7 {
 		t.Fatal("load should read memory")
 	}
-	if vs := q.StoreUpdate(Key{0, 1}, 0x100, 42, 0, false, false); len(vs) != 0 {
+	if vs := q.StoreUpdate(core.DynRef{Seq: 0, LSID: 1}, 0x100, 42, 0, false, false); len(vs) != 0 {
 		t.Fatalf("younger store violated older load: %v", vs)
 	}
 }
@@ -119,8 +122,8 @@ func TestByteWiseReconstruction(t *testing.T) {
 	q, m, _ := newQueue(t, core.IssueAggressive, nil, nil)
 	m.Write(0x100, 0x1111111111111111, 8)
 	regBlock(q, 0, OpInfo{IsStore: true, Size: 1}, OpInfo{Size: 8})
-	q.StoreUpdate(Key{0, 0}, 0x102, 0xAB, 0, false, false)
-	r := q.LoadTry(0, Key{0, 1}, 0x100, 0)
+	q.StoreUpdate(core.DynRef{Seq: 0, LSID: 0}, 0x102, 0xAB, 0, false, false)
+	r := q.LoadTry(0, core.DynRef{Seq: 0, LSID: 1}, 0x100, 0)
 	want := int64(0x1111111111AB1111)
 	if r.Value != want {
 		t.Fatalf("value = %#x, want %#x", r.Value, want)
@@ -133,9 +136,9 @@ func TestByteWiseReconstruction(t *testing.T) {
 func TestYoungestStoreWinsForwarding(t *testing.T) {
 	q, _, _ := newQueue(t, core.IssueAggressive, nil, nil)
 	regBlock(q, 0, OpInfo{IsStore: true}, OpInfo{IsStore: true}, OpInfo{})
-	q.StoreUpdate(Key{0, 0}, 0x100, 1, 0, false, false)
-	q.StoreUpdate(Key{0, 1}, 0x100, 2, 0, false, false)
-	r := q.LoadTry(0, Key{0, 2}, 0x100, 0)
+	q.StoreUpdate(core.DynRef{Seq: 0, LSID: 0}, 0x100, 1, 0, false, false)
+	q.StoreUpdate(core.DynRef{Seq: 0, LSID: 1}, 0x100, 2, 0, false, false)
+	r := q.LoadTry(0, core.DynRef{Seq: 0, LSID: 2}, 0x100, 0)
 	if r.Value != 2 {
 		t.Fatalf("value = %d, want 2 (youngest older store)", r.Value)
 	}
@@ -145,13 +148,13 @@ func TestNullifyRestoresMemoryValue(t *testing.T) {
 	q, m, _ := newQueue(t, core.IssueAggressive, nil, nil)
 	m.Write(0x100, 7, 8)
 	regBlock(q, 0, OpInfo{IsStore: true}, OpInfo{})
-	q.StoreUpdate(Key{0, 0}, 0x100, 42, 0, false, false)
-	r := q.LoadTry(0, Key{0, 1}, 0x100, 0)
+	q.StoreUpdate(core.DynRef{Seq: 0, LSID: 0}, 0x100, 42, 0, false, false)
+	r := q.LoadTry(0, core.DynRef{Seq: 0, LSID: 1}, 0x100, 0)
 	if r.Value != 42 {
 		t.Fatal("load should forward 42")
 	}
 	// The store turns out to be predicated off: the load must revert.
-	vs := q.StoreNullify(Key{0, 0})
+	vs := q.StoreNullify(core.DynRef{Seq: 0, LSID: 0})
 	if len(vs) != 1 || vs[0].Value != 7 {
 		t.Fatalf("violations = %+v", vs)
 	}
@@ -162,22 +165,22 @@ func TestStoreAddressChange(t *testing.T) {
 	m.Write(0x100, 7, 8)
 	m.Write(0x200, 9, 8)
 	regBlock(q, 0, OpInfo{IsStore: true}, OpInfo{}, OpInfo{})
-	q.StoreUpdate(Key{0, 0}, 0x100, 42, 0, false, false)
-	rA := q.LoadTry(0, Key{0, 1}, 0x100, 0) // forwards 42
-	rB := q.LoadTry(0, Key{0, 2}, 0x200, 0) // reads memory 9
+	q.StoreUpdate(core.DynRef{Seq: 0, LSID: 0}, 0x100, 42, 0, false, false)
+	rA := q.LoadTry(0, core.DynRef{Seq: 0, LSID: 1}, 0x100, 0) // forwards 42
+	rB := q.LoadTry(0, core.DynRef{Seq: 0, LSID: 2}, 0x200, 0) // reads memory 9
 	if rA.Value != 42 || rB.Value != 9 {
 		t.Fatalf("rA=%d rB=%d", rA.Value, rB.Value)
 	}
 	// The store re-executes to a different address: both loads change.
-	vs := q.StoreUpdate(Key{0, 0}, 0x200, 42, 0, false, false)
+	vs := q.StoreUpdate(core.DynRef{Seq: 0, LSID: 0}, 0x200, 42, 0, false, false)
 	if len(vs) != 2 {
 		t.Fatalf("violations = %+v", vs)
 	}
-	got := map[Key]int64{}
+	got := map[core.DynRef]int64{}
 	for _, v := range vs {
 		got[v.Load] = v.Value
 	}
-	if got[Key{0, 1}] != 7 || got[Key{0, 2}] != 42 {
+	if got[core.DynRef{Seq: 0, LSID: 1}] != 7 || got[core.DynRef{Seq: 0, LSID: 2}] != 42 {
 		t.Fatalf("corrections = %v", got)
 	}
 }
@@ -186,14 +189,14 @@ func TestConservativeDefersUntilStoresExecute(t *testing.T) {
 	q, m, _ := newQueue(t, core.IssueConservative, nil, nil)
 	m.Write(0x100, 7, 8)
 	regBlock(q, 0, OpInfo{IsStore: true}, OpInfo{})
-	r := q.LoadTry(0, Key{0, 1}, 0x100, 0)
+	r := q.LoadTry(0, core.DynRef{Seq: 0, LSID: 1}, 0x100, 0)
 	if !r.Deferred || r.Reason != DeferPolicy {
 		t.Fatalf("r = %+v", r)
 	}
 	if got := q.TakeReady(1, nil); got != nil {
 		t.Fatalf("load released early: %v", got)
 	}
-	q.StoreUpdate(Key{0, 0}, 0x300, 1, 0, false, false) // disjoint address, but now executed
+	q.StoreUpdate(core.DynRef{Seq: 0, LSID: 0}, 0x300, 1, 0, false, false) // disjoint address, but now executed
 	ready := q.TakeReady(2, nil)
 	if len(ready) != 1 || ready[0].Res.Value != 7 {
 		t.Fatalf("ready = %+v", ready)
@@ -209,7 +212,7 @@ func TestConservativeWithinBlockOrder(t *testing.T) {
 	q, _, _ := newQueue(t, core.IssueConservative, nil, nil)
 	regBlock(q, 0, OpInfo{}, OpInfo{IsStore: true})
 	// The load is OLDER than the store (lower LSID): it need not wait.
-	r := q.LoadTry(0, Key{0, 0}, 0x100, 0)
+	r := q.LoadTry(0, core.DynRef{Seq: 0, LSID: 0}, 0x100, 0)
 	if r.Deferred {
 		t.Fatal("load older than all stores must issue")
 	}
@@ -226,11 +229,11 @@ func TestStoreSetPolicyLearns(t *testing.T) {
 		OpInfo{PC: loadPC})
 
 	// Untrained: the load issues immediately and gets violated.
-	r := q.LoadTry(0, Key{0, 1}, 0x100, 0)
+	r := q.LoadTry(0, core.DynRef{Seq: 0, LSID: 1}, 0x100, 0)
 	if r.Deferred {
 		t.Fatal("untrained store-set load deferred")
 	}
-	vs := q.StoreUpdate(Key{0, 0}, 0x100, 42, 0, false, false)
+	vs := q.StoreUpdate(core.DynRef{Seq: 0, LSID: 0}, 0x100, 42, 0, false, false)
 	if len(vs) != 1 {
 		t.Fatalf("violations = %v", vs)
 	}
@@ -240,11 +243,11 @@ func TestStoreSetPolicyLearns(t *testing.T) {
 	regBlock(q, 1,
 		OpInfo{IsStore: true, PC: storePC},
 		OpInfo{PC: loadPC})
-	r = q.LoadTry(0, Key{1, 1}, 0x100, 0)
+	r = q.LoadTry(0, core.DynRef{Seq: 1, LSID: 1}, 0x100, 0)
 	if !r.Deferred {
 		t.Fatal("trained store-set load did not defer")
 	}
-	q.StoreUpdate(Key{1, 0}, 0x100, 43, 0, false, false)
+	q.StoreUpdate(core.DynRef{Seq: 1, LSID: 0}, 0x100, 43, 0, false, false)
 	ready := q.TakeReady(1, nil)
 	if len(ready) != 1 || ready[0].Res.Value != 43 {
 		t.Fatalf("ready = %+v", ready)
@@ -255,25 +258,38 @@ func TestStoreSetPolicyLearns(t *testing.T) {
 }
 
 func TestOraclePolicy(t *testing.T) {
-	deps := map[predictor.DynRef]predictor.DynRef{
-		{Seq: 0, LSID: 1}: {Seq: 0, LSID: 0},
+	// The emulator's table for one block: store 0 writes 0x100, load 1
+	// reads it back and load 2 reads 0x200.
+	b := program.New("oracle")
+	blk := b.NewBlock("only")
+	blk.Store(blk.Const(0x100), 0, blk.Const(1))
+	x := blk.Load(blk.Const(0x100), 0)
+	blk.Write(1, blk.Op(isa.OpAdd, x, blk.Load(blk.Const(0x200), 0)))
+	blk.Halt()
+	p, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
 	}
-	q, m, _ := newQueue(t, core.IssueOracle, nil, predictor.NewOracle(deps))
+	golden, err := emu.Run(p, nil, mem.New(), emu.Options{CollectOracle: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, m, _ := newQueue(t, core.IssueOracle, nil, golden.Oracle)
 	m.Write(0x100, 7, 8)
 	m.Write(0x200, 8, 8)
 	regBlock(q, 0, OpInfo{IsStore: true}, OpInfo{}, OpInfo{})
 
 	// Load 1 truly depends on store 0: it must wait.
-	r := q.LoadTry(0, Key{0, 1}, 0x100, 0)
+	r := q.LoadTry(0, core.DynRef{Seq: 0, LSID: 1}, 0x100, 0)
 	if !r.Deferred {
 		t.Fatal("oracle-dependent load issued early")
 	}
 	// Load 2 has no dependence: it issues immediately.
-	r2 := q.LoadTry(0, Key{0, 2}, 0x200, 0)
+	r2 := q.LoadTry(0, core.DynRef{Seq: 0, LSID: 2}, 0x200, 0)
 	if r2.Deferred || r2.Value != 8 {
 		t.Fatalf("independent load: %+v", r2)
 	}
-	q.StoreUpdate(Key{0, 0}, 0x100, 42, 0, false, false)
+	q.StoreUpdate(core.DynRef{Seq: 0, LSID: 0}, 0x100, 42, 0, false, false)
 	ready := q.TakeReady(1, nil)
 	if len(ready) != 1 || ready[0].Res.Value != 42 {
 		t.Fatalf("ready = %+v", ready)
@@ -287,16 +303,16 @@ func TestCertificationWaitsForOlderStores(t *testing.T) {
 	q, m, _ := newQueue(t, core.IssueAggressive, nil, nil)
 	m.Write(0x100, 7, 8)
 	regBlock(q, 0, OpInfo{IsStore: true}, OpInfo{})
-	q.LoadTry(0, Key{0, 1}, 0x100, 0)
-	q.LoadInputsCommitted(Key{0, 1})
+	q.LoadTry(0, core.DynRef{Seq: 0, LSID: 1}, 0x100, 0)
+	q.LoadInputsCommitted(core.DynRef{Seq: 0, LSID: 1})
 	if cs := q.TakeCertifiable(nil); len(cs) != 0 {
 		t.Fatalf("certified before older store committed: %v", cs)
 	}
-	q.StoreUpdate(Key{0, 0}, 0x300, 1, 0, false, false)
+	q.StoreUpdate(core.DynRef{Seq: 0, LSID: 0}, 0x300, 1, 0, false, false)
 	if cs := q.TakeCertifiable(nil); len(cs) != 0 {
 		t.Fatalf("certified before older store committed: %v", cs)
 	}
-	q.StoreCommitted(Key{0, 0})
+	q.StoreCommitted(core.DynRef{Seq: 0, LSID: 0})
 	cs := q.TakeCertifiable(nil)
 	if len(cs) != 1 || cs[0].Value != 7 {
 		t.Fatalf("certifiable = %+v", cs)
@@ -312,14 +328,14 @@ func TestCertificationAcrossBlocks(t *testing.T) {
 	m.Write(0x100, 7, 8)
 	regBlock(q, 0, OpInfo{IsStore: true})
 	regBlock(q, 1, OpInfo{})
-	q.LoadTry(0, Key{1, 0}, 0x100, 0)
-	q.LoadInputsCommitted(Key{1, 0})
+	q.LoadTry(0, core.DynRef{Seq: 1, LSID: 0}, 0x100, 0)
+	q.LoadInputsCommitted(core.DynRef{Seq: 1, LSID: 0})
 	if cs := q.TakeCertifiable(nil); len(cs) != 0 {
 		t.Fatal("certified across uncommitted older block")
 	}
-	q.StoreUpdate(Key{0, 0}, 0x100, 5, 0, false, false)
+	q.StoreUpdate(core.DynRef{Seq: 0, LSID: 0}, 0x100, 5, 0, false, false)
 	// The violation correction happened; now commit the store.
-	q.StoreCommitted(Key{0, 0})
+	q.StoreCommitted(core.DynRef{Seq: 0, LSID: 0})
 	cs := q.TakeCertifiable(nil)
 	if len(cs) != 1 || cs[0].Value != 5 {
 		t.Fatalf("certifiable = %+v", cs)
@@ -329,8 +345,8 @@ func TestCertificationAcrossBlocks(t *testing.T) {
 func TestDrainWritesMemoryInOrder(t *testing.T) {
 	q, m, _ := newQueue(t, core.IssueAggressive, nil, nil)
 	regBlock(q, 0, OpInfo{IsStore: true}, OpInfo{IsStore: true})
-	q.StoreUpdate(Key{0, 1}, 0x100, 2, 0, false, false) // younger executes first
-	q.StoreUpdate(Key{0, 0}, 0x100, 1, 0, false, false)
+	q.StoreUpdate(core.DynRef{Seq: 0, LSID: 1}, 0x100, 2, 0, false, false) // younger executes first
+	q.StoreUpdate(core.DynRef{Seq: 0, LSID: 0}, 0x100, 1, 0, false, false)
 	if n := q.Drain(0); n != 2 {
 		t.Fatalf("drained %d stores", n)
 	}
@@ -345,7 +361,7 @@ func TestDrainWritesMemoryInOrder(t *testing.T) {
 func TestDrainSkipsNullStores(t *testing.T) {
 	q, m, _ := newQueue(t, core.IssueAggressive, nil, nil)
 	regBlock(q, 0, OpInfo{IsStore: true})
-	q.StoreNullify(Key{0, 0})
+	q.StoreNullify(core.DynRef{Seq: 0, LSID: 0})
 	if n := q.Drain(0); n != 0 {
 		t.Fatalf("drained %d stores, want 0", n)
 	}
@@ -360,22 +376,22 @@ func TestSquashRemovesEntries(t *testing.T) {
 	regBlock(q, 0, OpInfo{IsStore: true})
 	regBlock(q, 1, OpInfo{})
 	regBlock(q, 2, OpInfo{IsStore: true})
-	q.LoadTry(0, Key{1, 0}, 0x100, 0)
+	q.LoadTry(0, core.DynRef{Seq: 1, LSID: 0}, 0x100, 0)
 	q.SquashFrom(1)
 	if q.Occupancy() != 1 {
 		t.Fatalf("occupancy = %d, want 1", q.Occupancy())
 	}
 	// Messages for squashed blocks are ignored.
-	if vs := q.StoreUpdate(Key{2, 0}, 0x100, 9, 0, false, false); vs != nil {
+	if vs := q.StoreUpdate(core.DynRef{Seq: 2, LSID: 0}, 0x100, 9, 0, false, false); vs != nil {
 		t.Fatalf("stale store produced violations: %v", vs)
 	}
-	r := q.LoadTry(0, Key{1, 0}, 0x100, 0)
+	r := q.LoadTry(0, core.DynRef{Seq: 1, LSID: 0}, 0x100, 0)
 	if !r.Deferred {
 		t.Fatal("stale load message must be swallowed (deferred, no reply)")
 	}
 	// Refetch re-registers the blocks.
 	regBlock(q, 1, OpInfo{})
-	r = q.LoadTry(0, Key{1, 0}, 0x100, 0)
+	r = q.LoadTry(0, core.DynRef{Seq: 1, LSID: 0}, 0x100, 0)
 	if r.Deferred || r.Value != 7 {
 		t.Fatalf("refetched load: %+v", r)
 	}
@@ -387,12 +403,12 @@ func TestChainedViolationThroughStoreData(t *testing.T) {
 	q, m, _ := newQueue(t, core.IssueAggressive, nil, nil)
 	m.Write(0x100, 7, 8)
 	regBlock(q, 0, OpInfo{IsStore: true}, OpInfo{})
-	q.StoreUpdate(Key{0, 0}, 0x100, 10, 0, false, false)
-	r := q.LoadTry(0, Key{0, 1}, 0x100, 0)
+	q.StoreUpdate(core.DynRef{Seq: 0, LSID: 0}, 0x100, 10, 0, false, false)
+	r := q.LoadTry(0, core.DynRef{Seq: 0, LSID: 1}, 0x100, 0)
 	if r.Value != 10 {
 		t.Fatal("load should forward 10")
 	}
-	vs := q.StoreUpdate(Key{0, 0}, 0x100, 20, 0, false, false) // re-execution with new data
+	vs := q.StoreUpdate(core.DynRef{Seq: 0, LSID: 0}, 0x100, 20, 0, false, false) // re-execution with new data
 	if len(vs) != 1 || vs[0].Value != 20 {
 		t.Fatalf("violations = %+v", vs)
 	}
@@ -408,21 +424,21 @@ func TestFlushGuardForcesConservativeReplay(t *testing.T) {
 
 	// First attempt: aggressive load issues, store violates it, the machine
 	// flushes and guards the load's dynamic key.
-	q.LoadTry(0, Key{0, 1}, 0x100, 0)
-	if vs := q.StoreUpdate(Key{0, 0}, 0x100, 42, 0, false, false); len(vs) != 1 {
+	q.LoadTry(0, core.DynRef{Seq: 0, LSID: 1}, 0x100, 0)
+	if vs := q.StoreUpdate(core.DynRef{Seq: 0, LSID: 0}, 0x100, 42, 0, false, false); len(vs) != 1 {
 		t.Fatalf("violations = %v", vs)
 	}
-	q.GuardLoad(Key{0, 1})
+	q.GuardLoad(core.DynRef{Seq: 0, LSID: 1})
 	q.SquashFrom(0)
 
 	// Replay: the guarded instance must now wait for the older store even
 	// under the aggressive policy.
 	regBlock(q, 0, OpInfo{IsStore: true}, OpInfo{})
-	r := q.LoadTry(1, Key{0, 1}, 0x100, 0)
+	r := q.LoadTry(1, core.DynRef{Seq: 0, LSID: 1}, 0x100, 0)
 	if !r.Deferred {
 		t.Fatal("guarded replay issued aggressively")
 	}
-	q.StoreUpdate(Key{0, 0}, 0x100, 42, 0, false, false)
+	q.StoreUpdate(core.DynRef{Seq: 0, LSID: 0}, 0x100, 42, 0, false, false)
 	ready := q.TakeReady(2, nil)
 	if len(ready) != 1 || ready[0].Res.Value != 42 {
 		t.Fatalf("ready = %+v", ready)
@@ -432,10 +448,10 @@ func TestFlushGuardForcesConservativeReplay(t *testing.T) {
 	}
 
 	// Draining the block clears the guard.
-	q.StoreCommitted(Key{0, 0})
+	q.StoreCommitted(core.DynRef{Seq: 0, LSID: 0})
 	q.Drain(0)
 	regBlock(q, 1, OpInfo{IsStore: true}, OpInfo{})
-	r = q.LoadTry(3, Key{1, 1}, 0x100, 0)
+	r = q.LoadTry(3, core.DynRef{Seq: 1, LSID: 1}, 0x100, 0)
 	if r.Deferred {
 		t.Fatal("fresh instance inherited a stale guard")
 	}
@@ -447,16 +463,16 @@ func TestPartialStoreCommitReleasesDisjointLoads(t *testing.T) {
 	q, m, _ := newQueue(t, core.IssueAggressive, nil, nil)
 	m.Write(0x100, 7, 8)
 	regBlock(q, 0, OpInfo{IsStore: true}, OpInfo{IsStore: true}, OpInfo{})
-	q.StoreUpdate(Key{0, 0}, 0x900, 1, 0, true, false)  // disjoint, addr final
-	q.StoreUpdate(Key{0, 1}, 0x100, 42, 0, true, false) // overlapping, data pending
-	q.LoadTry(0, Key{0, 2}, 0x100, 0)
-	q.LoadInputsCommitted(Key{0, 2})
+	q.StoreUpdate(core.DynRef{Seq: 0, LSID: 0}, 0x900, 1, 0, true, false)  // disjoint, addr final
+	q.StoreUpdate(core.DynRef{Seq: 0, LSID: 1}, 0x100, 42, 0, true, false) // overlapping, data pending
+	q.LoadTry(0, core.DynRef{Seq: 0, LSID: 2}, 0x100, 0)
+	q.LoadInputsCommitted(core.DynRef{Seq: 0, LSID: 2})
 	if cs := q.TakeCertifiable(nil); len(cs) != 0 {
 		t.Fatalf("certified past an overlapping uncommitted store: %v", cs)
 	}
 	// Commit the overlapping store's data: only then may the load certify,
 	// without waiting for the disjoint store's data at all.
-	q.StoreUpdate(Key{0, 1}, 0x100, 42, 0, true, true)
+	q.StoreUpdate(core.DynRef{Seq: 0, LSID: 1}, 0x100, 42, 0, true, true)
 	cs := q.TakeCertifiable(nil)
 	if len(cs) != 1 || cs[0].Value != 42 {
 		t.Fatalf("certifiable = %+v", cs)

@@ -16,7 +16,7 @@ import (
 // as the reference the differential test compares against: every block
 // from the load's own back to the window head is searched, whatever its
 // store summary says.
-func refReconstruct(q *Queue, k Key, addr uint64, size int) (val int64, forwarded int) {
+func refReconstruct(q *Queue, k core.DynRef, addr uint64, size int) (val int64, forwarded int) {
 	var bytes [8]byte
 	var have [8]bool
 	remaining := size
@@ -89,20 +89,19 @@ func unfilter(q *Queue) {
 type pairDriver struct {
 	certDriver
 	ref      *Queue
-	deps     map[predictor.DynRef]predictor.DynRef // the shared oracle's table
-	words    map[Key]uint64                        // words of every address each op was given
-	counts   map[string]int                        // events seen, for the vacuity check
+	policy   core.IssuePolicy
+	words    map[core.DynRef]uint64 // words of every address each op was given
+	counts   map[string]int         // events seen, for the vacuity check
 	maxDepth int
 }
 
 func newPairDriver(t *testing.T, policy core.IssuePolicy, blocks int, seed int64) *pairDriver {
 	d := &pairDriver{
 		certDriver: certDriver{t: t, rng: rand.New(rand.NewSource(seed)), maxBlocks: blocks},
-		deps:       make(map[predictor.DynRef]predictor.DynRef),
-		words:      make(map[Key]uint64),
+		policy:     policy,
+		words:      make(map[core.DynRef]uint64),
 		counts:     make(map[string]int),
 	}
-	oracle := predictor.NewOracle(d.deps)
 	build := func() *Queue {
 		hc := cache.DefaultHierConfig()
 		hc.MSHRs = 2
@@ -118,7 +117,7 @@ func newPairDriver(t *testing.T, policy core.IssuePolicy, blocks int, seed int64
 		if policy == core.IssueStoreSet {
 			ss = predictor.MustNew(predictor.Config{SSITSize: 64, ClearInterval: 500})
 		}
-		return New(Config{Policy: policy}, m, h, &core.TagSource{}, ss, oracle)
+		return New(Config{Policy: policy}, m, h, &core.TagSource{}, ss, nil)
 	}
 	d.q, d.ref = build(), build()
 	return d
@@ -171,39 +170,52 @@ func (d *pairDriver) register() {
 	seq := d.next
 	d.next++
 	ops := make([]OpInfo, 1+rng.Intn(16))
+	deps := make([]core.DynRef, len(ops))
 	for i := range ops {
 		size := 1
 		if rng.Intn(2) == 0 {
 			size = 8
 		}
 		ops[i] = OpInfo{LSID: int8(i), IsStore: rng.Intn(3) == 0, Size: size, PC: predictor.MakePC(rng.Intn(3), i)}
-		k := Key{seq, int8(i)}
+		k := core.DynRef{Seq: seq, LSID: int8(i)}
 		delete(d.words, k)
-		ref := predictor.DynRef{Seq: seq, LSID: int8(i)}
-		delete(d.deps, ref)
+		deps[i] = core.NoDynRef
 		if ops[i].IsStore || rng.Intn(2) == 0 {
 			continue
 		}
 		// An oracle dependence on an older store of the window or of this
 		// block, now and then on a younger op (which the policy ignores).
-		var stores []predictor.DynRef
+		var stores []core.DynRef
 		for j := 0; j < i; j++ {
 			if ops[j].IsStore {
-				stores = append(stores, predictor.DynRef{Seq: seq, LSID: int8(j)})
+				stores = append(stores, core.DynRef{Seq: seq, LSID: int8(j)})
 			}
 		}
 		if w, ok := d.pick(func(s, op int) bool { return q.stores[s].Test(op) }); ok {
-			stores = append(stores, predictor.DynRef{Seq: w.Seq, LSID: w.LSID})
+			stores = append(stores, w)
 		}
 		if rng.Intn(8) == 0 {
-			stores = append(stores, predictor.DynRef{Seq: seq + 1, LSID: 0})
+			stores = append(stores, core.DynRef{Seq: seq + 1, LSID: 0})
 		}
 		if len(stores) > 0 {
-			d.deps[ref] = stores[rng.Intn(len(stores))]
+			deps[i] = stores[rng.Intn(len(stores))]
 		}
 	}
-	q.RegisterBlock(seq, ops)
-	d.ref.RegisterBlock(seq, ops)
+	for _, x := range []*Queue{q, d.ref} {
+		x.RegisterBlock(seq, ops)
+		if d.policy != core.IssueOracle {
+			continue
+		}
+		// Capture each load's dependence as RegisterBlock does from the
+		// emulator's oracle table.
+		s := x.slot(seq)
+		for i, w := range deps {
+			if w.Valid() {
+				x.waitFor[s*opStride+i] = w
+				x.waitValid[s].Set(i)
+			}
+		}
+	}
 }
 
 func (d *pairDriver) squash(cut int64) {
@@ -327,7 +339,7 @@ func (d *pairDriver) checkSummaries() {
 		s := (q.head + l) & q.ringMask()
 		var lw, sw uint64
 		for op := 0; op < int(q.nops[s]); op++ {
-			k := Key{q.seqs[s], int8(op)}
+			k := core.DynRef{Seq: q.seqs[s], LSID: int8(op)}
 			if q.stores[s].Test(op) {
 				sw |= d.words[k]
 				continue
@@ -391,12 +403,12 @@ func TestViolatingStoreUpdateAllocatesNothing(t *testing.T) {
 	regBlock(q, 0, OpInfo{IsStore: true})
 	for seq := int64(1); seq < 32; seq++ {
 		regBlock(q, seq, OpInfo{})
-		q.LoadTry(0, Key{seq, 0}, 0x100, 0)
+		q.LoadTry(0, core.DynRef{Seq: seq, LSID: 0}, 0x100, 0)
 	}
 	data := int64(0)
 	update := func() {
 		data ^= 1
-		if vs := q.StoreUpdate(Key{0, 0}, 0x100, data, 0, false, false); len(vs) != 31 {
+		if vs := q.StoreUpdate(core.DynRef{Seq: 0, LSID: 0}, 0x100, data, 0, false, false); len(vs) != 31 {
 			t.Fatalf("%d violations, want 31", len(vs))
 		}
 	}

@@ -1,8 +1,9 @@
 package lsq
 
 import (
+	"slices"
+
 	"repro/internal/core"
-	"repro/internal/predictor"
 )
 
 // StoreUpdate records a store execution (or re-execution under DSRE: the
@@ -14,7 +15,7 @@ import (
 //
 // The returned slice is owned by the queue and valid only until the next
 // StoreUpdate or StoreNullify call; consume it before then.
-func (q *Queue) StoreUpdate(k Key, addr uint64, data int64, tag core.Tag, addrCom, dataCom bool) []Violation {
+func (q *Queue) StoreUpdate(k core.DynRef, addr uint64, data int64, tag core.Tag, addrCom, dataCom bool) []Violation {
 	s, op := q.opSlot(k)
 	if s < 0 || !q.stores[s].Test(op) {
 		return nil // stale message for a squashed block
@@ -61,11 +62,11 @@ func (q *Queue) StoreUpdate(k Key, addr uint64, data int64, tag core.Tag, addrCo
 // storeDone accounts a store's first execution (or nullification): it
 // counts the store, retires it from the store-set LFST, and advances the
 // epoch that lets parked loads be re-evaluated.
-func (q *Queue) storeDone(k Key, f int) {
+func (q *Queue) storeDone(k core.DynRef, f int) {
 	q.Stats.Stores++
 	q.storeExecs++
 	if q.ss != nil {
-		q.ss.StoreDone(q.pc[f], predictor.DynRef{Seq: k.Seq, LSID: k.LSID})
+		q.ss.StoreDone(q.pc[f], k)
 	}
 }
 
@@ -73,7 +74,7 @@ func (q *Queue) storeDone(k Key, f int) {
 // Loads that had forwarded from a previous (mis-speculated) execution of
 // this store must be re-checked.  The returned slice is owned by the queue,
 // as StoreUpdate's is.
-func (q *Queue) StoreNullify(k Key) []Violation {
+func (q *Queue) StoreNullify(k core.DynRef) []Violation {
 	s, op := q.opSlot(k)
 	if s < 0 || !q.stores[s].Test(op) {
 		return nil
@@ -103,7 +104,7 @@ func (q *Queue) StoreNullify(k Key) []Violation {
 // mask expression (issued, not a store, younger than the store in its own
 // block); the walk touches only set bits in ascending (violation-report)
 // order.
-func (q *Queue) recheckLoads(store Key, addr uint64, size int, vs []Violation) []Violation {
+func (q *Queue) recheckLoads(store core.DynRef, addr uint64, size int, vs []Violation) []Violation {
 	if size == 0 {
 		return vs
 	}
@@ -130,7 +131,7 @@ func (q *Queue) recheckLoads(store Key, addr uint64, size int, vs []Violation) [
 			if !overlap(q.addr[f], int(q.size[f]), addr, size) {
 				continue
 			}
-			lk := Key{Seq: base + l, LSID: int8(i)}
+			lk := core.DynRef{Seq: base + l, LSID: int8(i)}
 			v, _ := q.reconstruct(lk, q.addr[f], int(q.size[f]))
 			if v == q.data[f] {
 				continue
@@ -198,7 +199,7 @@ func (q *Queue) lastHit(sum []uint64, words uint64, l int64) int64 {
 // load's address words and iterates live-store masks high-bit-first, so
 // only executed, non-null stores of possibly overlapping blocks are ever
 // touched.
-func (q *Queue) reconstruct(k Key, addr uint64, size int) (val int64, forwarded int) {
+func (q *Queue) reconstruct(k core.DynRef, addr uint64, size int) (val int64, forwarded int) {
 	var bytes [8]byte
 	var have [8]bool
 	remaining := size
@@ -262,7 +263,7 @@ func (q *Queue) reconstruct(k Key, addr uint64, size int) (val int64, forwarded 
 // committed and it has executed with them, or it is committed-null).  This
 // is the memory leg of the commit wave: younger loads may certify once all
 // their older stores are committed.
-func (q *Queue) StoreCommitted(k Key) {
+func (q *Queue) StoreCommitted(k core.DynRef) {
 	s, op := q.opSlot(k)
 	if s < 0 || !q.stores[s].Test(op) {
 		return
@@ -301,7 +302,7 @@ func (q *Queue) Drain(seq int64) int {
 		if q.null[s].Test(i) {
 			continue
 		}
-		k := Key{Seq: seq, LSID: int8(i)}
+		k := core.DynRef{Seq: seq, LSID: int8(i)}
 		if !q.exec[s].Test(i) {
 			panic("lsq: drain of unexecuted store " + k.String())
 		}
@@ -317,12 +318,7 @@ func (q *Queue) Drain(seq int64) int {
 		}
 		writes++
 	}
-	// Map iteration order is irrelevant here: deletes are independent.
-	for k := range q.guard {
-		if k.Seq <= seq {
-			delete(q.guard, k)
-		}
-	}
+	q.guard = slices.DeleteFunc(q.guard, func(k core.DynRef) bool { return k.Seq <= seq })
 	q.resident -= int(q.nops[s])
 	q.nCand -= (q.inputsCom[s] &^ q.certified[s]).Count()
 	q.head = (q.head + 1) & q.ringMask()

@@ -7,7 +7,7 @@ import (
 
 // ServeProgressSchema identifies the daemon live-progress JSON served at
 // /progress by dsre-serve.
-const ServeProgressSchema = "dsre-serve-progress/v1"
+const ServeProgressSchema = "dsre-serve-progress/v2"
 
 // ServeObs is the observability surface of a dsre-serve daemon: typed
 // metrics for the job queue, lease protocol and upload path; submit/lease/
@@ -34,14 +34,14 @@ type ServeObs struct {
 	spans    *SpanLog
 	laneBase int // first Chrome-trace lane for fleet peers
 
-	mSubmits, mSubmitSpecs, mQuotaRej *Counter
-	mCacheHits, mQueued               *Counter
-	mLeases, mHeartbeats, mExpiries   *Counter
-	mRequeues, mUploads, mUploadDup   *Counter
-	mDone, mFailed, mExecutions       *Counter
-	mDrains                           *Counter
-	gQueue, gLeased, gPeers, gSweeps  *Gauge
-	hQueueWait, hRemoteRun            *Histogram
+	mSubmits, mSubmitSpecs           *Counter
+	mCacheHits, mQueued              *Counter
+	mLeases, mHeartbeats, mExpiries  *Counter
+	mRequeues, mUploads, mUploadDup  *Counter
+	mDone, mFailed, mExecutions      *Counter
+	mDrains                          *Counter
+	gQueue, gLeased, gPeers, gSweeps *Gauge
+	hQueueWait, hRemoteRun           *Histogram
 
 	mu       sync.Mutex
 	draining bool
@@ -94,7 +94,6 @@ func NewServeObs(reg *Registry, start time.Time, sink EventSink, spans *SpanLog,
 
 		mSubmits:     reg.Counter("dsre_serve_submits_total", "Sweep grids submitted to the daemon."),
 		mSubmitSpecs: reg.Counter("dsre_serve_submit_specs_total", "Job specs submitted (before dedup)."),
-		mQuotaRej:    reg.Counter("dsre_serve_quota_rejections_total", "Submits rejected by per-tenant token-bucket quota."),
 		mCacheHits:   reg.Counter("dsre_serve_cache_hits_total", "Submitted specs satisfied without a new execution (store hits and dedup copies)."),
 		mQueued:      reg.Counter("dsre_serve_jobs_queued_total", "Unique jobs enqueued for execution."),
 		mLeases:      reg.Counter("dsre_serve_leases_total", "Job leases granted to workers."),
@@ -188,12 +187,6 @@ func (o *ServeObs) SweepProgress(id string, done, cached, failed int, finished b
 	if cached > 0 {
 		o.mCacheHits.Add(int64(cached))
 	}
-}
-
-// QuotaRejected records a submit bounced by a tenant's token bucket.
-func (o *ServeObs) QuotaRejected(tenant string, now time.Time) {
-	o.mQuotaRej.Inc()
-	o.emit(Event{Kind: EventSubmit, Tenant: tenant, Status: "quota_rejected"}, now)
 }
 
 // JobQueued records one unique job entering the queue.
@@ -427,7 +420,6 @@ type ServeTotals struct {
 	UploadDuplicates int64 `json:"upload_duplicates"`
 	Requeues         int64 `json:"requeues"`
 	LeaseExpiries    int64 `json:"lease_expiries"`
-	QuotaRejections  int64 `json:"quota_rejections"`
 }
 
 // ServePeerView is one worker's live state.
@@ -452,7 +444,7 @@ type ServeSweepView struct {
 	ElapsedMS int64  `json:"elapsed_ms"`
 }
 
-// ServeProgressView is the dsre-serve-progress/v1 document.  Engine nests
+// ServeProgressView is the dsre-serve-progress/v2 document.  Engine nests
 // the daemon's local sweep-engine progress when local execution is on.
 type ServeProgressView struct {
 	Schema   string           `json:"schema"`
@@ -485,7 +477,6 @@ func (o *ServeObs) Progress(now time.Time) ServeProgressView {
 			UploadDuplicates: o.mUploadDup.Value(),
 			Requeues:         o.mRequeues.Value(),
 			LeaseExpiries:    o.mExpiries.Value(),
-			QuotaRejections:  o.mQuotaRej.Value(),
 		},
 	}
 	o.mu.Lock()

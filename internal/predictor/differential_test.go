@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // TestStoreSetMatchesReference drives StoreSet and the reference predictor
-// (tables filled with -1 and NoDynRef) with the same fixed-seed random
+// (tables filled with -1 and core.NoDynRef) with the same fixed-seed random
 // StoreFetched/StoreDone/Violation/LoadDependence streams.  Every
 // LoadDependence answer, the statistics and the decoded tables must agree
 // after every event.  The SSITs are small and cleared often, so sets merge
@@ -44,7 +46,7 @@ func compareStoreSet(t *testing.T, cfg Config, wrap bool, seed int64) {
 	// sometimes after a newer instance of the same store has replaced them.
 	type store struct {
 		pc  PC
-		ref DynRef
+		ref core.DynRef
 	}
 	var pending []store
 	seq := int64(0)
@@ -54,9 +56,9 @@ func compareStoreSet(t *testing.T, cfg Config, wrap bool, seed int64) {
 		switch r := rng.Intn(10); {
 		case r < 3:
 			seq += int64(rng.Intn(3))
-			st := store{randPC(), DynRef{Seq: seq, LSID: int8(rng.Intn(32))}}
+			st := store{randPC(), core.DynRef{Seq: seq, LSID: int8(rng.Intn(32))}}
 			if rng.Intn(50) == 0 {
-				st.ref = NoDynRef
+				st.ref = core.NoDynRef
 			}
 			s.StoreFetched(st.pc, st.ref)
 			ref.StoreFetched(st.pc, st.ref)
@@ -121,7 +123,7 @@ func sameStoreSet(s *StoreSet, ref *refStoreSet) error {
 		}
 	}
 	for i, want := range ref.lfst {
-		got := NoDynRef
+		got := core.NoDynRef
 		if i < len(s.lfst) {
 			got = s.lfst[i]
 			got.Seq--

@@ -1,9 +1,13 @@
 package predictor
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/core"
+)
 
 // refStoreSet is the store-set predictor as it was before its tables treated
-// zero as empty: the SSIT and LFST are filled with -1 and NoDynRef on New and
+// zero as empty: the SSIT and LFST are filled with -1 and core.NoDynRef on New and
 // on every cyclic clear, and the LFST has one entry per SSIT entry.  It is
 // kept verbatim (only identifiers renamed) as the reference the
 // differential test holds StoreSet to.
@@ -19,7 +23,7 @@ import "fmt"
 type refStoreSet struct {
 	cfg      Config
 	ssit     []int32 // PC hash -> SSID, -1 invalid
-	lfst     []DynRef
+	lfst     []core.DynRef
 	events   int64
 	nextSSID int32
 
@@ -38,7 +42,7 @@ func refNew(cfg Config) (*refStoreSet, error) {
 	s := &refStoreSet{
 		cfg:  cfg,
 		ssit: make([]int32, cfg.SSITSize),
-		lfst: make([]DynRef, cfg.SSITSize),
+		lfst: make([]core.DynRef, cfg.SSITSize),
 	}
 	s.clear()
 	return s, nil
@@ -56,7 +60,7 @@ func refMustNew(cfg Config) *refStoreSet {
 func (s *refStoreSet) clear() {
 	for i := range s.ssit {
 		s.ssit[i] = -1
-		s.lfst[i] = NoDynRef
+		s.lfst[i] = core.NoDynRef
 	}
 	s.nextSSID = 0
 }
@@ -76,7 +80,7 @@ func (s *refStoreSet) tick() {
 
 // StoreFetched records that a dynamic store instance entered the window.
 // Call at block map time for every store in the block.
-func (s *refStoreSet) StoreFetched(pc PC, ref DynRef) {
+func (s *refStoreSet) StoreFetched(pc PC, ref core.DynRef) {
 	s.tick()
 	i := s.index(pc)
 	if ssid := s.ssit[i]; ssid >= 0 {
@@ -87,26 +91,26 @@ func (s *refStoreSet) StoreFetched(pc PC, ref DynRef) {
 // StoreDone records that a dynamic store instance executed (its address is
 // known) or left the window; the set's LFST entry is cleared if it still
 // names this instance.
-func (s *refStoreSet) StoreDone(pc PC, ref DynRef) {
+func (s *refStoreSet) StoreDone(pc PC, ref core.DynRef) {
 	i := s.index(pc)
 	if ssid := s.ssit[i]; ssid >= 0 {
 		li := int(ssid) & (len(s.lfst) - 1)
 		if s.lfst[li] == ref {
-			s.lfst[li] = NoDynRef
+			s.lfst[li] = core.NoDynRef
 		}
 	}
 }
 
 // LoadDependence returns the dynamic store the load should wait for, or
-// NoDynRef if the load may issue immediately.  Call when the load's address
+// core.NoDynRef if the load may issue immediately.  Call when the load's address
 // becomes ready.
-func (s *refStoreSet) LoadDependence(pc PC) DynRef {
+func (s *refStoreSet) LoadDependence(pc PC) core.DynRef {
 	s.tick()
 	i := s.index(pc)
 	ssid := s.ssit[i]
 	if ssid < 0 {
 		s.LoadFrees++
-		return NoDynRef
+		return core.NoDynRef
 	}
 	ref := s.lfst[int(ssid)&(len(s.lfst)-1)]
 	if ref.Valid() {

@@ -1,12 +1,17 @@
 // Package predictor implements the load-store dependence predictors the
 // paper compares against: the store-set predictor of Chrysos & Emer (the
-// "best dependence predictor proposed to date" referenced in the abstract)
-// and the perfect oracle driven by an emulator pre-pass.  The trivial
-// conservative and aggressive policies need no state and live in the
-// simulator's load-issue logic.
+// "best dependence predictor proposed to date" referenced in the abstract).
+// The perfect oracle is the emulator's dependence table (emu.Oracle), read
+// by the load/store queue directly; the trivial conservative and
+// aggressive policies need no state and live in the simulator's load-issue
+// logic.
 package predictor
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/core"
+)
 
 // PC identifies a static instruction: block ID in the high bits, index in
 // the low byte.
@@ -19,19 +24,6 @@ func MakePC(blockID int, instIdx int) PC {
 
 // String renders the PC.
 func (p PC) String() string { return fmt.Sprintf("b%d.i%d", p>>8, p&0xff) }
-
-// DynRef identifies a dynamic memory operation: the dynamic block sequence
-// number and the load/store ID within the block.  NoDynRef means "none".
-type DynRef struct {
-	Seq  int64
-	LSID int8
-}
-
-// NoDynRef is the absent reference.
-var NoDynRef = DynRef{Seq: -1}
-
-// Valid reports whether the reference names a real operation.
-func (r DynRef) Valid() bool { return r.Seq >= 0 }
 
 // Config sizes the store-set predictor.
 type Config struct {
@@ -64,8 +56,8 @@ func DefaultConfig() Config {
 // the SSIT size, and the LFST grows to the highest one handed out.
 type StoreSet struct {
 	cfg      Config
-	ssit     []int32  // PC hash -> SSID+1, 0 invalid
-	lfst     []DynRef // SSID -> last fetched store with Seq+1, zero = NoDynRef
+	ssit     []int32       // PC hash -> SSID+1, 0 invalid
+	lfst     []core.DynRef // SSID -> last fetched store with Seq+1, zero = core.NoDynRef
 	events   int64
 	nextSSID int32
 
@@ -93,8 +85,8 @@ func MustNew(cfg Config) *StoreSet {
 	return s
 }
 
-// lfstEntry is ref as the LFST holds it: Seq+1, so NoDynRef is zero.
-func lfstEntry(ref DynRef) DynRef { return DynRef{Seq: ref.Seq + 1, LSID: ref.LSID} }
+// lfstEntry is ref as the LFST holds it: Seq+1, so core.NoDynRef is zero.
+func lfstEntry(ref core.DynRef) core.DynRef { return core.DynRef{Seq: ref.Seq + 1, LSID: ref.LSID} }
 
 func (s *StoreSet) reset() {
 	clear(s.ssit)
@@ -117,7 +109,7 @@ func (s *StoreSet) tick() {
 
 // StoreFetched records that a dynamic store instance entered the window.
 // Call at block map time for every store in the block.
-func (s *StoreSet) StoreFetched(pc PC, ref DynRef) {
+func (s *StoreSet) StoreFetched(pc PC, ref core.DynRef) {
 	s.tick()
 	if ssid := s.ssit[s.index(pc)]; ssid > 0 {
 		s.lfst[ssid-1] = lfstEntry(ref)
@@ -127,21 +119,21 @@ func (s *StoreSet) StoreFetched(pc PC, ref DynRef) {
 // StoreDone records that a dynamic store instance executed (its address is
 // known) or left the window; the set's LFST entry is cleared if it still
 // names this instance.
-func (s *StoreSet) StoreDone(pc PC, ref DynRef) {
+func (s *StoreSet) StoreDone(pc PC, ref core.DynRef) {
 	if ssid := s.ssit[s.index(pc)]; ssid > 0 && s.lfst[ssid-1] == lfstEntry(ref) {
-		s.lfst[ssid-1] = DynRef{}
+		s.lfst[ssid-1] = core.DynRef{}
 	}
 }
 
 // LoadDependence returns the dynamic store the load should wait for, or
-// NoDynRef if the load may issue immediately.  Call when the load's address
-// becomes ready.
-func (s *StoreSet) LoadDependence(pc PC) DynRef {
+// core.NoDynRef if the load may issue immediately.  Call when the load's
+// address becomes ready.
+func (s *StoreSet) LoadDependence(pc PC) core.DynRef {
 	s.tick()
 	ssid := s.ssit[s.index(pc)]
 	if ssid == 0 {
 		s.LoadFrees++
-		return NoDynRef
+		return core.NoDynRef
 	}
 	ref := s.lfst[ssid-1]
 	ref.Seq--
@@ -166,7 +158,7 @@ func (s *StoreSet) Violation(loadPC, storePC PC) {
 		ssid := s.nextSSID
 		s.nextSSID = (s.nextSSID + 1) & int32(len(s.ssit)-1)
 		if int(ssid) == len(s.lfst) { // first time this SSID is handed out
-			s.lfst = append(s.lfst, DynRef{})
+			s.lfst = append(s.lfst, core.DynRef{})
 		}
 		s.ssit[li], s.ssit[si] = ssid+1, ssid+1
 	case ls != 0 && ss == 0:
@@ -181,23 +173,4 @@ func (s *StoreSet) Violation(loadPC, storePC PC) {
 			s.ssit[li] = ss
 		}
 	}
-}
-
-// Oracle answers load-issue queries from the perfect-oracle table built by
-// an emulator pre-pass: each dynamic load maps to the dynamic store that
-// most recently wrote an overlapping byte.
-type Oracle struct {
-	deps map[DynRef]DynRef
-}
-
-// NewOracle wraps a dependence table.
-func NewOracle(deps map[DynRef]DynRef) *Oracle { return &Oracle{deps: deps} }
-
-// LoadDependence returns the store the dynamic load must wait for, or
-// NoDynRef.
-func (o *Oracle) LoadDependence(load DynRef) DynRef {
-	if ref, ok := o.deps[load]; ok {
-		return ref
-	}
-	return NoDynRef
 }

@@ -1,6 +1,10 @@
 package predictor
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/core"
+)
 
 func TestUntrainedLoadIsFree(t *testing.T) {
 	s := MustNew(DefaultConfig())
@@ -18,7 +22,7 @@ func TestViolationCreatesDependence(t *testing.T) {
 	s.Violation(loadPC, storePC)
 
 	// A new dynamic instance of the store enters the window...
-	ref := DynRef{Seq: 10, LSID: 1}
+	ref := core.DynRef{Seq: 10, LSID: 1}
 	s.StoreFetched(storePC, ref)
 	// ...and the load must now wait for exactly that instance.
 	if got := s.LoadDependence(loadPC); got != ref {
@@ -35,8 +39,8 @@ func TestStoreDoneClearsOnlyMatchingInstance(t *testing.T) {
 	s := MustNew(DefaultConfig())
 	loadPC, storePC := MakePC(1, 1), MakePC(1, 0)
 	s.Violation(loadPC, storePC)
-	first := DynRef{Seq: 5, LSID: 0}
-	second := DynRef{Seq: 6, LSID: 0}
+	first := core.DynRef{Seq: 5, LSID: 0}
+	second := core.DynRef{Seq: 6, LSID: 0}
 	s.StoreFetched(storePC, first)
 	s.StoreFetched(storePC, second) // newer instance overwrites LFST
 	s.StoreDone(storePC, first)     // stale completion must not clear it
@@ -53,7 +57,7 @@ func TestSetMergingRules(t *testing.T) {
 	s.Violation(l2, st2) // new set B
 	// Cross violation merges: l1 now shares a set with st2.
 	s.Violation(l1, st2)
-	ref := DynRef{Seq: 20, LSID: 3}
+	ref := core.DynRef{Seq: 20, LSID: 3}
 	s.StoreFetched(st2, ref)
 	dep1 := s.LoadDependence(l1)
 	if dep1 != ref {
@@ -68,7 +72,7 @@ func TestCyclicClearing(t *testing.T) {
 	s := MustNew(Config{SSITSize: 256, ClearInterval: 10})
 	loadPC, storePC := MakePC(1, 1), MakePC(1, 0)
 	s.Violation(loadPC, storePC)
-	ref := DynRef{Seq: 1, LSID: 0}
+	ref := core.DynRef{Seq: 1, LSID: 0}
 	s.StoreFetched(storePC, ref)
 	if !s.LoadDependence(loadPC).Valid() {
 		t.Fatal("dependence lost before clearing")
@@ -95,19 +99,6 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-func TestOracle(t *testing.T) {
-	deps := map[DynRef]DynRef{
-		{Seq: 4, LSID: 2}: {Seq: 3, LSID: 1},
-	}
-	o := NewOracle(deps)
-	if got := o.LoadDependence(DynRef{Seq: 4, LSID: 2}); got != (DynRef{Seq: 3, LSID: 1}) {
-		t.Errorf("dependence = %v", got)
-	}
-	if got := o.LoadDependence(DynRef{Seq: 9, LSID: 0}); got.Valid() {
-		t.Errorf("phantom dependence = %v", got)
-	}
-}
-
 func TestPCString(t *testing.T) {
 	if got := MakePC(5, 17).String(); got != "b5.i17" {
 		t.Errorf("PC string = %q", got)
@@ -121,11 +112,11 @@ func BenchmarkStoreSetOps(b *testing.B) {
 		pc := MakePC(i&0xff, i&0x7f)
 		switch i % 4 {
 		case 0:
-			s.StoreFetched(pc, DynRef{Seq: int64(i), LSID: 0})
+			s.StoreFetched(pc, core.DynRef{Seq: int64(i), LSID: 0})
 		case 1:
 			s.LoadDependence(pc)
 		case 2:
-			s.StoreDone(pc, DynRef{Seq: int64(i - 2), LSID: 0})
+			s.StoreDone(pc, core.DynRef{Seq: int64(i - 2), LSID: 0})
 		case 3:
 			s.Violation(pc, MakePC(i&0xff, (i+1)&0x7f))
 		}

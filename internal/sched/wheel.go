@@ -1,12 +1,25 @@
+// Package sched provides the deterministic event scheduler of the
+// event-driven simulation core: a calendar queue of payloads keyed by
+// (cycle, insertion order).
+//
+// Two properties matter to the simulator and are pinned by tests:
+//
+//   - determinism: events scheduled for the same cycle pop in insertion
+//     order (FIFO within a cycle), the order of the test-only heap Queue
+//     the parity tests compare against;
+//   - allocation-freedom in steady state: buckets keep their backing
+//     arrays across Push/Pop cycles, so a machine whose event population
+//     has reached its high-water mark schedules with zero heap allocations.
 package sched
 
 import "repro/internal/bitset"
 
-// Wheel is a calendar queue with the same contract as Queue — events pop in
-// (At, insertion order) — but O(1) push and pop instead of heap sifting: a
-// power-of-two ring of per-cycle FIFO buckets, with a bitset.Ring occupancy
-// mask so advancing to the next scheduled cycle is a rotate-and-CLZ instead
-// of a scan.  The zero value is ready to use.
+// Wheel is a calendar queue with the same contract as the test-only heap
+// Queue — events pop in (At, insertion order) — but O(1) push and pop
+// instead of heap sifting: a power-of-two ring of per-cycle FIFO buckets,
+// with a bitset.Ring occupancy mask so advancing to the next scheduled
+// cycle is a rotate-and-CLZ instead of a scan.  The zero value is ready to
+// use.
 //
 // The window invariant: every queued At lies in [min, min+size), where size
 // is the bucket count.  Within that window the bucket index At&(size-1) is

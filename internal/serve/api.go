@@ -202,7 +202,6 @@ type ErrorResponse struct {
 const (
 	ErrCodeBadRequest  = "bad_request"
 	ErrCodeNotFound    = "not_found"
-	ErrCodeOverQuota   = "over_quota"
 	ErrCodeDraining    = "draining"
 	ErrCodeConflict    = "conflict"
 	ErrCodeLeaseGone   = "lease_gone"

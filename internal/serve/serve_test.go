@@ -446,31 +446,6 @@ func TestFleetWorkerCrashRequeue(t *testing.T) {
 	}
 }
 
-// TestQuotaRejectsOverBudgetTenant pins the per-tenant token bucket: a
-// tenant that exhausts its burst gets 429 + Retry-After while another
-// tenant still submits.
-func TestQuotaRejectsOverBudgetTenant(t *testing.T) {
-	d := startDaemon(t, serve.Config{BatchLinger: -1, QuotaRate: 0.001, QuotaBurst: 2}, 1, 0)
-
-	if v := d.submit(t, "greedy", testGrid()); v.Total != 2 {
-		t.Fatalf("first submit: %+v", v)
-	}
-	code, body := d.post(t, "/v1/sweeps", "greedy", serve.SubmitRequest{Schema: serve.SubmitSchema, Grid: testGrid()})
-	if code != http.StatusTooManyRequests {
-		t.Fatalf("over-quota submit: HTTP %d (%s), want 429", code, body)
-	}
-	var er serve.ErrorResponse
-	if err := json.Unmarshal(body, &er); err != nil || er.Schema != serve.ErrorSchema {
-		t.Errorf("429 body: %s", body)
-	}
-	if v := d.submit(t, "patient", testGrid()); v.Total != 2 {
-		t.Fatalf("other tenant blocked by greedy's quota: %+v", v)
-	}
-	if p := d.progress(t); p.Totals.QuotaRejections != 1 {
-		t.Errorf("quota rejections = %d, want 1", p.Totals.QuotaRejections)
-	}
-}
-
 // TestDrainFlushesManifests pins graceful shutdown: draining refuses new
 // submits and leases, flushes one manifest per sweep, and emits the drain
 // event.

@@ -57,11 +57,6 @@ type Config struct {
 	// job for more to coalesce into one engine.Run (default 25ms).
 	BatchLinger time.Duration
 
-	// QuotaRate/QuotaBurst give each tenant a token bucket over submitted
-	// specs; zero rate disables quotas.
-	QuotaRate  float64
-	QuotaBurst float64
-
 	// ManifestDir, when set, receives one dsre-sweep-manifest/v1 file per
 	// sweep at drain time (<dir>/<sweep-id>.json).
 	ManifestDir string
@@ -80,13 +75,12 @@ type Config struct {
 	Now func() time.Time
 }
 
-// Server is the dsre-serve daemon core: queue, quotas, local dispatcher,
+// Server is the dsre-serve daemon core: queue, local dispatcher,
 // lease janitor and the dsre-serve/v1 HTTP surface.  Build with New, wire
 // Handler into an http.Server, call Start, and Drain on shutdown.
 type Server struct {
 	cfg       Config
 	q         *Queue
-	quotas    *Quotas
 	mux       *http.ServeMux
 	red       *tracing.RED
 	startTime time.Time
@@ -133,7 +127,6 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:          cfg,
 		q:            NewQueue(cfg.Obs, cfg.LeaseTTL, cfg.MaxAttempts, minter),
-		quotas:       NewQuotas(cfg.QuotaRate, cfg.QuotaBurst),
 		red:          tracing.NewRED(cfg.Obs.Reg, cfg.Sink, minter, cfg.Now, cfg.SlowRequest),
 		startTime:    cfg.Now(),
 		drainCh:      make(chan struct{}),
@@ -390,12 +383,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	now := s.now()
-	if ok, retry := s.quotas.Allow(tenant, len(specs), now); !ok {
-		s.cfg.Obs.QuotaRejected(tenant, now)
-		w.Header().Set("Retry-After", strconv.Itoa(int(retry/time.Second)+1))
-		writeError(w, r, http.StatusTooManyRequests, ErrCodeOverQuota, "tenant %q over quota, retry in %s", tenant, retry.Round(time.Millisecond))
-		return
-	}
 
 	// Canonicalise, validate and hash outside the queue lock; probe the
 	// store so repeat grids resolve to instant hits without queueing.

@@ -93,16 +93,6 @@ type Config struct {
 	// DeadlockCycles aborts when no block commits for this many cycles
 	// (a protocol bug, not a modelling condition).  Zero means 200000.
 	DeadlockCycles int64
-
-	// SlowTick disables the event-driven fast paths (active-tile worklists,
-	// idle-gap fast-forward) and steps every structure every cycle.  It is a
-	// differential-testing escape hatch: the fast paths are required to
-	// produce byte-identical results, so the flag cannot change any output
-	// and Canonical() erases it (two configs differing only in SlowTick
-	// share a sweep cache entry).  The mesh has no dense path: it ticks the
-	// same way under either setting, and its oracle is the reference
-	// implementation in internal/noc's tests.
-	SlowTick bool
 }
 
 // DefaultConfig is the TRIPS-like baseline machine of the paper's
@@ -214,10 +204,6 @@ func (c Config) Canonical() Config {
 	if c.BlockPred == PredPerfect {
 		c.PerfectBlockPred = true
 	}
-	// SlowTick is proven result-identical (the differential tests in
-	// fastpath_test.go pin byte-equality), so it must not split the sweep
-	// cache: both settings canonicalise to the fast path.
-	c.SlowTick = false
 	return c
 }
 

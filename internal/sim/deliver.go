@@ -166,7 +166,7 @@ func (mc *Machine) handleLoadReq(m message) {
 		mc.stats.StaleMsgs++
 		return
 	}
-	key := lsq.Key{Seq: m.seq, LSID: m.lsid}
+	key := core.DynRef{Seq: m.seq, LSID: m.lsid}
 	res := mc.q.LoadTry(mc.cycle, key, m.addr, m.tag)
 	if m.committed {
 		mc.q.LoadInputsCommitted(key)
@@ -214,7 +214,7 @@ func (mc *Machine) handleStoreReq(m message) {
 		mc.stats.StaleMsgs++
 		return
 	}
-	key := lsq.Key{Seq: m.seq, LSID: m.lsid}
+	key := core.DynRef{Seq: m.seq, LSID: m.lsid}
 	vs := mc.q.StoreUpdate(key, m.addr, m.value, m.tag, m.addrCom, m.dataCom)
 	if m.committed {
 		mc.q.StoreCommitted(key)
@@ -234,7 +234,7 @@ func (mc *Machine) handleStoreNull(m message) {
 		mc.stats.StaleMsgs++
 		return
 	}
-	key := lsq.Key{Seq: m.seq, LSID: m.lsid}
+	key := core.DynRef{Seq: m.seq, LSID: m.lsid}
 	vs := mc.q.StoreNullify(key)
 	if m.committed {
 		mc.q.StoreCommitted(key)

@@ -34,13 +34,13 @@ func (mc *Machine) enqueueReady(b *blockInst, idx int) {
 
 // stepTiles advances every tile with resident work and reports whether any
 // tile did anything.  Tiles are visited in ascending index order — via the
-// active mask normally, densely under SlowTick — so issue arbitration is
+// active mask normally, densely when mc.dense is set — so issue arbitration is
 // identical either way.  No new tiles activate during the scan (activation
 // happens in message handlers and at block map, both outside this phase);
 // stepTile only clears its own tile's bit, so the word snapshot is safe.
 func (mc *Machine) stepTiles() bool {
 	progress := false
-	if mc.cfg.SlowTick {
+	if mc.dense {
 		for ti := range mc.tiles {
 			if mc.stepTile(ti) {
 				progress = true

@@ -9,8 +9,22 @@ import (
 	"repro/internal/account"
 	"repro/internal/core"
 	"repro/internal/emu"
+	"repro/internal/isa"
+	"repro/internal/mem"
 	"repro/internal/workload"
 )
+
+// newTicked builds a machine on the event-driven path, or on the dense
+// reference path (every tile stepped every cycle, no fast-forward) when
+// dense is set.
+func newTicked(cfg Config, prog *isa.Program, regs *[isa.NumRegs]int64, m *mem.Memory, oracle *emu.Oracle, dense bool) (*Machine, error) {
+	mc, err := New(cfg, prog, regs, m, oracle, nil)
+	if err != nil {
+		return nil, err
+	}
+	mc.dense = dense
+	return mc, nil
+}
 
 // fastpathScheme is one (policy, recovery) point of the differential matrix.
 type fastpathScheme struct {
@@ -32,7 +46,7 @@ var fastpathSchemes = []fastpathScheme{
 func runTickVariant(t *testing.T, kernel string, size int, s fastpathScheme, slow, acct bool, sampleEvery int64) (*Result, []Sample) {
 	t.Helper()
 	w := workload.MustBuild(kernel, workload.Params{Size: size})
-	var oracle map[emu.MemRef]emu.MemRef
+	var oracle *emu.Oracle
 	if s.policy == core.IssueOracle {
 		gw := workload.MustBuild(kernel, workload.Params{Size: size})
 		golden, err := emu.Run(gw.Program, &gw.Regs, gw.Mem, emu.Options{CollectOracle: true})
@@ -44,8 +58,7 @@ func runTickVariant(t *testing.T, kernel string, size int, s fastpathScheme, slo
 	cfg := DefaultConfig()
 	cfg.Policy = s.policy
 	cfg.Recovery = s.recovery
-	cfg.SlowTick = slow
-	mc, err := New(cfg, w.Program, &w.Regs, w.Mem, oracle, nil)
+	mc, err := newTicked(cfg, w.Program, &w.Regs, w.Mem, oracle, slow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,8 +157,7 @@ func TestDeadlockUnderFastPath(t *testing.T) {
 		cfg.Policy = core.IssueAggressive
 		cfg.Recovery = core.RecoverDSRE
 		cfg.DeadlockCycles = 8 // no block can commit this early
-		cfg.SlowTick = slow
-		mc, err := New(cfg, w.Program, &w.Regs, w.Mem, nil, nil)
+		mc, err := newTicked(cfg, w.Program, &w.Regs, w.Mem, nil, slow)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,8 +193,7 @@ func TestMaxCyclesUnderFastPath(t *testing.T) {
 		cfg.Policy = core.IssueAggressive
 		cfg.Recovery = core.RecoverDSRE
 		cfg.MaxCycles = 500
-		cfg.SlowTick = slow
-		mc, err := New(cfg, w.Program, &w.Regs, w.Mem, nil, nil)
+		mc, err := newTicked(cfg, w.Program, &w.Regs, w.Mem, nil, slow)
 		if err != nil {
 			t.Fatal(err)
 		}

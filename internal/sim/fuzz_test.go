@@ -150,9 +150,7 @@ func TestFuzzProgramsAllSchemes(t *testing.T) {
 			}
 			// Differential arm: the dense reference tick must reproduce the
 			// event-driven run bit for bit, on every random program.
-			scfg := cfg
-			scfg.SlowTick = true
-			smc, err := New(scfg, prog, regs, m, golden.Oracle, nil)
+			smc, err := newTicked(cfg, prog, regs, m, golden.Oracle, true)
 			if err != nil {
 				t.Logf("seed %d: %v", seed, err)
 				return false

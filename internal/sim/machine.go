@@ -57,8 +57,8 @@ type tileState struct {
 // an issue.  windowBase is the oldest in-flight block's sequence; ringMask
 // is the tile ring's index mask.  ok is false when the tile has nothing
 // queued; stale reports that this cycle's issue slot was consumed by a
-// reclaimed entry and no instruction was popped.  Both the dense
-// (SlowTick) and event-driven paths issue through this one helper.
+// reclaimed entry and no instruction was popped.  Both the dense and
+// event-driven paths issue through this one helper.
 func (t *tileState) dequeueReady(windowBase int64, ringMask int) (seq int64, idx int, stale, ok bool) {
 	if t.staleCredits > 0 {
 		t.staleCredits--
@@ -103,6 +103,11 @@ type injection struct {
 type Machine struct {
 	cfg  Config
 	prog *isa.Program
+	// dense steps every tile every cycle and never fast-forwards: the
+	// reference the event-driven path is tested against (tests set it).
+	// The mesh has no dense path; its reference lives in internal/noc's
+	// tests.
+	dense bool
 
 	arch [isa.NumRegs]int64
 	mem  *mem.Memory
@@ -212,11 +217,11 @@ func (mc *Machine) SetTracer(t Tracer) {
 // New builds a machine for one run of prog from the given initial state.
 // The oracle table (from an emulator pre-pass) is required only for
 // IssueOracle; the perfect block trace only for PerfectBlockPred.
-func New(cfg Config, prog *isa.Program, regs *[isa.NumRegs]int64, m *mem.Memory, oracleDeps map[emu.MemRef]emu.MemRef, trace []int) (*Machine, error) {
+func New(cfg Config, prog *isa.Program, regs *[isa.NumRegs]int64, m *mem.Memory, oracle *emu.Oracle, trace []int) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Policy == core.IssueOracle && oracleDeps == nil {
+	if cfg.Policy == core.IssueOracle && oracle == nil {
 		return nil, fmt.Errorf("sim: oracle policy requires an oracle table")
 	}
 	hier, err := cache.NewHierarchy(cfg.Hier)
@@ -251,15 +256,6 @@ func New(cfg Config, prog *isa.Program, regs *[isa.NumRegs]int64, m *mem.Memory,
 		return nil, err
 	}
 
-	var oracle *predictor.Oracle
-	if cfg.Policy == core.IssueOracle {
-		deps := make(map[predictor.DynRef]predictor.DynRef, len(oracleDeps))
-		//lint:ordered — injective key-for-key map rebuild: the resulting map is the same set regardless of visit order
-		for l, s := range oracleDeps {
-			deps[predictor.DynRef{Seq: l.BlockSeq, LSID: l.LSID}] = predictor.DynRef{Seq: s.BlockSeq, LSID: s.LSID}
-		}
-		oracle = predictor.NewOracle(deps)
-	}
 	if cfg.Policy == core.IssueStoreSet {
 		mc.ss, err = predictor.New(cfg.StoreSet)
 		if err != nil {

@@ -13,7 +13,7 @@ import (
 // at one size, event-driven or dense reference ticking, optionally on a
 // reshaped machine, reporting simulated megacycles per wall second (the
 // headline CI tracks) alongside the per-run counters.
-func benchMachine(b *testing.B, kernel string, size int, slowTick bool, shape func(*Config)) {
+func benchMachine(b *testing.B, kernel string, size int, dense bool, shape func(*Config)) {
 	w := workload.MustBuild(kernel, workload.Params{Size: size})
 	er, _ := emu.Run(w.Program, &w.Regs, w.Mem, emu.Options{})
 	var cycles int64
@@ -22,11 +22,10 @@ func benchMachine(b *testing.B, kernel string, size int, slowTick bool, shape fu
 		cfg := DefaultConfig()
 		cfg.Policy = core.IssueAggressive
 		cfg.Recovery = core.RecoverDSRE
-		cfg.SlowTick = slowTick
 		if shape != nil {
 			shape(&cfg)
 		}
-		mc, err := New(cfg, w.Program, &w.Regs, w.Mem, nil, nil)
+		mc, err := newTicked(cfg, w.Program, &w.Regs, w.Mem, nil, dense)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -92,8 +91,8 @@ func BenchmarkMachineNew(b *testing.B) {
 	}
 }
 
-// BenchmarkMachineDense runs the same kernels under Config.SlowTick — every
-// structure stepped every cycle, the pre-event-core behaviour — so the
+// BenchmarkMachineDense runs the same kernels on the dense path — every
+// tile stepped every cycle, no fast-forward, the pre-event-core behaviour — so the
 // event-driven speedup is a single benchstat (or mcycles/s ratio) away.
 func BenchmarkMachineDense(b *testing.B) {
 	for _, k := range []string{"histogram", "vecsum"} {

@@ -54,7 +54,7 @@ func (mc *Machine) RunContext(ctx context.Context) (*Result, error) {
 				return nil, fmt.Errorf("sim: cancelled at cycle %d: %w", mc.cycle, err)
 			}
 		}
-		if mc.step() || mc.cfg.SlowTick {
+		if mc.step() || mc.dense {
 			continue
 		}
 		// The cycle just stepped was a provable no-op, and nothing outside

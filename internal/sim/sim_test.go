@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/emu"
-	"repro/internal/lsq"
 	"repro/internal/workload"
 )
 
@@ -28,8 +27,12 @@ func runBoth(t *testing.T, w *workload.Workload, cfg Config) (*emu.Result, *Resu
 	}
 	// Validate every drained store against the golden trace: protocol bugs
 	// surface at the first wrong store, not as an end-state diff.
-	mc.q.ValidateDrain = func(k lsq.Key, addr uint64, data int64, size int) error {
-		rec, ok := er.StoreTrace[emu.MemRef{BlockSeq: k.Seq, LSID: k.LSID}]
+	golden := make(map[core.DynRef]emu.StoreRecord, len(er.StoreTrace))
+	for _, rec := range er.StoreTrace {
+		golden[rec.Ref] = rec
+	}
+	mc.q.ValidateDrain = func(k core.DynRef, addr uint64, data int64, size int) error {
+		rec, ok := golden[k]
 		if !ok {
 			return fmt.Errorf("drain of %v: no golden store", k)
 		}

@@ -13,7 +13,7 @@ import (
 )
 
 // RecordSchema identifies the on-disk job-record wire format.
-const RecordSchema = "dsre-sweep-record/v1"
+const RecordSchema = "dsre-sweep-record/v2"
 
 // Record is one cached job result: the spec that produced it, the stamps
 // that scope its validity, and the dsre-report/v1 payload.  PayloadSHA256

@@ -78,7 +78,7 @@ func TestOracleCollection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Oracle) == 0 {
+	if res.DependentLoads() == 0 {
 		t.Fatal("stencil produced no oracle entries despite loop-carried stores")
 	}
 	// Every stencil load of a[i-1] conflicts with the store from the
@@ -97,8 +97,8 @@ func TestOracleCollection(t *testing.T) {
 		t.Fatal(err)
 	}
 	// vecsum's only store is the final result; loads never conflict.
-	if len(res2.Oracle) != 0 {
-		t.Errorf("vecsum should have no store→load dependences, got %d", len(res2.Oracle))
+	if n := res2.DependentLoads(); n != 0 {
+		t.Errorf("vecsum should have no store→load dependences, got %d", n)
 	}
 }
 

@@ -94,14 +94,6 @@ type Config struct {
 	// the Result's Samples.  Zero disables sampling — the simulator hot
 	// path then pays only a nil check.
 	SampleEvery int
-	// SlowTick disables the simulator's event-driven fast paths and steps
-	// every structure every cycle.  Results are byte-identical either way
-	// (the fast paths are differentially tested against this flag); it
-	// exists for correctness triage and does not enter sweep cache keys.
-	// The operand mesh has no dense path, so it ticks the same way under
-	// either setting; its oracle is the reference mesh in internal/noc's
-	// tests.
-	SlowTick bool
 }
 
 // Result is the outcome of one verified run.
@@ -377,7 +369,6 @@ func (cfg Config) MachineConfig() (sim.Config, error) {
 	sc.CommitTokensFree = cfg.CommitTokensFree
 	sc.SuppressIdenticalValues = !cfg.NoSuppressIdentical
 	sc.PerfectBlockPred = cfg.PerfectBlockPred
-	sc.SlowTick = cfg.SlowTick
 	switch cfg.Placement {
 	case "", "roundrobin":
 		sc.Placement = sim.PlaceRoundRobin
