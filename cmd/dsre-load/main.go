@@ -1,15 +1,17 @@
-// dsre-load drives a dsre-serve daemon the way a fleet of impatient users
-// would and verifies the service-level invariants: N concurrent clients
-// submit the same grid for several rounds, every sweep must finish with
-// zero failed jobs, no job may execute more than once (content-addressed
-// dedup), no upload may be dropped as a duplicate in a crash-free run, and
-// warm rounds must hit the cache at or above a threshold rate.
+// dsre-load drives a dsre-serve daemon the way a crowd of impatient users
+// would and verifies the service-level invariants from the daemon's
+// GET /v1/sweeps document: N concurrent clients submit the same grid for
+// several rounds, every sweep must finish with every job done (nothing
+// lost, nothing failed), no point may execute more than once
+// (content-addressed dedup: the fresh executions, done minus cache hits
+// summed over the sweeps, never exceed the distinct points), and warm
+// rounds must hit the cache at or above a threshold rate.
 //
 //	dsre-load -url http://127.0.0.1:8177 -grid grid.json -clients 4 -rounds 2
 //
 // Exit codes: 0 all checks pass, 1 an invariant failed, 2 usage or
-// communication error.  CI runs it against a daemon plus two workers as
-// the serve-smoke acceptance gate.
+// communication error.  CI runs it against a daemon as the serve-smoke
+// acceptance gate.
 package main
 
 import (
@@ -25,7 +27,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/sweep"
 )
@@ -89,14 +90,6 @@ func (c *client) sweep(id string) (*serve.SweepView, error) {
 	return &v, nil
 }
 
-func (c *client) progress() (*obs.ServeProgressView, error) {
-	var v obs.ServeProgressView
-	if err := c.getJSON("/progress", &v); err != nil {
-		return nil, err
-	}
-	return &v, nil
-}
-
 func (c *client) getJSON(path string, v any) error {
 	resp, err := c.http.Get(c.base + path)
 	if err != nil {
@@ -136,13 +129,21 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
+	distinct := map[string]bool{}
+	for _, spec := range specs {
+		h, herr := spec.Hash()
+		if herr != nil {
+			fatalf("spec %s: %v", spec.Name(), herr)
+		}
+		distinct[h] = true
+	}
 
 	c := &client{base: strings.TrimRight(*url, "/"), http: &http.Client{Timeout: 30 * time.Second}}
 	deadline := time.Now().Add(*timeout)
 	start := time.Now()
 
 	type roundStat struct {
-		sweeps  []*serve.SweepView
+		ids     []string
 		elapsed time.Duration
 	}
 	var stats []roundStat
@@ -182,7 +183,6 @@ func main() {
 		}
 
 		// Poll every sweep of the round to completion.
-		views := make([]*serve.SweepView, *clients)
 		for i, id := range ids {
 			for {
 				if time.Now().After(deadline) {
@@ -193,25 +193,49 @@ func main() {
 					fatalf("round %d: %v", round, err)
 				}
 				if v.Finished {
-					views[i] = v
 					latencies = append(latencies, time.Since(submitted[i]))
 					break
 				}
 				time.Sleep(*poll)
 			}
 		}
-		stats = append(stats, roundStat{sweeps: views, elapsed: time.Since(roundStart)})
+		stats = append(stats, roundStat{ids: ids, elapsed: time.Since(roundStart)})
 	}
 
-	// Invariants per sweep: nothing lost (all finished, done == total,
-	// zero failed), and warm rounds nearly all cache hits.
+	// Every invariant reads the daemon's own sweep list.
+	var list serve.SweepListView
+	if err := c.getJSON("/v1/sweeps", &list); err != nil {
+		fatalf("%v", err)
+	}
+	listed := map[string]serve.SweepView{}
+	for _, v := range list.Sweeps {
+		listed[v.Sweep] = v
+	}
+
+	// Per sweep: nothing lost (listed, finished, done == total), nothing
+	// failed, and warm rounds nearly all cache hits.  Across sweeps: the
+	// fresh executions never exceed the distinct points.
+	executions, hitsTotal := 0, 0
 	for r, st := range stats {
-		for _, v := range st.sweeps {
+		for _, id := range st.ids {
+			v, ok := listed[id]
+			if !ok {
+				fail("sweep %s: missing from GET /v1/sweeps (lost)", id)
+				continue
+			}
+			executions += v.Done - v.CacheHits
+			hitsTotal += v.CacheHits
+			if !v.Finished {
+				fail("sweep %s: not finished after polling reported it finished", id)
+			}
 			if v.Total != len(specs) {
 				fail("sweep %s: total %d, submitted %d", v.Sweep, v.Total, len(specs))
 			}
-			if v.Done != v.Total || v.Failed != 0 {
-				fail("sweep %s: done %d failed %d of %d (lost jobs)", v.Sweep, v.Done, v.Failed, v.Total)
+			if v.Failed != 0 {
+				fail("sweep %s: %d of %d jobs failed", v.Sweep, v.Failed, v.Total)
+			}
+			if v.Done+v.Failed != v.Total {
+				fail("sweep %s: done %d + failed %d of %d (lost jobs)", v.Sweep, v.Done, v.Failed, v.Total)
 			}
 			if r > 0 {
 				rate := float64(v.CacheHits) / float64(v.Total)
@@ -222,28 +246,8 @@ func main() {
 		}
 	}
 
-	// Fleet-level invariants from /progress: every unique job completed,
-	// no duplicate executions (executions never exceeds unique jobs) and
-	// no dropped uploads in a crash-free run.
-	prog, err := c.progress()
-	if err != nil {
-		fatalf("%v", err)
-	}
-	t := prog.Totals
-	if t.Failed != 0 {
-		fail("progress: %d unique jobs failed", t.Failed)
-	}
-	if t.Done != t.UniqueJobs {
-		fail("progress: %d unique jobs done of %d queued (lost jobs)", t.Done, t.UniqueJobs)
-	}
-	if t.Executions > t.UniqueJobs {
-		fail("progress: %d executions for %d unique jobs (duplicated work)", t.Executions, t.UniqueJobs)
-	}
-	if t.UploadDuplicates != 0 {
-		fail("progress: %d duplicate uploads in a crash-free run", t.UploadDuplicates)
-	}
-	if t.Queued != 0 || t.Leased != 0 {
-		fail("progress: queue not drained (queued %d, leased %d)", t.Queued, t.Leased)
+	if executions > len(distinct) {
+		fail("%d fresh executions for %d distinct points (duplicated work)", executions, len(distinct))
 	}
 
 	total := time.Since(start)
@@ -253,9 +257,9 @@ func main() {
 		float64(specsDone)/total.Seconds())
 	for r, st := range stats {
 		hits, tot := 0, 0
-		for _, v := range st.sweeps {
-			hits += v.CacheHits
-			tot += v.Total
+		for _, id := range st.ids {
+			hits += listed[id].CacheHits
+			tot += listed[id].Total
 		}
 		kind := "cold"
 		if r > 0 {
@@ -264,8 +268,8 @@ func main() {
 		fmt.Printf("  round %d (%s): %s, cache-hit rate %.2f (%d/%d)\n",
 			r+1, kind, st.elapsed.Round(time.Millisecond), float64(hits)/float64(tot), hits, tot)
 	}
-	fmt.Printf("  fleet: %d unique executions, %d cache hits, %d uploads, %d requeues, %d lease expiries\n",
-		t.Executions, t.CacheHits, t.Uploads, t.Requeues, t.LeaseExpiries)
+	fmt.Printf("  daemon: %d fresh executions for %d distinct points, %d cache hits\n",
+		executions, len(distinct), hitsTotal)
 	fmt.Printf("  latency (submit to done, %d sweeps): p50 %s  p95 %s  p99 %s\n",
 		len(latencies),
 		percentile(latencies, 50).Round(time.Millisecond),

@@ -25,12 +25,12 @@
 // dsre-report/v1 artifact named <workload>-<scheme>-<hash12>.json; the
 // manifest records every job's spec, hash, status and timing, and the
 // process exits nonzero if any job failed.  SIGINT and SIGTERM cancel
-// in-flight jobs but still write the manifest, so a ^C'd (or fleet-
+// in-flight jobs but still write the manifest, so a ^C'd (or batch-
 // scheduler-killed) sweep is resumable.
 //
-// Fleet observability is opt-in: -status :9090 serves /metrics (Prometheus
+// Observability is opt-in: -status :9090 serves /metrics (Prometheus
 // text), /healthz, /progress (live JSON) and /debug/pprof; -events
-// sweep.events writes a dsre-events/v2 JSONL lifecycle log; -span-trace
+// sweep.events writes a dsre-events/v3 JSONL lifecycle log; -span-trace
 // sweep-trace.json exports per-job lifecycle spans as a Chrome trace with
 // one lane per worker (open in chrome://tracing or Perfetto).
 package main
@@ -115,7 +115,7 @@ func main() {
 	reports := flag.String("reports", "", "directory for per-point dsre-report/v1 artifacts (empty disables)")
 	quiet := flag.Bool("q", false, "suppress per-job progress on stderr")
 	statusAddr := flag.String("status", "", "serve /metrics, /healthz, /progress and /debug/pprof on this address (empty disables)")
-	eventsPath := flag.String("events", "", "write a dsre-events/v2 JSONL lifecycle log to this path (empty disables)")
+	eventsPath := flag.String("events", "", "write a dsre-events/v3 JSONL lifecycle log to this path (empty disables)")
 	spanTrace := flag.String("span-trace", "", "write per-job lifecycle spans as a Chrome trace to this path (empty disables)")
 	linger := flag.Duration("linger", 0, "keep the -status server up this long after the sweep (lets scrapers collect the final state)")
 	flag.Parse()
@@ -186,7 +186,7 @@ func main() {
 		opts.Progress = sweep.NewReporter(os.Stderr, *jobs)
 	}
 
-	// Fleet observability: all three surfaces are opt-in and disabled hooks
+	// Observability: all three surfaces are opt-in and disabled hooks
 	// cost the engine one nil check, so a bare sweep stays byte-identical.
 	var sink *obs.JSONLSink
 	var eventsFile *os.File
@@ -227,7 +227,7 @@ func main() {
 
 	// SIGINT and SIGTERM cancel in-flight jobs; the manifest below still
 	// records what finished, so the sweep can be resumed.  SIGTERM matters
-	// for fleet schedulers, which never send an interactive interrupt.
+	// for batch schedulers, which never send an interactive interrupt.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 

@@ -90,7 +90,7 @@ func main() {
 	t.Row("insts/block", float64(res.Insts)/float64(res.Blocks))
 	t.Row("loads", res.Loads)
 	t.Row("stores", res.Stores)
-	t.Row("loads with in-window deps (est)", res.DependentLoads())
+	t.Row("loads reading an earlier store's bytes", res.DependentLoads())
 	fmt.Println(t)
 
 	fmt.Println("store→load dependence distance histogram (dynamic memory ops):")
@@ -121,14 +121,14 @@ func main() {
 			InstsBlock  float64 `json:"insts_per_block"`
 			Loads       int64   `json:"loads"`
 			Stores      int64   `json:"stores"`
-			OracleDeps  int64   `json:"loads_with_in_window_deps"`
+			StoreDeps   int64   `json:"loads_with_store_deps"`
 			DepDistance []int64 `json:"dep_distance_hist"`
 		}{
-			Schema: "dsre-profile/v1", Workload: w.Name,
+			Schema: "dsre-profile/v2", Workload: w.Name,
 			Blocks: res.Blocks, Insts: res.Insts,
 			InstsBlock: float64(res.Insts) / float64(res.Blocks),
 			Loads:      res.Loads, Stores: res.Stores,
-			OracleDeps: res.DependentLoads(), DepDistance: res.DepDistance[:],
+			StoreDeps: res.DependentLoads(), DepDistance: res.DepDistance[:],
 		}
 		data, err := json.MarshalIndent(&profile, "", "  ")
 		if err != nil {

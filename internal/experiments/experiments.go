@@ -50,7 +50,7 @@ type Opts struct {
 	// Ctx, when set, bounds every sweep (dsre-bench passes its signal
 	// context so SIGINT/SIGTERM drain in-flight jobs); nil means Background.
 	Ctx context.Context
-	// Obs attaches fleet observability (metrics, events, live progress) to
+	// Obs attaches sweep observability (metrics, events, live progress) to
 	// the engines NewEngine builds; nil disables every hook.
 	Obs *obs.SweepObs
 }

@@ -126,10 +126,10 @@ func DefaultConfig() Config {
 			"internal/account.EventKind",
 			"internal/obs.EventKind",
 			"internal/obs.Phase",
-			"internal/serve.JobState",
+			"internal/serve.JobState", // queued, running, done, failed
 		},
 		// The concurrent service layer: mutex discipline and cancellation
-		// are audited everywhere a lease, drain or heartbeat loop lives.
+		// are audited everywhere a dispatch, drain or worker loop lives.
 		LockPkgs: []string{
 			"internal/serve", "internal/sweep", "internal/obs", "internal/obs/status",
 			"internal/obs/tracing",

@@ -11,7 +11,7 @@ import (
 // EventsSchema identifies the structured event-log wire format: one JSON
 // object per line, every line stamped with this schema so concatenated or
 // truncated logs stay self-describing.
-const EventsSchema = "dsre-events/v2"
+const EventsSchema = "dsre-events/v3"
 
 // EventKind classifies one job-lifecycle event.
 type EventKind uint8
@@ -43,16 +43,6 @@ const (
 	EventStoreCorrupt
 	// EventSubmit records one grid submitted to a dsre-serve daemon.
 	EventSubmit
-	// EventLease records a fleet worker leasing one queued job.
-	EventLease
-	// EventLeaseExpired records a lease whose heartbeats stopped (worker
-	// crash or partition); the job is requeued or failed.
-	EventLeaseExpired
-	// EventRequeue records a job returned to the queue for another attempt.
-	EventRequeue
-	// EventUpload records a fleet result upload: Status "ok"/"failed", or
-	// "duplicate" when first-write-wins dedup dropped a second copy.
-	EventUpload
 	// EventServeDrain records a daemon draining on SIGTERM: in-flight jobs
 	// finish, manifests flush, queued jobs are abandoned.
 	EventServeDrain
@@ -90,14 +80,6 @@ func (k EventKind) String() string {
 		return "store_corrupt"
 	case EventSubmit:
 		return "submit"
-	case EventLease:
-		return "lease"
-	case EventLeaseExpired:
-		return "lease_expired"
-	case EventRequeue:
-		return "requeue"
-	case EventUpload:
-		return "upload"
 	case EventServeDrain:
 		return "serve_drain"
 	case EventHTTPRequest:
@@ -115,8 +97,7 @@ func EventKinds() []EventKind {
 	return []EventKind{
 		EventSweepStart, EventJobStart, EventJobDone, EventCacheHit, EventRetry,
 		EventPanic, EventStoreWrite, EventDrain, EventSweepDone,
-		EventStoreCorrupt, EventSubmit, EventLease, EventLeaseExpired,
-		EventRequeue, EventUpload, EventServeDrain,
+		EventStoreCorrupt, EventSubmit, EventServeDrain,
 		EventHTTPRequest, EventSlowRequest,
 	}
 }
@@ -151,7 +132,7 @@ func (k *EventKind) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// Event is one dsre-events/v2 record.  Seq is assigned by the sink and is
+// Event is one dsre-events/v3 record.  Seq is assigned by the sink and is
 // strictly monotonic within one log; TimeMS is the emitting caller's
 // wall clock (unix milliseconds) — the sink never reads a clock itself, so
 // this package stays deterministic.
@@ -173,18 +154,15 @@ type Event struct {
 	ElapsedMS int64  `json:"elapsed_ms,omitempty"`
 	Error     string `json:"error,omitempty"`
 
-	// Service-level identity (dsre-serve): the submitting tenant, the
-	// daemon-assigned sweep ID, the fleet worker's name, and the lease the
-	// event belongs to.
+	// Service-level identity (dsre-serve submit events): the submitting
+	// tenant and the daemon-assigned sweep ID.
 	Tenant string `json:"tenant,omitempty"`
 	Sweep  string `json:"sweep,omitempty"`
-	Peer   string `json:"peer,omitempty"`
-	Lease  string `json:"lease,omitempty"`
 
-	// Distributed-trace identity (http_request / slow_request and every
-	// lease-protocol event): the request's 32-hex trace ID, its 16-hex span
-	// ID, the instrumented route pattern, the response status code and the
-	// request latency in microseconds.
+	// Distributed-trace identity (submit, http_request, slow_request): the
+	// 32-hex trace ID, the request's 16-hex span ID, the instrumented route
+	// pattern, the response status code and the request latency in
+	// microseconds.
 	Trace      string `json:"trace,omitempty"`
 	Span       string `json:"span,omitempty"`
 	Route      string `json:"route,omitempty"`
@@ -250,7 +228,7 @@ func (s *JSONLSink) Err() error {
 	return s.err
 }
 
-// ReadEvents parses a dsre-events/v2 JSONL stream, enforcing the schema
+// ReadEvents parses a dsre-events/v3 JSONL stream, enforcing the schema
 // stamp on every line, known kinds, and strictly increasing sequence
 // numbers.  Blank lines are skipped.
 func ReadEvents(r io.Reader) ([]Event, error) {

@@ -1,8 +1,9 @@
-// Package obs is the fleet-level observability layer: a zero-dependency
+// Package obs is the sweep-level observability layer: a zero-dependency
 // typed metrics registry with Prometheus text exposition, a structured
-// job-lifecycle event log (dsre-events/v2), per-job lifecycle spans with a
+// job-lifecycle event log (dsre-events/v3), per-job lifecycle spans with a
 // per-worker Chrome-trace export, and the live-progress state behind the
-// CLIs' -status HTTP endpoint (internal/obs/status).
+// CLIs' -status HTTP endpoint and dsre-serve's /progress
+// (internal/obs/status).
 //
 // The package is deterministic-when-off by construction and is audited by
 // dsre-lint's determinism analyzer: it never reads the wall clock (every

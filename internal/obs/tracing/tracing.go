@@ -1,9 +1,8 @@
-// Package tracing is the fleet's zero-dependency distributed-trace layer:
-// a W3C-traceparent-style context (128-bit trace ID, 64-bit span ID)
-// propagated on every HTTP hop of dsre-serve, a deterministic ID minter,
-// HTTP RED instrumentation for the daemon's endpoints, and the stitcher
-// that folds daemon-side and worker-side span chains into one
-// multi-process Chrome trace.
+// Package tracing is dsre-serve's zero-dependency trace layer: a
+// W3C-traceparent-style context (128-bit trace ID, 64-bit span ID)
+// propagated on every HTTP hop of the daemon (and on RemoteStore's cache
+// traffic), a deterministic ID minter, and HTTP RED instrumentation for
+// the daemon's endpoints.
 //
 // Like internal/obs, the package is audited by dsre-lint's determinism
 // analyzer: it never reads a clock (the RED middleware takes an injected
@@ -28,7 +27,7 @@ const Header = "traceparent"
 // TraceID identifies one request tree (one submitted sweep): 128 bits.
 type TraceID [16]byte
 
-// SpanID identifies one unit of work inside a trace (one lease attempt):
+// SpanID identifies one unit of work inside a trace (one HTTP request):
 // 64 bits.
 type SpanID [8]byte
 
@@ -142,7 +141,7 @@ func FromContext(ctx context.Context) (Context, bool) {
 // strictly increasing sequence: no clock, no entropy pool, so the audited
 // packages stay deterministic and tests seeded identically mint identical
 // IDs.  Distinct processes pass distinct seeds (the daemon uses its start
-// instant) to keep fleets collision-free.
+// instant) so their IDs do not collide.
 type Minter struct {
 	seed [32]byte
 	seq  atomic.Uint64

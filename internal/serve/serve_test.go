@@ -9,12 +9,15 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/obs/status"
 	"repro/internal/obs/tracing"
 	"repro/internal/serve"
 	"repro/internal/sim"
@@ -90,33 +93,27 @@ type daemon struct {
 	spans *obs.SpanLog
 }
 
-// startDaemon builds and starts a daemon.  localWorkers > 0 wires a local
-// engine driven by fakeRunner(runnerDelay); 0 runs fleet-only.
-func startDaemon(t *testing.T, cfg serve.Config, localWorkers int, runnerDelay time.Duration) *daemon {
+// startDaemon builds and starts a daemon whose engine runs with eng's
+// Workers, Runner and Retries (Runner defaults to fakeRunner(0)); the
+// daemon wires the store, the observer, the span log and the event sink.
+func startDaemon(t *testing.T, cfg serve.Config, eng sweep.Options) *daemon {
 	t.Helper()
 	store, err := sweep.OpenStore(filepath.Join(t.TempDir(), "cache"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	sink := &memSink{}
-	reg := obs.NewRegistry()
-	start := time.Now()
 	spans := obs.NewSpanLog()
-	cfg.Store = store
-	cfg.Obs = obs.NewServeObs(reg, start, sink, spans, localWorkers)
-	cfg.Sink = sink
-	if localWorkers > 0 {
-		engObs := obs.NewSweepObsInto(reg, start, sink, spans)
-		cfg.Engine = sweep.New(sweep.Options{
-			Workers: localWorkers, Store: store, Obs: engObs, Runner: fakeRunner(runnerDelay),
-		})
-		cfg.EngineObs = engObs
+	engObs := obs.NewSweepObs(time.Now(), sink, spans)
+	if eng.Runner == nil {
+		eng.Runner = fakeRunner(0)
 	}
+	eng.Store, eng.Obs = store, engObs
+	cfg.Store, cfg.Engine, cfg.Obs, cfg.Sink = store, sweep.New(eng), engObs, sink
 	srv, err := serve.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.Start()
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
 		srv.Drain("test-cleanup", 2*time.Second)
@@ -196,13 +193,49 @@ func (d *daemon) waitFinished(t *testing.T, id string, deadline time.Duration) *
 	}
 }
 
-func (d *daemon) progress(t *testing.T) *obs.ServeProgressView {
+// progress fetches /progress: the engine observer's dsre-progress/v1
+// document, one grid per engine Run.
+func (d *daemon) progress(t *testing.T) *obs.ProgressView {
 	t.Helper()
-	var v obs.ServeProgressView
+	var v obs.ProgressView
 	if code := d.get(t, "/progress", &v); code != http.StatusOK {
 		t.Fatalf("/progress: HTTP %d", code)
 	}
+	if v.Schema != obs.ProgressSchema {
+		t.Fatalf("/progress schema = %q, want %q", v.Schema, obs.ProgressSchema)
+	}
 	return &v
+}
+
+// metric scrapes /metrics and returns one unlabelled sample.
+func (d *daemon) metric(t *testing.T, name string) float64 {
+	t.Helper()
+	resp, err := d.ts.Client().Get(d.ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	for _, line := range strings.Split(string(body), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("metric %s: %v", name, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("metric %s not on /metrics", name)
+	return 0
+}
+
+// executions sums the fresh executions (done minus cache hits) of sweeps.
+func executions(views ...*serve.SweepView) int {
+	n := 0
+	for _, v := range views {
+		n += v.Done - v.CacheHits
+	}
+	return n
 }
 
 func testGrid() *sweep.Grid {
@@ -213,7 +246,7 @@ func testGrid() *sweep.Grid {
 // submit, poll to completion, fetch manifest and per-artifact reports, and
 // pin the served report bytes to what the runner produces directly.
 func TestDaemonEndToEndLocal(t *testing.T) {
-	d := startDaemon(t, serve.Config{BatchLinger: -1}, 2, 0)
+	d := startDaemon(t, serve.Config{BatchLinger: -1}, sweep.Options{Workers: 2})
 
 	v := d.submit(t, "e2e", testGrid())
 	if v.Total != 2 || v.Unique != 2 {
@@ -285,17 +318,28 @@ func TestDaemonEndToEndLocal(t *testing.T) {
 	}
 
 	// Accounting identity: every submitted spec is either a cache hit or a
-	// live execution.
-	p := d.progress(t)
-	tot := p.Totals
-	if tot.Specs != 4 || tot.Executions != 2 || tot.CacheHits+tot.Executions != tot.Specs {
-		t.Errorf("totals: specs %d = hits %d + executions %d expected", tot.Specs, tot.CacheHits, tot.Executions)
+	// fresh execution, and the engine's own counters agree.
+	if n := executions(v, v2); n != 2 || v.CacheHits+v2.CacheHits+n != 4 {
+		t.Errorf("4 specs != %d hits + %d executions", v.CacheHits+v2.CacheHits, n)
 	}
-	if tot.Queued != 0 || tot.Leased != 0 {
-		t.Errorf("queue not drained: %+v", tot)
+	if got := d.metric(t, "dsre_serve_submit_specs_total"); got != 4 {
+		t.Errorf("dsre_serve_submit_specs_total = %v, want 4", got)
 	}
-	if p.Engine == nil {
-		t.Error("progress: engine view missing on a local daemon")
+	if got := d.metric(t, "dsre_serve_sweeps_open"); got != 0 {
+		t.Errorf("dsre_serve_sweeps_open = %v after both sweeps finished", got)
+	}
+	if ok, hits := d.metric(t, "dsre_sweep_jobs_ok_total"), d.metric(t, "dsre_sweep_cache_hits_total"); ok-hits != 2 {
+		t.Errorf("engine counters: ok %v - hits %v, want 2 executions", ok, hits)
+	}
+	done := 0
+	for _, g := range d.progress(t).Grids {
+		if !g.Finished {
+			t.Errorf("progress: grid %s unfinished", g.Grid)
+		}
+		done += g.Done
+	}
+	if done != 2 {
+		t.Errorf("progress: engine grids completed %d jobs, want 2", done)
 	}
 }
 
@@ -304,7 +348,7 @@ func TestDaemonEndToEndLocal(t *testing.T) {
 // most once, nothing is lost, and the event log reconciles with the
 // submitted spec count.
 func TestConcurrentSubmitDedup(t *testing.T) {
-	d := startDaemon(t, serve.Config{}, 2, 30*time.Millisecond)
+	d := startDaemon(t, serve.Config{}, sweep.Options{Workers: 2, Runner: fakeRunner(30 * time.Millisecond)})
 
 	const clients = 4
 	views := make([]*serve.SweepView, clients)
@@ -317,28 +361,24 @@ func TestConcurrentSubmitDedup(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	for _, v := range views {
-		fin := d.waitFinished(t, v.Sweep, 10*time.Second)
-		if fin.Done != 2 || fin.Failed != 0 {
-			t.Fatalf("sweep %s: done %d failed %d, want 2/0", fin.Sweep, fin.Done, fin.Failed)
+	hits := 0
+	for i, v := range views {
+		views[i] = d.waitFinished(t, v.Sweep, 10*time.Second)
+		if views[i].Done != 2 || views[i].Failed != 0 {
+			t.Fatalf("sweep %s: done %d failed %d, want 2/0", v.Sweep, views[i].Done, views[i].Failed)
 		}
+		hits += views[i].CacheHits
 	}
-
-	p := d.progress(t)
-	tot := p.Totals
-	if tot.Executions != 2 {
-		t.Errorf("executions = %d for 2 unique points (duplicated work)", tot.Executions)
+	execs := executions(views...)
+	if execs != 2 {
+		t.Errorf("executions = %d for 2 unique points (duplicated work)", execs)
 	}
-	if tot.UploadDuplicates != 0 {
-		t.Errorf("upload duplicates = %d in a crash-free run", tot.UploadDuplicates)
-	}
-	if tot.Specs != clients*2 || tot.CacheHits+tot.Executions != tot.Specs || tot.Failed != 0 {
-		t.Errorf("accounting: specs %d, hits %d, executions %d, failed %d", tot.Specs, tot.CacheHits, tot.Executions, tot.Failed)
+	if hits+execs != clients*2 {
+		t.Errorf("accounting: %d specs != %d hits + %d executions", clients*2, hits, execs)
 	}
 
 	// Event-log reconciliation: submitted spec copies == engine job_done
-	// copies + cache-satisfied copies (metrics fold of submit hits and
-	// dedup copies).
+	// executions + cache-satisfied copies.
 	submitted := 0
 	for _, e := range d.sink.all() {
 		if e.Kind == obs.EventSubmit && e.Sweep != "" {
@@ -349,109 +389,19 @@ func TestConcurrentSubmitDedup(t *testing.T) {
 	if submitted != clients*2 {
 		t.Errorf("event log: %d submitted specs, want %d", submitted, clients*2)
 	}
-	if int64(engineDone) != tot.Executions {
-		t.Errorf("event log: %d engine job_done events, metrics say %d executions", engineDone, tot.Executions)
+	if engineDone != execs {
+		t.Errorf("event log: %d engine job_done events, sweeps say %d executions", engineDone, execs)
 	}
-	if int64(submitted) != tot.CacheHits+int64(engineDone) {
-		t.Errorf("event log: %d specs != %d cache hits + %d executions", submitted, tot.CacheHits, engineDone)
-	}
-}
-
-// TestFleetWorkerCrashRequeue kills a worker mid-job through the
-// crash-injection hook and asserts the lease expires, the job requeues,
-// a second worker completes it, and manifest totals reconcile with the
-// daemon's metrics.
-func TestFleetWorkerCrashRequeue(t *testing.T) {
-	d := startDaemon(t, serve.Config{LeaseTTL: 150 * time.Millisecond, MaxAttempts: 3}, 0, 0)
-
-	grid := &sweep.Grid{Workloads: []string{"vecsum"}, Schemes: []string{"dsre"}, Sizes: []int{32}}
-	v := d.submit(t, "fleet", grid)
-	if v.Unique != 1 {
-		t.Fatalf("submit: unique %d, want 1", v.Unique)
-	}
-
-	// Worker A leases the only job and dies on it.
-	crash := fmt.Errorf("injected crash")
-	wa, err := serve.NewWorker(serve.WorkerOptions{
-		BaseURL: d.ts.URL, ID: "crashy",
-		Engine:  sweep.New(sweep.Options{Workers: 1, Runner: fakeRunner(0)}),
-		Poll:    10 * time.Millisecond,
-		OnLease: func(hash string) error { return crash },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := wa.Run(context.Background()); err != crash {
-		t.Fatalf("crashy worker Run = %v, want injected crash", err)
-	}
-
-	// Worker B picks the requeued job up once the lease expires.
-	wb, err := serve.NewWorker(serve.WorkerOptions{
-		BaseURL: d.ts.URL, ID: "steady",
-		Engine: sweep.New(sweep.Options{Workers: 1, Runner: fakeRunner(0)}),
-		Poll:   10 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	wbDone := make(chan error, 1)
-	go func() { wbDone <- wb.Run(ctx) }()
-
-	fin := d.waitFinished(t, v.Sweep, 10*time.Second)
-	cancel()
-	if err := <-wbDone; err != nil {
-		t.Fatalf("steady worker: %v", err)
-	}
-	if fin.Done != 1 || fin.Failed != 0 {
-		t.Fatalf("sweep after crash: done %d failed %d, want 1/0", fin.Done, fin.Failed)
-	}
-	if wb.JobsDone() != 1 {
-		t.Errorf("steady worker completed %d jobs, want 1", wb.JobsDone())
-	}
-
-	p := d.progress(t)
-	tot := p.Totals
-	if tot.LeaseExpiries < 1 || tot.Requeues < 1 {
-		t.Errorf("expiries %d, requeues %d, want >= 1 each", tot.LeaseExpiries, tot.Requeues)
-	}
-	if tot.Done != 1 || tot.Failed != 0 || tot.Executions != 1 || tot.Uploads != 1 {
-		t.Errorf("totals after crash: %+v", tot)
-	}
-	if tot.Queued != 0 || tot.Leased != 0 {
-		t.Errorf("dangling queue state after recovery: %+v", tot)
-	}
-
-	// Manifest totals reconcile with the metrics.
-	var m sweep.Manifest
-	if code := d.get(t, "/v1/sweeps/"+v.Sweep+"/manifest", &m); code != http.StatusOK {
-		t.Fatalf("manifest: HTTP %d", code)
-	}
-	if int64(m.Totals.OK) != tot.Done || int64(m.Totals.Failed) != tot.Failed {
-		t.Errorf("manifest totals %+v do not reconcile with metrics %+v", m.Totals, tot)
-	}
-
-	// Event log shows the crash story in order: lease to crashy, expiry,
-	// requeue, successful upload from steady.
-	if n := d.sink.count(obs.EventLeaseExpired, func(e obs.Event) bool { return e.Peer == "crashy" }); n < 1 {
-		t.Errorf("no lease_expired event for the crashed worker")
-	}
-	if n := d.sink.count(obs.EventRequeue, nil); n < 1 {
-		t.Errorf("no requeue event after lease expiry")
-	}
-	if n := d.sink.count(obs.EventUpload, func(e obs.Event) bool {
-		return e.Peer == "steady" && e.Status == sweep.StatusOK
-	}); n != 1 {
-		t.Errorf("uploads from steady = %d, want 1", n)
+	if submitted != hits+engineDone {
+		t.Errorf("event log: %d specs != %d cache hits + %d executions", submitted, hits, engineDone)
 	}
 }
 
 // TestDrainFlushesManifests pins graceful shutdown: draining refuses new
-// submits and leases, flushes one manifest per sweep, and emits the drain
-// event.
+// submits, flushes one manifest per sweep, and emits the drain event.
 func TestDrainFlushesManifests(t *testing.T) {
 	dir := t.TempDir()
-	d := startDaemon(t, serve.Config{BatchLinger: -1, ManifestDir: dir}, 1, 0)
+	d := startDaemon(t, serve.Config{BatchLinger: -1, ManifestDir: dir}, sweep.Options{Workers: 1})
 
 	v := d.submit(t, "drain", testGrid())
 	d.waitFinished(t, v.Sweep, 5*time.Second)
@@ -462,10 +412,6 @@ func TestDrainFlushesManifests(t *testing.T) {
 	}
 	if code, _ := d.post(t, "/v1/sweeps", "drain", serve.SubmitRequest{Schema: serve.SubmitSchema, Grid: testGrid()}); code != http.StatusServiceUnavailable {
 		t.Errorf("submit while draining: HTTP %d, want 503", code)
-	}
-	req := serve.LeaseRequest{Schema: serve.LeaseSchema, Worker: "w"}
-	if code, _ := d.post(t, "/v1/fleet/lease", "", req); code != http.StatusNoContent {
-		t.Errorf("lease while draining: HTTP %d, want 204", code)
 	}
 
 	m, err := sweep.ReadManifest(filepath.Join(dir, v.Sweep+".json"))
@@ -480,95 +426,107 @@ func TestDrainFlushesManifests(t *testing.T) {
 	}
 }
 
-// TestQueueFirstWriteWins exercises the lease table directly: a late
-// upload from an expired lease still completes the job, and the current
-// leaseholder's upload then drops as a duplicate.
-func TestQueueFirstWriteWins(t *testing.T) {
-	reg := obs.NewRegistry()
-	o := obs.NewServeObs(reg, time.Now(), nil, nil, 0)
-	q := serve.NewQueue(o, 100*time.Millisecond, 3, nil)
+// TestFailedJobExhaustsEngineRetries pins the one retry policy: a job
+// whose runner always fails runs exactly 1+Retries times, and the failure
+// is terminal for every sweep waiting on it — one submitted before it
+// started and one submitted while it ran — with the error in both
+// manifests.
+func TestFailedJobExhaustsEngineRetries(t *testing.T) {
+	const retries = 2
+	var calls atomic.Int32
+	started := make(chan struct{})
+	release := make(chan struct{})
+	runner := func(ctx context.Context, spec sweep.JobSpec) (*telemetry.Report, error) {
+		if calls.Add(1) == 1 {
+			close(started)
+			select {
+			case <-release:
+			case <-ctx.Done():
+			}
+		}
+		return nil, fmt.Errorf("boom")
+	}
+	d := startDaemon(t, serve.Config{BatchLinger: -1}, sweep.Options{Workers: 1, Retries: retries, Runner: runner})
 
-	spec := sweep.JobSpec{Workload: "vecsum", Scheme: "dsre", Size: 32}
-	h, err := spec.Hash()
-	if err != nil {
-		t.Fatal(err)
+	grid := &sweep.Grid{Workloads: []string{"vecsum"}, Schemes: []string{"dsre"}, Sizes: []int{32}}
+	before := d.submit(t, "before", grid)
+	<-started
+	during := d.submit(t, "during", grid)
+	if during.Unique != 0 || during.Finished || during.Jobs[0].State != "running" {
+		t.Fatalf("submit while running: %+v, want attached to the running job", during)
 	}
-	now := time.Now()
-	q.Submit("t", []sweep.JobSpec{spec}, []string{h}, nil, tracing.TraceID{}, now)
+	close(release)
 
-	// Worker 1 leases, then its lease expires; the job requeues and
-	// worker 2 leases it.
-	l1, ok := q.Lease("w1", false, now)
-	if !ok {
-		t.Fatal("no lease for queued job")
+	for _, id := range []string{before.Sweep, during.Sweep} {
+		v := d.waitFinished(t, id, 5*time.Second)
+		if v.Failed != 1 || v.Done != 0 {
+			t.Errorf("sweep %s: done %d failed %d, want 0/1", id, v.Done, v.Failed)
+		}
+		if j := v.Jobs[0]; j.State != "failed" || j.Attempts != 1+retries || j.Error != "boom" {
+			t.Errorf("sweep %s job: %+v, want failed after %d attempts with the runner's error", id, j, 1+retries)
+		}
+		var m sweep.Manifest
+		if code := d.get(t, "/v1/sweeps/"+id+"/manifest", &m); code != http.StatusOK {
+			t.Fatalf("manifest %s: HTTP %d", id, code)
+		}
+		if m.Totals.Failed != 1 || m.Jobs[0].Status != sweep.StatusFailed || m.Jobs[0].Error != "boom" {
+			t.Errorf("manifest %s: %+v", id, m.Jobs)
+		}
 	}
-	if n := q.ExpireLeases(now.Add(time.Second), false); n != 1 {
-		t.Fatalf("expired %d leases, want 1", n)
+	if n := calls.Load(); n != 1+retries {
+		t.Errorf("runner ran %d times, want %d", n, 1+retries)
 	}
-	l2, ok := q.Lease("w2", false, now.Add(time.Second))
-	if !ok {
-		t.Fatal("requeued job not leasable")
-	}
-	if l2.Attempt != 2 {
-		t.Errorf("second lease attempt = %d, want 2", l2.Attempt)
-	}
-
-	// Worker 1's late upload (dead lease) wins first-write.
-	res := sweep.JobResult{Hash: h, Status: sweep.StatusOK}
-	acc, dup, state, err := q.Complete(l1.Lease, "w1", h, res, true, now.Add(2*time.Second))
-	if err != nil || !acc || dup || state != serve.JobDone {
-		t.Fatalf("late upload: acc=%v dup=%v state=%v err=%v", acc, dup, state, err)
-	}
-	// Worker 2's upload is now a duplicate.
-	acc, dup, state, err = q.Complete(l2.Lease, "w2", h, res, true, now.Add(3*time.Second))
-	if err != nil || acc || !dup || state != serve.JobDone {
-		t.Fatalf("duplicate upload: acc=%v dup=%v state=%v err=%v", acc, dup, state, err)
-	}
-	if fin, ok := q.Finished("s-0001"); !ok || !fin {
-		t.Errorf("sweep not finished after first write")
-	}
-	if q.QueuedLen() != 0 || q.FleetLeases() != 0 {
-		t.Errorf("queue state leaked: queued %d leases %d", q.QueuedLen(), q.FleetLeases())
-	}
-
-	// Unknown hash is rejected.
-	if _, _, _, err := q.Complete("", "w3", "feedbeef", res, true, now); err == nil {
-		t.Error("completion for unknown job accepted")
+	if n := d.sink.count(obs.EventJobDone, nil); n != 1 {
+		t.Errorf("job_done events = %d, want one execution", n)
 	}
 }
 
-// TestQueueExhaustsAttempts pins terminal failure: after MaxAttempts
-// failed uploads the job fails for good and the sweep finishes failed.
-func TestQueueExhaustsAttempts(t *testing.T) {
-	reg := obs.NewRegistry()
-	o := obs.NewServeObs(reg, time.Now(), nil, nil, 0)
-	q := serve.NewQueue(o, time.Second, 2, nil)
+// TestDrainHardCancelAbandons pins the drain deadline: the engine run in
+// flight is cancelled, the jobs it had not started go back to the queue,
+// Drain counts them abandoned, and the flushed manifest records them as
+// not run.
+func TestDrainHardCancelAbandons(t *testing.T) {
+	dir := t.TempDir()
+	started := make(chan struct{}, 3)
+	runner := func(ctx context.Context, spec sweep.JobSpec) (*telemetry.Report, error) {
+		started <- struct{}{}
+		<-ctx.Done()
+		// Linger so the engine's feeder sees the cancel before this worker
+		// is free to take another job.
+		time.Sleep(50 * time.Millisecond)
+		return nil, ctx.Err()
+	}
+	d := startDaemon(t, serve.Config{BatchLinger: -1, ManifestDir: dir}, sweep.Options{Workers: 1, Runner: runner})
 
-	spec := sweep.JobSpec{Workload: "vecsum", Scheme: "dsre", Size: 32}
-	h, _ := spec.Hash()
-	now := time.Now()
-	id := q.Submit("t", []sweep.JobSpec{spec}, []string{h}, nil, tracing.TraceID{}, now)
+	grid := &sweep.Grid{Workloads: []string{"vecsum"}, Schemes: []string{"dsre", "oracle", "conservative"}, Sizes: []int{32}}
+	v := d.submit(t, "drain", grid)
+	<-started
+	abandoned := d.srv.Drain("test", 20*time.Millisecond)
 
-	for i := 1; i <= 2; i++ {
-		l, ok := q.Lease("w", false, now)
-		if !ok {
-			t.Fatalf("attempt %d: job not leasable", i)
+	m, err := sweep.ReadManifest(filepath.Join(dir, v.Sweep+".json"))
+	if err != nil {
+		t.Fatalf("flushed manifest: %v", err)
+	}
+	notRun := 0
+	for _, j := range m.Jobs {
+		if j.Status != sweep.StatusFailed {
+			t.Errorf("job %s: status %s after a hard cancel", j.Spec.Name(), j.Status)
 		}
-		res := sweep.JobResult{Hash: h, Status: sweep.StatusFailed, Error: "boom"}
-		_, _, state, err := q.Complete(l.Lease, "w", h, res, true, now)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i < 2 && state != serve.JobQueued {
-			t.Fatalf("attempt %d: state %v, want requeued", i, state)
-		}
-		if i == 2 && state != serve.JobFailed {
-			t.Fatalf("final attempt: state %v, want failed", state)
+		if strings.HasPrefix(j.Error, "not run:") {
+			notRun++
 		}
 	}
-	v, _ := q.View(id, true)
-	if !v.Finished || v.Failed != 1 {
-		t.Errorf("sweep after exhausted attempts: %+v", v)
+	if abandoned != 2 || notRun != abandoned {
+		t.Errorf("Drain abandoned %d, manifest has %d not-run jobs; want 2 each (%+v)", abandoned, notRun, m.Jobs)
+	}
+	var drain []obs.Event
+	for _, e := range d.sink.all() {
+		if e.Kind == obs.EventServeDrain {
+			drain = append(drain, e)
+		}
+	}
+	if len(drain) != 1 || drain[0].Total != abandoned {
+		t.Errorf("serve_drain events %+v, want one carrying %d abandoned", drain, abandoned)
 	}
 }
 
@@ -649,7 +607,7 @@ func TestRemoteStoreIntegrity(t *testing.T) {
 // uploads a sealed record, Get replays it, and an engine wired to the
 // remote store resolves the point as a cache hit.
 func TestRemoteStoreAgainstDaemon(t *testing.T) {
-	d := startDaemon(t, serve.Config{BatchLinger: -1}, 1, 0)
+	d := startDaemon(t, serve.Config{BatchLinger: -1}, sweep.Options{Workers: 1})
 
 	spec := sweep.JobSpec{Workload: "vecsum", Scheme: "dsre", Size: 32}
 	canon, _ := spec.Canonical()
@@ -684,7 +642,7 @@ func TestRemoteStoreAgainstDaemon(t *testing.T) {
 // TestArtifactPutRejections pins upload validation: wrong address, missing
 // payload and version skew are refused with typed statuses.
 func TestArtifactPutRejections(t *testing.T) {
-	d := startDaemon(t, serve.Config{BatchLinger: -1}, 1, 0)
+	d := startDaemon(t, serve.Config{BatchLinger: -1}, sweep.Options{Workers: 1})
 
 	spec := sweep.JobSpec{Workload: "vecsum", Scheme: "dsre", Size: 32}
 	canon, _ := spec.Canonical()
@@ -735,76 +693,6 @@ func TestArtifactPutRejections(t *testing.T) {
 	}
 }
 
-// TestWorkerFleetEndToEnd runs a fleet-only daemon with two healthy
-// workers sharing a grid and pins clean-fleet accounting.
-func TestWorkerFleetEndToEnd(t *testing.T) {
-	d := startDaemon(t, serve.Config{LeaseTTL: time.Second}, 0, 0)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	done := make(chan error, 2)
-	for _, id := range []string{"w1", "w2"} {
-		w, err := serve.NewWorker(serve.WorkerOptions{
-			BaseURL: d.ts.URL, ID: id,
-			Engine: sweep.New(sweep.Options{Workers: 1, Runner: fakeRunner(5 * time.Millisecond)}),
-			Poll:   10 * time.Millisecond,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		go func() { done <- w.Run(ctx) }()
-	}
-
-	grid := &sweep.Grid{Workloads: []string{"vecsum"}, Schemes: []string{"dsre", "oracle", "conservative"}, Sizes: []int{32}}
-	v := d.submit(t, "fleet", grid)
-	fin := d.waitFinished(t, v.Sweep, 10*time.Second)
-	if fin.Done != 3 || fin.Failed != 0 {
-		t.Fatalf("fleet sweep: %+v", fin)
-	}
-	cancel()
-	for i := 0; i < 2; i++ {
-		if err := <-done; err != nil {
-			t.Fatalf("worker: %v", err)
-		}
-	}
-
-	p := d.progress(t)
-	tot := p.Totals
-	if tot.Executions != 3 || tot.Uploads != 3 || tot.UploadDuplicates != 0 || tot.Failed != 0 {
-		t.Errorf("fleet totals: %+v", tot)
-	}
-	if len(p.Workers) != 2 {
-		t.Errorf("progress lists %d workers, want 2", len(p.Workers))
-	}
-	// Heartbeat path: with a 1s TTL and 5ms jobs there may be none, but the
-	// daemon must never have expired a healthy worker's lease.
-	if tot.LeaseExpiries != 0 || tot.Requeues != 0 {
-		t.Errorf("healthy fleet saw expiries %d / requeues %d", tot.LeaseExpiries, tot.Requeues)
-	}
-}
-
-// startTracedWorker runs a fleet worker whose engine records spans into its
-// own local SpanLog, which the worker ships with every completion upload.
-func startTracedWorker(t *testing.T, d *daemon, id string, delay time.Duration, onLease func(string) error) (cancel func(), done chan error) {
-	t.Helper()
-	wspans := obs.NewSpanLog()
-	engObs := obs.NewSweepObsInto(obs.NewRegistry(), time.Now(), nil, wspans)
-	w, err := serve.NewWorker(serve.WorkerOptions{
-		BaseURL: d.ts.URL, ID: id,
-		Engine:  sweep.New(sweep.Options{Workers: 1, Runner: fakeRunner(delay), Obs: engObs}),
-		Poll:    5 * time.Millisecond,
-		Spans:   wspans,
-		OnLease: onLease,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, stop := context.WithCancel(context.Background())
-	done = make(chan error, 1)
-	go func() { done <- w.Run(ctx) }()
-	return stop, done
-}
-
 // submitTraced submits a grid with an explicit traceparent header and
 // returns the sweep view plus the context that was sent.
 func (d *daemon) submitTraced(t *testing.T, tenant string, grid *sweep.Grid, tc tracing.Context) *serve.SweepView {
@@ -836,214 +724,89 @@ func (d *daemon) submitTraced(t *testing.T, tenant string, grid *sweep.Grid, tc 
 	return &v
 }
 
-// fetchStitched downloads and parses the stitched cross-process trace for a
-// sweep.
-func (d *daemon) fetchStitched(t *testing.T, sweepID string) []map[string]any {
+// fetchTrace downloads one sweep's Chrome trace and returns the trace ID
+// in its metadata plus how many job spans it holds per hash.
+func (d *daemon) fetchTrace(t *testing.T, sweepID string) (string, map[string]int) {
 	t.Helper()
-	resp, err := d.ts.Client().Get(d.ts.URL + "/v1/sweeps/" + sweepID + "/trace")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	raw, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("trace endpoint: HTTP %d: %s", resp.StatusCode, raw)
-	}
 	var doc struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
+		TraceEvents []struct {
+			Ph   string         `json:"ph"`
+			Cat  string         `json:"cat"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+		OtherData map[string]string `json:"otherData"`
 	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatalf("stitched trace is not JSON: %v", err)
+	if code := d.get(t, "/v1/sweeps/"+sweepID+"/trace", &doc); code != http.StatusOK {
+		t.Fatalf("trace endpoint: HTTP %d", code)
 	}
-	return doc.TraceEvents
+	jobs := map[string]int{}
+	for _, e := range doc.TraceEvents {
+		if e.Ph == "X" && e.Cat == "job" {
+			jobs[e.Args["hash"].(string)]++
+		}
+	}
+	return doc.OtherData["trace"], jobs
 }
 
-// TestTraceEndToEnd drives a two-worker fleet under one client-supplied
-// trace: the sweep adopts the inbound trace ID, every daemon- and
-// worker-side chain carries it, the stitched trace shows both worker
-// processes with a run span per executed job, and the telescoping invariant
-// (worker wall time inside the daemon's lease-held window) reconciles.
+// TestTraceEndToEnd pins trace propagation on a local daemon: a sweep
+// adopts the submitter's trace ID, its /trace document carries that ID and
+// exactly one engine job span per executed hash, and a hash two sweeps
+// share appears in both sweeps' traces.
 func TestTraceEndToEnd(t *testing.T) {
-	d := startDaemon(t, serve.Config{LeaseTTL: 5 * time.Second, TraceSeed: 99}, 0, 0)
-
-	stopA, doneA := startTracedWorker(t, d, "w1", 40*time.Millisecond, nil)
-	stopB, doneB := startTracedWorker(t, d, "w2", 40*time.Millisecond, nil)
+	d := startDaemon(t, serve.Config{TraceSeed: 99}, sweep.Options{Workers: 2, Runner: fakeRunner(10 * time.Millisecond)})
 
 	m := tracing.NewMinter(7)
 	tc := tracing.Context{Trace: m.NextTrace(), Span: m.NextSpan()}
-	grid := &sweep.Grid{Workloads: []string{"vecsum"}, Schemes: []string{"dsre", "oracle"}, Sizes: []int{32, 64}}
-	v := d.submitTraced(t, "trace", grid, tc)
-	if v.Trace != tc.Trace.String() {
-		t.Fatalf("sweep trace = %q, want the submitted %q", v.Trace, tc.Trace)
+	gridA := &sweep.Grid{Workloads: []string{"vecsum"}, Schemes: []string{"dsre", "oracle"}, Sizes: []int{32, 64}}
+	a := d.submitTraced(t, "trace", gridA, tc)
+	if a.Trace != tc.Trace.String() {
+		t.Fatalf("sweep trace = %q, want the submitted %q", a.Trace, tc.Trace)
+	}
+	a = d.waitFinished(t, a.Sweep, 10*time.Second)
+	gridB := &sweep.Grid{Workloads: []string{"vecsum"}, Schemes: []string{"dsre", "oracle"}, Sizes: []int{64, 128}}
+	b := d.waitFinished(t, d.submit(t, "trace", gridB).Sweep, 10*time.Second)
+	if a.Done != 4 || b.Done != 4 || executions(a, b) != 6 {
+		t.Fatalf("sweeps: %+v / %+v, want 4 done each and 6 executions", a, b)
 	}
 
-	fin := d.waitFinished(t, v.Sweep, 10*time.Second)
-	stopA()
-	stopB()
-	if err := <-doneA; err != nil {
-		t.Fatalf("worker w1: %v", err)
-	}
-	if err := <-doneB; err != nil {
-		t.Fatalf("worker w2: %v", err)
-	}
-	if fin.Done != 4 || fin.Failed != 0 {
-		t.Fatalf("fleet sweep: %+v", fin)
-	}
-
-	// Every recorded chain — daemon-side and shipped worker-side — carries
-	// the client's trace ID.
-	chains := d.spans.Jobs()
-	workerOrigins := map[string]int{}
-	for _, c := range chains {
-		if c.Trace != tc.Trace.String() {
-			t.Errorf("chain %s (origin %s) trace = %q, want %q", c.Hash, c.Origin, c.Trace, tc.Trace)
+	for _, v := range []*serve.SweepView{a, b} {
+		trace, spans := d.fetchTrace(t, v.Sweep)
+		if trace != v.Trace {
+			t.Errorf("sweep %s: trace metadata %q, want %q", v.Sweep, trace, v.Trace)
 		}
-		if c.Origin != tracing.OriginDaemon {
-			workerOrigins[c.Origin]++
+		if len(spans) != 4 {
+			t.Errorf("sweep %s: job spans cover %d hashes, want its 4", v.Sweep, len(spans))
 		}
-	}
-	if len(workerOrigins) != 2 {
-		t.Fatalf("shipped chains from origins %v, want both w1 and w2", workerOrigins)
-	}
-
-	// The stitched trace has one process per party and one worker-side run
-	// span per executed job.
-	events := d.fetchStitched(t, v.Sweep)
-	procs := map[string]bool{}
-	workerJobHashes := map[string]bool{}
-	runSpans := 0
-	for _, e := range events {
-		if e["ph"] == "M" && e["name"] == "process_name" {
-			procs[e["args"].(map[string]any)["name"].(string)] = true
-		}
-		if e["ph"] != "X" {
-			continue
-		}
-		switch e["cat"] {
-		case "job":
-			args := e["args"].(map[string]any)
-			if args["trace"] != tc.Trace.String() {
-				t.Errorf("stitched job span has foreign trace %v", args["trace"])
-			}
-			if args["origin"] != tracing.OriginDaemon {
-				workerJobHashes[args["hash"].(string)] = true
-			}
-		case "phase":
-			if e["name"] == "run" && e["pid"].(float64) > 0 {
-				runSpans++
+		for _, j := range v.Jobs {
+			if spans[j.Hash] != 1 {
+				t.Errorf("sweep %s: %d job spans for %s, want 1", v.Sweep, spans[j.Hash], j.Name)
 			}
 		}
 	}
-	for _, p := range []string{"daemon", "worker w1", "worker w2"} {
-		if !procs[p] {
-			t.Errorf("stitched trace missing process %q (have %v)", p, procs)
-		}
-	}
-	if len(workerJobHashes) != 4 {
-		t.Errorf("worker-side job spans cover %d hashes, want all 4 executed jobs", len(workerJobHashes))
-	}
-	if runSpans < 4 {
-		t.Errorf("worker-side run spans = %d, want >= 1 per executed job (4)", runSpans)
-	}
 
-	// Telescoping: each worker chain's wall time fits inside the daemon's
-	// lease-held window within tolerance.
-	if bad := tracing.Reconcile(chains, time.Second); len(bad) != 0 {
-		t.Errorf("telescoping violations: %+v", bad)
+	// The shared size-64 points ran once, for sweep a: b counts them as hits.
+	inA := map[string]bool{}
+	for _, j := range a.Jobs {
+		inA[j.Hash] = true
 	}
-}
-
-// TestWorkerCrashTraceStitching pins trace stitching across a crash-requeue:
-// the abandoned attempt and the successful retry appear as separate chains
-// under one trace with distinct span IDs, and the shipped worker chain
-// matches the retry's span.
-func TestWorkerCrashTraceStitching(t *testing.T) {
-	d := startDaemon(t, serve.Config{LeaseTTL: 150 * time.Millisecond, MaxAttempts: 3, TraceSeed: 5}, 0, 0)
-
-	grid := &sweep.Grid{Workloads: []string{"vecsum"}, Schemes: []string{"dsre"}, Sizes: []int{32}}
-	v := d.submit(t, "fleet", grid)
-	h, err := (sweep.JobSpec{Workload: "vecsum", Scheme: "dsre", Size: 32}).Hash()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Worker A leases the only job and dies on it; worker B completes the
-	// requeued attempt.
-	crash := fmt.Errorf("injected crash")
-	wa, err := serve.NewWorker(serve.WorkerOptions{
-		BaseURL: d.ts.URL, ID: "crashy",
-		Engine:  sweep.New(sweep.Options{Workers: 1, Runner: fakeRunner(0)}),
-		Poll:    10 * time.Millisecond,
-		OnLease: func(string) error { return crash },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := wa.Run(context.Background()); err != crash {
-		t.Fatalf("crashy worker Run = %v, want injected crash", err)
-	}
-	stopB, doneB := startTracedWorker(t, d, "steady", 0, nil)
-	fin := d.waitFinished(t, v.Sweep, 10*time.Second)
-	stopB()
-	if err := <-doneB; err != nil {
-		t.Fatalf("steady worker: %v", err)
-	}
-	if fin.Done != 1 || fin.Failed != 0 {
-		t.Fatalf("sweep after crash: %+v", fin)
-	}
-
-	var abandoned, completed, shipped []obs.JobSpans
-	for _, c := range d.spans.Jobs() {
-		if c.Hash != h {
-			continue
-		}
-		switch {
-		case c.Origin != tracing.OriginDaemon:
-			shipped = append(shipped, c)
-		case c.Status == "abandoned":
-			abandoned = append(abandoned, c)
-		default:
-			completed = append(completed, c)
-		}
-	}
-	if len(abandoned) != 1 || len(completed) != 1 || len(shipped) != 1 {
-		t.Fatalf("chains: %d abandoned, %d completed, %d shipped; want 1 each", len(abandoned), len(completed), len(shipped))
-	}
-	if abandoned[0].Trace != fin.Trace || completed[0].Trace != fin.Trace {
-		t.Errorf("attempts do not share the sweep trace %q: %q / %q", fin.Trace, abandoned[0].Trace, completed[0].Trace)
-	}
-	if abandoned[0].Span == completed[0].Span || abandoned[0].Span == "" {
-		t.Errorf("attempts share span ID %q; each lease attempt needs its own", abandoned[0].Span)
-	}
-	if abandoned[0].Peer != "crashy" || completed[0].Peer != "steady" {
-		t.Errorf("attempt peers = %q / %q, want crashy then steady", abandoned[0].Peer, completed[0].Peer)
-	}
-	if shipped[0].Span != completed[0].Span || shipped[0].Origin != "steady" || shipped[0].Attempt != completed[0].Attempt {
-		t.Errorf("shipped chain %+v does not match the completing attempt %+v", shipped[0], completed[0])
-	}
-
-	// Both attempts appear in the stitched trace, and the abandoned one
-	// never picked up a worker-side chain; Reconcile skips it.
-	daemonJobSpans := 0
-	for _, e := range d.fetchStitched(t, v.Sweep) {
-		if e["ph"] == "X" && e["cat"] == "job" {
-			if e["args"].(map[string]any)["origin"] == tracing.OriginDaemon {
-				daemonJobSpans++
+	shared := 0
+	for _, j := range b.Jobs {
+		if inA[j.Hash] {
+			shared++
+			if !j.CacheHit {
+				t.Errorf("sweep b re-ran shared point %s (%s)", j.Name, j.Hash)
 			}
 		}
 	}
-	if daemonJobSpans != 2 {
-		t.Errorf("stitched daemon-side job spans = %d, want both attempts", daemonJobSpans)
-	}
-	if bad := tracing.Reconcile(d.spans.Jobs(), time.Second); len(bad) != 0 {
-		t.Errorf("telescoping violations after crash-requeue: %+v", bad)
+	if shared != 2 {
+		t.Errorf("sweeps share %d points, want 2", shared)
 	}
 }
 
 // TestErrorEnvelope pins the JSON error contract: typed codes, the
 // dsre-serve-error/v1 schema, and the caller's trace ID echoed back.
 func TestErrorEnvelope(t *testing.T) {
-	d := startDaemon(t, serve.Config{BatchLinger: -1}, 1, 0)
+	d := startDaemon(t, serve.Config{BatchLinger: -1}, sweep.Options{Workers: 1})
 
 	m := tracing.NewMinter(11)
 	tc := tracing.Context{Trace: m.NextTrace(), Span: m.NextSpan()}
@@ -1080,30 +843,18 @@ func TestErrorEnvelope(t *testing.T) {
 	if err := json.Unmarshal(body, &er); err != nil || er.Code != serve.ErrCodeBadRequest || er.Trace == "" {
 		t.Errorf("400 envelope: %s", body)
 	}
-
-	// A completion against a dead lease 404s through the same envelope.
-	code, body = d.post(t, "/v1/fleet/complete", "", serve.CompleteRequest{
-		Schema: serve.CompleteSchema, Lease: "nope", Worker: "w", Hash: "feedbeef",
-		Status: sweep.StatusFailed, Error: "boom",
-	})
-	if code != http.StatusNotFound {
-		t.Fatalf("complete with dead lease: HTTP %d (%s)", code, body)
-	}
-	if err := json.Unmarshal(body, &er); err != nil || er.Code != serve.ErrCodeLeaseGone {
-		t.Errorf("lease-gone envelope: %s", body)
-	}
 }
 
 // TestHealthz pins the JSON health document: schema, simulator and Go
 // runtime versions, start time, and the draining status flip.
 func TestHealthz(t *testing.T) {
-	d := startDaemon(t, serve.Config{BatchLinger: -1}, 1, 0)
+	d := startDaemon(t, serve.Config{BatchLinger: -1}, sweep.Options{Workers: 1})
 
-	var h serve.HealthView
+	var h status.HealthView
 	if code := d.get(t, "/healthz", &h); code != http.StatusOK {
 		t.Fatalf("healthz: HTTP %d", code)
 	}
-	if h.Schema != serve.HealthSchema || h.Status != "ok" {
+	if h.Schema != status.HealthSchema || h.Status != "ok" {
 		t.Errorf("health view: %+v", h)
 	}
 	if h.SimVersion != sim.Version {

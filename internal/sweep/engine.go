@@ -43,7 +43,7 @@ type Options struct {
 	// Runner overrides job execution (tests); nil selects the default
 	// simulate-and-verify runner.
 	Runner Runner
-	// Obs receives fleet-level observability signals: metrics, lifecycle
+	// Obs receives sweep-level observability signals: metrics, lifecycle
 	// events, per-job spans and live progress.  nil disables every hook at
 	// the cost of one pointer compare — the zero-alloc fast path and
 	// byte-identity pins run with Obs off.

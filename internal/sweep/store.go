@@ -42,8 +42,8 @@ func payloadSHA256(rep *telemetry.Report) (string, error) {
 }
 
 // Seal stamps the record's schema, simulator version and payload integrity
-// hash.  Put calls it; remote writers (the fleet upload path) call it
-// before shipping so the receiving store can verify without trust.
+// hash.  Put calls it; remote writers (serve.RemoteStore) call it before
+// shipping so the receiving store can verify without trust.
 func (rec *Record) Seal() error {
 	rec.Schema = RecordSchema
 	rec.SimVersion = sim.Version
@@ -88,9 +88,9 @@ type Store interface {
 
 // DirStore is the local-directory Store: each record lives at
 // <dir>/objects/<hash[:2]>/<hash>.json.  Writes are atomic (temp file +
-// rename) and first-write-wins, so concurrent sweeps — or a daemon plus a
-// worker fleet — sharing a cache directory are safe and cached payloads are
-// byte-stable.
+// rename) and first-write-wins, so concurrent sweeps — or a daemon and
+// the sweeps beside it — sharing a cache directory are safe and cached
+// payloads are byte-stable.
 type DirStore struct {
 	dir string
 
