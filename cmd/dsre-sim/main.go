@@ -42,7 +42,6 @@ func main() {
 	flag.IntVar(&cfg.MemLatency, "memlat", 0, "DRAM latency (0 = default 100)")
 	flag.BoolVar(&cfg.CommitTokensFree, "free-commit", false, "commit tokens bypass the network")
 	flag.BoolVar(&cfg.NoSuppressIdentical, "no-suppress", false, "disable identical-value wave suppression")
-	flag.BoolVar(&cfg.PerfectBlockPred, "perfect-bp", false, "perfect next-block prediction")
 	flag.StringVar(&cfg.BlockPredictor, "bpred", "", "next-block predictor: twolevel, last, perfect")
 	flag.StringVar(&cfg.Placement, "placement", "", "instruction placement: roundrobin, chain")
 	flag.IntVar(&cfg.DTileBanks, "dbanks", 0, "D-tile memory ports (0 = default)")

@@ -9,6 +9,11 @@ import (
 // ProgressSchema identifies the live-progress JSON served at /progress.
 const ProgressSchema = "dsre-progress/v1"
 
+// keptFinishedGrids bounds how many finished grids the live view keeps
+// (newest kept); unfinished grids always stay.  A long-lived daemon runs
+// one grid per dispatcher batch, so an unbounded list would grow forever.
+const keptFinishedGrids = 32
+
 // SweepObs bundles the observability surfaces of the sweep engine: a
 // typed metrics Registry, an optional structured EventSink, an optional
 // per-job SpanLog, and the live-progress state the -status HTTP endpoint
@@ -35,7 +40,8 @@ type SweepObs struct {
 
 	mu      sync.Mutex
 	workers []workerState
-	grids   []*gridState
+	grids   []*gridState // unfinished ones plus the newest finished
+	begun   int          // grids ever begun, for naming
 	rate    *RateWindow
 }
 
@@ -128,8 +134,9 @@ type Grid struct {
 // pool of workers, and emits sweep_start.
 func (o *SweepObs) GridBegin(total, unique, workers int, now time.Time) *Grid {
 	o.mu.Lock()
+	o.begun++
 	gs := &gridState{
-		name:    fmt.Sprintf("grid-%d", len(o.grids)+1),
+		name:    fmt.Sprintf("grid-%d", o.begun),
 		total:   total,
 		unique:  unique,
 		queued:  total,
@@ -173,12 +180,37 @@ func (g *Grid) End(ok, failed, cacheHits int, now time.Time) {
 	gs.failed = failed
 	gs.endNS = o.rel(now)
 	gs.finished = true
+	o.pruneGridsLocked()
 	o.mu.Unlock()
 	o.emit(Event{
 		Kind: EventSweepDone, Grid: gs.name, Total: gs.total,
 		OK: ok, Failed: failed, CacheHits: cacheHits,
 		ElapsedMS: (gs.endNS - gs.startNS) / int64(time.Millisecond),
 	}, now)
+}
+
+// pruneGridsLocked drops the oldest finished grids beyond
+// keptFinishedGrids, keeping the rest in begin order.
+func (o *SweepObs) pruneGridsLocked() {
+	drop := -keptFinishedGrids
+	for _, gs := range o.grids {
+		if gs.finished {
+			drop++
+		}
+	}
+	if drop <= 0 {
+		return
+	}
+	kept := o.grids[:0]
+	for _, gs := range o.grids {
+		if gs.finished && drop > 0 {
+			drop--
+			continue
+		}
+		kept = append(kept, gs)
+	}
+	clear(o.grids[len(kept):])
+	o.grids = kept
 }
 
 // JobObs tracks one unique job from pickup to completion.  It is owned by

@@ -188,6 +188,28 @@ func TestProgressEta(t *testing.T) {
 	}
 }
 
+// TestProgressKeepsUnfinishedGrids pins the pruning rule: an unfinished
+// grid survives any number of later finished ones, which are cut to the
+// newest keptFinishedGrids in begin order.
+func TestProgressKeepsUnfinishedGrids(t *testing.T) {
+	c := newClock()
+	o := NewSweepObs(c.now(), nil, nil)
+	o.GridBegin(1, 1, 1, c.now()) // never ends
+	for i := 0; i < 100; i++ {
+		o.GridBegin(1, 1, 1, c.advance(time.Millisecond)).End(1, 0, 0, c.now())
+	}
+	grids := o.Progress(c.now()).Grids
+	if len(grids) != keptFinishedGrids+1 {
+		t.Fatalf("progress holds %d grids, want %d finished + 1 open", len(grids), keptFinishedGrids)
+	}
+	if g := grids[0]; g.Grid != "grid-1" || g.Finished {
+		t.Errorf("first grid = %+v, want the open grid-1", g)
+	}
+	if g := grids[len(grids)-1]; g.Grid != "grid-101" {
+		t.Errorf("last grid = %s, want grid-101", g.Grid)
+	}
+}
+
 func TestRateWindow(t *testing.T) {
 	w := NewRateWindow(4)
 	base := time.Unix(1_700_000_000, 0)

@@ -143,13 +143,13 @@ func (t *jobTable) queued() int {
 
 // finish records the engine's result for a running job and fans it out to
 // every sweep that references the job.  A failed result is terminal (the
-// engine already spent its retries).  notRun marks a job the drain's hard
-// cancel stopped before it started: it goes back to the queue, where the
-// drain counts it abandoned and the manifest records it as not run.
-func (t *jobTable) finish(j *job, r sweep.JobResult, notRun bool) {
+// engine already spent its retries).  A job the drain's hard cancel stopped
+// before it started (r.NotRun) goes back to the queue, where the drain
+// counts it abandoned and the manifest records it as not run.
+func (t *jobTable) finish(j *job, r sweep.JobResult) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if notRun {
+	if r.NotRun() {
 		t.enqueueLocked(j)
 		return
 	}

@@ -843,6 +843,18 @@ func TestErrorEnvelope(t *testing.T) {
 	if err := json.Unmarshal(body, &er); err != nil || er.Code != serve.ErrCodeBadRequest || er.Trace == "" {
 		t.Errorf("400 envelope: %s", body)
 	}
+
+	// A spec carrying a field this build no longer has (the retired
+	// perfect-predictor flag, its name split so only history mentions it
+	// whole) is refused, not run on the default predictor.
+	retired := "perfect_block" + "_pred"
+	code, body = d.post(t, "/v1/sweeps", "t", map[string]any{
+		"schema": serve.SubmitSchema,
+		"specs":  []map[string]any{{"workload": "vecsum", retired: true}},
+	})
+	if code != http.StatusBadRequest || !strings.Contains(string(body), retired) {
+		t.Errorf("submit with a retired spec field: HTTP %d: %s", code, body)
+	}
 }
 
 // TestHealthz pins the JSON health document: schema, simulator and Go

@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -155,9 +154,7 @@ func (s *Server) dispatch() {
 		}
 		sum, _ := s.cfg.Engine.Run(s.runCtx, specs)
 		for i, j := range batch {
-			r := sum.Jobs[i]
-			notRun := r.Status == sweep.StatusFailed && s.runCtx.Err() != nil && strings.HasPrefix(r.Error, "not run:")
-			s.jobs.finish(j, r, notRun)
+			s.jobs.finish(j, sum.Jobs[i])
 		}
 	}
 }
@@ -274,6 +271,7 @@ func writeError(w http.ResponseWriter, r *http.Request, httpCode int, code, form
 
 func decodeJSON(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
 	dec := json.NewDecoder(io.LimitReader(r.Body, limit))
+	dec.DisallowUnknownFields() // a retired spec field must not run as a different point
 	if err := dec.Decode(v); err != nil {
 		writeError(w, r, http.StatusBadRequest, ErrCodeBadRequest, "bad request body: %v", err)
 		return false

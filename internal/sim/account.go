@@ -145,7 +145,7 @@ func (mc *Machine) attributeCycle(a *acctState, cur, prev acctCounters) account.
 		return account.BucketCacheMiss
 	}
 	for i := range mc.tiles {
-		if mc.tiles[i].hasIssueWork() || len(mc.tiles[i].busy) > 0 {
+		if mc.tiles[i].readyCount > 0 || len(mc.tiles[i].busy) > 0 {
 			return account.BucketIssue
 		}
 	}

@@ -6,24 +6,15 @@ import (
 )
 
 // reclaimReadyBits strips a dying (squashed or retiring) block's queued
-// instructions out of its tiles' ready masks, converting each into a stale
-// credit.  The dense reference scheduler left such entries in place and
-// dropped one per cycle instead of issuing; the credits reproduce that
-// cost exactly while keeping the mask invariant (set bits name only live
-// blocks) that lets the bitmap path skip liveness checks.
+// instructions out of its tiles' ready masks at once, keeping the mask
+// invariant (set bits name only live blocks) that lets the bitmap path
+// skip liveness checks.  A reclaimed entry costs no issue slot.
 func (mc *Machine) reclaimReadyBits(b *blockInst) {
 	slot := int(b.seq) & mc.tileRingMask
 	for q := b.queued; !q.Empty(); {
 		i := q.Min()
 		q.Clear(i)
-		t := &mc.tiles[mc.instTile(b.blockID, i)]
-		m := &t.ready[slot]
-		m.Clear(i)
-		if m.Empty() {
-			t.readyBlocks.Clear(slot)
-		}
-		t.readyCount--
-		t.staleCredits++
+		mc.tiles[mc.instTile(b.blockID, i)].unready(slot, i)
 	}
 	b.queued.Reset()
 }

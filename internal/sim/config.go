@@ -83,10 +83,6 @@ type Config struct {
 	BlockPred BlockPredKind
 	// BlockPredBits sizes the two-level predictor table (2^bits entries).
 	BlockPredBits int
-	// PerfectBlockPred drives fetch from the emulator's committed block
-	// trace instead of the predictor, isolating memory speculation effects
-	// (equivalent to BlockPred = PredPerfect).
-	PerfectBlockPred bool
 
 	// MaxCycles aborts runs that stop making progress; zero means 1<<62.
 	MaxCycles int64
@@ -123,7 +119,6 @@ func DefaultConfig() Config {
 		ALULatency:              1,
 		MulLatency:              3,
 		DivLatency:              12,
-		PerfectBlockPred:        false,
 		MaxCycles:               0,
 		DeadlockCycles:          0,
 	}
@@ -182,13 +177,12 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-// Canonical returns the configuration with every zero-means-default and
-// alias field resolved to its effective value: MaxCycles/DeadlockCycles
-// become their working budgets, DTileBanks is clamped exactly as the
-// machine clamps it, and the PerfectBlockPred flag and PredPerfect kind
-// imply each other.  Two configurations that build identical machines have
-// identical canonical forms, which is what makes a content hash over the
-// canonical form a safe cache key (see internal/sweep).
+// Canonical returns the configuration with every zero-means-default field
+// resolved to its effective value: MaxCycles/DeadlockCycles become their
+// working budgets and DTileBanks is clamped exactly as the machine clamps
+// it.  Two configurations that build identical machines have identical
+// canonical forms, which is what makes a content hash over the canonical
+// form a safe cache key (see internal/sweep).
 func (c Config) Canonical() Config {
 	c.MaxCycles = c.maxCycles()
 	c.DeadlockCycles = c.deadlockCycles()
@@ -197,12 +191,6 @@ func (c Config) Canonical() Config {
 	}
 	if c.DTileBanks > c.GridHeight {
 		c.DTileBanks = c.GridHeight
-	}
-	if c.PerfectBlockPred {
-		c.BlockPred = PredPerfect
-	}
-	if c.BlockPred == PredPerfect {
-		c.PerfectBlockPred = true
 	}
 	return c
 }

@@ -82,41 +82,38 @@ func (mc *Machine) stepTile(ti int) bool {
 	}
 
 	// Issue one ready instruction.  Any queued work counts as progress: the
-	// pop (or stale-credit drop) below mutates tile state, so a cycle is
-	// only provably idle when every tile's issue stage is empty.
-	if t.hasIssueWork() {
+	// pop below mutates tile state, so a cycle is only provably idle when
+	// every tile's issue stage is empty.
+	if t.readyCount > 0 {
 		progress = true
 		var base int64
 		if len(mc.window) > 0 {
 			base = mc.window[0].seq
 		}
-		seq, idx, stale, _ := t.dequeueReady(base, mc.tileRingMask)
-		if !stale {
-			// Set bits always name live blocks (squash/commit reclaim them
-			// eagerly), so the block lookup cannot miss.
-			b := mc.blockAt(seq)
-			b.queued.Clear(idx)
-			// Readiness may have lapsed (e.g. predicate flipped since
-			// enqueue).
-			in := &b.bdef.Insts[idx]
-			switch {
-			case !b.need.Test(idx) || !b.operandsPresent(idx):
-			default:
-				if en, ok := b.predEnabled(idx, in); ok && en {
-					b.need.Clear(idx)
-					b.insts[idx].inflight++
-					lat := mc.cfg.opLatency(in.Op)
-					t.busy = append(t.busy, aluJob{
-						completeAt: mc.cycle + int64(lat),
-						frame:      b.frame, gen: b.gen, seq: seq, idx: idx,
-					})
-					mc.stats.Issued++
-				}
+		seq, idx, _ := t.dequeueReady(base, mc.tileRingMask)
+		// Set bits always name live blocks (squash/commit reclaim them
+		// eagerly), so the block lookup cannot miss.
+		b := mc.blockAt(seq)
+		b.queued.Clear(idx)
+		// Readiness may have lapsed (e.g. predicate flipped since enqueue).
+		in := &b.bdef.Insts[idx]
+		switch {
+		case !b.need.Test(idx) || !b.operandsPresent(idx):
+		default:
+			if en, ok := b.predEnabled(idx, in); ok && en {
+				b.need.Clear(idx)
+				b.insts[idx].inflight++
+				lat := mc.cfg.opLatency(in.Op)
+				t.busy = append(t.busy, aluJob{
+					completeAt: mc.cycle + int64(lat),
+					frame:      b.frame, gen: b.gen, seq: seq, idx: idx,
+				})
+				mc.stats.Issued++
 			}
 		}
 	}
 
-	if !t.hasIssueWork() && len(t.busy) == 0 {
+	if t.readyCount == 0 && len(t.busy) == 0 {
 		mc.tileActive[ti>>6] &^= 1 << (uint(ti) & 63)
 	}
 	return progress
@@ -134,7 +131,7 @@ func (mc *Machine) tileNext() int64 {
 			ti := w<<6 + bits.TrailingZeros64(word)
 			word &= word - 1
 			t := &mc.tiles[ti]
-			if t.hasIssueWork() {
+			if t.readyCount > 0 {
 				return mc.cycle + 1
 			}
 			for _, j := range t.busy {

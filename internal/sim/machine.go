@@ -33,9 +33,9 @@ type aluJob struct {
 // — a pair of priority-encoder queries instead of an associative scan.
 //
 // Invariant: every set bit names a live (in-window) block.  Squash and
-// commit eagerly reclaim a dying block's bits, converting each into a
-// stale credit (see dequeueReady), so the masks never hold dangling
-// entries and seq→slot indexing stays collision-free.
+// commit eagerly clear a dying block's bits, dropping all its entries at
+// once, so the masks never hold dangling entries and seq→slot indexing
+// stays collision-free.
 type tileState struct {
 	node int
 	// readyBlocks flags ring slots (seq & ringMask) of blocks with at least
@@ -44,28 +44,17 @@ type tileState struct {
 	ready       []bitset.Mask128
 	// readyCount is the number of set bits across ready.
 	readyCount int
-	// staleCredits counts entries reclaimed from squashed or retired
-	// blocks.  The dense reference scheduler dropped one stale queue entry
-	// per cycle in place of an issue; each credit reproduces exactly that:
-	// one no-issue cycle that still counts as progress.
-	staleCredits int
-	busy         []aluJob
+	busy       []aluJob
 }
 
 // dequeueReady pops the tile's oldest ready instruction (lowest block seq,
-// then lowest instruction index), or consumes one stale credit in place of
-// an issue.  windowBase is the oldest in-flight block's sequence; ringMask
-// is the tile ring's index mask.  ok is false when the tile has nothing
-// queued; stale reports that this cycle's issue slot was consumed by a
-// reclaimed entry and no instruction was popped.  Both the dense and
-// event-driven paths issue through this one helper.
-func (t *tileState) dequeueReady(windowBase int64, ringMask int) (seq int64, idx int, stale, ok bool) {
-	if t.staleCredits > 0 {
-		t.staleCredits--
-		return 0, 0, true, true
-	}
+// then lowest instruction index).  windowBase is the oldest in-flight
+// block's sequence; ringMask is the tile ring's index mask.  ok is false
+// when the tile has nothing queued.  Both the dense and event-driven paths
+// issue through this one helper.
+func (t *tileState) dequeueReady(windowBase int64, ringMask int) (seq int64, idx int, ok bool) {
 	if t.readyCount == 0 {
-		return 0, 0, false, false
+		return 0, 0, false
 	}
 	base := int(windowBase) & ringMask
 	slot := t.readyBlocks.FirstFrom(base)
@@ -76,13 +65,18 @@ func (t *tileState) dequeueReady(windowBase int64, ringMask int) (seq int64, idx
 		t.readyBlocks.Clear(slot)
 	}
 	t.readyCount--
-	return windowBase + int64((slot-base)&ringMask), idx, false, true
+	return windowBase + int64((slot-base)&ringMask), idx, true
 }
 
-// hasIssueWork reports whether the tile's issue stage has anything to do
-// this cycle (a ready instruction, or a stale credit to consume).
-func (t *tileState) hasIssueWork() bool {
-	return t.readyCount > 0 || t.staleCredits > 0
+// unready drops a reclaimed entry, instruction idx of the block in ring
+// slot `slot`, from the tile's ready mask.  It costs no issue slot.
+func (t *tileState) unready(slot, idx int) {
+	m := &t.ready[slot]
+	m.Clear(idx)
+	if m.Empty() {
+		t.readyBlocks.Clear(slot)
+	}
+	t.readyCount--
 }
 
 // pendingFetch is the block fetch in progress.
@@ -216,7 +210,7 @@ func (mc *Machine) SetTracer(t Tracer) {
 
 // New builds a machine for one run of prog from the given initial state.
 // The oracle table (from an emulator pre-pass) is required only for
-// IssueOracle; the perfect block trace only for PerfectBlockPred.
+// IssueOracle; the perfect block trace only for PredPerfect.
 func New(cfg Config, prog *isa.Program, regs *[isa.NumRegs]int64, m *mem.Memory, oracle *emu.Oracle, trace []int) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -228,11 +222,7 @@ func New(cfg Config, prog *isa.Program, regs *[isa.NumRegs]int64, m *mem.Memory,
 	if err != nil {
 		return nil, err
 	}
-	kind := cfg.BlockPred
-	if cfg.PerfectBlockPred {
-		kind = PredPerfect
-	}
-	bpred, err := newBlockPred(kind, cfg.BlockPredBits, trace)
+	bpred, err := newBlockPred(cfg.BlockPred, cfg.BlockPredBits, trace)
 	if err != nil {
 		return nil, err
 	}

@@ -27,29 +27,28 @@ func (t *tileState) enqueue(seq int64, idx, ringMask int) {
 	t.readyCount++
 }
 
-// reclaim mirrors reclaimReadyBits for one block: every queued bit becomes
-// a stale credit.
+// reclaim mirrors reclaimReadyBits for one block: every queued bit goes
+// through unready at once.
 func (t *tileState) reclaim(seq int64, ringMask int) {
 	slot := int(seq) & ringMask
-	m := &t.ready[slot]
-	for !m.Empty() {
-		m.Clear(m.Min())
-		t.readyCount--
-		t.staleCredits++
+	for m := t.ready[slot]; !m.Empty(); {
+		i := m.Min()
+		m.Clear(i)
+		t.unready(slot, i)
 	}
-	t.readyBlocks.Clear(slot)
 }
 
-// TestDequeueOldestFirstWithStaleCredits pins the shared dequeue helper's
-// contract for both the dense and bitmap paths: stale credits (reclaimed
-// entries from squashed blocks) each consume one issue slot before any real
-// pop, and real pops come out oldest block first, lowest instruction index
-// second — even when the reclaims interleave with live enqueues.
-func TestDequeueOldestFirstWithStaleCredits(t *testing.T) {
+// TestDequeueOldestFirstAfterReclaim pins the shared dequeue helper's
+// contract for both the dense and bitmap paths: a reclaimed (squashed or
+// retired) block's entries vanish at once and cost no issue slot, so the
+// very next pop is the oldest live entry, and pops come out oldest block
+// first, lowest instruction index second — even when the reclaim
+// interleaves with live enqueues.
+func TestDequeueOldestFirstAfterReclaim(t *testing.T) {
 	tl, mask := newTestTile(8)
 
-	// Blocks 10..13 enqueue out of order; block 11 is then squashed,
-	// interleaving its two stale credits between live entries.
+	// Blocks 10..13 enqueue out of order; block 11 is then squashed
+	// between live enqueues.
 	tl.enqueue(12, 7, mask)
 	tl.enqueue(10, 40, mask)
 	tl.enqueue(11, 3, mask)
@@ -58,31 +57,23 @@ func TestDequeueOldestFirstWithStaleCredits(t *testing.T) {
 	tl.reclaim(11, mask)
 	tl.enqueue(13, 0, mask)
 
-	if !tl.hasIssueWork() {
-		t.Fatal("tile should have issue work")
+	if tl.readyCount != 4 {
+		t.Fatalf("readyCount = %d after reclaim, want 4", tl.readyCount)
 	}
-	// Two stale credits drain first, one per call, popping nothing.
-	for i := 0; i < 2; i++ {
-		seq, idx, stale, ok := tl.dequeueReady(10, mask)
-		if !ok || !stale {
-			t.Fatalf("call %d: want stale credit, got seq=%d idx=%d stale=%v ok=%v", i, seq, idx, stale, ok)
-		}
-	}
-	// Then strict (seq, idx) order across the survivors.
 	want := []struct {
 		seq int64
 		idx int
 	}{{10, 5}, {10, 40}, {12, 7}, {13, 0}}
 	for i, w := range want {
-		seq, idx, stale, ok := tl.dequeueReady(10, mask)
-		if !ok || stale || seq != w.seq || idx != w.idx {
-			t.Fatalf("pop %d: got (%d,%d) stale=%v ok=%v, want (%d,%d)", i, seq, idx, stale, ok, w.seq, w.idx)
+		seq, idx, ok := tl.dequeueReady(10, mask)
+		if !ok || seq != w.seq || idx != w.idx {
+			t.Fatalf("pop %d: got (%d,%d) ok=%v, want (%d,%d)", i, seq, idx, ok, w.seq, w.idx)
 		}
 	}
-	if _, _, _, ok := tl.dequeueReady(10, mask); ok {
+	if _, _, ok := tl.dequeueReady(10, mask); ok {
 		t.Fatal("drained tile still dequeues")
 	}
-	if tl.hasIssueWork() {
+	if tl.readyCount != 0 {
 		t.Fatal("drained tile claims issue work")
 	}
 }
@@ -104,17 +95,14 @@ func TestDequeueRingWraparound(t *testing.T) {
 	}
 	tl.reclaim(64, mask)
 
-	if seq, idx, stale, ok := tl.dequeueReady(62, mask); !ok || !stale || seq != 0 || idx != 0 {
-		t.Fatalf("want the squashed block's stale credit first, got (%d,%d) stale=%v", seq, idx, stale)
-	}
 	want := []struct {
 		seq int64
 		idx int
 	}{{62, 127}, {63, 0}, {65, 64}, {66, 1}}
 	for i, w := range want {
-		seq, idx, stale, ok := tl.dequeueReady(62, mask)
-		if !ok || stale || seq != w.seq || idx != w.idx {
-			t.Fatalf("pop %d: got (%d,%d) stale=%v ok=%v, want (%d,%d)", i, seq, idx, stale, ok, w.seq, w.idx)
+		seq, idx, ok := tl.dequeueReady(62, mask)
+		if !ok || seq != w.seq || idx != w.idx {
+			t.Fatalf("pop %d: got (%d,%d) ok=%v, want (%d,%d)", i, seq, idx, ok, w.seq, w.idx)
 		}
 	}
 }
@@ -128,14 +116,14 @@ func TestDequeueFullBlockMask(t *testing.T) {
 		tl.enqueue(7, i, mask)
 	}
 	for i := 0; i < 128; i++ {
-		seq, idx, stale, ok := tl.dequeueReady(7, mask)
-		if !ok || stale || seq != 7 || idx != i {
-			t.Fatalf("full-mask pop %d: got (%d,%d) stale=%v ok=%v", i, seq, idx, stale, ok)
+		seq, idx, ok := tl.dequeueReady(7, mask)
+		if !ok || seq != 7 || idx != i {
+			t.Fatalf("full-mask pop %d: got (%d,%d) ok=%v", i, seq, idx, ok)
 		}
 	}
 	for _, bit := range []int{0, 63, 64, 127} {
 		tl.enqueue(9, bit, mask)
-		seq, idx, _, ok := tl.dequeueReady(9, mask)
+		seq, idx, ok := tl.dequeueReady(9, mask)
 		if !ok || seq != 9 || idx != bit {
 			t.Fatalf("single bit %d: got (%d,%d) ok=%v", bit, seq, idx, ok)
 		}
@@ -146,14 +134,12 @@ func TestDequeueFullBlockMask(t *testing.T) {
 // slice-scan reference scheduler: random interleavings of enqueues, squash
 // reclaims, and pops must produce identical issue streams.  The reference
 // keeps an unordered entry slice and scans it for min (seq, idx) — the
-// associative search the bitmaps replace — and models a reclaim exactly as
-// the dense scheduler did: the entry becomes a dead slot that consumes one
-// issue turn.
+// associative search the bitmaps replace — and models a reclaim by deleting
+// the victim's entries.
 func TestDequeueMatchesSliceScan(t *testing.T) {
 	type ent struct {
-		seq  int64
-		idx  int
-		dead bool
+		seq int64
+		idx int
 	}
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 200; trial++ {
@@ -165,21 +151,12 @@ func TestDequeueMatchesSliceScan(t *testing.T) {
 		youngest := base - 1
 
 		popBoth := func() {
-			// Reference: dead entries first (any one), else min (seq, idx).
-			seq, idx, stale, ok := tl.dequeueReady(oldest, mask)
+			// Reference: min (seq, idx).
+			seq, idx, ok := tl.dequeueReady(oldest, mask)
 			ri := -1
 			for i, e := range ref {
-				if e.dead {
+				if ri < 0 || e.seq < ref[ri].seq || (e.seq == ref[ri].seq && e.idx < ref[ri].idx) {
 					ri = i
-					break
-				}
-			}
-			wantStale := ri >= 0
-			if ri < 0 {
-				for i, e := range ref {
-					if ri < 0 || e.seq < ref[ri].seq || (e.seq == ref[ri].seq && e.idx < ref[ri].idx) {
-						ri = i
-					}
 				}
 			}
 			if (ri >= 0) != ok {
@@ -188,19 +165,14 @@ func TestDequeueMatchesSliceScan(t *testing.T) {
 			if !ok {
 				return
 			}
-			if stale != wantStale {
-				t.Fatalf("trial %d: stale=%v, reference dead=%v", trial, stale, wantStale)
-			}
-			if !stale && (seq != ref[ri].seq || idx != ref[ri].idx) {
+			if seq != ref[ri].seq || idx != ref[ri].idx {
 				t.Fatalf("trial %d: popped (%d,%d), reference (%d,%d)", trial, seq, idx, ref[ri].seq, ref[ri].idx)
 			}
-			if !stale {
-				l := live[seq]
-				for i, v := range l {
-					if v == idx {
-						live[seq] = append(l[:i], l[i+1:]...)
-						break
-					}
+			l := live[seq]
+			for i, v := range l {
+				if v == idx {
+					live[seq] = append(l[:i], l[i+1:]...)
+					break
 				}
 			}
 			ref = append(ref[:ri], ref[ri+1:]...)
@@ -240,11 +212,13 @@ func TestDequeueMatchesSliceScan(t *testing.T) {
 					continue
 				}
 				tl.reclaim(victim, mask)
-				for i := range ref {
-					if ref[i].seq == victim {
-						ref[i].dead = true
+				kept := ref[:0]
+				for _, e := range ref {
+					if e.seq != victim {
+						kept = append(kept, e)
 					}
 				}
+				ref = kept
 				live[victim] = nil
 				// The window base may advance past fully-dead blocks; keep
 				// it at the oldest block that still has live entries.
@@ -253,7 +227,7 @@ func TestDequeueMatchesSliceScan(t *testing.T) {
 				}
 			}
 		}
-		for tl.hasIssueWork() {
+		for tl.readyCount > 0 {
 			popBoth()
 		}
 		if len(ref) != 0 {

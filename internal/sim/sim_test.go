@@ -14,7 +14,7 @@ import (
 func runBoth(t *testing.T, w *workload.Workload, cfg Config) (*emu.Result, *Result) {
 	t.Helper()
 	opts := emu.Options{CollectOracle: cfg.Policy == core.IssueOracle, TraceStores: true}
-	if cfg.PerfectBlockPred {
+	if cfg.BlockPred == PredPerfect {
 		opts.TraceBlocks = 1 << 30
 	}
 	er, err := emu.Run(w.Program, &w.Regs, w.Mem, opts)

@@ -44,7 +44,7 @@ func TestNewRequiresOracleTable(t *testing.T) {
 		t.Error("oracle policy without table accepted")
 	}
 	cfg = DefaultConfig()
-	cfg.PerfectBlockPred = true
+	cfg.BlockPred = PredPerfect
 	if _, err := New(cfg, w.Program, &w.Regs, w.Mem, nil, nil); err == nil {
 		t.Error("perfect prediction without trace accepted")
 	}
@@ -69,7 +69,7 @@ func TestBranchMispredictionRecovery(t *testing.T) {
 func TestPerfectPredictionEliminatesBranchSquashes(t *testing.T) {
 	w := workload.MustBuild("matmul", workload.Params{Size: 8})
 	cfg := DefaultConfig()
-	cfg.PerfectBlockPred = true
+	cfg.BlockPred = PredPerfect
 	_, sr := runBoth(t, w, cfg)
 	if sr.Stats.BranchSquashes != 0 {
 		t.Errorf("perfect prediction squashed %d times", sr.Stats.BranchSquashes)

@@ -65,6 +65,14 @@ type JobResult struct {
 	Report *telemetry.Report `json:"-"`
 }
 
+// NotRun reports whether the job never reached a worker: Run's context was
+// cancelled before the job was fed.  Such a result is failed with no
+// attempts, yet has a hash; an invalid spec has none, and every executed
+// job has at least one attempt.
+func (r *JobResult) NotRun() bool {
+	return r.Status == StatusFailed && r.Attempts == 0 && r.Hash != ""
+}
+
 // Summary is one Engine.Run's outcome: per-job results in spec order plus
 // the fold every consumer wants.
 type Summary struct {

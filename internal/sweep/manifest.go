@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -123,8 +124,12 @@ func ReadManifest(path string) (*Manifest, error) {
 	if hdr.Schema != ManifestSchema {
 		return nil, &SchemaError{Path: path, Got: hdr.Schema, Want: ManifestSchema}
 	}
+	// Unknown fields fail: a spec field this build no longer has must not
+	// silently resume as a different simulation point.
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
 	var m Manifest
-	if err := json.Unmarshal(data, &m); err != nil {
+	if err := dec.Decode(&m); err != nil {
 		return nil, fmt.Errorf("sweep: parse manifest %s: %w", path, err)
 	}
 	return &m, nil

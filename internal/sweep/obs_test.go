@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -308,6 +309,36 @@ func TestEngineObsOffMatchesOn(t *testing.T) {
 
 // TestReporterRollingETA pins that the reporter's ETA follows the recent
 // completion rate: slow early jobs followed by fast ones must not leave the
+// TestProgressKeepsNewestGrids pins the live view's bound: a long-lived
+// observer (dsre-serve runs one engine Run per batch) keeps only the
+// newest finished grids, newest last, while the grid counter still counts
+// every Run.
+func TestProgressKeepsNewestGrids(t *testing.T) {
+	o, _, _ := newObserved()
+	eng := New(Options{Workers: 1, Obs: o, Runner: func(ctx context.Context, spec JobSpec) (*telemetry.Report, error) {
+		return fakeReport(spec), nil
+	}})
+	const runs = 100
+	for i := 0; i < runs; i++ {
+		if _, err := eng.Run(context.Background(), []JobSpec{{Workload: "vecsum"}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := o.Reg.Snapshot().Counter("dsre_sweep_grids_total"); got != runs {
+		t.Errorf("dsre_sweep_grids_total = %d, want %d", got, runs)
+	}
+	grids := o.Progress(time.Now()).Grids
+	if len(grids) == 0 || len(grids) >= runs {
+		t.Fatalf("progress keeps %d of %d finished grids, want a bounded tail", len(grids), runs)
+	}
+	first := runs - len(grids) + 1
+	for i, g := range grids {
+		if want := fmt.Sprintf("grid-%d", first+i); g.Grid != want || !g.Finished {
+			t.Errorf("progress grid %d = %s (finished %v), want %s, finished", i, g.Grid, g.Finished, want)
+		}
+	}
+}
+
 // ETA stuck at the cumulative mean.
 func TestReporterRollingETA(t *testing.T) {
 	var out bytes.Buffer

@@ -40,7 +40,6 @@ type JobSpec struct {
 
 	CommitTokensFree    bool   `json:"commit_tokens_free,omitempty"`
 	NoSuppressIdentical bool   `json:"no_suppress_identical,omitempty"`
-	PerfectBlockPred    bool   `json:"perfect_block_pred,omitempty"`
 	BlockPredictor      string `json:"block_predictor,omitempty"`
 	Placement           string `json:"placement,omitempty"`
 	StoreSetSize        int    `json:"store_set_size,omitempty"`
@@ -69,7 +68,6 @@ func (s JobSpec) Config() repro.Config {
 		LinkBandwidth:       s.LinkBandwidth,
 		CommitTokensFree:    s.CommitTokensFree,
 		NoSuppressIdentical: s.NoSuppressIdentical,
-		PerfectBlockPred:    s.PerfectBlockPred,
 		BlockPredictor:      s.BlockPredictor,
 		Placement:           s.Placement,
 		StoreSetSize:        s.StoreSetSize,
@@ -93,12 +91,6 @@ func (s JobSpec) Canonical() (JobSpec, error) {
 	s.Scheme = scheme
 	if s.Seed == 0 {
 		s.Seed = 1 // workload.Params treats zero as seed 1
-	}
-	if s.BlockPredictor == "perfect" {
-		s.PerfectBlockPred = true
-	}
-	if s.PerfectBlockPred {
-		s.BlockPredictor = "perfect"
 	}
 	return s, nil
 }

@@ -51,7 +51,7 @@ func TestHashCanonicalisesAliases(t *testing.T) {
 		{Workload: "vecsum", Seed: 2},
 		{Workload: "vecsum", Size: 100},
 		{Workload: "histogram"},
-		{Workload: "vecsum", PerfectBlockPred: true},
+		{Workload: "vecsum", BlockPredictor: "perfect"},
 		{Workload: "vecsum", SampleEvery: 100},
 	}
 	seen := map[string]string{want: "default"}
@@ -61,14 +61,6 @@ func TestHashCanonicalisesAliases(t *testing.T) {
 			t.Errorf("spec %+v collides with %s", s, prev)
 		}
 		seen[h] = fmt.Sprintf("%+v", s)
-	}
-}
-
-func TestHashCoversPerfectPredictorAlias(t *testing.T) {
-	a := mustHash(t, JobSpec{Workload: "vecsum", PerfectBlockPred: true})
-	b := mustHash(t, JobSpec{Workload: "vecsum", BlockPredictor: "perfect"})
-	if a != b {
-		t.Errorf("PerfectBlockPred and BlockPredictor=perfect should hash identically: %s vs %s", a, b)
 	}
 }
 
@@ -379,6 +371,58 @@ func TestEngineSweepCancellation(t *testing.T) {
 		if j.Status == "" {
 			t.Errorf("job %s has no recorded status after cancellation", j.Spec.Name())
 		}
+	}
+}
+
+// TestJobResultNotRun pins the one result shape callers use to tell an
+// abandoned job from a failed one: NotRun holds exactly for the jobs the
+// cancelled sweep never fed to a worker, and not for an invalid spec, a
+// job that failed after its retries, or the job running at the cancel.
+func TestJobResultNotRun(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var called sync.Map // spec.Size -> true once the runner saw it
+	eng := New(Options{Workers: 1, Retries: 2, Runner: func(ctx context.Context, spec JobSpec) (*telemetry.Report, error) {
+		called.Store(spec.Size, true)
+		switch spec.Size {
+		case 32:
+			return nil, errors.New("deterministic failure")
+		case 48:
+			cancel()
+			// Linger so the feeder sees the cancel before this worker is
+			// free to take another job.
+			time.Sleep(50 * time.Millisecond)
+			return nil, ctx.Err()
+		}
+		return fakeReport(spec), nil
+	}})
+	specs := []JobSpec{
+		{Workload: "vecsum", Frames: 1}, // invalid: no hash, never runs
+		{Workload: "vecsum", Size: 16},  // ok
+		{Workload: "vecsum", Size: 32},  // fails after 3 attempts
+		{Workload: "vecsum", Size: 48},  // cancels the sweep while running
+		{Workload: "vecsum", Size: 64},  // never fed
+		{Workload: "vecsum", Size: 80},  // never fed
+	}
+	sum, _ := eng.Run(ctx, specs)
+	if j := sum.Jobs[0]; j.NotRun() || j.Status != StatusFailed {
+		t.Errorf("invalid spec: NotRun=%v %+v", j.NotRun(), j)
+	}
+	if j := sum.Jobs[2]; j.NotRun() || j.Attempts != 3 {
+		t.Errorf("job failed after retries: NotRun=%v %+v", j.NotRun(), j)
+	}
+	notRun := 0
+	for _, j := range sum.Jobs[1:] {
+		_, ran := called.Load(j.Spec.Size)
+		if j.NotRun() == ran {
+			t.Errorf("size %d: NotRun=%v, but the runner ran=%v (%+v)", j.Spec.Size, j.NotRun(), ran, j)
+		}
+		if j.NotRun() {
+			notRun++
+		}
+	}
+	if notRun != 2 {
+		t.Errorf("%d not-run jobs, want the 2 queued behind the cancel", notRun)
 	}
 }
 

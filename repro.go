@@ -63,11 +63,10 @@ type Config struct {
 	// NoSuppressIdentical disables identical-value wave suppression
 	// (ablation E7).
 	NoSuppressIdentical bool
-	// PerfectBlockPred drives fetch from a perfect next-block trace,
-	// isolating memory-speculation effects from control speculation.
-	PerfectBlockPred bool
 	// BlockPredictor selects the next-block predictor: "twolevel"
-	// (default), "last" or "perfect".
+	// (default), "last" or "perfect" (fetch follows the committed block
+	// trace, isolating memory-speculation effects from control
+	// speculation).
 	BlockPredictor string
 	// Placement selects instruction-to-tile mapping: "roundrobin"
 	// (default) or "chain" (dependence-following).
@@ -245,7 +244,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	}
 
 	opts := emu.Options{CollectOracle: policy == core.IssueOracle}
-	if cfg.PerfectBlockPred || cfg.BlockPredictor == "perfect" {
+	if cfg.BlockPredictor == "perfect" {
 		opts.TraceBlocks = 1 << 30
 	}
 	golden, err := w.RunEmulator(opts)
@@ -368,7 +367,6 @@ func (cfg Config) MachineConfig() (sim.Config, error) {
 	sc.ValuePredict = cfg.ValuePredict
 	sc.CommitTokensFree = cfg.CommitTokensFree
 	sc.SuppressIdenticalValues = !cfg.NoSuppressIdentical
-	sc.PerfectBlockPred = cfg.PerfectBlockPred
 	switch cfg.Placement {
 	case "", "roundrobin":
 		sc.Placement = sim.PlaceRoundRobin
@@ -384,7 +382,6 @@ func (cfg Config) MachineConfig() (sim.Config, error) {
 		sc.BlockPred = sim.PredLastTarget
 	case "perfect":
 		sc.BlockPred = sim.PredPerfect
-		sc.PerfectBlockPred = true
 	default:
 		return sim.Config{}, fmt.Errorf("repro: unknown block predictor %q (twolevel, last, perfect)", cfg.BlockPredictor)
 	}
