@@ -42,6 +42,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/status"
 	"repro/internal/stats"
+	"repro/internal/sweep"
 )
 
 // artifactSchema identifies the BENCH_<id>.json wire format.
@@ -134,9 +135,19 @@ func main() {
 		}()
 	}
 
-	o := experiments.Opts{Quick: *quick, Jobs: *jobs, CacheDir: *cache, Ctx: ctx}
+	// One engine across every experiment so workload builds and golden-model
+	// runs memoize across experiment boundaries, not just within one.
+	opts := sweep.Options{Workers: *jobs}
+	if *cache != "" {
+		st, err := sweep.OpenStore(*cache)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "dsre-bench: %v\n", err)
+			os.Exit(1)
+		}
+		opts.Store = st
+	}
 	if *progress {
-		o.Progress = os.Stderr
+		opts.Progress = sweep.NewReporter(os.Stderr, *jobs)
 	}
 
 	// Observability (opt-in): one observer spans every experiment, so
@@ -152,10 +163,10 @@ func main() {
 			defer f.Close()
 			sink = obs.NewJSONLSink(f)
 		}
-		o.Obs = obs.NewSweepObs(time.Now(), sink, nil)
+		opts.Obs = obs.NewSweepObs(time.Now(), sink, nil)
 	}
 	if *statusAddr != "" {
-		observer := o.Obs
+		observer := opts.Obs
 		srv, err := status.Serve(*statusAddr, status.Options{
 			Registry: observer.Reg,
 			Progress: func() obs.ProgressView { return observer.Progress(time.Now()) },
@@ -167,14 +178,8 @@ func main() {
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "dsre-bench: status server on http://%s\n", srv.Addr())
 	}
-	// One engine across every experiment so workload builds and golden-model
-	// runs memoize across experiment boundaries, not just within one.
-	eng, err := experiments.NewEngine(o)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dsre-bench: %v\n", err)
-		os.Exit(1)
-	}
-	o.Engine = eng
+	eng := sweep.New(opts)
+	o := experiments.Opts{Quick: *quick, Ctx: ctx, Engine: eng}
 	want := map[string]bool{}
 	for _, id := range strings.Split(*only, ",") {
 		if id = strings.TrimSpace(strings.ToUpper(id)); id != "" {

@@ -153,15 +153,11 @@ func writeTrace(path string, res *repro.Result) error {
 }
 
 func writeSamplesCSV(path string, res *repro.Result) error {
-	s := telemetry.NewSampler(len(res.Samples) + 1)
-	for _, v := range res.Samples {
-		s.Sample(v)
-	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := s.WriteCSV(f); err != nil {
+	if err := telemetry.WriteCSV(f, res.Samples); err != nil {
 		f.Close()
 		return err
 	}

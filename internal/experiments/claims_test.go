@@ -4,6 +4,8 @@ import (
 	"slices"
 	"strconv"
 	"testing"
+
+	"repro/internal/sweep"
 )
 
 // Tolerances of the headline claims gate.  Each bound sits between the
@@ -53,11 +55,7 @@ func TestHeadlineClaims(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the E2–E4 quick grids")
 	}
-	eng, err := NewEngine(Opts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := Opts{Quick: true, Engine: eng}
+	o := Opts{Quick: true, Engine: sweep.New(sweep.Options{})}
 
 	_, _, sum := E2E3Speedup(o)
 	if sum.DSREOverStoreSetConflict < minConflictSpeedup {

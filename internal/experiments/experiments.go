@@ -6,7 +6,7 @@
 // Every experiment declares its grid as sweep.JobSpecs and folds the
 // resulting reports: the sweep engine (internal/sweep) runs the points on
 // a bounded worker pool, shares one program build and golden-model run
-// across the schemes of each kernel, and — when Opts.CacheDir is set —
+// across the schemes of each kernel, and — when the engine has a store —
 // replays unchanged points from the content-addressed result cache.
 //
 // The experiment IDs (E1..E16) are indexed in DESIGN.md; EXPERIMENTS.md
@@ -16,75 +16,25 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"io"
 
 	"repro"
-	"repro/internal/obs"
 	"repro/internal/stats"
 	"repro/internal/sweep"
 	"repro/internal/telemetry"
 )
 
-// Opts scales and parallelises the experiments.
+// Opts scales the experiments and names the engine that runs them.
 type Opts struct {
 	// Quick shrinks workload sizes for fast regression runs; the full sizes
 	// are used for the reported numbers.
 	Quick bool
-	// Jobs bounds concurrent simulations; zero means GOMAXPROCS.
-	Jobs int
-	// CacheDir enables the content-addressed result cache rooted there, so
-	// re-running an experiment after an unrelated edit replays cached
-	// points (see internal/sweep).  Empty disables caching.
-	CacheDir string
-	// Store, when set, overrides CacheDir with an already-opened result
-	// store (a local DirStore or a RemoteStore speaking to a dsre-serve
-	// daemon); nil falls back to CacheDir.
-	Store sweep.Store
-	// Progress streams per-job completion lines (dsre-bench passes
-	// stderr); nil is silent.
-	Progress io.Writer
-	// Engine, when set, is used for every experiment — share one via
-	// NewEngine so successive experiments reuse memoized workload builds.
-	// Nil builds a fresh engine per experiment from the fields above.
-	Engine *sweep.Engine
 	// Ctx, when set, bounds every sweep (dsre-bench passes its signal
 	// context so SIGINT/SIGTERM drain in-flight jobs); nil means Background.
 	Ctx context.Context
-	// Obs attaches sweep observability (metrics, events, live progress) to
-	// the engines NewEngine builds; nil disables every hook.
-	Obs *obs.SweepObs
-}
-
-// NewEngine builds the sweep engine an Opts describes.  Assign the result
-// to Opts.Engine to share workload preparation across experiments.
-func NewEngine(o Opts) (*sweep.Engine, error) {
-	st := o.Store
-	if st == nil && o.CacheDir != "" {
-		ds, err := sweep.OpenStore(o.CacheDir)
-		if err != nil {
-			return nil, err
-		}
-		st = ds
-	}
-	var rep *sweep.Reporter
-	if o.Progress != nil {
-		rep = sweep.NewReporter(o.Progress, o.Jobs)
-	}
-	return sweep.New(sweep.Options{Workers: o.Jobs, Store: st, Progress: rep, Obs: o.Obs}), nil
-}
-
-// engine returns the configured engine, building one when Opts.Engine is
-// unset.  It panics on a bad configuration: experiments are a harness, not
-// a library surface.
-func (o Opts) engine() *sweep.Engine {
-	if o.Engine != nil {
-		return o.Engine
-	}
-	eng, err := NewEngine(o)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
-	}
-	return eng
+	// Engine runs every experiment's grid; share one so successive
+	// experiments reuse memoized workload builds.  Nil means a fresh
+	// sweep.New(sweep.Options{}) per experiment: default workers, no cache.
+	Engine *sweep.Engine
 }
 
 // results runs a grid through the sweep engine and returns the reports in
@@ -95,7 +45,11 @@ func (o Opts) results(specs []sweep.JobSpec) []*telemetry.Report {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	sum, err := o.engine().Run(ctx, specs)
+	eng := o.Engine
+	if eng == nil {
+		eng = sweep.New(sweep.Options{})
+	}
+	sum, err := eng.Run(ctx, specs)
 	if err != nil {
 		panic(fmt.Sprintf("experiment sweep failed: %v", err))
 	}

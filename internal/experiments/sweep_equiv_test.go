@@ -58,11 +58,7 @@ func TestSweepMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full quick experiment suite twice")
 	}
-	eng, err := NewEngine(Opts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	swept := allTables(Opts{Quick: true, Engine: eng})
+	swept := allTables(Opts{Quick: true, Engine: sweep.New(sweep.Options{})})
 	sequential := allTables(Opts{Quick: true, Engine: sequentialEngine()})
 	for id, want := range sequential {
 		if got := swept[id]; got != want {

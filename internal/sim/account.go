@@ -8,14 +8,13 @@ import (
 	"repro/internal/isa"
 )
 
-// acctState is the machine's cycle-accounting and forensics state; nil when
-// accounting is disabled, so the hot path pays one nil check.
+// acctState is the machine's cycle-accounting and forensics state.  Every
+// machine keeps it: each verified run reports a CPI stack and a per-load
+// audit, and a stuck machine's dump carries the flight recorder.
 type acctState struct {
 	stack     account.CPIStack
 	flight    *account.FlightRecorder
 	forensics *account.Forensics
-
-	startCycle int64
 
 	// waveUntil extends BucketWave over a violation's repair latency, so
 	// the dead cycles between detection and the corrected broadcast are
@@ -28,7 +27,17 @@ type acctState struct {
 	refill       account.Bucket
 	refillActive bool
 
+	// prev is the previous cycle's counters; it starts at zero, as every
+	// counter does.
 	prev acctCounters
+}
+
+func newAcctState(frames int) acctState {
+	return acctState{
+		flight:    account.NewFlightRecorder(account.DefaultFlightDepth),
+		forensics: account.NewForensics(frames),
+		waveUntil: -1,
+	}
 }
 
 // acctCounters snapshots the event counters attribution diffs each cycle.
@@ -54,28 +63,8 @@ func (mc *Machine) acctCounters() acctCounters {
 	}
 }
 
-// EnableAccounting turns on per-cycle CPI accounting, violation forensics
-// and the flight recorder for the rest of the run.  Cost is a few counter
-// compares per cycle (see BenchmarkMachineAccounting); disabled it is a
-// single nil check.
-func (mc *Machine) EnableAccounting() {
-	mc.acct = &acctState{
-		flight:     account.NewFlightRecorder(account.DefaultFlightDepth),
-		forensics:  account.NewForensics(mc.cfg.Frames),
-		startCycle: mc.cycle,
-		waveUntil:  -1,
-	}
-	mc.acct.prev = mc.acctCounters()
-}
-
-// AccountingEnabled reports whether EnableAccounting was called.
-func (mc *Machine) AccountingEnabled() bool { return mc.acct != nil }
-
-// FlightDump renders the flight-recorder ring ("" when accounting is off).
+// FlightDump renders the flight-recorder ring.
 func (mc *Machine) FlightDump() string {
-	if mc.acct == nil {
-		return ""
-	}
 	return mc.acct.flight.Dump()
 }
 
@@ -83,7 +72,7 @@ func (mc *Machine) FlightDump() string {
 // exactly one bucket and snapshots the machine into the flight recorder.
 // Runs after stepCommit, before the cycle counter advances.
 func (mc *Machine) accountCycle() {
-	a := mc.acct
+	a := &mc.acct
 	cur := mc.acctCounters()
 	b := mc.attributeCycle(a, cur, a.prev)
 	a.prev = cur
@@ -187,8 +176,6 @@ func (mc *Machine) assertFired(b *blockInst) {
 // cycles go to stderr before the panic, so an invariant failure arrives
 // with the machine's recent history attached.
 func (mc *Machine) failAssert(format string, args ...any) {
-	if mc.acct != nil {
-		fmt.Fprint(os.Stderr, mc.acct.flight.Dump())
-	}
+	fmt.Fprint(os.Stderr, mc.acct.flight.Dump())
 	assertFailf(format, args...)
 }

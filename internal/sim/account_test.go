@@ -10,8 +10,8 @@ import (
 	"repro/internal/workload"
 )
 
-// runAccounted runs a workload with cycle accounting enabled and returns
-// the result.
+// runAccounted runs a workload on a plain machine, which always accounts,
+// and returns the result.
 func runAccounted(t *testing.T, kernel string, size int, rec core.RecoveryScheme) *Result {
 	t.Helper()
 	w := workload.MustBuild(kernel, workload.Params{Size: size})
@@ -22,7 +22,6 @@ func runAccounted(t *testing.T, kernel string, size int, rec core.RecoveryScheme
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc.EnableAccounting()
 	r, err := mc.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -63,9 +62,10 @@ func TestAccountingConservation(t *testing.T) {
 	}
 }
 
-// TestAccountingDisabledZero pins the zero-cost-when-off contract: a run
-// without EnableAccounting must leave the accounting stats untouched.
-func TestAccountingDisabledZero(t *testing.T) {
+// TestPlainRunAccounts pins that observation is part of every machine: a
+// bare New + Run, with no setup call, conserves the CPI stack and leaves a
+// flight recorder to dump.
+func TestPlainRunAccounts(t *testing.T) {
 	w := workload.MustBuild("vecsum", workload.Params{Size: 64})
 	cfg := DefaultConfig()
 	cfg.Policy = core.IssueAggressive
@@ -74,18 +74,18 @@ func TestAccountingDisabledZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mc.AccountingEnabled() {
-		t.Fatal("accounting enabled by default")
-	}
 	r, err := mc.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tot := r.Stats.Acct.Total(); tot != 0 {
-		t.Errorf("disabled accounting produced %d bucket slots", tot)
+	if got, want := r.Stats.Acct.Total(), r.Stats.Cycles*account.SlotsPerCycle; got != want {
+		t.Errorf("CPI buckets sum to %d, want %d (cycles %d)", got, want, r.Stats.Cycles)
 	}
-	if r.Stats.Forensics.Events != 0 {
-		t.Errorf("disabled accounting recorded %d forensic events", r.Stats.Forensics.Events)
+	if mc.FlightDump() == "" {
+		t.Error("empty flight-recorder dump after a run")
+	}
+	if len(r.Samples) != 0 {
+		t.Errorf("%d sample windows with sampling never turned on", len(r.Samples))
 	}
 }
 
@@ -107,7 +107,6 @@ func TestAccountingMatchesEmulator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc.EnableAccounting()
 	r, err := mc.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -134,9 +133,7 @@ func TestDeadlockDumpCarriesForensics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc.EnableAccounting()
-	sink := &discardSink{}
-	mc.SetSampler(1000, sink)
+	mc.SetSampleEvery(1000)
 	_, err = mc.Run()
 	if err == nil {
 		t.Fatal("expected deadlock error")
@@ -152,47 +149,7 @@ func TestDeadlockDumpCarriesForensics(t *testing.T) {
 			t.Errorf("deadlock dump missing %q:\n%s", want, msg)
 		}
 	}
-	if sink.n == 0 {
+	if len(mc.samples) == 0 {
 		t.Error("deadlock dump did not flush the partial telemetry window")
-	}
-}
-
-// BenchmarkMachineAccounting measures the accounting hot path against the
-// plain machine: "off" is the disabled path (one nil check per cycle), "on"
-// attributes every cycle, feeds the flight recorder and folds every
-// repaired violation into the forensics audit.  histogram repairs few
-// violations; stencil under DSRE repairs about two per cycle, so its "on"
-// run prices the audit.  DESIGN.md records the budget (≤3% regression when
-// on).
-func BenchmarkMachineAccounting(b *testing.B) {
-	for _, k := range []struct {
-		name string
-		size int
-	}{{"histogram", 1024}, {"stencil", 1024}} {
-		w := workload.MustBuild(k.name, workload.Params{Size: k.size})
-		for _, on := range []bool{false, true} {
-			name := k.name + "/off"
-			if on {
-				name = k.name + "/on"
-			}
-			b.Run(name, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					cfg := DefaultConfig()
-					cfg.Policy = core.IssueAggressive
-					cfg.Recovery = core.RecoverDSRE
-					mc, err := New(cfg, w.Program, &w.Regs, w.Mem, nil, nil)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if on {
-						mc.EnableAccounting()
-					}
-					if _, err := mc.Run(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
 	}
 }

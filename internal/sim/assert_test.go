@@ -6,12 +6,19 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/workload"
 )
 
 // TestAssertNegativeDelayPanics proves the dsre_assert checks are live in
 // tagged builds: scheduling a message into the past must panic instead of
 // silently clamping to "now".
 func TestAssertNegativeDelayPanics(t *testing.T) {
+	w := workload.MustBuild("vecsum", workload.Params{Size: 64})
+	mc, err := New(DefaultConfig(), w.Program, &w.Regs, w.Mem, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -21,6 +28,5 @@ func TestAssertNegativeDelayPanics(t *testing.T) {
 			t.Fatalf("unexpected panic: %v", r)
 		}
 	}()
-	var mc Machine // zero-value injq is a valid empty schedule queue
 	mc.sendAfter(-1, 0, 0, message{})
 }

@@ -34,9 +34,7 @@ func (mc *Machine) squashFrom(fromSeq int64, resumeID int) {
 	for i, b := range mc.window[cut:] {
 		if mc.tracer != nil {
 			mc.tracer.Record(mc.cycle, trace.KindBlockSquash, b.seq, 0, 0)
-		}
-		if mc.spans != nil {
-			mc.spans.RecordSpan(trace.SpanBlock, b.seq, b.blockID, 1, b.mapCycle, mc.cycle)
+			mc.tracer.RecordSpan(trace.SpanBlock, b.seq, b.blockID, 1, b.mapCycle, mc.cycle)
 		}
 		mc.frameBusy[b.frame] = false
 		mc.frameGens[b.frame]++
@@ -96,9 +94,7 @@ func (mc *Machine) stepCommit() bool {
 
 	if mc.tracer != nil {
 		mc.tracer.Record(mc.cycle, trace.KindBlockCommit, b.seq, 0, 0)
-	}
-	if mc.spans != nil {
-		mc.spans.RecordSpan(trace.SpanBlock, b.seq, b.blockID, 0, b.mapCycle, mc.cycle)
+		mc.tracer.RecordSpan(trace.SpanBlock, b.seq, b.blockID, 0, b.mapCycle, mc.cycle)
 	}
 	mc.frameBusy[b.frame] = false
 	mc.frameGens[b.frame]++

@@ -193,11 +193,9 @@ func (mc *Machine) emitLoadResult(b *blockInst, idx int, addr uint64, res lsq.Lo
 				tag = mc.tags.Next()
 				mc.wave.WaveStarted(tag)
 				mc.stats.VPCorrections++
-				if mc.acct != nil {
-					in := &b.bdef.Insts[idx]
-					mc.acct.forensics.Record(account.EventVP, b.seq, int(in.LSID),
-						res.PC, 0, tag, 0, 0)
-				}
+				in := &b.bdef.Insts[idx]
+				mc.acct.forensics.Record(account.EventVP, b.seq, int(in.LSID),
+					res.PC, 0, tag, 0, 0)
 			} else if st.vpValue == res.Value {
 				mc.stats.VPHits++
 			}
@@ -285,18 +283,16 @@ func (mc *Machine) handleViolations(vs []lsq.Violation) {
 			mc.q.GuardLoad(v.Load)
 		}
 		mc.stats.Flushes++
-		if mc.acct != nil {
-			// Audit every violation; the squash's real cost lands on the
-			// oldest (the one the flush restarts from), the rest ride along.
-			cost := mc.squashEquivCost(min.Seq)
-			for _, v := range vs {
-				c := int64(0)
-				if v.Load == min {
-					c = cost
-				}
-				mc.acct.forensics.Record(account.EventFlush, v.Load.Seq, int(v.Load.LSID),
-					v.LoadPC, v.StorePC, v.Tag, v.StoreTag, c)
+		// Audit every violation; the squash's real cost lands on the
+		// oldest (the one the flush restarts from), the rest ride along.
+		cost := mc.squashEquivCost(min.Seq)
+		for _, v := range vs {
+			c := int64(0)
+			if v.Load == min {
+				c = cost
 			}
+			mc.acct.forensics.Record(account.EventFlush, v.Load.Seq, int(v.Load.LSID),
+				v.LoadPC, v.StorePC, v.Tag, v.StoreTag, c)
 		}
 		mc.squashFrom(min.Seq, b.blockID)
 	case core.RecoverDSRE:
@@ -309,10 +305,8 @@ func (mc *Machine) handleViolations(vs []lsq.Violation) {
 			mc.wave.WaveStarted(v.Tag)
 			idx := mc.memIdx[b.blockID][v.Load.LSID]
 			mc.stats.DSRECorrections++
-			if mc.acct != nil {
-				mc.acct.forensics.Record(account.EventWave, v.Load.Seq, int(v.Load.LSID),
-					v.LoadPC, v.StorePC, v.Tag, v.StoreTag, mc.squashEquivCost(v.Load.Seq))
-			}
+			mc.acct.forensics.Record(account.EventWave, v.Load.Seq, int(v.Load.LSID),
+				v.LoadPC, v.StorePC, v.Tag, v.StoreTag, mc.squashEquivCost(v.Load.Seq))
 			if mc.tracer != nil {
 				mc.tracer.Record(mc.cycle, trace.KindCorrection, v.Load.Seq, idx, uint64(v.Tag))
 			}

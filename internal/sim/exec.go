@@ -180,9 +180,9 @@ func (mc *Machine) completeExec(j aluJob) {
 	} else if mc.tracer != nil {
 		mc.tracer.Record(mc.cycle, trace.KindExec, b.seq, j.idx, uint64(outTag))
 	}
-	if mc.spans != nil {
+	if mc.tracer != nil {
 		lat := int64(mc.cfg.opLatency(in.Op))
-		mc.spans.RecordSpan(trace.SpanExec, b.seq, j.idx, uint64(outTag), mc.cycle-lat, mc.cycle)
+		mc.tracer.RecordSpan(trace.SpanExec, b.seq, j.idx, uint64(outTag), mc.cycle-lat, mc.cycle)
 	}
 
 	committed := b.inputsCommitted(j.idx)

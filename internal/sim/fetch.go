@@ -74,8 +74,8 @@ const (
 func (mc *Machine) stepFetch() fetchAction {
 	if mc.fetch.active {
 		if mc.cycle >= mc.fetch.readyAt {
-			if mc.spans != nil {
-				mc.spans.RecordSpan(trace.SpanFetch, mc.fetch.seq, mc.fetch.blockID, 0, mc.fetch.startedAt, mc.cycle)
+			if mc.tracer != nil {
+				mc.tracer.RecordSpan(trace.SpanFetch, mc.fetch.seq, mc.fetch.blockID, 0, mc.fetch.startedAt, mc.cycle)
 			}
 			mc.mapBlock(mc.fetch.seq, mc.fetch.blockID)
 			mc.fetch.active = false

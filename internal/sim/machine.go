@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/bitset"
 	"repro/internal/cache"
@@ -154,7 +155,7 @@ type Machine struct {
 
 	// lastFetch records what stepFetch did this cycle; during an idle-gap
 	// fast-forward the same (state-stable) stall repeats every skipped
-	// cycle and is replicated in bulk.
+	// cycle (see tickIdleTail).
 	lastFetch fetchAction
 	// ffSkipped counts cycles the run loop fast-forwarded across provably
 	// idle gaps (diagnostics only; never part of Stats).
@@ -174,38 +175,24 @@ type Machine struct {
 	finalTarget     int
 
 	stats  Stats
-	tracer Tracer
-	spans  SpanRecorder
+	tracer *trace.Collector
 	err    error // fatal protocol error detected during a handler
 
-	// Cycle accounting + forensics (see account.go); nil means off.
-	acct *acctState
+	// Cycle accounting + forensics (see account.go).
+	acct acctState
 
-	// Telemetry sampling (see sampler.go); sampleSink == nil means off.
-	sampleSink  SampleSink
+	// Telemetry sampling (see sampler.go); sampleEvery == 0 means off, and
+	// then sampleAt never comes due.
 	sampleEvery int64
 	sampleAt    int64
 	sampleBase  sampleOrigin
-	lastSample  Sample
-	haveSample  bool
+	samples     []Sample
 }
 
-// Tracer receives execution events when attached (see internal/trace).
-type Tracer interface {
-	Record(cycle int64, kind trace.Kind, seq int64, idx int, tag uint64)
-}
-
-// SpanRecorder is optionally implemented by tracers that also want
-// per-stage duration spans (trace.Collector implements it).
-type SpanRecorder interface {
-	RecordSpan(kind trace.SpanKind, seq int64, idx int, tag uint64, start, end int64)
-}
-
-// SetTracer attaches an event tracer; nil detaches.  A tracer that also
-// implements SpanRecorder receives fetch/block/exec stage spans.
-func (mc *Machine) SetTracer(t Tracer) {
-	mc.tracer = t
-	mc.spans, _ = t.(SpanRecorder)
+// SetTracer attaches an execution-event collector, which also receives the
+// fetch/block/exec stage spans; nil detaches.
+func (mc *Machine) SetTracer(c *trace.Collector) {
+	mc.tracer = c
 }
 
 // New builds a machine for one run of prog from the given initial state.
@@ -236,6 +223,8 @@ func New(cfg Config, prog *isa.Program, regs *[isa.NumRegs]int64, m *mem.Memory,
 		frameGens: make([]uint32, cfg.Frames),
 		frameBusy: make([]bool, cfg.Frames),
 		resumeID:  prog.Entry,
+		acct:      newAcctState(cfg.Frames),
+		sampleAt:  math.MaxInt64,
 	}
 	if regs != nil {
 		mc.arch = *regs

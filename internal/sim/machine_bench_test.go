@@ -43,7 +43,8 @@ func benchMachine(b *testing.B, kernel string, size int, dense bool, shape func(
 }
 
 // BenchmarkMachine measures whole-machine simulation throughput in
-// simulated cycles per wall second on the event-driven core.
+// simulated cycles per wall second on the event-driven core, cycle
+// accounting included, as in every verified run.
 func BenchmarkMachine(b *testing.B) {
 	for _, k := range []string{"histogram", "vecsum"} {
 		b.Run(k, func(b *testing.B) { benchMachine(b, k, 1024, false, nil) })
@@ -63,9 +64,8 @@ func BenchmarkMachine(b *testing.B) {
 	b.Run("histogram/size=128", func(b *testing.B) { benchMachine(b, "histogram", 128, false, nil) })
 }
 
-// BenchmarkMachineNew measures building a machine, New plus
-// EnableAccounting as every verified run does, once per issue policy.
-// Construction should cost what the run touches, not what the machine
+// BenchmarkMachineNew measures building a machine, accounting state
+// included, once per issue policy.  Construction should cost what the run touches, not what the machine
 // could hold: the caches carve sets on first fill and the predictor tables
 // start as zeroed memory.
 func BenchmarkMachineNew(b *testing.B) {
@@ -81,11 +81,9 @@ func BenchmarkMachineNew(b *testing.B) {
 			cfg.Recovery = core.RecoverDSRE
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				mc, err := New(cfg, w.Program, &w.Regs, w.Mem, er.Oracle, er.BlockTrace)
-				if err != nil {
+				if _, err := New(cfg, w.Program, &w.Regs, w.Mem, er.Oracle, er.BlockTrace); err != nil {
 					b.Fatal(err)
 				}
-				mc.EnableAccounting()
 			}
 		})
 	}
@@ -100,15 +98,9 @@ func BenchmarkMachineDense(b *testing.B) {
 	}
 }
 
-// discardSink measures pure sampling overhead without collection cost.
-type discardSink struct{ n int }
-
-func (d *discardSink) Sample(Sample) { d.n++ }
-
 // BenchmarkMachineSampler measures telemetry sampling overhead against the
-// plain machine: "off" is the disabled hot path (one nil check per cycle),
-// the numeric variants attach a sink at that window size.  DESIGN.md
-// records the measured regression budget (<2%).
+// plain machine: "off" never closes a window, the numeric variants keep
+// the series at that window size.  DESIGN.md records the measured cost.
 func BenchmarkMachineSampler(b *testing.B) {
 	w := workload.MustBuild("histogram", workload.Params{Size: 1024})
 	for _, every := range []int64{0, 1000, 100, 10} {
@@ -125,9 +117,7 @@ func BenchmarkMachineSampler(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if every > 0 {
-					mc.SetSampler(every, &discardSink{})
-				}
+				mc.SetSampleEvery(every)
 				if _, err := mc.Run(); err != nil {
 					b.Fatal(err)
 				}

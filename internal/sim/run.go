@@ -15,6 +15,9 @@ type Result struct {
 	Mem    *mem.Memory
 	Blocks int64
 	Stats  Stats
+	// Samples is the whole telemetry series, in cycle order, when
+	// SetSampleEvery turned sampling on.
+	Samples []Sample
 }
 
 // ctxCheckInterval is how often RunContext polls its context, in cycles.
@@ -64,11 +67,11 @@ func (mc *Machine) RunContext(ctx context.Context) (*Result, error) {
 	}
 	// Flush the final (partial) telemetry window so short runs still
 	// produce at least one sample.
-	if mc.sampleSink != nil && mc.cycle > mc.sampleBase.cycle {
+	if mc.sampleEvery > 0 && mc.cycle > mc.sampleBase.cycle {
 		mc.takeSample()
 	}
 	mc.snapshotStats()
-	return &Result{Regs: mc.arch, Mem: mc.mem, Blocks: mc.committed, Stats: mc.stats}, nil
+	return &Result{Regs: mc.arch, Mem: mc.mem, Blocks: mc.committed, Stats: mc.stats, Samples: mc.samples}, nil
 }
 
 // step advances the machine one cycle and reports whether anything moved.
@@ -139,12 +142,10 @@ func (mc *Machine) step() bool {
 	// Sample before accounting this cycle's slot so a window ending at
 	// cycle c covers exactly the accounted cycles (base, c]: windowed CPI
 	// buckets then sum to Window × SlotsPerCycle with no boundary skew.
-	if mc.sampleSink != nil && mc.cycle >= mc.sampleAt {
+	if mc.cycle >= mc.sampleAt {
 		mc.takeSample()
 	}
-	if mc.acct != nil {
-		mc.accountCycle()
-	}
+	mc.accountCycle()
 	mc.cycle++
 	return progress
 }
@@ -165,9 +166,9 @@ func (mc *Machine) step() bool {
 //
 // Skipped cycles are not free of side effects: a stalled fetch engine
 // increments its stall counter every cycle, the sampler may close a window,
-// and cycle accounting attributes every cycle's slots.  With accounting on
-// the cycles are replayed individually (tickIdleTail); otherwise the stall
-// counters are advanced in bulk, which is exactly what replaying would do.
+// and cycle accounting attributes every cycle's slots.  So the skipped
+// cycles are replayed one by one through tickIdleTail; what the jump saves
+// is the structures' per-cycle work.
 func (mc *Machine) fastForward(maxCycles, deadlock int64) {
 	next := mc.lastCommitCycle + deadlock + 1
 	if maxCycles < next {
@@ -185,29 +186,16 @@ func (mc *Machine) fastForward(maxCycles, deadlock int64) {
 	if mc.fetch.active && mc.fetch.readyAt < next {
 		next = mc.fetch.readyAt
 	}
-	if mc.sampleSink != nil && mc.sampleAt < next {
+	if mc.sampleAt < next {
 		next = mc.sampleAt
 	}
 	if next <= mc.cycle {
 		return
 	}
 	mc.ffSkipped += next - mc.cycle
-	if mc.acct != nil {
-		for mc.cycle < next {
-			mc.tickIdleTail()
-		}
-		return
+	for mc.cycle < next {
+		mc.tickIdleTail()
 	}
-	switch mc.lastFetch {
-	case fetchStallFrames:
-		mc.stats.FetchStallFrames += next - mc.cycle
-	case fetchStallLSQ:
-		mc.stats.FetchStallLSQ += next - mc.cycle
-	default:
-		// fetchIdle and fetchWaiting move no counters; fetchProgress cannot
-		// follow a null step.
-	}
-	mc.cycle = next
 }
 
 // tickIdleTail replays the per-cycle tail of a skipped idle cycle: the
@@ -224,21 +212,19 @@ func (mc *Machine) tickIdleTail() {
 		// fetchIdle and fetchWaiting move no counters; fetchProgress cannot
 		// follow a null step.
 	}
-	if mc.sampleSink != nil && mc.cycle >= mc.sampleAt {
+	if mc.cycle >= mc.sampleAt {
 		mc.takeSample()
 	}
-	if mc.acct != nil {
-		mc.accountCycle()
-	}
+	mc.accountCycle()
 	mc.cycle++
 }
 
 // debugDump renders the stuck machine for deadlock diagnostics.  The
 // sampler's partial window is flushed first so the telemetry line below
-// reflects the moment of the dump, and the flight recorder (when
-// accounting is on) appends the last recorded cycles.
+// reflects the moment of the dump, and the flight recorder appends the
+// last recorded cycles.
 func (mc *Machine) debugDump() string {
-	if mc.sampleSink != nil && mc.cycle > mc.sampleBase.cycle {
+	if mc.sampleEvery > 0 && mc.cycle > mc.sampleBase.cycle {
 		mc.takeSample()
 	}
 	var b strings.Builder
@@ -274,17 +260,15 @@ func (mc *Machine) debugDump() string {
 		fmt.Fprintf(&b, "idle-skipped=%d cycles fast-forwarded (injq=%d net-next=%d tile-next=%d)\n",
 			mc.ffSkipped, mc.injq.Len(), mc.net.NextEvent(mc.cycle), mc.tileNext())
 	}
-	if mc.haveSample {
-		s := mc.lastSample
+	if n := len(mc.samples); n > 0 {
+		s := mc.samples[n-1]
 		fmt.Fprintf(&b, "telemetry last window: cycle=%d win=%d ipc=%.3f committed=%d inflight=%d lsq=%d noc=%d waves=%d reexecs=%d flushes=%d l1d=%.3f l2=%.3f\n",
 			s.Cycle, s.Window, s.IPC, s.CommittedBlocks, s.InFlightBlocks,
 			s.LSQOccupancy, s.NoCPending, s.Waves, s.Reexecs, s.Flushes,
 			s.L1DMissRate, s.L2MissRate)
 	}
-	if mc.acct != nil {
-		fmt.Fprintf(&b, "cycle accounting: %s\n", mc.acct.stack.String())
-		b.WriteString(mc.acct.flight.Dump())
-	}
+	fmt.Fprintf(&b, "cycle accounting: %s\n", mc.acct.stack.String())
+	b.WriteString(mc.acct.flight.Dump())
 	return b.String()
 }
 

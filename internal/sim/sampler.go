@@ -1,12 +1,15 @@
 package sim
 
-import "repro/internal/account"
+import (
+	"math"
+
+	"repro/internal/account"
+)
 
 // Sample is one telemetry observation window: the machine's dynamic state
 // at a cycle boundary plus windowed rate counters since the previous
-// sample.  The ring-buffered collector lives in internal/telemetry; the
-// machine only produces Samples so the hot path stays a single nil check
-// when sampling is disabled.
+// sample.  The machine keeps every window of the run (Result.Samples);
+// internal/telemetry renders the series as CSV, JSON or a Chrome trace.
 type Sample struct {
 	// Cycle is the cycle at the end of the window; Window is the number of
 	// cycles the windowed counters cover.
@@ -33,15 +36,9 @@ type Sample struct {
 	L1DMissRate float64 `json:"l1d_miss_rate"`
 	L2MissRate  float64 `json:"l2_miss_rate"`
 
-	// CPI is the windowed cycle-accounting delta (all-zero when accounting
-	// is off); windowed buckets sum to the window's cycle count × slots.
+	// CPI is the windowed cycle-accounting delta; windowed buckets sum to
+	// the window's cycle count × slots.
 	CPI account.CPIStack `json:"cpi"`
-}
-
-// SampleSink receives telemetry samples as the machine produces them
-// (implemented by telemetry.Sampler).
-type SampleSink interface {
-	Sample(Sample)
 }
 
 // sampleOrigin snapshots the cumulative counters at a window start so the
@@ -59,7 +56,7 @@ type sampleOrigin struct {
 }
 
 func (mc *Machine) sampleOriginNow() sampleOrigin {
-	o := sampleOrigin{
+	return sampleOrigin{
 		cycle:           mc.cycle,
 		committedExecs:  mc.stats.CommittedExecs,
 		committedBlocks: mc.committed,
@@ -70,22 +67,18 @@ func (mc *Machine) sampleOriginNow() sampleOrigin {
 		l1dMisses:       mc.hier.L1D.Stats.Misses,
 		l2Hits:          mc.hier.L2.Stats.Hits,
 		l2Misses:        mc.hier.L2.Stats.Misses,
+		acct:            mc.acct.stack,
 	}
-	if mc.acct != nil {
-		o.acct = mc.acct.stack
-	}
-	return o
 }
 
-// SetSampler attaches a telemetry sink sampled every `every` cycles; a nil
-// sink or non-positive interval detaches.  Sampling costs one comparison
-// per cycle when attached and one nil check when not.
-func (mc *Machine) SetSampler(every int64, sink SampleSink) {
-	if sink == nil || every < 1 {
-		mc.sampleSink = nil
+// SetSampleEvery records a telemetry window every `every` cycles from now
+// on; a non-positive interval turns sampling off.  Either way the run loop
+// pays one comparison per cycle.
+func (mc *Machine) SetSampleEvery(every int64) {
+	if every < 1 {
+		mc.sampleEvery, mc.sampleAt = 0, math.MaxInt64
 		return
 	}
-	mc.sampleSink = sink
 	mc.sampleEvery = every
 	mc.sampleAt = mc.cycle + every
 	mc.sampleBase = mc.sampleOriginNow()
@@ -99,8 +92,8 @@ func rate(misses, hits int64) float64 {
 	return float64(misses) / float64(misses+hits)
 }
 
-// takeSample closes the current window, emits it to the sink, and opens the
-// next one.  Called from step() at window boundaries and from Run() for the
+// takeSample closes the current window, appends it to the series, and
+// opens the next one.  Called from step() at window boundaries and from Run() for the
 // final partial window.
 func (mc *Machine) takeSample() {
 	base := mc.sampleBase
@@ -131,7 +124,5 @@ func (mc *Machine) takeSample() {
 		L2MissRate:      rate(now.l2Misses-base.l2Misses, now.l2Hits-base.l2Hits),
 		CPI:             now.acct.Sub(base.acct),
 	}
-	mc.lastSample = s
-	mc.haveSample = true
-	mc.sampleSink.Sample(s)
+	mc.samples = append(mc.samples, s)
 }

@@ -300,11 +300,6 @@ func TestIndirectBranchDispatch(t *testing.T) {
 	}
 }
 
-// collectSink gathers samples for the in-package sampler tests.
-type collectSink struct{ samples []Sample }
-
-func (c *collectSink) Sample(s Sample) { c.samples = append(c.samples, s) }
-
 func TestSamplerWindowsAndDebugDump(t *testing.T) {
 	w := workload.MustBuild("vecsum", workload.Params{Size: 128})
 	cfg := DefaultConfig()
@@ -313,17 +308,16 @@ func TestSamplerWindowsAndDebugDump(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink := &collectSink{}
-	mc.SetSampler(100, sink)
+	mc.SetSampleEvery(100)
 	res, err := mc.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sink.samples) == 0 {
+	if len(res.Samples) == 0 {
 		t.Fatal("no samples collected")
 	}
 	var blocks int64
-	for _, s := range sink.samples {
+	for _, s := range res.Samples {
 		blocks += s.CommittedBlocks
 	}
 	if blocks != res.Blocks {
@@ -345,14 +339,14 @@ func TestSamplerDetached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink := &collectSink{}
-	mc.SetSampler(100, sink)
-	mc.SetSampler(0, nil) // detach again
-	if _, err := mc.Run(); err != nil {
+	mc.SetSampleEvery(100)
+	mc.SetSampleEvery(0) // turn it off again
+	res, err := mc.Run()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sink.samples) != 0 {
-		t.Errorf("detached sampler still received %d samples", len(sink.samples))
+	if len(res.Samples) != 0 {
+		t.Errorf("sampling turned off still recorded %d windows", len(res.Samples))
 	}
 	if strings.Contains(mc.debugDump(), "telemetry last window:") {
 		t.Error("debugDump shows a window with sampling off")

@@ -38,8 +38,7 @@ type Stats struct {
 	WaveReexecs  int64
 	WaveSizeHist stats.Hist
 
-	// Cycle accounting + forensics (populated when EnableAccounting was
-	// called; zero otherwise).  Acct obeys the conservation invariant
+	// Cycle accounting + forensics.  Acct obeys the conservation invariant
 	// Acct.Total() == Cycles × account.SlotsPerCycle, checked under the
 	// dsre_assert tag.
 	Acct      account.CPIStack
@@ -115,15 +114,12 @@ func (mc *Machine) snapshotStats() {
 	mc.stats.WaveCount = mc.wave.Waves
 	mc.stats.WaveReexecs = mc.wave.Reexecs
 	mc.stats.WaveSizeHist = *mc.wave.SizeHist()
-	if mc.acct != nil {
-		mc.stats.Acct = mc.acct.stack
-		mc.stats.Forensics = mc.acct.forensics.Summarize(mc.wave.WaveSize, mc.stats.Reexecs, acctTopLoads)
-		if assertsEnabled {
-			want := (mc.cycle - mc.acct.startCycle) * account.SlotsPerCycle
-			if total := mc.stats.Acct.Total(); total != want {
-				mc.failAssert("cycle accounting leak: buckets sum to %d, want %d (cycles %d × %d slots)",
-					total, want, mc.cycle-mc.acct.startCycle, account.SlotsPerCycle)
-			}
+	mc.stats.Acct = mc.acct.stack
+	mc.stats.Forensics = mc.acct.forensics.Summarize(mc.wave.WaveSize, mc.stats.Reexecs, acctTopLoads)
+	if assertsEnabled {
+		if total, want := mc.stats.Acct.Total(), mc.cycle*account.SlotsPerCycle; total != want {
+			mc.failAssert("cycle accounting leak: buckets sum to %d, want %d (cycles %d × %d slots)",
+				total, want, mc.cycle, account.SlotsPerCycle)
 		}
 	}
 }

@@ -30,42 +30,10 @@ func sample(cycle int64) sim.Sample {
 	}
 }
 
-func TestSamplerRing(t *testing.T) {
-	s := telemetry.NewSampler(4)
-	for c := int64(1); c <= 10; c++ {
-		s.Sample(sample(c * 100))
-	}
-	if s.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", s.Len())
-	}
-	if s.Overwritten() != 6 {
-		t.Errorf("Overwritten = %d, want 6", s.Overwritten())
-	}
-	got := s.Samples()
-	for i, want := range []int64{700, 800, 900, 1000} {
-		if got[i].Cycle != want {
-			t.Errorf("sample %d cycle = %d, want %d", i, got[i].Cycle, want)
-		}
-	}
-	last, ok := s.Last()
-	if !ok || last.Cycle != 1000 {
-		t.Errorf("Last = %+v ok=%v, want cycle 1000", last, ok)
-	}
-	s.Reset()
-	if s.Len() != 0 || s.Overwritten() != 0 {
-		t.Errorf("after Reset: Len=%d Overwritten=%d", s.Len(), s.Overwritten())
-	}
-	if _, ok := s.Last(); ok {
-		t.Error("Last ok after Reset")
-	}
-}
-
 func TestSamplerCSV(t *testing.T) {
-	s := telemetry.NewSampler(0)
-	s.Sample(sample(100))
-	s.Sample(sample(200))
+	series := []sim.Sample{sample(100), sample(200)}
 	var buf bytes.Buffer
-	if err := s.WriteCSV(&buf); err != nil {
+	if err := telemetry.WriteCSV(&buf, series); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -80,6 +48,18 @@ func TestSamplerCSV(t *testing.T) {
 	}
 	if !strings.HasPrefix(lines[1], "100,100,0.100000") {
 		t.Errorf("first row = %q", lines[1])
+	}
+
+	buf.Reset()
+	if err := telemetry.WriteJSON(&buf, series); err != nil {
+		t.Fatal(err)
+	}
+	var back []sim.Sample
+	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, series) {
+		t.Errorf("JSON round trip: got %+v, want %+v", back, series)
 	}
 }
 

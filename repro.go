@@ -90,8 +90,8 @@ type Config struct {
 	Trace bool
 	// SampleEvery enables per-cycle telemetry sampling: every N cycles the
 	// machine records a window (IPC, occupancies, wave and miss rates) into
-	// the Result's Samples.  Zero disables sampling — the simulator hot
-	// path then pays only a nil check.
+	// the Result's Samples, which keeps the whole run.  Zero disables
+	// sampling.
 	SampleEvery int
 }
 
@@ -230,28 +230,13 @@ func Run(cfg Config) (*Result, error) {
 
 // RunContext is Run under a context: cancellation or a deadline stops an
 // in-flight simulation at a cycle boundary (see sim.Machine.RunContext).
+// It is Prepare followed by RunPrepared.
 func RunContext(ctx context.Context, cfg Config) (*Result, error) {
-	scheme, policy, recovery, err := schemeOf(cfg)
+	p, err := Prepare(cfg.Workload, cfg.Size, cfg.Unroll, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Workload == "" {
-		return nil, fmt.Errorf("repro: no workload selected (have %v)", Workloads())
-	}
-	w, err := workload.Build(cfg.Workload, workload.Params{Size: cfg.Size, Unroll: cfg.Unroll, Seed: cfg.Seed})
-	if err != nil {
-		return nil, err
-	}
-
-	opts := emu.Options{CollectOracle: policy == core.IssueOracle}
-	if cfg.BlockPredictor == "perfect" {
-		opts.TraceBlocks = 1 << 30
-	}
-	golden, err := w.RunEmulator(opts)
-	if err != nil {
-		return nil, err
-	}
-	return runVerified(ctx, cfg, scheme, policy, recovery, w, golden)
+	return RunPrepared(ctx, cfg, p)
 }
 
 // Prepared is a built workload plus its golden-model run, collected with
@@ -403,20 +388,12 @@ func runVerified(ctx context.Context, cfg Config, scheme string, policy core.Iss
 	if err != nil {
 		return nil, err
 	}
-	// Cycle accounting + forensics are always on for verified runs: the
-	// overhead is a few counter compares per cycle, and every
-	// dsre-report/v1 gets a CPI stack and per-load audit for free.
-	mc.EnableAccounting()
 	var collector *trace.Collector
 	if cfg.Trace {
 		collector = &trace.Collector{}
 		mc.SetTracer(collector)
 	}
-	var sampler *telemetry.Sampler
-	if cfg.SampleEvery > 0 {
-		sampler = telemetry.NewSampler(0)
-		mc.SetSampler(int64(cfg.SampleEvery), sampler)
-	}
+	mc.SetSampleEvery(int64(cfg.SampleEvery))
 	sr, err := mc.RunContext(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("repro: %s/%s: %w", cfg.Workload, scheme, err)
@@ -440,7 +417,7 @@ func runVerified(ctx context.Context, cfg Config, scheme string, policy core.Iss
 		}
 	}
 
-	res := &Result{
+	return &Result{
 		Workload:    cfg.Workload,
 		Scheme:      scheme,
 		Size:        w.Params.Size,
@@ -457,9 +434,6 @@ func runVerified(ctx context.Context, cfg Config, scheme string, policy core.Iss
 		Waves:       sr.Stats.WaveCount,
 		Sim:         sr.Stats,
 		Trace:       collector,
-	}
-	if sampler != nil {
-		res.Samples = sampler.Samples()
-	}
-	return res, nil
+		Samples:     sr.Samples,
+	}, nil
 }

@@ -95,3 +95,26 @@ func TestConfigKnobsChangeTiming(t *testing.T) {
 		t.Errorf("2 frames (%d cycles) not slower than 8 (%d cycles)", smallWin.Cycles, base.Cycles)
 	}
 }
+
+// TestSampleSeriesKeepsEveryWindow pins that a sampled run keeps its whole
+// time series: at one window per cycle, an 86K-cycle run must report one
+// window per cycle from cycle 1 on, with no gap.  A bounded collector
+// would drop the oldest windows, and the CSV, JSON and Chrome-trace
+// exports with them.
+func TestSampleSeriesKeepsEveryWindow(t *testing.T) {
+	r, err := repro.Run(repro.Config{Workload: "vecsum", Size: 16384, SampleEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(r.Samples)) != r.Cycles {
+		t.Fatalf("%d sample windows over %d cycles, want one per cycle", len(r.Samples), r.Cycles)
+	}
+	if r.Samples[0].Cycle != 1 {
+		t.Errorf("first window ends at cycle %d, want 1", r.Samples[0].Cycle)
+	}
+	for i, s := range r.Samples {
+		if s.Cycle != int64(i+1) || s.Window != 1 {
+			t.Fatalf("window %d ends at cycle %d over %d cycles, want cycle %d over 1", i, s.Cycle, s.Window, i+1)
+		}
+	}
+}
