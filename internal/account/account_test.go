@@ -124,10 +124,15 @@ func TestForensicsDepthWastedAndProfiles(t *testing.T) {
 	f.Record(EventFlush, 102, 1, loadA, store1, core.Tag(13), 0, 15)
 	f.Record(EventVP, 103, 3, loadB, 0, core.Tag(14), 0, 0)
 
-	sizes := map[core.Tag]int64{10: 4, 11: 3, 12: 2, 14: 1}
-	waveSize := func(t core.Tag) int64 { return sizes[t] }
+	// Re-executions: waves 10, 11, 12 and VP wave 14 run 4, 3, 2 and 1;
+	// flush tag 13 and tag 0 one each, which no audited wave accounts for.
+	for tag, n := range map[core.Tag]int{10: 4, 11: 3, 12: 2, 14: 1, 13: 1, 0: 1} {
+		for range n {
+			f.Reexecuted(tag)
+		}
+	}
 
-	s := f.Summarize(waveSize, 12, 10)
+	s := f.Summarize(10)
 	if s.Events != 5 || s.FlushEvents != 1 || s.WaveEvents != 3 || s.VPEvents != 1 {
 		t.Fatalf("event counts: %+v", s)
 	}
@@ -176,7 +181,7 @@ func TestForensicsTopTruncation(t *testing.T) {
 			f.Record(EventFlush, int64(100*i+j), 0, load, predictor.MakePC(50+j, 0), 0, 0, 1)
 		}
 	}
-	s := f.Summarize(func(core.Tag) int64 { return 0 }, 0, 2)
+	s := f.Summarize(2)
 	if len(s.Loads) != 2 {
 		t.Fatalf("top truncation: %d loads", len(s.Loads))
 	}

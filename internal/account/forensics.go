@@ -35,16 +35,6 @@ func (k EventKind) String() string {
 	return "?"
 }
 
-// tagState is what Summarize needs of one wave tag: its wave depth and,
-// when an audited wave or VP repair was recorded with the tag, the owning
-// profile and whether a later repair of the same dynamic load superseded
-// it.  ev is zero for a tag with no such repair, else
-// (profile index+1)<<1 | superseded.
-type tagState struct {
-	depth int32
-	ev    uint32
-}
-
 // lastSlot is one frame's supersede state: the block sequence number it
 // holds and, per load/store ID, the tag of the latest repair recorded for
 // that dynamic load (zero when none).
@@ -58,10 +48,11 @@ type lastSlot struct {
 // totals and a per-static-load-PC profile; no event is kept.  Two pieces of
 // state outlive a Record call:
 //
-//   - tags, dense per wave tag: the wave-depth chain (a wave triggered by a
-//     store that itself ran under wave T has depth depth(T)+1) and, for
-//     wave and VP repairs, the owning profile plus a superseded bit, so
-//     Summarize can attribute each wave's final size;
+//   - waves, the paged per-wave table (waveTable): each tag's re-execution
+//     count (Reexecuted), whether it is a wave, the wave-depth chain (a
+//     wave triggered by a store that itself ran under wave T has depth
+//     depth(T)+1) and, for wave and VP repairs, the owning profile plus a
+//     superseded bit, so Summarize can attribute each wave's final size;
 //   - ring, one lastSlot per frame: re-violation tracking, where a later
 //     repair of the same dynamic load (seq, LSID) marks the earlier one
 //     superseded — its re-executions were wasted.
@@ -78,7 +69,7 @@ type Forensics struct {
 	profiles []LoadProfile // first-seen order; Reexecs/Wasted filled by Summarize
 	stores   [][]pcCount   // parallel to profiles, first-seen order
 	index    map[predictor.PC]int
-	tags     []tagState
+	waves    waveTable
 	ring     []lastSlot
 }
 
@@ -95,11 +86,12 @@ func NewForensics(frames int) *Forensics {
 // loadPC/storePC the static violation pair (storePC is zero for
 // value-prediction events), tag the repair wave, parent the conflicting
 // store's wave tag (zero if the store ran un-speculatively), and cost the
-// discarded or squash-equivalent execution count.
+// discarded or squash-equivalent execution count.  A wave or VP repair
+// also starts wave tag: it counts in Waves and in the size histogram.
 func (f *Forensics) Record(kind EventKind, seq int64, lsid int, loadPC, storePC predictor.PC, tag, parent core.Tag, cost int64) {
 	d := int32(1)
-	if parent < core.Tag(len(f.tags)) {
-		d += f.tags[parent].depth
+	if r := f.waves.peek(parent); r != nil {
+		d += r.depth
 	}
 	pi, ok := f.index[loadPC]
 	if !ok {
@@ -129,14 +121,14 @@ func (f *Forensics) Record(kind EventKind, seq int64, lsid int, loadPC, storePC 
 	if storePC != 0 {
 		f.stores[pi] = tally(f.stores[pi], storePC)
 	}
+	if kind != EventFlush {
+		f.waves.started++
+	}
 	if tag != 0 {
-		if i := int(tag); i >= len(f.tags) {
-			f.tags = slices.Grow(f.tags, i+1-len(f.tags))[:i+1]
-		}
-		ts := &f.tags[tag]
-		ts.depth = d
+		r := f.waves.at(tag)
+		r.depth = d
 		if kind != EventFlush {
-			ts.ev = uint32(pi+1) << 1
+			r.ev = uint32(pi+1)<<recProfileShift | recPresent
 		}
 	}
 	slot := &f.ring[int(seq%int64(len(f.ring)))]
@@ -146,8 +138,10 @@ func (f *Forensics) Record(kind EventKind, seq int64, lsid int, loadPC, storePC 
 		}
 		*slot = lastSlot{seq: seq}
 	}
-	if prev := slot.tags[lsid]; prev != 0 && f.tags[prev].ev != 0 {
-		f.tags[prev].ev |= 1
+	if prev := slot.tags[lsid]; prev != 0 {
+		if r := f.waves.peek(prev); r.profile() != 0 {
+			r.ev |= recSuperseded
+		}
 	}
 	slot.tags[lsid] = tag
 }
@@ -213,28 +207,27 @@ type Summary struct {
 
 // Summarize completes the folded audit: each audited wave or VP tag's
 // final size is added to its profile (and to Wasted when superseded), then
-// the profiles are ranked.  waveSize reports the re-executions attributed
-// to a wave tag (core.WaveStats.WaveSize); totalReexecs is the machine's
-// total re-execution counter, so the summary can expose the re-executions
-// no audited wave accounts for.  top caps the Loads list and each
-// TopStores list (<= 0 means unlimited).  Summarize does not modify f.
-func (f *Forensics) Summarize(waveSize func(core.Tag) int64, totalReexecs int64, top int) Summary {
+// the profiles are ranked.  The re-executions no audited wave accounts for
+// are reported as UnattributedReexecs.  top caps the Loads list and each
+// TopStores list (<= 0 means unlimited).  Summarize reads the per-wave
+// table in place and does not modify f.
+func (f *Forensics) Summarize(top int) Summary {
 	s := f.tot
 	ordered := slices.Clone(f.profiles)
-	for t, ts := range f.tags {
-		if ts.ev == 0 {
-			continue
+	f.waves.each(func(r *waveRec) {
+		pi := r.profile()
+		if pi == 0 {
+			return
 		}
-		re := waveSize(core.Tag(t))
-		p := &ordered[ts.ev>>1-1]
+		p, re := &ordered[pi-1], int64(r.reexecs)
 		s.WaveReexecs += re
 		p.Reexecs += re
-		if ts.ev&1 != 0 {
+		if r.ev&recSuperseded != 0 {
 			s.WastedReexecs += re
 			p.Wasted += re
 		}
-	}
-	s.UnattributedReexecs = totalReexecs - s.WaveReexecs
+	})
+	s.UnattributedReexecs = f.waves.reexecs - s.WaveReexecs
 	for i := range ordered {
 		sc := slices.Clone(f.stores[i])
 		sort.SliceStable(sc, func(a, b int) bool { return sc[a].count > sc[b].count })

@@ -1,18 +1,27 @@
 package account
 
 import (
+	"math/bits"
 	"slices"
 	"sort"
 
 	"repro/internal/core"
 	"repro/internal/predictor"
+	"repro/internal/stats"
 )
 
-// This file keeps the log-based Forensics that the folded implementation
-// replaced, as a test-only reference: it stores every event plus a
-// never-pruned (seq, LSID) -> event map, and Summarize walks the log.  The
-// differential in forensics_test.go drives both with the same Record
-// streams and requires identical summaries.
+// This file keeps two retired structures as test-only references:
+//
+//   - the log-based Forensics that the folded implementation replaced: it
+//     stores every event plus a never-pruned (seq, LSID) -> event map, and
+//     Summarize walks the log;
+//   - the wave accounting that the paged per-wave table replaced
+//     (refWaveStats): a tag-indexed slice of re-execution counts grown by
+//     doubling, a present bitmap, and a sorted copy for the histogram.
+//
+// The differential in forensics_test.go drives both sides with the same
+// Record and Reexecuted streams and requires identical counts, per-tag
+// sizes, histograms and summaries.
 
 // refDynLoad identifies one dynamic load instance (block sequence number +
 // load/store ID within the block), so repeated repairs of the same load can
@@ -80,7 +89,7 @@ func (f *refForensics) Record(kind EventKind, seq int64, lsid int, loadPC, store
 }
 
 // Summarize folds the audit log into per-PC profiles.  waveSize reports the
-// re-executions attributed to a wave tag (core.WaveStats.WaveSize);
+// re-executions attributed to a wave tag (refWaveStats.WaveSize);
 // totalReexecs is the machine's total re-execution counter, so the summary
 // can expose the re-executions no audited wave accounts for.  top caps the
 // Loads list and each TopStores list (<= 0 means unlimited).
@@ -171,4 +180,78 @@ func (f *refForensics) Summarize(waveSize func(core.Tag) int64, totalReexecs int
 		s.Loads = ordered
 	}
 	return s
+}
+
+// refWaveStats attributes re-executed instructions to the mis-speculation
+// wave that caused them.  Because instruction outputs carry the maximum of
+// their input tags, the tag value itself identifies the dominating wave
+// origin: every re-execution triggered (directly or transitively) by
+// violation wave T carries tag T until a newer wave overtakes it.
+type refWaveStats struct {
+	// perWave counts re-executed instructions by wave tag, indexed by tag:
+	// tags come densely from TagSource.Next, so a slice replaces a map.
+	// present marks the tags that have been seen (one bit per tag), so a
+	// wave with zero re-executions still counts as a wave.
+	perWave []int64
+	present []uint64
+	waves   int // distinct tags present
+	// Reexecs is the total number of instruction re-executions (executions
+	// beyond the first for a given instruction instance).
+	Reexecs int64
+	// Waves is the number of recovery waves injected (violations repaired).
+	Waves int64
+}
+
+// touch returns tag's counter slot, registering the tag on first sight.
+func (w *refWaveStats) touch(tag core.Tag) *int64 {
+	i := int(tag)
+	if i >= len(w.perWave) {
+		w.perWave = slices.Grow(w.perWave, i+1-len(w.perWave))[:i+1]
+		w.present = slices.Grow(w.present, i/64+1-len(w.present))[:i/64+1]
+	}
+	if bit := uint64(1) << (i & 63); w.present[i/64]&bit == 0 {
+		w.present[i/64] |= bit
+		w.waves++
+	}
+	return &w.perWave[i]
+}
+
+// WaveStarted records the injection of a recovery wave with the given tag.
+// Registering the origin (even if nothing downstream re-fires) makes
+// zero-length waves visible in the size histogram.
+func (w *refWaveStats) WaveStarted(tag core.Tag) {
+	w.Waves++
+	w.touch(tag)
+}
+
+// Reexecuted records one instruction re-execution attributed to wave tag.
+func (w *refWaveStats) Reexecuted(tag core.Tag) {
+	w.Reexecs++
+	*w.touch(tag)++
+}
+
+// WaveSize returns the number of re-executions attributed to wave tag
+// (zero for an unknown tag), for per-wave forensics.
+func (w *refWaveStats) WaveSize(tag core.Tag) int64 {
+	if int(tag) < len(w.perWave) {
+		return w.perWave[tag]
+	}
+	return 0
+}
+
+// SizeHist returns the histogram of wave sizes (re-executed instructions
+// per injected wave).
+func (w *refWaveStats) SizeHist() *stats.Hist {
+	sizes := make([]int64, 0, w.waves)
+	for i, word := range w.present {
+		for ; word != 0; word &= word - 1 {
+			sizes = append(sizes, w.perWave[i*64+bits.TrailingZeros64(word)])
+		}
+	}
+	slices.Sort(sizes)
+	h := &stats.Hist{}
+	for _, n := range sizes {
+		h.Add(n)
+	}
+	return h
 }

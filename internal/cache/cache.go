@@ -6,7 +6,10 @@
 // the load/store queue, so speculative timing can never corrupt state.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Config describes one cache level.
 type Config struct {
@@ -207,8 +210,11 @@ type Hierarchy struct {
 	L2  *Cache
 	cfg HierConfig
 
-	// Outstanding data-side miss completion times, pruned lazily.
+	// Outstanding data-side miss completion times, pruned lazily, and the
+	// earliest of them (math.MaxInt64 when none): no miss completes before
+	// cycle due, so until then there is nothing to prune.
 	inflight []int64
+	due      int64
 	// MSHRStalls counts accesses rejected because all MSHRs were busy.
 	MSHRStalls int64
 }
@@ -230,14 +236,16 @@ func NewHierarchy(cfg HierConfig) (*Hierarchy, error) {
 	if err != nil {
 		return nil, fmt.Errorf("L2: %w", err)
 	}
-	return &Hierarchy{L1D: l1d, L1I: l1i, L2: l2, cfg: cfg}, nil
+	return &Hierarchy{L1D: l1d, L1I: l1i, L2: l2, cfg: cfg, due: math.MaxInt64}, nil
 }
 
 func (h *Hierarchy) prune(now int64) {
 	kept := h.inflight[:0]
+	h.due = math.MaxInt64
 	for _, t := range h.inflight {
 		if t > now {
 			kept = append(kept, t)
+			h.due = min(h.due, t)
 		}
 	}
 	h.inflight = kept
@@ -245,8 +253,11 @@ func (h *Hierarchy) prune(now int64) {
 
 // OutstandingData reports how many data-side misses are still in flight at
 // cycle now (current MSHR occupancy), for cycle-accounting attribution.
+// It runs every cycle, so it prunes only once a miss is due.
 func (h *Hierarchy) OutstandingData(now int64) int {
-	h.prune(now)
+	if now >= h.due {
+		h.prune(now)
+	}
 	return len(h.inflight)
 }
 
@@ -271,7 +282,9 @@ func (h *Hierarchy) DataAccess(now int64, addr uint64, write bool) (lat int, ok 
 	if r1.VictimDirty || r2.VictimDirty {
 		lat += h.cfg.WritebackPenalty
 	}
-	h.inflight = append(h.inflight, now+int64(lat))
+	done := now + int64(lat)
+	h.due = min(h.due, done)
+	h.inflight = append(h.inflight, done)
 	return lat, true
 }
 

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/rand"
 	"runtime"
 	"testing"
 	"unsafe"
@@ -115,6 +116,53 @@ func TestMSHRLimit(t *testing.T) {
 	// After the misses complete, capacity frees up.
 	if _, ok := h.DataAccess(10000, 0x30000, false); !ok {
 		t.Fatal("miss rejected after inflight drained")
+	}
+}
+
+// TestOutstandingDataMatchesCount drives a small-MSHR hierarchy with a
+// fixed-seed stream of data accesses and occupancy reads at rising cycles
+// and checks both against a brute-force count of the accepted misses still
+// in flight: OutstandingData prunes only once a miss is due, which must
+// never change what it or DataAccess's MSHR check sees.
+func TestOutstandingDataMatchesCount(t *testing.T) {
+	cfg := DefaultHierConfig()
+	cfg.MSHRs = 4
+	h, err := NewHierarchy(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	var done []int64 // completion cycle of every accepted miss
+	inFlight := func(now int64) int {
+		n := 0
+		for _, d := range done {
+			if d > now {
+				n++
+			}
+		}
+		return n
+	}
+	var now int64
+	for i := 0; i < 20000; i++ {
+		now += int64(rng.Intn(3) * rng.Intn(40))
+		if rng.Intn(3) == 0 {
+			if got, want := h.OutstandingData(now), inFlight(now); got != want {
+				t.Fatalf("step %d cycle %d: OutstandingData = %d, want %d", i, now, got, want)
+			}
+			continue
+		}
+		busy := inFlight(now)
+		addr := uint64(rng.Intn(1<<16)) &^ 63
+		hit := h.L1D.Probe(addr)
+		lat, ok := h.DataAccess(now, addr, rng.Intn(4) == 0)
+		switch {
+		case hit && !ok:
+			t.Fatalf("step %d: L1 hit rejected", i)
+		case !hit && ok != (busy < cfg.MSHRs):
+			t.Fatalf("step %d cycle %d: miss accepted=%v with %d of %d MSHRs busy", i, now, ok, busy, cfg.MSHRs)
+		case !hit && ok:
+			done = append(done, now+int64(lat))
+		}
 	}
 }
 

@@ -177,46 +177,6 @@ func TestSlotCommitIsFinal(t *testing.T) {
 	}
 }
 
-func TestWaveStats(t *testing.T) {
-	w := NewWaveStats()
-	w.WaveStarted(1)
-	w.WaveStarted(2)
-	w.Reexecuted(1)
-	w.Reexecuted(1)
-	w.Reexecuted(2)
-	if w.Waves != 2 || w.Reexecs != 3 {
-		t.Errorf("waves=%d reexecs=%d", w.Waves, w.Reexecs)
-	}
-	if got := w.MeanSize(); got != 1.5 {
-		t.Errorf("mean = %v, want 1.5", got)
-	}
-	h := w.SizeHist()
-	if h.N != 2 || h.Max != 2 {
-		t.Errorf("hist = %v", h)
-	}
-	// A wave that repaired its violation without any downstream re-fires
-	// still appears (size zero).
-	w2 := NewWaveStats()
-	w2.WaveStarted(9)
-	if h2 := w2.SizeHist(); h2.N != 1 || h2.Max != 0 {
-		t.Errorf("zero-size wave hist = %v", h2)
-	}
-	// Tags far apart: the unseen tags between them are not waves, and a
-	// tag beyond every seen one reads as size zero.
-	w3 := NewWaveStats()
-	w3.WaveStarted(3)
-	w3.WaveStarted(200)
-	w3.Reexecuted(200)
-	w3.Reexecuted(200)
-	if h3 := w3.SizeHist(); h3.N != 2 || h3.Max != 2 || w3.MeanSize() != 1 {
-		t.Errorf("sparse-tag hist = %v, mean %v", h3, w3.MeanSize())
-	}
-	if w3.WaveSize(100) != 0 || w3.WaveSize(200) != 2 || w3.WaveSize(1000) != 0 {
-		t.Errorf("WaveSize(100, 200, 1000) = %d, %d, %d",
-			w3.WaveSize(100), w3.WaveSize(200), w3.WaveSize(1000))
-	}
-}
-
 func TestSchemeStrings(t *testing.T) {
 	if RecoverFlush.String() != "flush" || RecoverDSRE.String() != "dsre" {
 		t.Error("recovery scheme names")
@@ -240,17 +200,6 @@ func BenchmarkSlotDeliver(b *testing.B) {
 	var s OperandSlot
 	for i := 0; i < b.N; i++ {
 		s.Deliver(int64(i), Tag(i), true)
-	}
-}
-
-// BenchmarkWaveAccounting measures re-execution attribution.
-func BenchmarkWaveAccounting(b *testing.B) {
-	w := NewWaveStats()
-	for i := 0; i < b.N; i++ {
-		if i%8 == 0 {
-			w.WaveStarted(Tag(i))
-		}
-		w.Reexecuted(Tag(i &^ 7))
 	}
 }
 

@@ -6,12 +6,13 @@
 //   - operand slots with the newest-wins delivery rule that makes an
 //     instruction re-fire when a newer speculative value arrives;
 //   - commit tokens, the commit wave that trails the speculative waves and
-//     certifies values as final;
-//   - wave accounting, which attributes re-executed instructions to the
-//     mis-speculation that triggered them (evaluation figure E8).
+//     certifies values as final.
 //
 // The cycle simulator in internal/sim glues these primitives to tiles, the
-// operand network and the load/store queue.
+// operand network and the load/store queue.  Wave accounting, which
+// attributes re-executed instructions to the mis-speculation that
+// triggered them (evaluation figure E8), is the per-wave table of the
+// violation audit in internal/account.
 package core
 
 // Tag is a wave tag.  Tag zero is the initial (first-issue) wave; every

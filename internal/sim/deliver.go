@@ -191,7 +191,6 @@ func (mc *Machine) emitLoadResult(b *blockInst, idx int, addr uint64, res lsq.Lo
 		if st.vpValid {
 			if st.vpValue != res.Value && tag == 0 {
 				tag = mc.tags.Next()
-				mc.wave.WaveStarted(tag)
 				mc.stats.VPCorrections++
 				in := &b.bdef.Insts[idx]
 				mc.acct.forensics.Record(account.EventVP, b.seq, int(in.LSID),
@@ -302,7 +301,6 @@ func (mc *Machine) handleViolations(vs []lsq.Violation) {
 				mc.fail("sim: violation for unknown block %d", v.Load.Seq)
 				return
 			}
-			mc.wave.WaveStarted(v.Tag)
 			idx := mc.memIdx[b.blockID][v.Load.LSID]
 			mc.stats.DSRECorrections++
 			mc.acct.forensics.Record(account.EventWave, v.Load.Seq, int(v.Load.LSID),

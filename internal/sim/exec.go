@@ -173,7 +173,7 @@ func (mc *Machine) completeExec(j aluJob) {
 	mc.stats.Executed++
 	if st.fired > 1 {
 		mc.stats.Reexecs++
-		mc.wave.Reexecuted(outTag)
+		mc.acct.forensics.Reexecuted(outTag)
 		if mc.tracer != nil {
 			mc.tracer.Record(mc.cycle, trace.KindReexec, b.seq, j.idx, uint64(outTag))
 		}

@@ -110,7 +110,6 @@ type Machine struct {
 	net  *noc.Network[message]
 	q    *lsq.Queue
 	tags core.TagSource
-	wave *core.WaveStats
 	ss   *predictor.StoreSet
 
 	bpred nextBlockPred
@@ -218,7 +217,6 @@ func New(cfg Config, prog *isa.Program, regs *[isa.NumRegs]int64, m *mem.Memory,
 		prog:      prog,
 		mem:       m.Clone(),
 		hier:      hier,
-		wave:      core.NewWaveStats(),
 		bpred:     bpred,
 		frameGens: make([]uint32, cfg.Frames),
 		frameBusy: make([]bool, cfg.Frames),

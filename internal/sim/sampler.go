@@ -60,7 +60,7 @@ func (mc *Machine) sampleOriginNow() sampleOrigin {
 		cycle:           mc.cycle,
 		committedExecs:  mc.stats.CommittedExecs,
 		committedBlocks: mc.committed,
-		waves:           mc.wave.Waves,
+		waves:           mc.acct.forensics.Waves(),
 		reexecs:         mc.stats.Reexecs,
 		flushes:         mc.stats.Flushes,
 		l1dHits:         mc.hier.L1D.Stats.Hits,

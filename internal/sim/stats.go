@@ -111,11 +111,12 @@ func (mc *Machine) snapshotStats() {
 		mc.stats.StoreSet.LoadWaits = mc.ss.LoadWaits
 		mc.stats.StoreSet.LoadFrees = mc.ss.LoadFrees
 	}
-	mc.stats.WaveCount = mc.wave.Waves
-	mc.stats.WaveReexecs = mc.wave.Reexecs
-	mc.stats.WaveSizeHist = *mc.wave.SizeHist()
+	f := mc.acct.forensics
+	mc.stats.WaveCount = f.Waves()
+	mc.stats.WaveReexecs = f.Reexecs()
+	mc.stats.WaveSizeHist = f.SizeHist()
 	mc.stats.Acct = mc.acct.stack
-	mc.stats.Forensics = mc.acct.forensics.Summarize(mc.wave.WaveSize, mc.stats.Reexecs, acctTopLoads)
+	mc.stats.Forensics = f.Summarize(acctTopLoads)
 	if assertsEnabled {
 		if total, want := mc.stats.Acct.Total(), mc.cycle*account.SlotsPerCycle; total != want {
 			mc.failAssert("cycle accounting leak: buckets sum to %d, want %d (cycles %d × %d slots)",
