@@ -109,7 +109,7 @@ func (st *RemoteStore) Get(hash string) (*sweep.Record, error) {
 // Put seals and uploads a record.  The daemon's write is first-write-wins,
 // so concurrent writers of the same hash are safe.
 func (st *RemoteStore) Put(rec *sweep.Record) error {
-	if err := rec.Seal(); err != nil {
+	if _, err := rec.Seal(); err != nil {
 		return err
 	}
 	body, err := json.Marshal(rec)

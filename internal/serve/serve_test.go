@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -546,7 +547,7 @@ func TestRemoteStoreIntegrity(t *testing.T) {
 		t.Fatal(err)
 	}
 	good := &sweep.Record{Hash: h, Spec: canon, Report: rep}
-	if err := good.Seal(); err != nil {
+	if _, err := good.Seal(); err != nil {
 		t.Fatal(err)
 	}
 	tampered := *good
@@ -639,8 +640,9 @@ func TestRemoteStoreAgainstDaemon(t *testing.T) {
 	}
 }
 
-// TestArtifactPutRejections pins upload validation: wrong address, missing
-// payload and version skew are refused with typed statuses.
+// TestArtifactPutRejections pins upload validation: wrong or malformed
+// address, missing payload and version skew are refused with typed
+// statuses.
 func TestArtifactPutRejections(t *testing.T) {
 	d := startDaemon(t, serve.Config{BatchLinger: -1}, sweep.Options{Workers: 1})
 
@@ -649,7 +651,7 @@ func TestArtifactPutRejections(t *testing.T) {
 	h, _ := spec.Hash()
 	rep, _ := fakeRunner(0)(context.Background(), spec)
 	rec := &sweep.Record{Hash: h, Spec: canon, Report: rep}
-	if err := rec.Seal(); err != nil {
+	if _, err := rec.Seal(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -671,8 +673,11 @@ func TestArtifactPutRejections(t *testing.T) {
 	if code := put("/v1/artifacts/"+h, rec); code != http.StatusOK {
 		t.Fatalf("valid upload: HTTP %d", code)
 	}
-	if code := put("/v1/artifacts/deadbeef", rec); code != http.StatusBadRequest {
+	if code := put("/v1/artifacts/"+strings.Repeat("ab", 32), rec); code != http.StatusBadRequest {
 		t.Errorf("address mismatch: HTTP %d, want 400", code)
+	}
+	if code := put("/v1/artifacts/deadbeef", rec); code != http.StatusBadRequest {
+		t.Errorf("malformed address: HTTP %d, want 400", code)
 	}
 	skew := *rec
 	skew.SimVersion = "dsre-sim/v999"
@@ -690,6 +695,47 @@ func TestArtifactPutRejections(t *testing.T) {
 	flipped.Report = &flippedRep
 	if code := put("/v1/artifacts/"+h, &flipped); code != http.StatusBadRequest {
 		t.Errorf("bad payload hash: HTTP %d, want 400", code)
+	}
+}
+
+// TestArtifactPutRejectsPathTraversal pins that an upload addressed by
+// anything but a spec hash never reaches the file system: "%2F" in the URL
+// unescapes to a path separator, and a sealed record carrying the same
+// string as its hash would otherwise reach a path outside the store.
+func TestArtifactPutRejectsPathTraversal(t *testing.T) {
+	d := startDaemon(t, serve.Config{BatchLinger: -1}, sweep.Options{Workers: 1})
+
+	spec := sweep.JobSpec{Workload: "vecsum", Scheme: "dsre", Size: 32}
+	canon, _ := spec.Canonical()
+	rep, _ := fakeRunner(0)(context.Background(), spec)
+	rec := &sweep.Record{Hash: "../escaped/x", Spec: canon, Report: rep}
+	if _, err := rec.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	data, _ := json.Marshal(rec)
+	req, err := http.NewRequest(http.MethodPut, d.ts.URL+"/v1/artifacts/..%2Fescaped%2Fx", bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := d.ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode/100 != 4 {
+		t.Errorf("traversing upload: HTTP %d, want 4xx", resp.StatusCode)
+	}
+
+	// The store is the only entry of its temp dir.
+	entries, err := os.ReadDir(filepath.Dir(d.store.Dir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if e.Name() != filepath.Base(d.store.Dir()) {
+			t.Errorf("upload wrote %s beside the store", e.Name())
+		}
 	}
 }
 

@@ -405,6 +405,10 @@ func (s *Server) handleArtifactGet(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleArtifactPut(w http.ResponseWriter, r *http.Request) {
 	hash := r.PathValue("hash")
+	if !sweep.ValidHash(hash) {
+		writeError(w, r, http.StatusBadRequest, ErrCodeBadRequest, "malformed artifact hash %q", hash)
+		return
+	}
 	var rec sweep.Record
 	if !decodeJSON(w, r, maxRecordBytes, &rec) {
 		return

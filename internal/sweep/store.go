@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -13,7 +14,7 @@ import (
 )
 
 // RecordSchema identifies the on-disk job-record wire format.
-const RecordSchema = "dsre-sweep-record/v2"
+const RecordSchema = "dsre-sweep-record/v3"
 
 // Record is one cached job result: the spec that produced it, the stamps
 // that scope its validity, and the dsre-report/v1 payload.  PayloadSHA256
@@ -29,51 +30,76 @@ type Record struct {
 	Report        *telemetry.Report `json:"report"`
 }
 
-// payloadSHA256 computes the integrity hash over the report's canonical
-// JSON encoding (struct field order is fixed and map keys sort, so the
+// recordHeader is line 1 of a DirStore object: the record without its
+// report, which follows on line 2 as exactly the bytes Seal hashed.
+type recordHeader struct {
+	Schema        string  `json:"schema"`
+	Hash          string  `json:"hash"`
+	SimVersion    string  `json:"sim_version"`
+	PayloadSHA256 string  `json:"payload_sha256"`
+	Spec          JobSpec `json:"spec"`
+}
+
+// payloadDigest is the integrity hash of a report's canonical JSON encoding
+// (json.Marshal: struct field order is fixed and map keys sort, so the
 // encoding is deterministic).
-func payloadSHA256(rep *telemetry.Report) (string, error) {
-	data, err := json.Marshal(rep)
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:]), nil
+func payloadDigest(payload []byte) string {
+	sum := sha256.Sum256(payload)
+	return hex.EncodeToString(sum[:])
 }
 
 // Seal stamps the record's schema, simulator version and payload integrity
-// hash.  Put calls it; remote writers (serve.RemoteStore) call it before
-// shipping so the receiving store can verify without trust.
-func (rec *Record) Seal() error {
+// hash, and returns the payload bytes it hashed: the report's canonical
+// encoding, which DirStore stores as is.  Put calls it; remote writers
+// (serve.RemoteStore) call it before shipping so the receiving store can
+// verify without trust.
+func (rec *Record) Seal() ([]byte, error) {
 	rec.Schema = RecordSchema
 	rec.SimVersion = sim.Version
-	sum, err := payloadSHA256(rec.Report)
+	payload, err := json.Marshal(rec.Report)
 	if err != nil {
-		return fmt.Errorf("sweep: seal %s: %w", rec.Hash, err)
+		return nil, fmt.Errorf("sweep: seal %s: %w", rec.Hash, err)
 	}
-	rec.PayloadSHA256 = sum
-	return nil
+	rec.PayloadSHA256 = payloadDigest(payload)
+	return payload, nil
 }
 
-// VerifyPayload recomputes the payload hash and reports whether it matches
-// the sealed stamp.  An unsealed record (no stamp) never verifies: integrity
-// is opt-out only by recomputing the result.
+// VerifyPayload re-encodes the report and reports whether its digest
+// matches the sealed stamp.  It is for records decoded whole, as they
+// arrive over HTTP; DirStore verifies the stored payload bytes instead.
+// An unsealed record (no stamp) never verifies: integrity is opt-out only
+// by recomputing the result.
 func (rec *Record) VerifyPayload() error {
 	if rec.PayloadSHA256 == "" {
 		return fmt.Errorf("sweep: record %s has no payload hash", rec.Hash)
 	}
-	sum, err := payloadSHA256(rec.Report)
+	payload, err := json.Marshal(rec.Report)
 	if err != nil {
 		return err
 	}
-	if sum != rec.PayloadSHA256 {
+	if sum := payloadDigest(payload); sum != rec.PayloadSHA256 {
 		return fmt.Errorf("sweep: record %s payload hash %s, sealed %s", rec.Hash, sum, rec.PayloadSHA256)
 	}
 	return nil
 }
 
+// ValidHash reports whether h has the only form JobSpec.Hash produces: 64
+// lowercase hex digits.  Stores address objects by it, so anything else
+// (a path separator, "..") is rejected before it reaches a file name.
+func ValidHash(h string) bool {
+	if len(h) != 2*sha256.Size {
+		return false
+	}
+	for i := 0; i < len(h); i++ {
+		if c := h[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
+}
+
 // Store is a content-addressed result cache: records are keyed by their
-// spec hash, writes are first-write-wins (an object once written never
+// spec hash, writes are first-write-wins (a valid object once written never
 // changes), and every read path treats a missing, stale-versioned or
 // corrupt record as a miss (nil, nil) — never an error — because the engine
 // can always recompute a content-addressed key.  DirStore is the local
@@ -82,15 +108,16 @@ func (rec *Record) VerifyPayload() error {
 type Store interface {
 	// Get loads the record for a hash; (nil, nil) is a miss.
 	Get(hash string) (*Record, error)
-	// Put stores a record under its hash; an existing object wins.
+	// Put stores a record under its hash; an existing valid object wins.
 	Put(rec *Record) error
 }
 
 // DirStore is the local-directory Store: each record lives at
-// <dir>/objects/<hash[:2]>/<hash>.json.  Writes are atomic (temp file +
-// rename) and first-write-wins, so concurrent sweeps — or a daemon and
-// the sweeps beside it — sharing a cache directory are safe and cached
-// payloads are byte-stable.
+// <dir>/objects/<hash[:2]>/<hash>.json as a compact header line followed by
+// the report's canonical encoding on a line of its own.  Writes are atomic
+// (temp file + rename) and first-write-wins over valid objects, so
+// concurrent sweeps — or a daemon and the sweeps beside it — sharing a
+// cache directory are safe and cached payloads are byte-stable.
 type DirStore struct {
 	dir string
 
@@ -124,57 +151,97 @@ func (st *DirStore) objectPath(hash string) string {
 	return filepath.Join(st.dir, "objects", hash[:2], hash+".json")
 }
 
-// Get loads the record for a hash.  A missing, unreadable, corrupt or
-// stale-versioned record is a cache miss (nil, nil), never an error: the
-// engine recomputes and overwrites, which is always safe for a
-// content-addressed key.  A record whose payload fails SHA-256
-// verification additionally reports through the OnCorrupt hook.
-func (st *DirStore) Get(hash string) (*Record, error) {
-	if len(hash) < 2 {
-		return nil, fmt.Errorf("sweep: malformed hash %q", hash)
-	}
+// read loads and verifies the object for a hash.  A missing object, a
+// foreign or stale header and an undecodable payload are a plain miss (nil,
+// ""); a payload whose bytes do not match the header's digest is a miss
+// that returns the corruption detail.  The digest is taken over the stored
+// bytes in place, so verifying needs no re-encoding.
+func (st *DirStore) read(hash string) (*Record, string) {
 	data, err := os.ReadFile(st.objectPath(hash))
 	if err != nil {
-		return nil, nil
+		return nil, ""
 	}
-	var rec Record
-	if err := json.Unmarshal(data, &rec); err != nil {
-		return nil, nil
+	line, payload, ok := bytes.Cut(data, []byte{'\n'})
+	if !ok {
+		return nil, ""
 	}
-	if rec.Schema != RecordSchema || rec.Hash != hash || rec.SimVersion != sim.Version || rec.Report == nil {
-		return nil, nil
+	var hdr recordHeader
+	if err := json.Unmarshal(line, &hdr); err != nil {
+		return nil, ""
 	}
-	if err := rec.VerifyPayload(); err != nil {
-		if st.onCorrupt != nil {
-			st.onCorrupt(hash, err.Error())
-		}
-		return nil, nil
+	if hdr.Schema != RecordSchema || hdr.Hash != hash || hdr.SimVersion != sim.Version {
+		return nil, ""
 	}
-	return &rec, nil
+	payload = bytes.TrimSuffix(payload, []byte{'\n'})
+	if sum := payloadDigest(payload); sum != hdr.PayloadSHA256 {
+		return nil, fmt.Sprintf("sweep: record %s payload hash %s, sealed %s", hash, sum, hdr.PayloadSHA256)
+	}
+	var rep telemetry.Report
+	if err := json.Unmarshal(payload, &rep); err != nil {
+		return nil, ""
+	}
+	return &Record{
+		Schema:        hdr.Schema,
+		Hash:          hdr.Hash,
+		SimVersion:    hdr.SimVersion,
+		PayloadSHA256: hdr.PayloadSHA256,
+		Spec:          hdr.Spec,
+		Report:        &rep,
+	}, ""
 }
 
-// Put stores a record under its hash.  An existing object is left
-// untouched (its bytes are already the content the hash names), so a
-// record once written never changes on disk.
+// Get loads the record for a hash.  A missing, unreadable, corrupt,
+// stale-versioned or old-layout record is a cache miss (nil, nil), never an
+// error: the engine recomputes and Put replaces the object, which is always
+// safe for a content-addressed key.  A record whose payload fails SHA-256
+// verification additionally reports through the OnCorrupt hook.
+func (st *DirStore) Get(hash string) (*Record, error) {
+	if !ValidHash(hash) {
+		return nil, fmt.Errorf("sweep: malformed hash %q", hash)
+	}
+	rec, corrupt := st.read(hash)
+	if corrupt != "" && st.onCorrupt != nil {
+		st.onCorrupt(hash, corrupt)
+	}
+	return rec, nil
+}
+
+// Put stores a record under its hash as two lines: a compact header, then
+// the report's canonical encoding, the bytes the seal hashed.  An existing
+// object that reads and verifies is left untouched (its bytes are already
+// the content the hash names), so a valid record once written never
+// changes on disk; one that does not (corrupt, truncated, stale or in an
+// older layout) is replaced.
 func (st *DirStore) Put(rec *Record) error {
-	if len(rec.Hash) < 2 {
+	if !ValidHash(rec.Hash) {
 		return fmt.Errorf("sweep: malformed hash %q", rec.Hash)
 	}
-	if err := rec.Seal(); err != nil {
-		return err
+	if rec.Report == nil {
+		return fmt.Errorf("sweep: put %s: no report", rec.Hash)
 	}
 	path := st.objectPath(rec.Hash)
-	if _, err := os.Stat(path); err == nil {
+	if old, _ := st.read(rec.Hash); old != nil {
 		return nil
 	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("sweep: put %s: %w", rec.Hash, err)
+	payload, err := rec.Seal()
+	if err != nil {
+		return err
 	}
-	data, err := json.MarshalIndent(rec, "", "  ")
+	hdr, err := json.Marshal(recordHeader{
+		Schema:        rec.Schema,
+		Hash:          rec.Hash,
+		SimVersion:    rec.SimVersion,
+		PayloadSHA256: rec.PayloadSHA256,
+		Spec:          rec.Spec,
+	})
 	if err != nil {
 		return fmt.Errorf("sweep: marshal %s: %w", rec.Hash, err)
 	}
+	data := append(append(hdr, '\n'), payload...)
 	data = append(data, '\n')
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return fmt.Errorf("sweep: put %s: %w", rec.Hash, err)
+	}
 	tmp, err := os.CreateTemp(filepath.Dir(path), "."+rec.Hash+".tmp*")
 	if err != nil {
 		return fmt.Errorf("sweep: put %s: %w", rec.Hash, err)

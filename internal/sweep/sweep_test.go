@@ -112,6 +112,9 @@ func TestStoreRoundTrip(t *testing.T) {
 	if rec, err := st.Get(h); err != nil || rec != nil {
 		t.Fatalf("empty store Get = (%v, %v), want miss", rec, err)
 	}
+	if err := st.Put(&Record{Hash: h, Spec: spec}); err == nil {
+		t.Error("Put of a record without a report succeeded")
+	}
 	if err := st.Put(&Record{Hash: h, Spec: spec, Report: fakeReport(spec)}); err != nil {
 		t.Fatal(err)
 	}
