@@ -78,7 +78,7 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	statusAddr := flag.String("status", "", "serve /metrics, /healthz, /progress and /debug/pprof on this address (empty disables)")
-	eventsPath := flag.String("events", "", "write a dsre-events/v3 JSONL lifecycle log to this path (empty disables)")
+	eventsPath := flag.String("events", "", "write a dsre-events/v4 JSONL lifecycle log to this path (empty disables)")
 	flag.Parse()
 
 	// SIGINT and SIGTERM drain the harness: in-flight simulations finish,

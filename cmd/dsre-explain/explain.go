@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/account"
 	"repro/internal/explain"
-	"repro/internal/serve"
 	"repro/internal/sweep"
 	"repro/internal/telemetry"
 )
@@ -25,9 +24,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	top := fs.Int("top", 10, "how many hot loads/blocks/stores to show")
 	diff := fs.Bool("diff", false, "compare exactly two reports (base, new)")
 	tol := fs.Float64("tolerance", 0, "relative IPC change -diff accepts before exiting 3")
-	manifest := fs.String("manifest", "", "sweep manifest to explain (requires -cache or -cache-url)")
+	manifest := fs.String("manifest", "", "sweep manifest to explain (requires -cache)")
 	cacheDir := fs.String("cache", "", "sweep result cache directory for -manifest")
-	cacheURL := fs.String("cache-url", "", "dsre-serve daemon serving the cache for -manifest (exclusive with -cache)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -35,7 +33,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var runs []explain.RunView
 	switch {
 	case *manifest != "":
-		st, rc := openStore(*cacheDir, *cacheURL, stderr)
+		st, rc := openStore(*cacheDir, stderr)
 		if rc != 0 {
 			return rc
 		}
@@ -64,7 +62,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	default:
 		if fs.NArg() == 0 {
 			fmt.Fprintln(stderr, "usage: dsre-explain [-json] [-top N] report.json...")
-			fmt.Fprintln(stderr, "       dsre-explain -manifest sweep-manifest.json -cache DIR | -cache-url URL")
+			fmt.Fprintln(stderr, "       dsre-explain -manifest sweep-manifest.json -cache DIR")
 			fmt.Fprintln(stderr, "       dsre-explain -diff base.json new.json [-tolerance F]")
 			return 2
 		}
@@ -87,31 +85,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// openStore resolves the -manifest payload source: a local cache directory
-// or a dsre-serve daemon's artifact store.
-func openStore(cacheDir, cacheURL string, stderr io.Writer) (sweep.Store, int) {
-	switch {
-	case cacheDir != "" && cacheURL != "":
-		fmt.Fprintln(stderr, "dsre-explain: -cache and -cache-url are exclusive; pick one store")
-		return nil, 2
-	case cacheDir != "":
-		st, err := sweep.OpenStore(cacheDir)
-		if err != nil {
-			fmt.Fprintf(stderr, "dsre-explain: %v\n", err)
-			return nil, 1
-		}
-		return st, 0
-	case cacheURL != "":
-		return serve.NewRemoteStore(cacheURL, nil), 0
-	default:
-		fmt.Fprintln(stderr, "dsre-explain: -manifest requires -cache or -cache-url")
+// openStore opens the -manifest payload source, the sweep's cache directory.
+func openStore(cacheDir string, stderr io.Writer) (*sweep.DirStore, int) {
+	if cacheDir == "" {
+		fmt.Fprintln(stderr, "dsre-explain: -manifest requires -cache")
 		return nil, 2
 	}
+	st, err := sweep.OpenStore(cacheDir)
+	if err != nil {
+		fmt.Fprintf(stderr, "dsre-explain: %v\n", err)
+		return nil, 1
+	}
+	return st, 0
 }
 
 // loadManifestRuns explains every completed job of a sweep from its store,
 // also reporting how many completed jobs had no cached payload.
-func loadManifestRuns(path string, st sweep.Store) ([]explain.RunView, int, error) {
+func loadManifestRuns(path string, st *sweep.DirStore) ([]explain.RunView, int, error) {
 	m, err := sweep.ReadManifest(path)
 	if err != nil {
 		return nil, 0, err

@@ -131,6 +131,9 @@ func TestExplainUsageErrors(t *testing.T) {
 	if rc := run([]string{"-manifest", "m.json"}, &out, &errb); rc != 2 {
 		t.Errorf("-manifest without -cache exit %d, want 2", rc)
 	}
+	if rc := run([]string{"-manifest", "m.json", "-cache-url", "http://127.0.0.1:8177"}, &out, &errb); rc != 2 {
+		t.Errorf("-cache-url (no such flag) exit %d, want 2", rc)
+	}
 	if rc := run([]string{"does-not-exist.json"}, &out, &errb); rc != 1 {
 		t.Errorf("missing report exit %d, want 1", rc)
 	}

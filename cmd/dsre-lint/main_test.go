@@ -158,7 +158,7 @@ func TestFixReport(t *testing.T) {
 		t.Fatalf("exit code = %d, want 1\n%s", code, out.String())
 	}
 	s := out.String()
-	if !strings.Contains(s, "lockcheck") || !strings.Contains(s, "internal/serve") {
+	if !strings.Contains(s, "lockcheck") || !strings.Contains(s, "internal/obs/status") {
 		t.Fatalf("report missing analyzer/package row:\n%s", s)
 	}
 	if !strings.Contains(s, "5 diagnostics in 1 packages") {

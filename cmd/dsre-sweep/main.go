@@ -9,7 +9,6 @@
 //	dsre-sweep -grid grid.json                    # declarative cross product
 //	dsre-sweep -workloads vecsum,histogram -schemes dsre,oracle -sizes 256
 //	dsre-sweep -cache .dsre-cache -jobs 8 -retries 1 -timeout 10m
-//	dsre-sweep -cache-url http://daemon:8177 ...   # share a dsre-serve cache
 //	dsre-sweep -manifest sweep-manifest.json -reports out/
 //	dsre-sweep -resume sweep-manifest.json        # re-run a prior sweep's grid
 //
@@ -30,7 +29,7 @@
 //
 // Observability is opt-in: -status :9090 serves /metrics (Prometheus
 // text), /healthz, /progress (live JSON) and /debug/pprof; -events
-// sweep.events writes a dsre-events/v3 JSONL lifecycle log; -span-trace
+// sweep.events writes a dsre-events/v4 JSONL lifecycle log; -span-trace
 // sweep-trace.json exports per-job lifecycle spans as a Chrome trace with
 // one lane per worker (open in chrome://tracing or Perfetto).
 package main
@@ -50,7 +49,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/obs/status"
-	"repro/internal/serve"
 	"repro/internal/sweep"
 )
 
@@ -110,12 +108,11 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "per-job wall-clock budget (0 = none)")
 	retries := flag.Int("retries", 0, "extra attempts per failed job")
 	cache := flag.String("cache", "", "content-addressed result cache directory (empty disables)")
-	cacheURL := flag.String("cache-url", "", "dsre-serve daemon whose artifact store backs the cache (exclusive with -cache)")
 	manifest := flag.String("manifest", "sweep-manifest.json", "manifest output path (empty disables)")
 	reports := flag.String("reports", "", "directory for per-point dsre-report/v1 artifacts (empty disables)")
 	quiet := flag.Bool("q", false, "suppress per-job progress on stderr")
 	statusAddr := flag.String("status", "", "serve /metrics, /healthz, /progress and /debug/pprof on this address (empty disables)")
-	eventsPath := flag.String("events", "", "write a dsre-events/v3 JSONL lifecycle log to this path (empty disables)")
+	eventsPath := flag.String("events", "", "write a dsre-events/v4 JSONL lifecycle log to this path (empty disables)")
 	spanTrace := flag.String("span-trace", "", "write per-job lifecycle spans as a Chrome trace to this path (empty disables)")
 	linger := flag.Duration("linger", 0, "keep the -status server up this long after the sweep (lets scrapers collect the final state)")
 	flag.Parse()
@@ -170,17 +167,12 @@ func main() {
 	}
 
 	opts := sweep.Options{Workers: *jobs, Timeout: *timeout, Retries: *retries}
-	switch {
-	case *cache != "" && *cacheURL != "":
-		fatalf("-cache and -cache-url are exclusive; pick one store")
-	case *cache != "":
+	if *cache != "" {
 		st, err := sweep.OpenStore(*cache)
 		if err != nil {
 			fatalf("%v", err)
 		}
 		opts.Store = st
-	case *cacheURL != "":
-		opts.Store = serve.NewRemoteStore(*cacheURL, nil)
 	}
 	if !*quiet {
 		opts.Progress = sweep.NewReporter(os.Stderr, *jobs)

@@ -1,7 +1,6 @@
 // Package explain folds dsre-report/v1 documents into the explained form
-// shared by the dsre-explain CLI and the dsre-serve /v1/artifacts/…/explain
-// endpoint: IPC, the CPI stack as per-bucket shares, re-execution
-// forensics, and per-block hot spots.
+// the dsre-explain CLI prints: IPC, the CPI stack as per-bucket shares,
+// re-execution forensics, and per-block hot spots.
 package explain
 
 import (

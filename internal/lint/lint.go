@@ -72,7 +72,7 @@ type Config struct {
 	// exhaustive (or carry an explicit default).
 	EnumTypes []string
 
-	// LockPkgs lists the service-layer packages audited by lockcheck
+	// LockPkgs lists the concurrent packages audited by lockcheck
 	// (guarded-field discipline, lock copies, lock-order cycles).
 	LockPkgs []string
 
@@ -97,9 +97,6 @@ func DefaultConfig() Config {
 			// goroutines (the HTTP server lives in internal/obs/status,
 			// outside this set precisely because servers need both).
 			"internal/obs",
-			// Trace/span IDs are minted from a hashed seed + counter, never
-			// a clock or entropy source, so trace output replays bit-exactly.
-			"internal/obs/tracing",
 		},
 		SimPkg:          "internal/sim",
 		ConfigType:      "Config",
@@ -126,18 +123,11 @@ func DefaultConfig() Config {
 			"internal/account.EventKind",
 			"internal/obs.EventKind",
 			"internal/obs.Phase",
-			"internal/serve.JobState", // queued, running, done, failed
 		},
-		// The concurrent service layer: mutex discipline and cancellation
-		// are audited everywhere a dispatch, drain or worker loop lives.
-		LockPkgs: []string{
-			"internal/serve", "internal/sweep", "internal/obs", "internal/obs/status",
-			"internal/obs/tracing",
-		},
-		CtxPkgs: []string{
-			"internal/serve", "internal/sweep", "internal/obs", "internal/obs/status",
-			"internal/obs/tracing",
-		},
+		// The concurrent sweep layer: mutex discipline and cancellation
+		// are audited everywhere a worker pool, drain or status server lives.
+		LockPkgs:  []string{"internal/sweep", "internal/obs", "internal/obs/status"},
+		CtxPkgs:   []string{"internal/sweep", "internal/obs", "internal/obs/status"},
 		SchemaDir: "internal/lint/schemas",
 	}
 }

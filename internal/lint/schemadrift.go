@@ -18,7 +18,7 @@ import (
 const schemadriftName = "schemadrift"
 
 // schemaConstRE matches versioned wire-format identifiers like
-// "dsre-serve-submit/v1".
+// "dsre-sweep-record/v3".
 var schemaConstRE = regexp.MustCompile(`^[A-Za-z0-9._-]+/v[0-9]+$`)
 
 // SchemaGolden is the checked-in wire-shape record of one schema-declaring

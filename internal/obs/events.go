@@ -11,7 +11,7 @@ import (
 // EventsSchema identifies the structured event-log wire format: one JSON
 // object per line, every line stamped with this schema so concatenated or
 // truncated logs stay self-describing.
-const EventsSchema = "dsre-events/v3"
+const EventsSchema = "dsre-events/v4"
 
 // EventKind classifies one job-lifecycle event.
 type EventKind uint8
@@ -41,18 +41,6 @@ const (
 	// EventStoreCorrupt records a cached record rejected by payload SHA-256
 	// verification (read as a miss and recomputed).
 	EventStoreCorrupt
-	// EventSubmit records one grid submitted to a dsre-serve daemon.
-	EventSubmit
-	// EventServeDrain records a daemon draining on SIGTERM: in-flight jobs
-	// finish, manifests flush, queued jobs are abandoned.
-	EventServeDrain
-	// EventHTTPRequest is one structured request-log line from the daemon's
-	// instrumented HTTP surface: route, status code, latency and the
-	// request's trace ID.
-	EventHTTPRequest
-	// EventSlowRequest flags a request whose latency crossed the daemon's
-	// -slow-request threshold (emitted in addition to its http_request).
-	EventSlowRequest
 )
 
 // String returns the wire spelling of the kind.
@@ -78,14 +66,6 @@ func (k EventKind) String() string {
 		return "sweep_done"
 	case EventStoreCorrupt:
 		return "store_corrupt"
-	case EventSubmit:
-		return "submit"
-	case EventServeDrain:
-		return "serve_drain"
-	case EventHTTPRequest:
-		return "http_request"
-	case EventSlowRequest:
-		return "slow_request"
 	default:
 		return fmt.Sprintf("EventKind(%d)", uint8(k))
 	}
@@ -97,8 +77,7 @@ func EventKinds() []EventKind {
 	return []EventKind{
 		EventSweepStart, EventJobStart, EventJobDone, EventCacheHit, EventRetry,
 		EventPanic, EventStoreWrite, EventDrain, EventSweepDone,
-		EventStoreCorrupt, EventSubmit, EventServeDrain,
-		EventHTTPRequest, EventSlowRequest,
+		EventStoreCorrupt,
 	}
 }
 
@@ -132,7 +111,7 @@ func (k *EventKind) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// Event is one dsre-events/v3 record.  Seq is assigned by the sink and is
+// Event is one dsre-events/v4 record.  Seq is assigned by the sink and is
 // strictly monotonic within one log; TimeMS is the emitting caller's
 // wall clock (unix milliseconds) — the sink never reads a clock itself, so
 // this package stays deterministic.
@@ -153,21 +132,6 @@ type Event struct {
 	Copies    int    `json:"copies,omitempty"`
 	ElapsedMS int64  `json:"elapsed_ms,omitempty"`
 	Error     string `json:"error,omitempty"`
-
-	// Service-level identity (dsre-serve submit events): the submitting
-	// tenant and the daemon-assigned sweep ID.
-	Tenant string `json:"tenant,omitempty"`
-	Sweep  string `json:"sweep,omitempty"`
-
-	// Distributed-trace identity (submit, http_request, slow_request): the
-	// 32-hex trace ID, the request's 16-hex span ID, the instrumented route
-	// pattern, the response status code and the request latency in
-	// microseconds.
-	Trace      string `json:"trace,omitempty"`
-	Span       string `json:"span,omitempty"`
-	Route      string `json:"route,omitempty"`
-	Code       int    `json:"code,omitempty"`
-	DurationUS int64  `json:"duration_us,omitempty"`
 
 	// Sweep-level totals (sweep_start carries Total/Unique/Workers,
 	// sweep_done the final fold).
@@ -228,7 +192,7 @@ func (s *JSONLSink) Err() error {
 	return s.err
 }
 
-// ReadEvents parses a dsre-events/v3 JSONL stream, enforcing the schema
+// ReadEvents parses a dsre-events/v4 JSONL stream, enforcing the schema
 // stamp on every line, known kinds, and strictly increasing sequence
 // numbers.  Blank lines are skipped.
 func ReadEvents(r io.Reader) ([]Event, error) {

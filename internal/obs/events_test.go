@@ -123,9 +123,9 @@ func TestJSONLSinkConcurrent(t *testing.T) {
 func TestReadEventsRejectsMalformedStreams(t *testing.T) {
 	cases := map[string]string{
 		"bad schema":  `{"schema":"nope/v1","seq":1,"kind":"job_done"}`,
-		"bad kind":    `{"schema":"dsre-events/v3","seq":1,"kind":"bogus"}`,
-		"zero seq":    `{"schema":"dsre-events/v3","seq":0,"kind":"job_done"}`,
-		"seq reorder": "{\"schema\":\"dsre-events/v3\",\"seq\":2,\"kind\":\"job_done\"}\n{\"schema\":\"dsre-events/v3\",\"seq\":1,\"kind\":\"job_done\"}",
+		"bad kind":    `{"schema":"dsre-events/v4","seq":1,"kind":"bogus"}`,
+		"zero seq":    `{"schema":"dsre-events/v4","seq":0,"kind":"job_done"}`,
+		"seq reorder": "{\"schema\":\"dsre-events/v4\",\"seq\":2,\"kind\":\"job_done\"}\n{\"schema\":\"dsre-events/v4\",\"seq\":1,\"kind\":\"job_done\"}",
 		"not json":    `{`,
 	}
 	for name, in := range cases {

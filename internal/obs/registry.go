@@ -1,9 +1,8 @@
 // Package obs is the sweep-level observability layer: a zero-dependency
 // typed metrics registry with Prometheus text exposition, a structured
-// job-lifecycle event log (dsre-events/v3), per-job lifecycle spans with a
+// job-lifecycle event log (dsre-events/v4), per-job lifecycle spans with a
 // per-worker Chrome-trace export, and the live-progress state behind the
-// CLIs' -status HTTP endpoint and dsre-serve's /progress
-// (internal/obs/status).
+// CLIs' -status HTTP endpoint (internal/obs/status).
 //
 // The package is deterministic-when-off by construction and is audited by
 // dsre-lint's determinism analyzer: it never reads the wall clock (every
@@ -97,107 +96,6 @@ func (h *Histogram) Name() string { return h.name }
 // histograms: 1ms up to 5 minutes, roughly ×2.5 per step.
 var DurationBounds = []float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60, 120, 300}
 
-// CounterVec is a family of counters sharing one name, distinguished by a
-// fixed label set (the RED per-route request counters).  Children are
-// created on first use and live forever; label cardinality is
-// programmer-bounded (routes × status classes), never request-derived.
-type CounterVec struct {
-	name, help string
-	labels     []string
-
-	mu       sync.Mutex
-	children map[string]*Counter
-}
-
-// With returns the child counter for one ordered label-value tuple,
-// creating it on first use.  Arity mismatches panic.
-func (v *CounterVec) With(values ...string) *Counter {
-	key := labelString(v.name, v.labels, values)
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	c, ok := v.children[key]
-	if !ok {
-		c = &Counter{name: v.name + "{" + key + "}", help: v.help}
-		v.children[key] = c
-	}
-	return c
-}
-
-// childKeys returns the label keys in sorted order (deterministic render).
-func (v *CounterVec) childKeys() []string {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	keys := make([]string, 0, len(v.children))
-	for k := range v.children { //lint:ordered — keys are sorted immediately below
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// HistogramVec is a family of fixed-bound histograms sharing one name and
-// bucket layout, distinguished by a fixed label set (the RED per-route
-// latency histograms).
-type HistogramVec struct {
-	name, help string
-	labels     []string
-	bounds     []float64
-
-	mu       sync.Mutex
-	children map[string]*Histogram
-}
-
-// With returns the child histogram for one ordered label-value tuple,
-// creating it on first use.
-func (v *HistogramVec) With(values ...string) *Histogram {
-	key := labelString(v.name, v.labels, values)
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	h, ok := v.children[key]
-	if !ok {
-		h = &Histogram{name: v.name, help: v.help, bounds: append([]float64(nil), v.bounds...)}
-		h.counts = make([]atomic.Int64, len(v.bounds)+1)
-		v.children[key] = h
-	}
-	return h
-}
-
-func (v *HistogramVec) childKeys() []string {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	keys := make([]string, 0, len(v.children))
-	for k := range v.children { //lint:ordered — keys are sorted immediately below
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// labelString renders one ordered label tuple as `k1="v1",k2="v2"`, label
-// names in declaration order, values escaped for the text exposition.
-func labelString(name string, labels, values []string) string {
-	if len(values) != len(labels) {
-		panic(fmt.Sprintf("obs: metric %s wants %d label values, got %d", name, len(labels), len(values)))
-	}
-	var b strings.Builder
-	for i, l := range labels {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(l)
-		b.WriteString(`="`)
-		b.WriteString(escapeLabelValue(values[i]))
-		b.WriteByte('"')
-	}
-	return b.String()
-}
-
-func escapeLabelValue(s string) string {
-	s = strings.ReplaceAll(s, `\`, `\\`)
-	s = strings.ReplaceAll(s, `"`, `\"`)
-	return strings.ReplaceAll(s, "\n", `\n`)
-}
-
 // Snapshot is a point-in-time copy of every registered metric, sorted by
 // name within each kind, so consumers (the progress JSON, tests) see a
 // stable, race-free view.
@@ -253,13 +151,11 @@ func (s Snapshot) Gauge(name string) int64 {
 // exposition format.  Registration takes a lock; updates on the returned
 // handles are lock-free atomics.
 type Registry struct {
-	mu          sync.Mutex
-	names       map[string]bool
-	counters    []*Counter
-	gauges      []*Gauge
-	hists       []*Histogram
-	counterVecs []*CounterVec
-	histVecs    []*HistogramVec
+	mu       sync.Mutex
+	names    map[string]bool
+	counters []*Counter
+	gauges   []*Gauge
+	hists    []*Histogram
 }
 
 // NewRegistry returns an empty registry.
@@ -318,64 +214,13 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 	return h
 }
 
-// CounterVec registers and returns a labelled counter family.  The family
-// name reserves the registry slot; children render as name{labels}.
-func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
-	if len(labels) == 0 {
-		panic(fmt.Sprintf("obs: counter vec %q needs at least one label", name))
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.registerLocked(name)
-	v := &CounterVec{name: name, help: help, labels: append([]string(nil), labels...), children: map[string]*Counter{}}
-	r.counterVecs = append(r.counterVecs, v)
-	return v
-}
-
-// HistogramVec registers and returns a labelled histogram family sharing
-// one ascending bucket layout.
-func (r *Registry) HistogramVec(name, help string, bounds []float64, labels ...string) *HistogramVec {
-	if len(bounds) == 0 {
-		panic(fmt.Sprintf("obs: histogram vec %q needs at least one bucket bound", name))
-	}
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic(fmt.Sprintf("obs: histogram vec %q bounds not ascending at %v", name, bounds[i]))
-		}
-	}
-	if len(labels) == 0 {
-		panic(fmt.Sprintf("obs: histogram vec %q needs at least one label", name))
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.registerLocked(name)
-	v := &HistogramVec{
-		name: name, help: help,
-		labels: append([]string(nil), labels...), bounds: append([]float64(nil), bounds...),
-		children: map[string]*Histogram{},
-	}
-	r.histVecs = append(r.histVecs, v)
-	return v
-}
-
 // Snapshot copies every metric's current value, each kind sorted by name.
 func (r *Registry) Snapshot() Snapshot {
 	r.mu.Lock()
 	counters := append([]*Counter(nil), r.counters...)
 	gauges := append([]*Gauge(nil), r.gauges...)
 	hists := append([]*Histogram(nil), r.hists...)
-	counterVecs := append([]*CounterVec(nil), r.counterVecs...)
-	histVecs := append([]*HistogramVec(nil), r.histVecs...)
 	r.mu.Unlock()
-
-	for _, v := range counterVecs {
-		for _, key := range v.childKeys() {
-			v.mu.Lock()
-			c := v.children[key]
-			v.mu.Unlock()
-			counters = append(counters, c)
-		}
-	}
 
 	var s Snapshot
 	for _, c := range counters {
@@ -384,25 +229,8 @@ func (r *Registry) Snapshot() Snapshot {
 	for _, g := range gauges {
 		s.Gauges = append(s.Gauges, GaugeValue{Name: g.name, Value: g.Value()})
 	}
-	type namedHist struct {
-		name string
-		h    *Histogram
-	}
-	all := make([]namedHist, 0, len(hists))
 	for _, h := range hists {
-		all = append(all, namedHist{name: h.name, h: h})
-	}
-	for _, v := range histVecs {
-		for _, key := range v.childKeys() {
-			v.mu.Lock()
-			h := v.children[key]
-			v.mu.Unlock()
-			all = append(all, namedHist{name: v.name + "{" + key + "}", h: h})
-		}
-	}
-	for _, nh := range all {
-		h := nh.h
-		hv := HistogramValue{Name: nh.name, Bounds: append([]float64(nil), h.bounds...)}
+		hv := HistogramValue{Name: h.name, Bounds: append([]float64(nil), h.bounds...)}
 		for i := range h.counts {
 			n := h.counts[i].Load()
 			hv.Counts = append(hv.Counts, n)
@@ -427,10 +255,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		c                *Counter
 		g                *Gauge
 		h                *Histogram
-		cv               *CounterVec
-		hv               *HistogramVec
 	}
-	entries := make([]entry, 0, len(r.counters)+len(r.gauges)+len(r.hists)+len(r.counterVecs)+len(r.histVecs))
+	entries := make([]entry, 0, len(r.counters)+len(r.gauges)+len(r.hists))
 	for _, c := range r.counters {
 		entries = append(entries, entry{name: c.name, help: c.help, kind: "counter", c: c})
 	}
@@ -439,12 +265,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	}
 	for _, h := range r.hists {
 		entries = append(entries, entry{name: h.name, help: h.help, kind: "histogram", h: h})
-	}
-	for _, v := range r.counterVecs {
-		entries = append(entries, entry{name: v.name, help: v.help, kind: "counter", cv: v})
-	}
-	for _, v := range r.histVecs {
-		entries = append(entries, entry{name: v.name, help: v.help, kind: "histogram", hv: v})
 	}
 	r.mu.Unlock()
 	sort.Slice(entries, func(i, j int) bool { return entries[i].name < entries[j].name })
@@ -466,51 +286,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			_, err = fmt.Fprintf(w, "%s %d\n", e.name, e.g.Value())
 		case e.h != nil:
 			err = writeHistogram(w, e.h)
-		case e.cv != nil:
-			err = writeCounterVec(w, e.cv)
-		case e.hv != nil:
-			err = writeHistogramVec(w, e.hv)
 		}
 		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func writeCounterVec(w io.Writer, v *CounterVec) error {
-	for _, key := range v.childKeys() {
-		v.mu.Lock()
-		c := v.children[key]
-		v.mu.Unlock()
-		if _, err := fmt.Fprintf(w, "%s{%s} %d\n", v.name, key, c.Value()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func writeHistogramVec(w io.Writer, v *HistogramVec) error {
-	for _, key := range v.childKeys() {
-		v.mu.Lock()
-		h := v.children[key]
-		v.mu.Unlock()
-		cum := int64(0)
-		for i := range h.counts {
-			cum += h.counts[i].Load()
-			le := "+Inf"
-			if i < len(h.bounds) {
-				le = formatFloat(h.bounds[i])
-			}
-			if _, err := fmt.Fprintf(w, "%s_bucket{%s,le=%q} %d\n", v.name, key, le, cum); err != nil {
-				return err
-			}
-		}
-		sum := math.Float64frombits(h.sumBits.Load())
-		if _, err := fmt.Fprintf(w, "%s_sum{%s} %s\n", v.name, key, formatFloat(sum)); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "%s_count{%s} %d\n", v.name, key, cum); err != nil {
 			return err
 		}
 	}

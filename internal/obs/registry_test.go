@@ -5,7 +5,6 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -138,70 +137,4 @@ func TestHistogramBuckets(t *testing.T) {
 			t.Errorf("bucket %d = %d, want %d", i, got, n)
 		}
 	}
-}
-
-// TestVecFamilies pins the labeled metric families: children render with
-// declaration-order labels, values are escaped, keys are stable across
-// renders, and arity mismatches panic.
-func TestVecFamilies(t *testing.T) {
-	reg := NewRegistry()
-	cv := reg.CounterVec("req_total", "requests", "route", "class")
-	hv := reg.HistogramVec("req_seconds", "latency", []float64{0.1, 1}, "route")
-
-	cv.With("GET /b", "2xx").Add(2)
-	cv.With("GET /a", "2xx").Inc()
-	cv.With("GET /a", "5xx").Inc()
-	if cv.With("GET /a", "2xx").Value() != 1 {
-		t.Error("With did not return the same child for equal labels")
-	}
-	hv.With("GET /a").Observe(0.05)
-	hv.With(`quote"and\slash`).Observe(2)
-
-	var b1, b2 strings.Builder
-	if err := reg.WritePrometheus(&b1); err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.WritePrometheus(&b2); err != nil {
-		t.Fatal(err)
-	}
-	if b1.String() != b2.String() {
-		t.Error("vec rendering is not deterministic across renders")
-	}
-	text := b1.String()
-	for _, want := range []string{
-		"# TYPE req_total counter",
-		`req_total{route="GET /a",class="2xx"} 1`,
-		`req_total{route="GET /a",class="5xx"} 1`,
-		`req_total{route="GET /b",class="2xx"} 2`,
-		"# TYPE req_seconds histogram",
-		`req_seconds_bucket{route="GET /a",le="0.1"} 1`,
-		`req_seconds_bucket{route="GET /a",le="+Inf"} 1`,
-		`req_seconds_count{route="GET /a"} 1`,
-		`req_seconds_bucket{route="quote\"and\\slash",le="+Inf"} 1`,
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("exposition missing %q\n%s", want, text)
-		}
-	}
-	// Children sort lexically by label key: GET /a before GET /b.
-	if strings.Index(text, `route="GET /a",class="2xx"`) > strings.Index(text, `route="GET /b"`) {
-		t.Error("vec children not rendered in sorted label order")
-	}
-
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("label arity mismatch did not panic")
-			}
-		}()
-		cv.With("only-one")
-	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("duplicate family registration did not panic")
-			}
-		}()
-		reg.CounterVec("req_total", "dup", "x")
-	}()
 }

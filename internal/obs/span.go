@@ -102,26 +102,10 @@ func (l *SpanLog) Jobs() []JobSpans {
 // trace-event writer.  Each job renders as an enclosing span with its
 // phases nested inside; nanosecond offsets map onto trace microseconds.
 func (l *SpanLog) WriteChromeTrace(w io.Writer) error {
-	return l.WriteChromeTraceFor(w, "", nil)
-}
-
-// WriteChromeTraceFor renders one slice of the log: only the jobs whose
-// hash is in hashes (every job when hashes is nil), with trace, when set,
-// recorded in the metadata.  dsre-serve serves one sweep's share of its
-// engine's log this way.
-func (l *SpanLog) WriteChromeTraceFor(w io.Writer, trace string, hashes map[string]bool) error {
-	var jobs []JobSpans
-	for _, j := range l.Jobs() {
-		if hashes == nil || hashes[j.Hash] {
-			jobs = append(jobs, j)
-		}
-	}
+	jobs := l.Jobs()
 	b := telemetry.NewTraceBuilder()
 	b.SetMeta("source", "dsre-sweep")
 	b.SetMeta("time_unit", "wall microseconds")
-	if trace != "" {
-		b.SetMeta("trace", trace)
-	}
 	b.Process(0, "sweep")
 
 	maxWorker := -1

@@ -1,9 +1,8 @@
 // Package status serves the sweep observability surfaces over HTTP: the
 // metrics registry in Prometheus text format at /metrics, a liveness probe
 // at /healthz, the live-progress JSON at /progress, and net/http/pprof
-// under /debug/pprof/.  dsre-sweep and dsre-bench serve the whole handler
-// with -status; dsre-serve mounts its /metrics, /progress and /debug/pprof
-// routes next to its own /healthz.  It lives outside internal/obs proper
+// under /debug/pprof/.  dsre-sweep and dsre-bench serve it with -status.
+// It lives outside internal/obs proper
 // because a server needs goroutines and the wall clock, which dsre-lint's
 // determinism analyzer bans from the audited obs package.
 package status
@@ -36,31 +35,30 @@ type Options struct {
 // HealthSchema identifies the /healthz liveness document.
 const HealthSchema = "dsre-serve-health/v1"
 
-// HealthView is the /healthz JSON document both status servers serve:
-// liveness plus the version identity operators use to spot skewed
-// processes.
+// HealthView is the /healthz JSON document: liveness plus the version
+// identity operators use to spot skewed processes.
 type HealthView struct {
 	Schema      string `json:"schema"`
-	Status      string `json:"status"` // "ok", or "draining" on a draining dsre-serve
+	Status      string `json:"status"` // always "ok": a live handler is healthy
 	SimVersion  string `json:"sim_version"`
 	GoVersion   string `json:"go_version"`
 	StartTimeMS int64  `json:"start_time_ms"` // unix milliseconds
 	UptimeMS    int64  `json:"uptime_ms"`
 }
 
-// Health renders the document for a process started at start, as seen at
+// health renders the document for a process started at start, as seen at
 // now.
-func Health(status string, start, now time.Time) HealthView {
+func health(start, now time.Time) HealthView {
 	return HealthView{
-		Schema: HealthSchema, Status: status,
+		Schema: HealthSchema, Status: "ok",
 		SimVersion: sim.Version, GoVersion: runtime.Version(),
 		StartTimeMS: start.UnixMilli(),
 		UptimeMS:    now.Sub(start).Milliseconds(),
 	}
 }
 
-// WriteJSON writes v as indented JSON with the given status code.
-func WriteJSON(w http.ResponseWriter, code int, v any) {
+// writeJSON writes v as indented JSON with the given status code.
+func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
@@ -105,7 +103,7 @@ func Handler(opts Options) http.Handler {
 		start = time.Now()
 	}
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		WriteJSON(w, http.StatusOK, Health("ok", start, time.Now()))
+		writeJSON(w, http.StatusOK, health(start, time.Now()))
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		if opts.Registry == nil {
@@ -120,7 +118,7 @@ func Handler(opts Options) http.Handler {
 			http.NotFound(w, r)
 			return
 		}
-		WriteJSON(w, http.StatusOK, opts.Progress())
+		writeJSON(w, http.StatusOK, opts.Progress())
 	})
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/" {

@@ -10,14 +10,14 @@ import (
 const ProgressSchema = "dsre-progress/v1"
 
 // keptFinishedGrids bounds how many finished grids the live view keeps
-// (newest kept); unfinished grids always stay.  A long-lived daemon runs
-// one grid per dispatcher batch, so an unbounded list would grow forever.
+// (newest kept); unfinished grids always stay, so an observer shared by
+// many engine Runs (dsre-bench's) holds a bounded list.
 const keptFinishedGrids = 32
 
 // SweepObs bundles the observability surfaces of the sweep engine: a
 // typed metrics Registry, an optional structured EventSink, an optional
 // per-job SpanLog, and the live-progress state the -status HTTP endpoint
-// (and dsre-serve's /progress) renders.  Every method takes the caller's
+// renders.  Every method takes the caller's
 // clock reading — this package never reads time itself — and the engine
 // guards every call with a single nil check, so a disabled observer is
 // one pointer compare.
@@ -63,9 +63,7 @@ type gridState struct {
 
 // NewSweepObs builds an observer anchored at start (the caller's clock).
 // sink and spans may be nil: events and spans are then skipped while
-// metrics and live progress stay on.  A process that serves more metrics
-// than the engine's (dsre-serve) registers them on the observer's Reg, so
-// it exposes one /metrics page.
+// metrics and live progress stay on.
 func NewSweepObs(start time.Time, sink EventSink, spans *SpanLog) *SweepObs {
 	reg := NewRegistry()
 	o := &SweepObs{

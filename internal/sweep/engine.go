@@ -35,9 +35,8 @@ type Options struct {
 	// Retries is how many extra attempts a failing job gets (transient
 	// failures; a deterministic failure just fails that many times).
 	Retries int
-	// Store caches results content-addressed (a *DirStore on disk, a
-	// serve.RemoteStore over HTTP); nil disables caching.
-	Store Store
+	// Store caches results content-addressed; nil disables caching.
+	Store *DirStore
 	// Progress receives per-job completion lines; nil is silent.
 	Progress *Reporter
 	// Runner overrides job execution (tests); nil selects the default
@@ -125,17 +124,13 @@ func New(opts Options) *Engine {
 	if e.opts.Runner == nil {
 		e.opts.Runner = e.simulate
 	}
-	// A store that can report payload corruption feeds the observer's
-	// store_corrupt event; corruption stays a plain miss either way.
+	// Payload corruption feeds the observer's store_corrupt event;
+	// corruption stays a plain miss either way.
 	if e.opts.Obs != nil && e.opts.Store != nil {
-		if h, ok := e.opts.Store.(interface {
-			SetOnCorrupt(func(hash, detail string))
-		}); ok {
-			obs := e.opts.Obs
-			h.SetOnCorrupt(func(hash, detail string) {
-				obs.StoreCorrupt(hash, detail, time.Now())
-			})
-		}
+		obs := e.opts.Obs
+		e.opts.Store.SetOnCorrupt(func(hash, detail string) {
+			obs.StoreCorrupt(hash, detail, time.Now())
+		})
 	}
 	return e
 }

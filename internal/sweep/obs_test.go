@@ -307,12 +307,10 @@ func TestEngineObsOffMatchesOn(t *testing.T) {
 	}
 }
 
-// TestReporterRollingETA pins that the reporter's ETA follows the recent
-// completion rate: slow early jobs followed by fast ones must not leave the
-// TestProgressKeepsNewestGrids pins the live view's bound: a long-lived
-// observer (dsre-serve runs one engine Run per batch) keeps only the
-// newest finished grids, newest last, while the grid counter still counts
-// every Run.
+// TestProgressKeepsNewestGrids pins the live view's bound: an observer
+// shared by many engine Runs (dsre-bench runs several) keeps
+// only the newest finished grids, newest last, while the grid counter
+// still counts every Run.
 func TestProgressKeepsNewestGrids(t *testing.T) {
 	o, _, _ := newObserved()
 	eng := New(Options{Workers: 1, Obs: o, Runner: func(ctx context.Context, spec JobSpec) (*telemetry.Report, error) {
@@ -339,6 +337,8 @@ func TestProgressKeepsNewestGrids(t *testing.T) {
 	}
 }
 
+// TestReporterRollingETA pins that the reporter's ETA follows the recent
+// completion rate: slow early jobs followed by fast ones must not leave the
 // ETA stuck at the cumulative mean.
 func TestReporterRollingETA(t *testing.T) {
 	var out bytes.Buffer

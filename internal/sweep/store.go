@@ -19,8 +19,8 @@ const RecordSchema = "dsre-sweep-record/v3"
 // Record is one cached job result: the spec that produced it, the stamps
 // that scope its validity, and the dsre-report/v1 payload.  PayloadSHA256
 // is the hex SHA-256 of the report's canonical JSON, sealed at Put time and
-// re-verified on every Get, so a flipped bit on disk (or a corrupted object
-// served by a remote store) reads as a miss instead of a wrong result.
+// re-verified on every Get, so a flipped bit on disk reads as a miss
+// instead of a wrong result.
 type Record struct {
 	Schema        string            `json:"schema"`
 	Hash          string            `json:"hash"`
@@ -31,7 +31,7 @@ type Record struct {
 }
 
 // recordHeader is line 1 of a DirStore object: the record without its
-// report, which follows on line 2 as exactly the bytes Seal hashed.
+// report, which follows on line 2 as exactly the bytes seal hashed.
 type recordHeader struct {
 	Schema        string  `json:"schema"`
 	Hash          string  `json:"hash"`
@@ -48,12 +48,10 @@ func payloadDigest(payload []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// Seal stamps the record's schema, simulator version and payload integrity
+// seal stamps the record's schema, simulator version and payload integrity
 // hash, and returns the payload bytes it hashed: the report's canonical
-// encoding, which DirStore stores as is.  Put calls it; remote writers
-// (serve.RemoteStore) call it before shipping so the receiving store can
-// verify without trust.
-func (rec *Record) Seal() ([]byte, error) {
+// encoding, which Put stores as is.
+func (rec *Record) seal() ([]byte, error) {
 	rec.Schema = RecordSchema
 	rec.SimVersion = sim.Version
 	payload, err := json.Marshal(rec.Report)
@@ -64,29 +62,10 @@ func (rec *Record) Seal() ([]byte, error) {
 	return payload, nil
 }
 
-// VerifyPayload re-encodes the report and reports whether its digest
-// matches the sealed stamp.  It is for records decoded whole, as they
-// arrive over HTTP; DirStore verifies the stored payload bytes instead.
-// An unsealed record (no stamp) never verifies: integrity is opt-out only
-// by recomputing the result.
-func (rec *Record) VerifyPayload() error {
-	if rec.PayloadSHA256 == "" {
-		return fmt.Errorf("sweep: record %s has no payload hash", rec.Hash)
-	}
-	payload, err := json.Marshal(rec.Report)
-	if err != nil {
-		return err
-	}
-	if sum := payloadDigest(payload); sum != rec.PayloadSHA256 {
-		return fmt.Errorf("sweep: record %s payload hash %s, sealed %s", rec.Hash, sum, rec.PayloadSHA256)
-	}
-	return nil
-}
-
-// ValidHash reports whether h has the only form JobSpec.Hash produces: 64
-// lowercase hex digits.  Stores address objects by it, so anything else
+// validHash reports whether h has the only form JobSpec.Hash produces: 64
+// lowercase hex digits.  The store addresses objects by it, so anything else
 // (a path separator, "..") is rejected before it reaches a file name.
-func ValidHash(h string) bool {
+func validHash(h string) bool {
 	if len(h) != 2*sha256.Size {
 		return false
 	}
@@ -98,26 +77,15 @@ func ValidHash(h string) bool {
 	return true
 }
 
-// Store is a content-addressed result cache: records are keyed by their
-// spec hash, writes are first-write-wins (a valid object once written never
-// changes), and every read path treats a missing, stale-versioned or
-// corrupt record as a miss (nil, nil) — never an error — because the engine
-// can always recompute a content-addressed key.  DirStore is the local
-// on-disk implementation; serve.RemoteStore speaks the same contract to a
-// dsre-serve daemon over HTTP.
-type Store interface {
-	// Get loads the record for a hash; (nil, nil) is a miss.
-	Get(hash string) (*Record, error)
-	// Put stores a record under its hash; an existing valid object wins.
-	Put(rec *Record) error
-}
-
-// DirStore is the local-directory Store: each record lives at
-// <dir>/objects/<hash[:2]>/<hash>.json as a compact header line followed by
-// the report's canonical encoding on a line of its own.  Writes are atomic
-// (temp file + rename) and first-write-wins over valid objects, so
-// concurrent sweeps — or a daemon and the sweeps beside it — sharing a
-// cache directory are safe and cached payloads are byte-stable.
+// DirStore is the content-addressed result cache: records are keyed by
+// their spec hash, and each lives at <dir>/objects/<hash[:2]>/<hash>.json
+// as a compact header line followed by the report's canonical encoding on
+// a line of its own.  Writes are atomic (temp file + rename) and
+// first-write-wins over valid objects, so concurrent sweeps sharing a
+// cache directory are safe and cached payloads are byte-stable.  Every
+// read treats a missing, stale-versioned or corrupt record as a miss (nil,
+// nil), never an error, because the engine can always recompute a
+// content-addressed key.
 type DirStore struct {
 	dir string
 
@@ -196,7 +164,7 @@ func (st *DirStore) read(hash string) (*Record, string) {
 // safe for a content-addressed key.  A record whose payload fails SHA-256
 // verification additionally reports through the OnCorrupt hook.
 func (st *DirStore) Get(hash string) (*Record, error) {
-	if !ValidHash(hash) {
+	if !validHash(hash) {
 		return nil, fmt.Errorf("sweep: malformed hash %q", hash)
 	}
 	rec, corrupt := st.read(hash)
@@ -213,7 +181,7 @@ func (st *DirStore) Get(hash string) (*Record, error) {
 // changes on disk; one that does not (corrupt, truncated, stale or in an
 // older layout) is replaced.
 func (st *DirStore) Put(rec *Record) error {
-	if !ValidHash(rec.Hash) {
+	if !validHash(rec.Hash) {
 		return fmt.Errorf("sweep: malformed hash %q", rec.Hash)
 	}
 	if rec.Report == nil {
@@ -223,7 +191,7 @@ func (st *DirStore) Put(rec *Record) error {
 	if old, _ := st.read(rec.Hash); old != nil {
 		return nil
 	}
-	payload, err := rec.Seal()
+	payload, err := rec.seal()
 	if err != nil {
 		return err
 	}
