@@ -41,7 +41,8 @@ func BenchmarkForwardingScan(b *testing.B) {
 }
 
 // BenchmarkViolationCheck measures the younger-load re-check a store
-// update performs.
+// update performs when it violates: 8 blocks of 31 issued loads over 8
+// words, the store's word among them.
 func BenchmarkViolationCheck(b *testing.B) {
 	q, _ := benchQueue(b, core.IssueAggressive)
 	ops := make([]OpInfo, 32)
@@ -63,47 +64,45 @@ func BenchmarkViolationCheck(b *testing.B) {
 }
 
 // BenchmarkCertifyScan measures a certification scan that yields nothing
-// because the commit wave has not caught up: the head block holds 31
-// address-final, data-pending stores and then one store whose address is
-// not final, and every younger block holds 31 candidate loads behind it.
-// The scan stops at that barrier, so ns/op should not grow from the
-// 8-block window to the 32-block one.
+// because the commit wave has not caught up, in a 32-block window: the
+// head block holds 31 address-final, data-pending stores and then one store
+// whose address is not final, and every younger block holds 31 candidate
+// loads behind it.  The first scan parks every candidate on that barrier
+// store; later scans, like the one a store commit triggers, find nothing
+// woken, so ns/op does not depend on how many candidates wait.
 func BenchmarkCertifyScan(b *testing.B) {
-	for _, blocks := range []int{8, 32} {
-		b.Run(fmt.Sprintf("blocks=%d", blocks), func(b *testing.B) {
-			q, _ := benchQueue(b, core.IssueAggressive)
-			stores := make([]OpInfo, 32)
-			for i := range stores {
-				stores[i] = OpInfo{LSID: int8(i), IsStore: true, Size: 8}
-			}
-			q.RegisterBlock(0, stores)
-			for i := 0; i < 31; i++ {
-				// Address committed, data pending: stays an alias candidate.
-				q.StoreUpdate(core.DynRef{Seq: 0, LSID: int8(i)}, uint64(0x1000+8*i), 1, 0, true, false)
-			}
-			q.StoreUpdate(core.DynRef{Seq: 0, LSID: 31}, 0x8000, 1, 0, false, false) // address never final
-			mixed := make([]OpInfo, 32)
-			for i := range mixed {
-				mixed[i] = OpInfo{LSID: int8(i), IsStore: i == 0, Size: 8}
-			}
-			for seq := int64(1); seq < int64(blocks); seq++ {
-				q.RegisterBlock(seq, mixed)
-				for i := 1; i < 32; i++ {
-					k := core.DynRef{Seq: seq, LSID: int8(i)}
-					q.LoadTry(0, k, uint64(0x9000+8*(32*seq+int64(i))), 0)
-					q.LoadInputsCommitted(k)
-				}
-			}
-			buf := make([]CertifiedLoad, 0, 32)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				q.certDirty = true // as a store commit would
-				buf = q.TakeCertifiable(buf[:0])
-				if len(buf) != 0 {
-					b.Fatal("no load should certify past the pending store")
-				}
-			}
-		})
+	const blocks = 32
+	q, _ := benchQueue(b, core.IssueAggressive)
+	stores := make([]OpInfo, 32)
+	for i := range stores {
+		stores[i] = OpInfo{LSID: int8(i), IsStore: true, Size: 8}
+	}
+	q.RegisterBlock(0, stores)
+	for i := 0; i < 31; i++ {
+		// Address committed, data pending: stays an alias candidate.
+		q.StoreUpdate(core.DynRef{Seq: 0, LSID: int8(i)}, uint64(0x1000+8*i), 1, 0, true, false)
+	}
+	q.StoreUpdate(core.DynRef{Seq: 0, LSID: 31}, 0x8000, 1, 0, false, false) // address never final
+	mixed := make([]OpInfo, 32)
+	for i := range mixed {
+		mixed[i] = OpInfo{LSID: int8(i), IsStore: i == 0, Size: 8}
+	}
+	for seq := int64(1); seq < blocks; seq++ {
+		q.RegisterBlock(seq, mixed)
+		for i := 1; i < 32; i++ {
+			k := core.DynRef{Seq: seq, LSID: int8(i)}
+			q.LoadTry(0, k, uint64(0x9000+8*(32*seq+int64(i))), 0)
+			q.LoadInputsCommitted(k)
+		}
+	}
+	buf := make([]CertifiedLoad, 0, 32)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q.certDirty = true // as a store commit would
+		buf = q.TakeCertifiable(buf[:0])
+		if len(buf) != 0 {
+			b.Fatal("no load should certify past the pending store")
+		}
 	}
 }
 
@@ -138,6 +137,7 @@ func BenchmarkAliasSearch(b *testing.B) {
 		// Re-arm the candidate for the next iteration.
 		q.certified[s].Clear(op)
 		q.nCand++
+		q.wakeCand(load, s, op)
 		q.certDirty = true
 	}
 }
@@ -160,9 +160,9 @@ func BenchmarkLoadIssue(b *testing.B) {
 
 // BenchmarkStoreRecheck measures a store update whose violation re-check
 // finds nothing: the store sits in the oldest block and every younger
-// block holds 31 issued loads at addresses disjoint from it (and from its
-// address words), so each younger block is skipped on its load summary.
-// ns/op should not grow from the 8-block window to the 32-block one.
+// block holds 31 issued loads at addresses disjoint from it, so the load
+// word index holds no load under the store's word.  ns/op should not grow
+// from the 8-block window to the 32-block one.
 func BenchmarkStoreRecheck(b *testing.B) {
 	for _, blocks := range []int{8, 32} {
 		b.Run(fmt.Sprintf("blocks=%d", blocks), func(b *testing.B) {
@@ -217,11 +217,12 @@ func BenchmarkReconstructMiss(b *testing.B) {
 	}
 }
 
-// BenchmarkTakeReadyParked measures a re-evaluation pass over 248 loads
-// parked by the store-set policy on stores that have not executed, with no
-// store executing between passes: each parked load is kept without
-// re-running the policy check.
+// BenchmarkTakeReadyParked measures a re-evaluation pass over a 32-block
+// window of 992 loads parked by the store-set policy on stores that have
+// not executed, with no store executing between passes: no parked load is
+// woken, so the pass only counts their deferrals.
 func BenchmarkTakeReadyParked(b *testing.B) {
+	const blocks = 32
 	m := mem.New()
 	h, err := cache.NewHierarchy(cache.DefaultHierConfig())
 	if err != nil {
@@ -232,7 +233,7 @@ func BenchmarkTakeReadyParked(b *testing.B) {
 	for i := range ops {
 		ops[i] = OpInfo{LSID: int8(i), IsStore: i == 0, Size: 8, PC: predictor.PC(i)}
 	}
-	for seq := int64(0); seq < 8; seq++ {
+	for seq := int64(0); seq < blocks; seq++ {
 		q.RegisterBlock(seq, ops)
 	}
 	// Train every load PC into the store's set, then register a window
@@ -241,7 +242,7 @@ func BenchmarkTakeReadyParked(b *testing.B) {
 		q.ss.Violation(predictor.PC(i), 0)
 	}
 	q.SquashFrom(0)
-	for seq := int64(0); seq < 8; seq++ {
+	for seq := int64(0); seq < blocks; seq++ {
 		q.RegisterBlock(seq, ops)
 		for i := 1; i < 32; i++ {
 			if r := q.LoadTry(0, core.DynRef{Seq: seq, LSID: int8(i)}, uint64(0x1000+8*i), 0); r.Reason != DeferPolicy {

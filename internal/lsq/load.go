@@ -1,8 +1,11 @@
 package lsq
 
 import (
+	"cmp"
+	"math/bits"
 	"slices"
 
+	"repro/internal/bitset"
 	"repro/internal/core"
 	"repro/internal/predictor"
 )
@@ -28,9 +31,16 @@ func (q *Queue) LoadTry(now int64, k core.DynRef, addr uint64, tag core.Tag) Loa
 	}
 	f := s*opStride + op
 	first := !q.exec[s].Test(op)
-	q.exec[s].Set(op)
-	q.addr[f] = addr
-	q.lwords[s] |= wordBits(addr, int(q.size[f]))
+	if first || q.addr[f] != addr {
+		// A load re-executing at a new address keeps its issued bit while
+		// the MSHRs are busy, so the re-check must find it at the new one,
+		// and a certification candidate must be re-examined there.
+		q.unindex(&q.loadIdx, f)
+		q.exec[s].Set(op)
+		q.addr[f] = addr
+		q.index(&q.loadIdx, f)
+		q.wakeCand(k, s, op)
+	}
 	if first {
 		q.Stats.Loads++
 	}
@@ -41,15 +51,21 @@ func (q *Queue) LoadTry(now int64, k core.DynRef, addr uint64, tag core.Tag) Loa
 }
 
 // tryIssue applies the policy and, if permitted, produces the load's value.
+// A load the policy defers waits on the store deferOn names; one the MSHRs
+// turn away goes on the active list, retried every pass.
 func (q *Queue) tryIssue(now int64, k core.DynRef, s, op int) LoadResult {
 	f := s*opStride + op
-	if q.mustDefer(k, s, op) {
+	if w, wait := q.deferOn(k, s, op); wait {
 		q.park(k, s, op)
-		q.deferredAt[f] = q.storeExecs + 1
+		if !q.waiting[s].Test(op) {
+			q.waitOn(waitIssue, w, f)
+			q.waiting[s].Set(op)
+			q.active[s].Clear(op)
+			q.nWaitEnt += int(q.nEnt[f])
+		}
 		q.Stats.DeferredPolicy++
 		return LoadResult{Deferred: true, Reason: DeferPolicy}
 	}
-	q.deferredAt[f] = 0
 	size := int(q.size[f])
 	v, fwd := q.reconstruct(k, q.addr[f], size)
 	lat := q.cfg.ForwardLatency
@@ -60,6 +76,7 @@ func (q *Queue) tryIssue(now int64, k core.DynRef, s, op int) LoadResult {
 		if !ok {
 			// All MSHRs busy: park and retry as time passes.
 			q.park(k, s, op)
+			q.activate(k, s, op)
 			q.mshrWait = true
 			q.Stats.DeferredMSHR++
 			return LoadResult{Deferred: true, Reason: DeferMSHR}
@@ -72,19 +89,73 @@ func (q *Queue) tryIssue(now int64, k core.DynRef, s, op int) LoadResult {
 		}
 	}
 	q.issued[s].Set(op)
-	q.parked[s].Clear(op)
+	if q.parked[s].Test(op) {
+		q.parked[s].Clear(op)
+		q.stale = append(q.stale, k) // its entries go at the next pass
+	}
 	q.data[f] = v
 	// Issuing is one of the conditions certification waits on.
 	q.certDirty = true
+	q.wakeCand(k, s, op)
 	return LoadResult{Value: v, Tag: q.tag[f], Latency: lat, PC: q.pc[f]}
 }
 
-// park puts a load on the deferred list unless it is already there.
+// park gives a load a deferred-list entry unless it is already parked.  A
+// load that issued outside a pass still has its old entries until the
+// next pass drops them; parking again before then revives them, so it
+// holds several (see the package comment).
 func (q *Queue) park(k core.DynRef, s, op int) {
-	if !q.parked[s].Test(op) {
-		q.parked[s].Set(op)
-		q.deferred = append(q.deferred, k)
+	if q.parked[s].Test(op) {
+		return
 	}
+	q.parked[s].Set(op)
+	f := s*opStride + op
+	q.nextPos++
+	if q.nEnt[f] == 0 {
+		q.ppos[f] = q.nextPos
+	} else {
+		q.dups = append(q.dups, parkEntry{k, q.nextPos})
+	}
+	q.nEnt[f]++
+	q.nEntries++
+}
+
+// activate puts a parked load on the active list, which the next pass
+// retries.
+func (q *Queue) activate(k core.DynRef, s, op int) {
+	if !q.active[s].Test(op) {
+		q.active[s].Set(op)
+		q.activeList = append(q.activeList, k)
+	}
+}
+
+// wakeIssueWaiters moves the loads parked on store f to the active list:
+// the store has executed for the first time.
+func (q *Queue) wakeIssueWaiters(f int) {
+	for n := q.wait[f][waitIssue].next; n != 0; {
+		fl := int(n - 1)
+		n = q.wait[fl][waitIssue].next
+		q.wait[fl][waitIssue] = link{}
+		s, op := fl/opStride, fl%opStride
+		q.waiting[s].Clear(op)
+		q.nWaitEnt -= int(q.nEnt[fl])
+		q.activate(q.keyAt(fl), s, op)
+	}
+	q.wait[f][waitIssue].next = 0
+}
+
+// dropEntries removes a load's deferred-list entries unless it has parked
+// again since it issued.
+func (q *Queue) dropEntries(k core.DynRef, s, op int) {
+	f := s*opStride + op
+	if q.parked[s].Test(op) || q.nEnt[f] == 0 {
+		return
+	}
+	if q.nEnt[f] > 1 {
+		q.dups = slices.DeleteFunc(q.dups, func(e parkEntry) bool { return e.k == k })
+	}
+	q.nEntries -= int(q.nEnt[f])
+	q.nEnt[f] = 0
 }
 
 // GuardLoad marks a flushed violating load: its replayed instance (same
@@ -96,41 +167,44 @@ func (q *Queue) GuardLoad(k core.DynRef) {
 	q.Stats.GuardedLoads++
 }
 
-// mustDefer evaluates the issue policy for a load whose address is known:
-// whether it must wait for older stores.  Every reason it returns true
-// lifts only when some store executes for the first time (see the package
-// comment), which is what lets TakeReady skip re-evaluating it until then.
-func (q *Queue) mustDefer(k core.DynRef, s, op int) bool {
-	if slices.Contains(q.guard, k) && q.anyOlderStoreUnexecuted(k) {
-		return true
+// deferOn evaluates the issue policy for a load whose address is known:
+// whether it must wait for an older store, and (by flat index) a store
+// whose first execution can lift the wait.  Conservative issue and guarded replays
+// wait on the oldest unexecuted older store, store-set and oracle issue on
+// the store the load was predicted to depend on.  Nothing else can lift a
+// deferral: a store's executed bit is never cleared, a squash that removes
+// an older store removes the load too, and a guard is dropped only with
+// the load's own block.  So the named store stays a valid thing to wait
+// on until it executes, and a load woken before its deferral lifts simply
+// waits again.
+func (q *Queue) deferOn(k core.DynRef, s, op int) (int, bool) {
+	if q.cfg.Policy == core.IssueConservative || len(q.guard) > 0 && slices.Contains(q.guard, k) {
+		return q.oldestOlderUnexecutedStore(k)
 	}
-	switch q.cfg.Policy {
-	case core.IssueAggressive:
-		return false
-	case core.IssueConservative:
-		return q.anyOlderStoreUnexecuted(k)
-	case core.IssueStoreSet, core.IssueOracle:
-		f := s*opStride + op
-		if !q.waitValid[s].Test(op) || !q.waitFor[f].Valid() {
-			return false
-		}
-		w := q.waitFor[f]
-		if !w.Less(k) {
-			return false // not actually older; ignore
-		}
-		ws, wop := q.opSlot(w)
-		// Gone from the window, or already executed: no wait.
-		return ws >= 0 && q.stores[ws].Test(wop) && !q.exec[ws].Test(wop)
+	// Store-set and oracle issue: a captured dependence (waitValid is set
+	// only under those policies).
+	f := s*opStride + op
+	if !q.waitValid[s].Test(op) || !q.waitFor[f].Valid() {
+		return 0, false
 	}
-	return false
+	w := q.waitFor[f]
+	if !w.Less(k) {
+		return 0, false // not actually older; ignore
+	}
+	ws, wop := q.opSlot(w)
+	// Gone from the window, or already executed: no wait.
+	if ws < 0 || !q.stores[ws].Test(wop) || q.exec[ws].Test(wop) {
+		return 0, false
+	}
+	return ws*opStride + wop, true
 }
 
-// anyOlderStoreUnexecuted reports whether some store older than k in the
-// window has not yet executed: one AND-NOT word test per block (the
-// bitmap replacement for the old per-entry scan).
-func (q *Queue) anyOlderStoreUnexecuted(k core.DynRef) bool {
+// oldestOlderUnexecutedStore returns the flat index of the oldest store
+// older than k in the window that has not yet executed: one AND-NOT word
+// test per block.
+func (q *Queue) oldestOlderUnexecutedStore(k core.DynRef) (int, bool) {
 	if q.n == 0 {
-		return false
+		return 0, false
 	}
 	base := q.seqs[q.head]
 	last := k.Seq - base
@@ -144,28 +218,28 @@ func (q *Queue) anyOlderStoreUnexecuted(k core.DynRef) bool {
 			pend = pend.Below(int(k.LSID))
 		}
 		if !pend.Empty() {
-			return true
+			return s*opStride + pend.Min(), true
 		}
 	}
-	return false
+	return 0, false
 }
 
 // HasReadyWork reports whether the next TakeReady call will re-evaluate
 // parked loads (as opposed to returning immediately).  The event-driven
-// run loop uses it to classify a cycle as active: a re-evaluation scan can
+// run loop uses it to classify a cycle as active: a re-evaluation pass can
 // issue loads or count deferral retries even when it returns nothing.
 func (q *Queue) HasReadyWork() bool {
-	return (q.dirty || q.mshrWait) && len(q.deferred) > 0
+	return (q.dirty || q.mshrWait) && q.nEntries > 0
 }
 
-// TakeReady re-evaluates parked loads and returns those that can now issue,
-// appending into buf (pass buf[:0] to reuse a scratch buffer; the result
-// must be consumed before the next call).  Call once per cycle; it is cheap
-// when nothing changed.  Loads parked on a full MSHR file are retried every
-// cycle regardless of queue events.  A load deferred by policy is
-// re-evaluated only once a store has executed for the first time since its
-// deferral; until then it is counted as deferred again without the policy
-// check, which would have deferred it (see the package comment).
+// TakeReady runs a re-evaluation pass over the deferred list and returns
+// the loads that can now issue, appending into buf (pass buf[:0] to reuse
+// a scratch buffer; the result must be consumed before the next call).
+// Call once per cycle; it is cheap when nothing changed.  A pass retries
+// only the active loads — woken by their store's first execution, or
+// parked on a full MSHR file — entry by entry in park order; every entry
+// of a load still waiting on its store counts one policy deferral, as
+// re-running its policy check would (see the package comment).
 func (q *Queue) TakeReady(now int64, buf []ReadyLoad) []ReadyLoad {
 	if !q.HasReadyWork() {
 		q.dirty = false
@@ -173,26 +247,57 @@ func (q *Queue) TakeReady(now int64, buf []ReadyLoad) []ReadyLoad {
 	}
 	q.dirty = false
 	q.mshrWait = false
-	out := buf
-	kept := q.deferred[:0]
-	for _, k := range q.deferred {
+	q.Stats.DeferredPolicy += int64(q.nWaitEnt)
+	ents := q.passBuf[:0]
+	for _, k := range q.activeList {
 		s, op := q.opSlot(k)
-		if s < 0 || !q.parked[s].Test(op) {
-			continue // squashed or already issued
+		if s < 0 || !q.active[s].Test(op) {
+			continue // squashed, or waiting again
 		}
-		if q.deferredAt[s*opStride+op] == q.storeExecs+1 {
-			q.Stats.DeferredPolicy++
-			kept = append(kept, k)
-			continue
+		q.active[s].Clear(op)
+		if !q.parked[s].Test(op) {
+			continue // issued since
 		}
-		r := q.tryIssue(now, k, s, op)
-		if r.Deferred {
-			kept = append(kept, k)
-			continue
+		f := s*opStride + op
+		ents = append(ents, parkEntry{k, q.ppos[f]})
+		if q.nEnt[f] > 1 {
+			for _, e := range q.dups {
+				if e.k == k {
+					ents = append(ents, e)
+				}
+			}
 		}
-		out = append(out, ReadyLoad{Load: k, Addr: q.addr[s*opStride+op], Res: r})
 	}
-	q.deferred = kept
+	q.activeList = q.activeList[:0]
+	slices.SortFunc(ents, func(a, b parkEntry) int { return cmp.Compare(a.pos, b.pos) })
+	out := buf
+	for _, e := range ents {
+		q.work.ReadyVisits++
+		s, op := q.opSlot(e.k)
+		switch {
+		case !q.parked[s].Test(op): // issued at an earlier entry
+		case q.waiting[s].Test(op): // deferred again at an earlier entry
+			q.Stats.DeferredPolicy++
+		default:
+			if r := q.tryIssue(now, e.k, s, op); !r.Deferred {
+				out = append(out, ReadyLoad{Load: e.k, Addr: q.addr[s*opStride+op], Res: r})
+			}
+		}
+	}
+	q.passBuf = ents
+	// A pass drops the entries of loads that issued since they parked and
+	// of drained blocks.
+	for _, k := range q.stale {
+		if s, op := q.opSlot(k); s >= 0 {
+			q.dropEntries(k, s, op)
+		}
+	}
+	q.stale = q.stale[:0]
+	for _, o := range q.orphans {
+		q.nEntries -= o.n
+	}
+	q.orphans = q.orphans[:0]
+	q.work.ReadyIssued += int64(len(out) - len(buf))
 	return out
 }
 
@@ -208,8 +313,33 @@ func (q *Queue) LoadInputsCommitted(k core.DynRef) {
 	q.stamp[s*opStride+op] = q.nextStamp
 	q.nextStamp++
 	q.nCand++
+	q.wakeCand(k, s, op)
 	q.dirty = true
 	q.certDirty = true
+}
+
+// wakeCand puts a certification candidate on the wake list, taking it off
+// the store it waited on: something its certification depends on changed.
+func (q *Queue) wakeCand(k core.DynRef, s, op int) {
+	if !q.inputsCom[s].Test(op) || q.certified[s].Test(op) || q.certWoken[s].Test(op) {
+		return
+	}
+	q.unwait(waitCert, s*opStride+op)
+	q.certWoken[s].Set(op)
+	q.certWake = append(q.certWake, k)
+}
+
+// wakeCertWaiters wakes the candidates store f blocks: its address moved
+// or became final, it committed, or it is leaving the window.
+func (q *Queue) wakeCertWaiters(f int) {
+	for n := q.wait[f][waitCert].next; n != 0; {
+		fl := int(n - 1)
+		n = q.wait[fl][waitCert].next
+		q.wait[fl][waitCert] = link{}
+		q.certWoken[fl/opStride].Set(fl % opStride)
+		q.certWake = append(q.certWake, q.keyAt(fl))
+	}
+	q.wait[f][waitCert].next = 0
 }
 
 // CertifiedLoad is a load whose value is final.
@@ -228,15 +358,12 @@ type CertifiedLoad struct {
 //
 // An older store is harmless when it is committed, or when its address is
 // final (committed, executed, not nullified) and does not overlap the
-// load; only true aliases wait for store data.  One walk from the window
-// head in (seq, LSID) order decides every candidate: uncommitted
-// address-final stores join a pending list (summarised by a 64-bit
-// address-word filter), and the first uncommitted store whose address is
-// not final is the barrier — no load younger than it can certify, so the
-// walk stops there.  A candidate before the barrier certifies unless it
-// overlaps a pending store; the pending list is walked only on a filter
-// hit.  The scan costs O(blocks up to the barrier + stores and candidates
-// before it), independent of how deep the window behind the barrier is.
+// load; only true aliases wait for store data.  A scan examines only the
+// woken candidates (see the package comment).  One that has not issued
+// waits for its issue; one that some older store blocks waits on that
+// store's waitCert list — the youngest barrier store (address not final)
+// older than it, or else the youngest uncommitted store that aliases it,
+// found in the store word index.  The rest certify.
 func (q *Queue) TakeCertifiable(buf []CertifiedLoad) []CertifiedLoad {
 	if q.nCand == 0 || !q.certDirty {
 		// Nothing to certify, or nothing relevant changed since the last
@@ -244,69 +371,127 @@ func (q *Queue) TakeCertifiable(buf []CertifiedLoad) []CertifiedLoad {
 		// statistics).
 		return buf
 	}
+	return q.scan(buf)
+}
+
+// scan is TakeCertifiable's examination of the woken candidates.
+func (q *Queue) scan(buf []CertifiedLoad) []CertifiedLoad {
 	q.certDirty = false
 	out := buf
-	q.pend = q.pend[:0]
 	q.hitStamp = q.hitStamp[:0]
-	var filter uint64
-	base := q.seqs[q.head]
-	seen := 0
-	for l := 0; l < q.n && seen < q.nCand; l++ {
-		s := (q.head + l) & q.ringMask()
-		open := q.stores[s] &^ q.committed[s]
-		cands := q.inputsCom[s] &^ q.certified[s]
-		barrier := open &^ (q.addrCom[s] & q.exec[s] &^ q.null[s])
-		if !barrier.Empty() {
-			b := barrier.Min()
-			open, cands = open.Below(b), cands.Below(b)
-			seen = q.nCand // nothing past the barrier can certify
-		} else {
-			seen += cands.Count()
+	for _, k := range q.certWake {
+		s, op := q.opSlot(k)
+		if s < 0 || !q.certWoken[s].Test(op) {
+			continue // left the window, or listed twice
 		}
-		fb := s * opStride
-		for m := open | cands; !m.Empty(); m &= m - 1 { // clear the lowest set bit
-			i := m.Min()
-			f := fb + i
-			laddr, lsize := q.addr[f], int(q.size[f])
-			if open.Test(i) {
-				q.pend = append(q.pend, span{laddr, laddr + uint64(lsize)})
-				filter |= wordBits(laddr, lsize)
-				continue
-			}
-			if !q.issued[s].Test(i) || filter&wordBits(laddr, lsize) != 0 && q.aliasesPending(laddr, lsize) {
-				continue
-			}
-			k := core.DynRef{Seq: base + int64(l), LSID: int8(i)}
-			v, _ := q.reconstruct(k, laddr, lsize)
-			if v != q.data[f] {
-				panic("lsq: certification value mismatch for " + k.String() + " (missed violation)")
-			}
-			q.certified[s].Set(i)
-			out = append(out, CertifiedLoad{Load: k, Addr: laddr, Value: v})
-			q.hitStamp = append(q.hitStamp, q.stamp[f])
+		q.certWoken[s].Clear(op)
+		q.work.CertVisits++
+		if !q.issued[s].Test(op) {
+			continue // woken again by its issue
 		}
+		f := s*opStride + op
+		laddr, lsize := q.addr[f], int(q.size[f])
+		if b := q.certBlocker(f, laddr, lsize); b >= 0 {
+			q.waitOn(waitCert, b, f)
+			continue
+		}
+		v, _ := q.reconstruct(k, laddr, lsize)
+		if v != q.data[f] {
+			panic("lsq: certification value mismatch for " + k.String() + " (missed violation)")
+		}
+		q.certified[s].Set(op)
+		out = append(out, CertifiedLoad{Load: k, Addr: laddr, Value: v})
+		q.hitStamp = append(q.hitStamp, q.stamp[f])
 	}
+	q.certWake = q.certWake[:0]
 	q.nCand -= len(q.hitStamp)
+	q.work.Certified += int64(len(q.hitStamp))
 	sortByStamp(out[len(buf):], q.hitStamp)
 	return out
 }
 
-// aliasesPending reports whether [addr, addr+size) overlaps any store on
-// the scan's pending list.  It walks youngest first: a candidate held by a
-// true alias is usually held by the nearest older store, and such
-// candidates are re-checked on every scan until that store commits.
-func (q *Queue) aliasesPending(addr uint64, size int) bool {
-	end := addr + uint64(size)
-	for j := len(q.pend) - 1; j >= 0; j-- {
-		if sp := q.pend[j]; sp.lo < end && addr < sp.hi {
-			return true
-		}
-	}
-	return false
+// barrier returns block slot s's barrier stores: uncommitted, and address
+// not final (not yet committed, executed and live).
+func (q *Queue) barrier(s int) bitset.Mask32 {
+	return q.stores[s] &^ q.committed[s] &^ (q.addrCom[s] & q.exec[s] &^ q.null[s])
 }
 
-// sortByStamp orders a scan's hits by arrival stamp (insertion sort: the
-// walk finds them in age order, which is nearly arrival order).
+// noteBarrier records in barBlocks whether block slot s holds a barrier
+// store; every change to the masks barrier reads is followed by it.
+func (q *Queue) noteBarrier(s int) {
+	if q.barrier(s).Empty() {
+		q.barBlocks[s>>6] &^= 1 << (s & 63)
+	} else {
+		q.barBlocks[s>>6] |= 1 << (s & 63)
+	}
+}
+
+// lastBarrierBlock returns the window position of the youngest block before
+// position l that holds a barrier store, or -1 when none does.  It scans
+// the ring as at most two contiguous runs of slots, a word at a time.
+func (q *Queue) lastBarrierBlock(l int) int {
+	for l > 0 {
+		hi := (q.head + l - 1) & q.ringMask() // the slot of position l−1
+		lo := max(0, hi-(l-1))
+		for w := hi >> 6; w >= lo>>6; w-- {
+			m := q.barBlocks[w]
+			if w == hi>>6 {
+				m &= ^uint64(0) >> (63 - hi&63)
+			}
+			if w == lo>>6 {
+				m &^= 1<<(lo&63) - 1
+			}
+			if m != 0 {
+				return l - 1 - (hi - (w<<6 + 63 - bits.LeadingZeros64(m)))
+			}
+		}
+		l -= hi - lo + 1
+	}
+	return -1
+}
+
+// certBlocker returns the flat index of a store that keeps the load at flat
+// index f, reading [addr, addr+size), from certifying, or -1 when none does.
+func (q *Queue) certBlocker(f int, addr uint64, size int) int {
+	s, op := f/opStride, f%opStride
+	if bar := q.barrier(s).Below(op); !bar.Empty() {
+		return s*opStride + bar.Max()
+	}
+	if p := q.lastBarrierBlock((s - q.head) & q.ringMask()); p >= 0 {
+		bs := (q.head + p) & q.ringMask()
+		return bs*opStride + q.barrier(bs).Max()
+	}
+	// Every uncommitted store older than the load is address-final, so
+	// filed in the store index; the first aliasing one older than the load
+	// in a chain is the chain's youngest.
+	kAge := q.age(f)
+	youngest, youngestAge := -1, -1
+	w0, w1 := opWords(addr, size)
+	for w := w0; ; w = w1 {
+		for n := q.storeIdx.chain(w); n != 0; {
+			fs, match, next := q.nodeOp(n, w)
+			n = next
+			q.work.CertVisits++
+			a := q.age(fs)
+			if a > kAge {
+				continue
+			}
+			if a <= youngestAge {
+				break
+			}
+			if match && overlap(q.addr[fs], int(q.size[fs]), addr, size) {
+				youngest, youngestAge = fs, a
+				break
+			}
+		}
+		if w == w1 {
+			return youngest
+		}
+	}
+}
+
+// sortByStamp orders a scan's hits by arrival stamp (insertion sort: most
+// candidates are woken on arrival, so a scan finds them nearly in order).
 func sortByStamp(hits []CertifiedLoad, stamps []uint64) {
 	for i := 1; i < len(hits); i++ {
 		for j := i; j > 0 && stamps[j] < stamps[j-1]; j-- {

@@ -26,41 +26,62 @@
 // "seq − base" arithmetic, never a map.  Per-op dynamic state lives in one
 // bitset.Mask32 per block per predicate (declared-store, executed, null,
 // committed, issued, ...) plus flat stride-32 arrays for the word-sized
-// fields (addr, data, tag, ...).  Certification and alias search walk only
-// set bits (bits.TrailingZeros under the hood) instead of scanning every
-// entry, and the policy predicate "any older store unexecuted" collapses
-// to one AND-NOT word test per block.  Certification candidates are a
-// mask too (inputsCom &^ certified), so a certification scan is one
-// age-ordered walk from the window head to the first store whose address
-// is not final, whatever the window depth.
+// fields (addr, data, tag, ...) and the intrusive list links (wait, word).
 //
-// Address summaries: each block slot carries two 64-bit address-word
-// summaries built from wordBits (one bit per 8-byte word, hashed modulo
-// 64): lwords covers every address any of the block's loads has been
-// given, swords every address any of its stores has executed at.  They are
-// ORed into and zeroed only when the slot is (re)registered, never
-// cleared otherwise, so they are supersets: a stale bit costs one wasted
-// block walk, never a missed overlap.  A store's violation re-check skips
-// every younger block whose lwords misses the store's words, and a load's
-// forwarding walk skips every older block whose swords misses the load's.
-// lwords is written in LoadTry, where a load's address is set, not at
-// issue: a load that re-executes at a new address while the MSHRs are busy
-// keeps its issued bit, and the re-check must find it at the new address.
+// Event-driven queries: the three queries asked on every event visit only
+// the entries whose answer can have changed, whatever the window depth.
 //
-// Store-execution epoch: a policy deferral waits either on "some older
-// store unexecuted" (conservative policy, guarded replays) or on "the
-// awaited store executed" (store-set, oracle).  Both lift only when a
-// store executes for the first time: a squash that removes a load's older
-// store removes the load too, a drain removes only a block whose stores
-// have all executed, and a resident load's guard is never dropped.
-// storeExecs counts those first executions; a load deferred by policy
-// records the count, and TakeReady re-runs its policy check only once the
-// count has moved.  Skipping the check is exact: it would have deferred
-// the load again, so TakeReady counts the deferral all the same.
+//   - Parked loads.  A load the issue policy defers waits on one store
+//     whose first execution can lift the deferral (deferOn): for
+//     store-set and oracle issue the store it was predicted to depend on,
+//     for conservative issue and guarded replays the oldest unexecuted
+//     older store, and again on the next one if it is woken too early.
+//     The load sits on that store's waitIssue list; the store's first
+//     execution moves it to the active list, where loads the MSHRs turned
+//     away wait as well.  A TakeReady pass retries only active loads.
+//   - Certification.  A candidate (inputs committed, not certified) is
+//     examined when woken: on arrival, when it issues or its address
+//     moves, and when the store it waits on executes at a new address,
+//     gets a final address, commits or drains.  An examined candidate that
+//     cannot certify waits for its own issue, or on the waitCert list of a
+//     store that blocks it: the youngest older barrier store (uncommitted,
+//     address not final), else the youngest older uncommitted store that
+//     aliases it.  Nothing else can make it certifiable, so a scan that
+//     examines only the woken candidates certifies exactly what a walk of
+//     every candidate would.
+//   - Violation re-check.  Every load that has been given an address is
+//     filed in an exact word index (loadIdx) under the 8-byte words its
+//     byte range touches, from LoadTry, where the address is set: a load
+//     that re-executes at a new address while the MSHRs are busy keeps its
+//     issued bit, and the re-check must find it at the new address.  A
+//     store's re-check walks the chains of its own words only, youngest
+//     load first, stopping at the first load older than the store.
+//     Certification finds aliasing stores the same way in storeIdx, which
+//     files every executed, live, uncommitted store.
+//
+// Deferred list: a pass returns what rescanning the list of every parked
+// load would, and moves Stats the same way.  A load gets an entry whenever
+// it parks while not parked, and keeps its entries while it issues outside
+// a pass until the next pass drops them; parking again before then revives
+// them, so a load can hold several, each retried at its own park position
+// (dups holds all but the oldest).  Entries of drained blocks also wait for
+// the next pass.  HasReadyWork counts every entry, so it marks the same
+// cycles active as before.  Stats.DeferredPolicy counts one deferral per
+// entry of a policy-parked load per pass, the count a re-evaluation of
+// every entry produced; it is kept for byte-identical results, not because
+// a pass still evaluates those loads.
+//
+// Address summaries: each block slot carries a 64-bit summary, swords, of
+// every address any of its stores has executed at (one bit per 8-byte
+// word, hashed modulo 64; see wordBits).  It is ORed into and zeroed only
+// when the slot is (re)registered, so it is a superset: a stale bit costs
+// one wasted block walk, never a missed overlap.  A load's forwarding walk
+// skips every older block whose summary misses the load's words.
 package lsq
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/bitset"
 	"repro/internal/cache"
@@ -126,6 +147,19 @@ type Stats struct {
 	PeakOccupancy   int
 }
 
+// Work counts the entries the queue's event queries visit: a
+// deterministic measure of their host cost, kept out of Stats because
+// Stats is part of every digested Result and these counts move whenever a
+// query's algorithm does.
+type Work struct {
+	ReadyVisits   int64 // parked loads a TakeReady pass examined
+	ReadyIssued   int64 // loads TakeReady issued
+	CertVisits    int64 // candidates TakeCertifiable examined
+	Certified     int64 // loads TakeCertifiable certified
+	RecheckVisits int64 // loads a store's violation re-check examined
+	Rechecks      int64 // re-checks: one per byte range a store update or nullify re-checks
+}
+
 // Config parameterises the queue.
 type Config struct {
 	Policy core.IssuePolicy
@@ -153,6 +187,13 @@ type Queue struct {
 	head int
 	n    int
 
+	// Read every cycle, so kept with the window bounds: the deferred
+	// list's entry count and whether a pass is due (see "Deferred list"
+	// below).
+	nEntries int
+	dirty    bool
+	mshrWait bool // some load parked on MSHR pressure; retry every cycle
+
 	// Per-block state, indexed by physical slot.
 	seqs []int64
 	nops []uint8
@@ -171,6 +212,9 @@ type Queue struct {
 	inputsCom []bitset.Mask32 // load address operands committed
 	parked    []bitset.Mask32 // load on the deferred list
 	waitValid []bitset.Mask32 // waitFor captured at registration
+	waiting   []bitset.Mask32 // parked load on a store's waitIssue list
+	active    []bitset.Mask32 // parked load on the active list
+	certWoken []bitset.Mask32 // candidate on the certification wake list
 
 	// Flat per-op fields, stride opStride, indexed slot*opStride + LSID.
 	addr    []uint64
@@ -180,30 +224,48 @@ type Queue struct {
 	pc      []predictor.PC
 	waitFor []core.DynRef
 	stamp   []uint64 // certification-candidate arrival order
-	// deferredAt is storeExecs+1 as of a load's last policy deferral, or 0
-	// when its last issue attempt ended otherwise.
-	deferredAt []uint64
+	// Intrusive list links (see index.go).  A store owns two wait lists
+	// of the loads waiting on it, one per waitKind; a load sits on at most
+	// one list of each kind.  word files an op in an address-word index
+	// under each 8-byte word its byte range touches (one or two).
+	wait [][2]link
+	word [][2]link
+	// A parked load's deferred-list entries (see "Deferred list" in the
+	// package comment): how many it has, and the park position of its
+	// oldest; the rest are on dups.
+	nEnt []int32
+	ppos []uint64
 
-	// Per-block address-word summaries (see the package comment): the
-	// words of every address the block's loads were given, and of every
-	// address its stores executed at.
-	lwords []uint64
+	// Per-block store address-word summaries (see the package comment).
 	swords []uint64
 
-	// storeExecs counts first store executions (StoreUpdate or
-	// StoreNullify on an unexecuted store), the only event that can lift a
-	// policy deferral.
-	storeExecs uint64
+	// loadIdx files every load that has been given an address, storeIdx
+	// every executed, live, uncommitted store, each under the words of its
+	// current address.
+	loadIdx, storeIdx wordIndex
 
 	// viol is the violation list StoreUpdate and StoreNullify return,
 	// reused so a violating store allocates nothing.
 	viol []Violation
+	// hits is recheckLoads' scratch list of the ages of overlapping
+	// younger loads.
+	hits []int32
 
 	resident int // ops across blocks (occupancy is read every cycle)
 
-	deferred []core.DynRef // parked loads, re-evaluated when dirty
-	dirty    bool
-	mshrWait bool // some load parked on MSHR pressure; retry every cycle
+	// Deferred list.  nEntries (above) counts its entries, nWaitEnt those
+	// of loads waiting on a store.  activeList holds the loads a pass must
+	// retry (woken, or parked on the MSHRs), stale the loads that issued
+	// outside a pass while they had entries, orphans the entries of
+	// drained loads; a pass drops both.  dups holds every entry but a
+	// load's oldest.
+	nextPos    uint64
+	nWaitEnt   int
+	activeList []core.DynRef
+	stale      []core.DynRef
+	orphans    []orphan
+	dups       []parkEntry
+	passBuf    []parkEntry
 
 	// certDirty gates TakeCertifiable's scan: a parked certification
 	// candidate can only become certifiable when a store commits, executes,
@@ -221,23 +283,36 @@ type Queue struct {
 	guard []core.DynRef
 
 	// Certification candidates are the resident loads in inputsCom &^
-	// certified.  nCand counts them (the scan's early-out and stopping
-	// point); nextStamp numbers arrivals so a scan reports its hits in
-	// arrival order whatever order it finds them in.
+	// certified.  nCand counts them (the scan's early-out); nextStamp
+	// numbers arrivals so a scan reports its hits in arrival order.
+	// certWake lists the candidates a scan must re-examine; every other
+	// candidate waits on its own issue or on a store's waitCert list.
+	// barBlocks has a bit per ring slot whose block holds a barrier store
+	// (uncommitted, address not final).
 	nCand     int
 	nextStamp uint64
-
-	// Scan scratch, reused so a steady-state scan allocates nothing: the
-	// byte ranges of the uncommitted address-final stores passed so far,
-	// and the arrival stamps of this scan's hits (parallel to its output).
-	pend     []span
-	hitStamp []uint64
+	certWake  []core.DynRef
+	barBlocks []uint64
+	hitStamp  []uint64 // arrival stamps of a scan's hits, parallel to its output
 
 	// ValidateDrain, when set (tests), is called for every drained store
 	// with its final address and data; an error aborts the run loudly.
 	ValidateDrain func(k core.DynRef, addr uint64, data int64, size int) error
 
 	Stats Stats
+	work  Work
+}
+
+// parkEntry is one deferred-list entry: a load and its park position.
+type parkEntry struct {
+	k   core.DynRef
+	pos uint64
+}
+
+// orphan counts the deferred-list entries of a drained block.
+type orphan struct {
+	seq int64
+	n   int
 }
 
 // New builds a queue.  mem holds committed state; hier provides data-side
@@ -262,26 +337,33 @@ func New(cfg Config, m *mem.Memory, hier *cache.Hierarchy, tags *core.TagSource,
 	return q
 }
 
+// relocate copies the per-op run of every live block of the old ring into
+// the new one, oldest at slot 0.
+func relocate[T any](dst, src []T, old *Queue) {
+	for l := 0; l < old.n; l++ {
+		s := (old.head + l) & (len(old.seqs) - 1)
+		copy(dst[l*opStride:(l+1)*opStride], src[s*opStride:(s+1)*opStride])
+	}
+}
+
 // grow (re)allocates the block ring with capacity c (a power of two),
-// relocating live blocks so the oldest lands at slot 0.
+// relocating live blocks so the oldest lands at slot 0.  Wait-list links
+// are remapped to the new slots; the word indexes are rebuilt, with one
+// bucket per op slot, in fresh word links.
 func (q *Queue) grow(c int) {
 	old := *q
 	q.seqs = make([]int64, c)
 	q.nops = make([]uint8, c)
-	masks := make([]bitset.Mask32, 11*c)
-	q.stores, masks = masks[:c:c], masks[c:]
-	q.exec, masks = masks[:c:c], masks[c:]
-	q.null, masks = masks[:c:c], masks[c:]
-	q.committed, masks = masks[:c:c], masks[c:]
-	q.addrCom, masks = masks[:c:c], masks[c:]
-	q.dataCom, masks = masks[:c:c], masks[c:]
-	q.issued, masks = masks[:c:c], masks[c:]
-	q.certified, masks = masks[:c:c], masks[c:]
-	q.inputsCom, masks = masks[:c:c], masks[c:]
-	q.parked, masks = masks[:c:c], masks[c:]
-	q.waitValid = masks[:c:c]
-	q.lwords = make([]uint64, c)
+	const nMasks = 14
+	masks := make([]bitset.Mask32, nMasks*c)
+	all := [nMasks]*[]bitset.Mask32{&q.stores, &q.exec, &q.null, &q.committed, &q.addrCom,
+		&q.dataCom, &q.issued, &q.certified, &q.inputsCom, &q.parked, &q.waitValid,
+		&q.waiting, &q.active, &q.certWoken}
+	for _, m := range all {
+		*m, masks = masks[:c:c], masks[c:]
+	}
 	q.swords = make([]uint64, c)
+	q.barBlocks = make([]uint64, (c+63)/64)
 	q.addr = make([]uint64, c*opStride)
 	q.data = make([]int64, c*opStride)
 	q.tag = make([]core.Tag, c*opStride)
@@ -289,34 +371,48 @@ func (q *Queue) grow(c int) {
 	q.pc = make([]predictor.PC, c*opStride)
 	q.waitFor = make([]core.DynRef, c*opStride)
 	q.stamp = make([]uint64, c*opStride)
-	q.deferredAt = make([]uint64, c*opStride)
+	q.wait = make([][2]link, c*opStride)
+	q.word = make([][2]link, c*opStride)
+	q.nEnt = make([]int32, c*opStride)
+	q.ppos = make([]uint64, c*opStride)
+	oldAll := [nMasks][]bitset.Mask32{old.stores, old.exec, old.null, old.committed, old.addrCom,
+		old.dataCom, old.issued, old.certified, old.inputsCom, old.parked, old.waitValid,
+		old.waiting, old.active, old.certWoken}
 	for l := 0; l < old.n; l++ {
 		s := (old.head + l) & (len(old.seqs) - 1)
 		q.seqs[l] = old.seqs[s]
 		q.nops[l] = old.nops[s]
-		q.stores[l] = old.stores[s]
-		q.exec[l] = old.exec[s]
-		q.null[l] = old.null[s]
-		q.committed[l] = old.committed[s]
-		q.addrCom[l] = old.addrCom[s]
-		q.dataCom[l] = old.dataCom[s]
-		q.issued[l] = old.issued[s]
-		q.certified[l] = old.certified[s]
-		q.inputsCom[l] = old.inputsCom[s]
-		q.parked[l] = old.parked[s]
-		q.waitValid[l] = old.waitValid[s]
-		q.lwords[l] = old.lwords[s]
+		for i, m := range all {
+			(*m)[l] = oldAll[i][s]
+		}
 		q.swords[l] = old.swords[s]
-		copy(q.addr[l*opStride:(l+1)*opStride], old.addr[s*opStride:(s+1)*opStride])
-		copy(q.data[l*opStride:(l+1)*opStride], old.data[s*opStride:(s+1)*opStride])
-		copy(q.tag[l*opStride:(l+1)*opStride], old.tag[s*opStride:(s+1)*opStride])
-		copy(q.size[l*opStride:(l+1)*opStride], old.size[s*opStride:(s+1)*opStride])
-		copy(q.pc[l*opStride:(l+1)*opStride], old.pc[s*opStride:(s+1)*opStride])
-		copy(q.waitFor[l*opStride:(l+1)*opStride], old.waitFor[s*opStride:(s+1)*opStride])
-		copy(q.stamp[l*opStride:(l+1)*opStride], old.stamp[s*opStride:(s+1)*opStride])
-		copy(q.deferredAt[l*opStride:(l+1)*opStride], old.deferredAt[s*opStride:(s+1)*opStride])
+		q.noteBarrier(l)
 	}
+	relocate(q.addr, old.addr, &old)
+	relocate(q.data, old.data, &old)
+	relocate(q.tag, old.tag, &old)
+	relocate(q.size, old.size, &old)
+	relocate(q.pc, old.pc, &old)
+	relocate(q.waitFor, old.waitFor, &old)
+	relocate(q.stamp, old.stamp, &old)
+	relocate(q.wait, old.wait, &old)
+	relocate(q.nEnt, old.nEnt, &old)
+	relocate(q.ppos, old.ppos, &old)
 	q.head = 0
+	q.remapLinks(old.head, len(old.seqs))
+	q.loadIdx = newWordIndex(c * opStride)
+	q.storeIdx = newWordIndex(c * opStride)
+	for l := 0; l < q.n; l++ {
+		fb := l * opStride
+		for m := q.exec[l] &^ q.stores[l]; !m.Empty(); m &= m - 1 {
+			op := m.Min()
+			q.index(&q.loadIdx, fb+op)
+		}
+		for m := q.stores[l] & q.exec[l] &^ q.null[l] &^ q.committed[l]; !m.Empty(); m &= m - 1 {
+			op := m.Min()
+			q.index(&q.storeIdx, fb+op)
+		}
+	}
 }
 
 // ringMask indexes the block ring.
@@ -370,7 +466,8 @@ func (q *Queue) RegisterBlock(seq int64, ops []OpInfo) {
 	q.committed[s], q.addrCom[s], q.dataCom[s] = 0, 0, 0
 	q.issued[s], q.certified[s], q.inputsCom[s] = 0, 0, 0
 	q.parked[s], q.waitValid[s] = 0, 0
-	q.lwords[s], q.swords[s] = 0, 0
+	q.waiting[s], q.active[s], q.certWoken[s] = 0, 0, 0
+	q.swords[s] = 0
 	base := s * opStride
 	end := base + len(ops)
 	clear(q.addr[base:end])
@@ -400,6 +497,7 @@ func (q *Queue) RegisterBlock(seq int64, ops []OpInfo) {
 			q.waitValid[s].Set(i)
 		}
 	}
+	q.noteBarrier(s)
 	q.resident += len(ops)
 	if q.resident > q.Stats.PeakOccupancy {
 		q.Stats.PeakOccupancy = q.resident
@@ -408,6 +506,9 @@ func (q *Queue) RegisterBlock(seq int64, ops []OpInfo) {
 
 func (q *Queue) occupancy() int { return q.resident }
 
+// Work returns the query work counters (see Work).
+func (q *Queue) Work() Work { return q.work }
+
 // SquashFrom removes every block with sequence >= seq.
 func (q *Queue) SquashFrom(seq int64) {
 	if q.n > 0 {
@@ -415,18 +516,62 @@ func (q *Queue) SquashFrom(seq int64) {
 		if cut < 0 {
 			cut = 0
 		}
+		// Unlink every squashed op while its slot still resolves.  The
+		// loads on a squashed store's wait lists are younger, so squashed
+		// too.
 		for l := int(cut); l < q.n; l++ {
 			s := (q.head + l) & q.ringMask()
 			q.resident -= int(q.nops[s])
 			q.nCand -= (q.inputsCom[s] &^ q.certified[s]).Count()
+			q.nEntries -= q.release(s)
 		}
 		if int64(q.n) > cut {
 			q.n = int(cut)
 		}
 	}
-	q.filterKeys(&q.deferred, seq)
+	q.dups = slices.DeleteFunc(q.dups, func(e parkEntry) bool { return e.k.Seq >= seq })
+	q.orphans = slices.DeleteFunc(q.orphans, func(o orphan) bool {
+		if o.seq >= seq {
+			q.nEntries -= o.n
+			return true
+		}
+		return false
+	})
+	q.filterKeys(&q.activeList, seq)
+	q.filterKeys(&q.certWake, seq)
 	q.dirty = true
 	q.certDirty = true
+}
+
+// release unlinks block slot s's ops as the block leaves the window: from
+// wait lists and word indexes, and their deferred-list entries from the
+// per-load counts.  It leaves every op's links and entry count zero, so a
+// slot is ready for reuse without clearing.  It returns how many entries
+// its loads had; the caller settles nEntries.  Only a load that has been
+// given an address can park or wait.
+func (q *Queue) release(s int) int {
+	fb := s * opStride
+	n := 0
+	for m := q.exec[s] &^ q.stores[s]; !m.Empty(); m &= m - 1 {
+		op := m.Min()
+		f := fb + op
+		if e := int(q.nEnt[f]); e > 0 {
+			n += e
+			if q.waiting[s].Test(op) {
+				q.nWaitEnt -= e
+				q.unwait(waitIssue, f)
+			}
+			q.nEnt[f] = 0
+		}
+		q.unindex(&q.loadIdx, f)
+	}
+	for m := q.inputsCom[s] &^ q.certified[s] &^ q.certWoken[s]; !m.Empty(); m &= m - 1 {
+		q.unwait(waitCert, fb+m.Min()) // a candidate may wait on a store
+	}
+	for m := q.stores[s] & q.exec[s] &^ q.null[s] &^ q.committed[s]; !m.Empty(); m &= m - 1 {
+		q.unindex(&q.storeIdx, fb+m.Min())
+	}
+	return n
 }
 
 func (q *Queue) filterKeys(keys *[]core.DynRef, fromSeq int64) {
@@ -438,10 +583,6 @@ func (q *Queue) filterKeys(keys *[]core.DynRef, fromSeq int64) {
 	}
 	*keys = kept
 }
-
-// span is the byte range [lo, hi) of a store pending in a certification
-// scan.
-type span struct{ lo, hi uint64 }
 
 // overlap reports whether [a, a+as) and [b, b+bs) intersect.
 func overlap(a uint64, as int, b uint64, bs int) bool {

@@ -1,9 +1,11 @@
 package lsq
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/cache"
@@ -69,26 +71,137 @@ func refReconstruct(q *Queue, k core.DynRef, addr uint64, size int) (val int64, 
 	return int64(v), size - remaining
 }
 
-// unfilter turns q into the reference for its next operation: with every
-// block summary saturated, recheckLoads and reconstruct walk every block
-// as the unfiltered searches did, and with no deferral epoch recorded,
-// TakeReady re-runs the policy check for every parked load.
-func unfilter(q *Queue) {
-	for s := range q.lwords {
-		q.lwords[s], q.swords[s] = ^uint64(0), ^uint64(0)
+// refRecheckHits is the violation re-check's candidate walk the load word
+// index must agree with, kept as the reference: every younger block is
+// searched, with no index or summary, for issued loads overlapping
+// [addr, addr+size), listed by age in ascending (seq, LSID) order.
+func refRecheckHits(q *Queue, store core.DynRef, addr uint64, size int) []int32 {
+	var hits []int32
+	if size == 0 || q.n == 0 {
+		return hits
 	}
-	clear(q.deferredAt)
+	base := q.seqs[q.head]
+	for l := max(store.Seq-base, 0); l < int64(q.n); l++ {
+		s := (q.head + int(l)) & q.ringMask()
+		cands := q.issued[s] &^ q.stores[s]
+		if base+l == store.Seq {
+			cands = cands.Above(int(store.LSID))
+		}
+		for m := cands; !m.Empty(); m &= m - 1 {
+			i := m.Min()
+			f := s*opStride + i
+			if overlap(q.addr[f], int(q.size[f]), addr, size) {
+				hits = append(hits, int32(l*opStride+int64(i)))
+			}
+		}
+	}
+	return hits
+}
+
+// refTwin runs rescanning versions of the event-driven queries on a second
+// queue, kept as the reference the differential test compares against:
+//   - the deferred list as a full rescan keeps it: a load gets an entry
+//     whenever it parks while not parked, and a pass re-runs the policy
+//     check for every entry whose load is still parked and resident, in
+//     list order, and drops the others;
+//   - certification as the per-candidate walk (refCertifiable) over every
+//     candidate in arrival order, behind the same certDirty gate;
+//   - forwarding with every block summary saturated.
+//
+// Everything else is the queue's own code, whose wake-up bookkeeping the
+// twin never consults.
+type refTwin struct {
+	*Queue
+	deferred []core.DynRef
+}
+
+// unfilter saturates every store summary, so reconstruct walks every
+// block for the next operation as the unfiltered search did.
+func (r *refTwin) unfilter() {
+	for s := range r.swords {
+		r.swords[s] = ^uint64(0)
+	}
+}
+
+func (r *refTwin) LoadTry(now int64, k core.DynRef, addr uint64, tag core.Tag) LoadResult {
+	s, op := r.opSlot(k)
+	was := s >= 0 && r.parked[s].Test(op)
+	res := r.Queue.LoadTry(now, k, addr, tag)
+	if s >= 0 && !was && r.parked[s].Test(op) {
+		r.deferred = append(r.deferred, k)
+	}
+	return res
+}
+
+func (r *refTwin) HasReadyWork() bool {
+	return (r.dirty || r.mshrWait) && len(r.deferred) > 0
+}
+
+func (r *refTwin) TakeReady(now int64) []ReadyLoad {
+	if !r.HasReadyWork() {
+		r.dirty = false
+		return nil
+	}
+	r.dirty, r.mshrWait = false, false
+	var out []ReadyLoad
+	kept := r.deferred[:0]
+	for _, k := range r.deferred {
+		s, op := r.opSlot(k)
+		if s < 0 || !r.parked[s].Test(op) {
+			continue
+		}
+		res := r.tryIssue(now, k, s, op)
+		if res.Deferred {
+			kept = append(kept, k)
+			continue
+		}
+		out = append(out, ReadyLoad{Load: k, Addr: r.addr[s*opStride+op], Res: res})
+	}
+	r.deferred = kept
+	return out
+}
+
+func (r *refTwin) TakeCertifiable() []CertifiedLoad {
+	if r.nCand == 0 || !r.certDirty {
+		return nil
+	}
+	r.certDirty = false
+	var cands []core.DynRef
+	for l := 0; l < r.n; l++ {
+		s := (r.head + l) & r.ringMask()
+		for m := r.inputsCom[s] &^ r.certified[s]; !m.Empty(); m &= m - 1 {
+			cands = append(cands, core.DynRef{Seq: r.seqs[s], LSID: int8(m.Min())})
+		}
+	}
+	slices.SortFunc(cands, func(a, b core.DynRef) int {
+		sa, oa := r.opSlot(a)
+		sb, ob := r.opSlot(b)
+		return cmp.Compare(r.stamp[sa*opStride+oa], r.stamp[sb*opStride+ob])
+	})
+	out := refCertifiable(r.Queue, cands)
+	for _, c := range out {
+		s, op := r.opSlot(c.Load)
+		r.certified[s].Set(op)
+		r.nCand--
+	}
+	return out
+}
+
+func (r *refTwin) SquashFrom(seq int64) {
+	r.Queue.SquashFrom(seq)
+	r.deferred = slices.DeleteFunc(r.deferred, func(k core.DynRef) bool { return k.Seq >= seq })
 }
 
 // pairDriver applies one random protocol-respecting operation stream to
-// the queue under test and to a reference twin that is unfiltered before
-// every operation, and requires both to return the same violations, load
-// results, ready and certified lists and statistics after every step.
-// Unlike the certification driver it embeds, it advances time slowly, so
-// misses exhaust the MSHRs.
+// the queue under test and to a reference twin, and requires both to
+// return the same violations, load results, ready and certified lists,
+// readiness and statistics after every step, the re-check's index lookup
+// to match the full walk, and every wait list and word index to hold
+// exactly what it should.  Unlike the certification driver it embeds, it
+// advances time slowly, so misses exhaust the MSHRs.
 type pairDriver struct {
 	certDriver
-	ref      *Queue
+	ref      *refTwin
 	policy   core.IssuePolicy
 	words    map[core.DynRef]uint64 // words of every address each op was given
 	counts   map[string]int         // events seen, for the vacuity check
@@ -119,7 +232,7 @@ func newPairDriver(t *testing.T, policy core.IssuePolicy, blocks int, seed int64
 		}
 		return New(Config{Policy: policy}, m, h, &core.TagSource{}, ss, nil)
 	}
-	d.q, d.ref = build(), build()
+	d.q, d.ref = build(), &refTwin{Queue: build()}
 	return d
 }
 
@@ -201,7 +314,7 @@ func (d *pairDriver) register() {
 			deps[i] = stores[rng.Intn(len(stores))]
 		}
 	}
-	for _, x := range []*Queue{q, d.ref} {
+	for _, x := range []*Queue{q, d.ref.Queue} {
 		x.RegisterBlock(seq, ops)
 		if d.policy != core.IssueOracle {
 			continue
@@ -227,7 +340,7 @@ func (d *pairDriver) squash(cut int64) {
 func (d *pairDriver) step() {
 	q, rng := d.q, d.rng
 	isStore := func(s, op int) bool { return q.stores[s].Test(op) }
-	unfilter(d.ref)
+	d.ref.unfilter()
 	switch r := rng.Intn(100); {
 	case r < 12:
 		d.register()
@@ -244,6 +357,7 @@ func (d *pairDriver) step() {
 		}
 		data, addrCom, dataCom := rng.Int63n(4), rng.Intn(2) == 0, rng.Intn(4) == 0
 		d.words[k] |= wordBits(addr, int(q.size[f]))
+		d.sameHits(k, addr, int(q.size[f]))
 		got := append([]Violation(nil), q.StoreUpdate(k, addr, data, 0, addrCom, dataCom)...)
 		want := d.ref.StoreUpdate(k, addr, data, 0, addrCom, dataCom)
 		d.same("StoreUpdate "+k.String()+" violations", got, append([]Violation(nil), want...))
@@ -284,7 +398,8 @@ func (d *pairDriver) step() {
 		}
 	case r < 70:
 		// Not for a load parked with its issued bit set: certification
-		// would see its new address with its old value.
+		// would see its new address with its old value
+		// (TestCertifyParkedIssuedLoadAtNewAddress pins that).
 		k, ok := d.pick(func(s, op int) bool {
 			return !isStore(s, op) && !q.inputsCom[s].Test(op) && !(q.parked[s].Test(op) && q.issued[s].Test(op))
 		})
@@ -295,7 +410,7 @@ func (d *pairDriver) step() {
 	case r < 81:
 		d.tick()
 		got := q.TakeReady(d.now, nil)
-		d.same("TakeReady", got, d.ref.TakeReady(d.now, nil))
+		d.same("TakeReady", got, d.ref.TakeReady(d.now))
 		d.counts["ready"] += len(got)
 	case r < 82: // a violating load is flushed: guard it and squash its block
 		k, ok := d.pick(func(s, op int) bool { return !isStore(s, op) && q.issued[s].Test(op) })
@@ -318,57 +433,213 @@ func (d *pairDriver) step() {
 		d.same("Drain writes", q.Drain(seq), d.ref.Drain(seq))
 	default:
 		got := q.TakeCertifiable(nil)
-		d.same("TakeCertifiable", got, d.ref.TakeCertifiable(nil))
+		d.same("TakeCertifiable", got, d.ref.TakeCertifiable())
 		d.counts["certified"] += len(got)
 	}
 	d.same("Stats", q.Stats, d.ref.Stats)
+	d.same("HasReadyWork", q.HasReadyWork(), d.ref.HasReadyWork())
+	d.same("deferred-list entries", q.nEntries, len(d.ref.deferred))
 	if q.ss != nil {
 		d.same("store-set state", *q.ss, *d.ref.ss)
 	}
 	d.checkSummaries()
+	d.checkLinks()
+	if len(q.dups) > 0 {
+		d.counts["duplicate entries"]++
+	}
+	if len(q.orphans) > 0 {
+		d.counts["drained entries"]++
+	}
 	d.maxDepth = max(d.maxDepth, q.n)
 }
 
-// checkSummaries requires each block's summaries to be exactly the words
-// of the addresses its loads and stores were given since registration,
-// and the forwarding walk to agree with the reference walk for every
-// resident load at its current address.
+// checkSummaries requires each block's store summary to be exactly the
+// words of the addresses its stores were given since registration, the
+// forwarding walk to agree with the reference walk for every resident
+// load at its current address, and the re-check's index lookup to agree
+// with the full walk at every executed store's address.
 func (d *pairDriver) checkSummaries() {
 	q := d.q
 	for l := 0; l < q.n; l++ {
 		s := (q.head + l) & q.ringMask()
-		var lw, sw uint64
+		var sw uint64
 		for op := 0; op < int(q.nops[s]); op++ {
 			k := core.DynRef{Seq: q.seqs[s], LSID: int8(op)}
+			f := s*opStride + op
+			addr, size := q.addr[f], int(q.size[f])
 			if q.stores[s].Test(op) {
 				sw |= d.words[k]
+				if q.exec[s].Test(op) {
+					d.sameHits(k, addr, size)
+				}
 				continue
 			}
-			lw |= d.words[k]
-			f := s*opStride + op
 			if !q.exec[s].Test(op) {
 				continue
 			}
-			addr, size := q.addr[f], int(q.size[f])
 			gv, gf := q.reconstruct(k, addr, size)
 			wv, wf := refReconstruct(q, k, addr, size)
 			if gv != wv || gf != wf {
 				d.t.Fatalf("reconstruct %s = (%d, %d bytes), reference (%d, %d bytes)", k, gv, gf, wv, wf)
 			}
 		}
-		if q.lwords[s] != lw || q.swords[s] != sw {
-			d.t.Fatalf("block %d summaries loads %#x stores %#x, want %#x %#x", q.seqs[s], q.lwords[s], q.swords[s], lw, sw)
+		if q.swords[s] != sw {
+			d.t.Fatalf("block %d store summary %#x, want %#x", q.seqs[s], q.swords[s], sw)
 		}
 	}
 }
 
-// TestSearchesMatchUnfilteredReference: the summary-filtered violation
-// re-check and forwarding walk and the epoch-gated re-evaluation of parked
-// loads behave exactly like the unfiltered searches, under every issue
-// policy, with re-executing loads, exhausted MSHRs, guarded replays,
-// squashes and drains.
+// sameHits requires the load word index to yield exactly the loads the
+// full walk finds for a re-check of [addr, addr+size) by store k.
+func (d *pairDriver) sameHits(k core.DynRef, addr uint64, size int) {
+	d.t.Helper()
+	got := slices.Clone(d.q.recheckHits(k, addr, size))
+	if want := refRecheckHits(d.q, k, addr, size); !slices.Equal(got, want) {
+		d.t.Fatalf("re-check of %#x+%d by %s: index %v, walk %v", addr, size, k, got, want)
+	}
+}
+
+// checkLinks requires the wake-up structures to hold exactly what they
+// should: each word index every member op under each of its words, youngest
+// first, and nothing else; each store's wait lists only loads that wait on
+// it, and only while it can still lift their wait; every certification
+// candidate woken, waiting on a store, or waiting for its own issue; and the
+// deferred-list entries, counted and ordered, as the reference list holds
+// them.
+func (d *pairDriver) checkLinks() {
+	q := d.q
+	d.checkIndex("load", &q.loadIdx, func(s, op int) bool { return !q.stores[s].Test(op) && q.exec[s].Test(op) })
+	d.checkIndex("store", &q.storeIdx, func(s, op int) bool {
+		return q.stores[s].Test(op) && q.exec[s].Test(op) && !q.null[s].Test(op) && !q.committed[s].Test(op)
+	})
+	waiting, linked, waitEnt := 0, 0, 0
+	var ents []parkEntry
+	for l := 0; l < q.n; l++ {
+		s := (q.head + l) & q.ringMask()
+		for op := 0; op < int(q.nops[s]); op++ {
+			f := s*opStride + op
+			k := core.DynRef{Seq: q.seqs[s], LSID: int8(op)}
+			if q.stores[s].Test(op) {
+				for kind, live := range []bool{!q.exec[s].Test(op), !q.committed[s].Test(op)} {
+					prev := int32(f + 1)
+					for n := q.wait[f][kind].next; n != 0; n = q.wait[n-1][kind].next {
+						if !live {
+							d.t.Fatalf("%s has wait list %d after it can no longer block", k, kind)
+						}
+						fl := int(n - 1)
+						if q.wait[fl][kind].prev != prev {
+							d.t.Fatalf("wait list %d of %s: broken back link at %s", kind, k, q.keyAt(fl))
+						}
+						prev = n
+						ls, lop := fl/opStride, fl%opStride
+						if kind == int(waitIssue) && !q.waiting[ls].Test(lop) ||
+							kind == int(waitCert) && (!q.inputsCom[ls].Test(lop) || q.certified[ls].Test(lop) || q.certWoken[ls].Test(lop) || !q.issued[ls].Test(lop)) {
+							d.t.Fatalf("%s on wait list %d of %s in the wrong state", q.keyAt(fl), kind, k)
+						}
+						if kind == int(waitIssue) {
+							waiting++
+						} else {
+							linked++
+						}
+					}
+				}
+				continue
+			}
+			if q.waiting[s].Test(op) {
+				waiting--
+				waitEnt += int(q.nEnt[f])
+			}
+			if q.inputsCom[s].Test(op) && !q.certified[s].Test(op) && q.wait[f][waitCert].prev != 0 {
+				linked--
+			}
+			if q.nEnt[f] > 0 {
+				ents = append(ents, parkEntry{k, q.ppos[f]})
+			}
+		}
+	}
+	if waiting != 0 || linked != 0 {
+		d.t.Fatalf("wait lists hold %d loads more than are waiting, %d more than are linked", waiting, linked)
+	}
+	if waitEnt != q.nWaitEnt {
+		d.t.Fatalf("waiting loads have %d entries, counted %d", waitEnt, q.nWaitEnt)
+	}
+	ents = append(ents, q.dups...)
+	slices.SortFunc(ents, func(a, b parkEntry) int { return cmp.Compare(a.pos, b.pos) })
+	var got, want []core.DynRef
+	for _, e := range ents {
+		got = append(got, e.k)
+	}
+	orphans := 0
+	for _, k := range d.ref.deferred {
+		if s, _ := q.opSlot(k); s >= 0 {
+			want = append(want, k)
+		} else {
+			orphans++
+		}
+	}
+	d.same("deferred-list entries in park order", got, want)
+	n := 0
+	for _, o := range q.orphans {
+		n += o.n
+	}
+	d.same("drained blocks' entries", n, orphans)
+}
+
+// checkIndex requires x to file exactly the resident ops member reports,
+// each under every word its byte range touches, with chains in bucket
+// order, youngest first, and back links intact.
+func (d *pairDriver) checkIndex(name string, x *wordIndex, member func(s, op int) bool) {
+	q := d.q
+	filed := 0
+	for b, h := range x.heads {
+		prev := -int32(b + 1)
+		for n := h; n != 0; {
+			f := nodeFlat(n)
+			s, op := f/opStride, f%opStride
+			if (s-q.head)&q.ringMask() >= q.n || op >= int(q.nops[s]) || !member(s, op) {
+				d.t.Fatalf("%s index files flat op %d, not a member", name, f)
+			}
+			k := q.keyAt(f)
+			w0, w1 := opWords(q.addr[f], int(q.size[f]))
+			w := w0
+			if n&1 == 1 {
+				w = w1
+			}
+			lk := q.word[f][n&1]
+			if x.bucket(w) != b || lk.prev != prev || prev > 0 && q.age(nodeFlat(prev)) < q.age(f) {
+				d.t.Fatalf("%s index: %s misfiled in bucket %d", name, k, b)
+			}
+			prev, n = n, lk.next
+			filed++
+		}
+	}
+	want := 0
+	for l := 0; l < q.n; l++ {
+		s := (q.head + l) & q.ringMask()
+		for op := 0; op < int(q.nops[s]); op++ {
+			if member(s, op) {
+				f := s*opStride + op
+				if w0, w1 := opWords(q.addr[f], int(q.size[f])); w0 != w1 {
+					want++
+				}
+				want++
+			}
+		}
+	}
+	if filed != want {
+		d.t.Fatalf("%s index files %d nodes, want %d", name, filed, want)
+	}
+}
+
+// TestSearchesMatchUnfilteredReference: the indexed violation re-check,
+// the summary-filtered forwarding walk, the wake-up passes over parked
+// loads and the wake-up certification scans behave exactly like the
+// rescanning searches they replaced, under every issue policy, with
+// re-executing loads, exhausted MSHRs, guarded replays, squashes and
+// drains.
 func TestSearchesMatchUnfilteredReference(t *testing.T) {
 	policies := []core.IssuePolicy{core.IssueAggressive, core.IssueConservative, core.IssueStoreSet, core.IssueOracle}
+	seen := make(map[string]int)
 	for _, blocks := range []int{8, 32} {
 		for _, policy := range policies {
 			for seed := int64(1); seed <= 3; seed++ {
@@ -389,8 +660,19 @@ func TestSearchesMatchUnfilteredReference(t *testing.T) {
 						t.Errorf("window reached %d blocks, want %d", d.maxDepth, blocks)
 					}
 					t.Logf("%v", d.counts)
+					for c, n := range d.counts {
+						seen[c] += n
+					}
 				})
 			}
+		}
+	}
+	// Rare states each sequence need not reach, but the matrix must: a
+	// load holding several deferred-list entries, and a drained block's
+	// entries awaiting a pass.
+	for _, c := range []string{"duplicate entries", "drained entries"} {
+		if seen[c] == 0 {
+			t.Errorf("no %s in any sequence; the comparison is vacuous", c)
 		}
 	}
 }
@@ -415,5 +697,42 @@ func TestViolatingStoreUpdateAllocatesNothing(t *testing.T) {
 	update()
 	if allocs := testing.AllocsPerRun(100, update); allocs != 0 {
 		t.Errorf("violating StoreUpdate allocates %.1f times per call, want 0", allocs)
+	}
+}
+
+// TestWakeUpCycleAllocatesNothing: once warmed, a block whose load parks
+// on an older store, becomes a certification candidate, is woken by the
+// store's execution, issues, certifies and drains allocates nothing: the
+// wait lists, word indexes and wake lists reuse their storage.
+func TestWakeUpCycleAllocatesNothing(t *testing.T) {
+	q, _, _ := newQueue(t, core.IssueConservative, nil, nil)
+	seq := int64(0)
+	ready := make([]ReadyLoad, 0, 4)
+	certs := make([]CertifiedLoad, 0, 4)
+	cycle := func() {
+		regBlock(q, seq, OpInfo{IsStore: true}, OpInfo{})
+		st, ld := core.DynRef{Seq: seq, LSID: 0}, core.DynRef{Seq: seq, LSID: 1}
+		if r := q.LoadTry(seq, ld, 0x100, 0); r.Reason != DeferPolicy {
+			t.Fatalf("load %+v, want a policy deferral", r)
+		}
+		q.LoadInputsCommitted(ld)
+		if certs = q.TakeCertifiable(certs[:0]); len(certs) != 0 {
+			t.Fatal("an unissued load certified")
+		}
+		q.StoreUpdate(st, 0x200, seq, 0, true, true)
+		if ready = q.TakeReady(seq, ready[:0]); len(ready) != 1 {
+			t.Fatalf("woken pass issued %d loads, want 1", len(ready))
+		}
+		if certs = q.TakeCertifiable(certs[:0]); len(certs) != 1 {
+			t.Fatalf("certified %d loads, want 1", len(certs))
+		}
+		q.Drain(seq)
+		seq++
+	}
+	for i := 0; i < 64; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+		t.Errorf("park/wake/certify/drain cycle allocates %.1f times, want 0", allocs)
 	}
 }

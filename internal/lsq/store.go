@@ -24,6 +24,10 @@ func (q *Queue) StoreUpdate(k core.DynRef, addr uint64, data int64, tag core.Tag
 	first := !q.exec[s].Test(op)
 	oldAddr, oldSize := q.addr[f], int(q.size[f])
 	wasLive := q.exec[s].Test(op) && !q.null[s].Test(op)
+	wasFinal := wasLive && q.addrCom[s].Test(op)
+	if oldAddr != addr {
+		q.unindex(&q.storeIdx, f) // filed under the old address
+	}
 	q.exec[s].Set(op)
 	q.null[s].Clear(op)
 	q.addr[f] = addr
@@ -39,8 +43,18 @@ func (q *Queue) StoreUpdate(k core.DynRef, addr uint64, data int64, tag core.Tag
 	if q.addrCom[s].Test(op) && q.dataCom[s].Test(op) {
 		q.markStoreCommitted(s, op)
 	}
+	if !q.committed[s].Test(op) && !q.indexed(f) {
+		q.index(&q.storeIdx, f)
+	}
+	q.noteBarrier(s)
 	if first {
 		q.storeDone(k, f)
+	}
+	if oldAddr != addr || !wasFinal && q.addrCom[s].Test(op) {
+		// Its waiters see it move or its address become final; new data
+		// alone unblocks nothing, and markStoreCommitted wakes them on
+		// commit.
+		q.wakeCertWaiters(f)
 	}
 	q.dirty = true
 	q.certDirty = true
@@ -60,14 +74,14 @@ func (q *Queue) StoreUpdate(k core.DynRef, addr uint64, data int64, tag core.Tag
 }
 
 // storeDone accounts a store's first execution (or nullification): it
-// counts the store, retires it from the store-set LFST, and advances the
-// epoch that lets parked loads be re-evaluated.
+// counts the store, retires it from the store-set LFST, and wakes the
+// loads parked on it.
 func (q *Queue) storeDone(k core.DynRef, f int) {
 	q.Stats.Stores++
-	q.storeExecs++
 	if q.ss != nil {
 		q.ss.StoreDone(q.pc[f], k)
 	}
+	q.wakeIssueWaiters(f)
 }
 
 // StoreNullify records that a predicated store resolved to not execute.
@@ -85,6 +99,8 @@ func (q *Queue) StoreNullify(k core.DynRef) []Violation {
 	wasLive := q.exec[s].Test(op) && !q.null[s].Test(op)
 	q.exec[s].Set(op)
 	q.null[s].Set(op)
+	q.unindex(&q.storeIdx, f)
+	q.noteBarrier(s)
 	if first {
 		q.storeDone(k, f)
 	}
@@ -98,82 +114,79 @@ func (q *Queue) StoreNullify(k core.DynRef) []Violation {
 }
 
 // recheckLoads re-reconstructs every younger issued load overlapping
-// [addr, addr+size) and emits violations for those whose value changed.
-// Blocks whose load summary misses the store's address words hold no load
-// the store can overlap and are skipped.  Candidate loads per block are one
-// mask expression (issued, not a store, younger than the store in its own
-// block); the walk touches only set bits in ascending (violation-report)
-// order.
+// [addr, addr+size) and emits violations for those whose value changed,
+// in (seq, LSID) order.
 func (q *Queue) recheckLoads(store core.DynRef, addr uint64, size int, vs []Violation) []Violation {
-	if size == 0 {
+	hits := q.recheckHits(store, addr, size)
+	if len(hits) == 0 {
 		return vs
 	}
-	words := wordBits(addr, size)
 	ss, sop := q.opSlot(store)
 	sf := ss*opStride + sop
 	storePC, storeTag := q.pc[sf], q.tag[sf]
-	base := q.seqs[q.head]
-	start := store.Seq - base
-	if start < 0 {
-		start = 0
-	}
-	for l := q.firstHit(q.lwords, words, start); l < int64(q.n); l = q.firstHit(q.lwords, words, l+1) {
-		s := (q.head + int(l)) & q.ringMask()
-		cands := q.issued[s] &^ q.stores[s]
-		if base+l == store.Seq {
-			cands = cands.Above(int(store.LSID))
+	for _, a := range hits {
+		f := q.flatAt(int(a))
+		lk := q.keyAt(f)
+		v, _ := q.reconstruct(lk, q.addr[f], int(q.size[f]))
+		if v == q.data[f] {
+			continue
 		}
-		fb := s * opStride
-		for m := cands; !m.Empty(); {
-			i := m.Min()
-			m.Clear(i)
-			f := fb + i
-			if !overlap(q.addr[f], int(q.size[f]), addr, size) {
-				continue
-			}
-			lk := core.DynRef{Seq: base + l, LSID: int8(i)}
-			v, _ := q.reconstruct(lk, q.addr[f], int(q.size[f]))
-			if v == q.data[f] {
-				continue
-			}
-			if q.certified[s].Test(i) {
-				panic("lsq: certified load " + lk.String() + " violated by store " + store.String() + " (unsound certification)")
-			}
-			q.data[f] = v
-			q.tag[f] = q.tags.Next()
-			q.Stats.Violations++
-			if q.ss != nil {
-				q.ss.Violation(q.pc[f], storePC)
-			}
-			vs = append(vs, Violation{
-				Load:     lk,
-				Addr:     q.addr[f],
-				Value:    v,
-				Tag:      q.tag[f],
-				LoadPC:   q.pc[f],
-				StorePC:  storePC,
-				StoreTag: storeTag,
-			})
+		if q.certified[f/opStride].Test(f % opStride) {
+			panic("lsq: certified load " + lk.String() + " violated by store " + store.String() + " (unsound certification)")
 		}
+		q.data[f] = v
+		q.tag[f] = q.tags.Next()
+		q.Stats.Violations++
+		if q.ss != nil {
+			q.ss.Violation(q.pc[f], storePC)
+		}
+		vs = append(vs, Violation{
+			Load:     lk,
+			Addr:     q.addr[f],
+			Value:    v,
+			Tag:      q.tag[f],
+			LoadPC:   q.pc[f],
+			StorePC:  storePC,
+			StoreTag: storeTag,
+		})
 	}
 	return vs
 }
 
-// firstHit returns the first window position at or after l whose block
-// summary in sum intersects words, or q.n when none does.  It scans the
-// ring as at most two contiguous runs, so a skipped block costs one AND.
-func (q *Queue) firstHit(sum []uint64, words uint64, l int64) int64 {
-	for l < int64(q.n) {
-		s := (q.head + int(l)) & q.ringMask()
-		run := sum[s:min(len(sum), s+q.n-int(l))]
-		for i, w := range run {
-			if w&words != 0 {
-				return l + int64(i)
+// recheckHits returns the ages (see age) of the issued loads younger than
+// store that overlap [addr, addr+size), ascending.  The load word index
+// yields exactly the loads filed under the range's words, youngest first,
+// so each chain walk stops at the first load older than the store.
+func (q *Queue) recheckHits(store core.DynRef, addr uint64, size int) []int32 {
+	hits := q.hits[:0]
+	if size == 0 {
+		return hits
+	}
+	q.work.Rechecks++
+	ss, sop := q.opSlot(store)
+	sAge := q.age(ss*opStride + sop)
+	w0, w1 := opWords(addr, size)
+	for w := w0; ; w = w1 {
+		for n := q.loadIdx.chain(w); n != 0; {
+			f, match, next := q.nodeOp(n, w)
+			q.work.RecheckVisits++
+			a := q.age(f)
+			if a < sAge {
+				break // the rest are older than the store
+			}
+			n = next
+			if match && q.issued[f/opStride].Test(f%opStride) && overlap(q.addr[f], int(q.size[f]), addr, size) {
+				hits = append(hits, int32(a))
 			}
 		}
-		l += int64(len(run))
+		if w == w1 {
+			break
+		}
 	}
-	return int64(q.n)
+	slices.Sort(hits)
+	hits = slices.Compact(hits) // a load spanning both words is filed under each
+	q.hits = hits
+	return hits
 }
 
 // lastHit returns the last window position at or before l whose block
@@ -278,6 +291,10 @@ func (q *Queue) markStoreCommitted(s, op int) {
 	q.committed[s].Set(op)
 	q.addrCom[s].Set(op)
 	q.dataCom[s].Set(op)
+	f := s*opStride + op
+	q.unindex(&q.storeIdx, f)
+	q.noteBarrier(s)
+	q.wakeCertWaiters(f)
 	q.dirty = true
 	q.certDirty = true
 }
@@ -319,6 +336,15 @@ func (q *Queue) Drain(seq int64) int {
 		writes++
 	}
 	q.guard = slices.DeleteFunc(q.guard, func(k core.DynRef) bool { return k.Seq <= seq })
+	for m := q.stores[s] &^ q.committed[s]; !m.Empty(); m &= m - 1 {
+		q.wakeCertWaiters(fb + m.Min()) // a committed store woke its own
+	}
+	// The block's deferred-list entries stay counted until the next pass
+	// drops them.
+	if n := q.release(s); n > 0 {
+		q.orphans = append(q.orphans, orphan{seq, n})
+		q.dups = slices.DeleteFunc(q.dups, func(e parkEntry) bool { return e.k.Seq == seq })
+	}
 	q.resident -= int(q.nops[s])
 	q.nCand -= (q.inputsCom[s] &^ q.certified[s]).Count()
 	q.head = (q.head + 1) & q.ringMask()

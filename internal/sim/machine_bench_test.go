@@ -10,8 +10,9 @@ import (
 )
 
 // benchMachine is the shared body of the throughput benchmarks: one kernel
-// at one size, event-driven or dense reference ticking, optionally on a
-// reshaped machine, reporting simulated megacycles per wall second (the
+// at one size under aggressive issue and DSRE, event-driven or dense
+// reference ticking, optionally on a reshaped machine (shape may also
+// change the scheme), reporting simulated megacycles per wall second (the
 // headline CI tracks) alongside the per-run counters.
 func benchMachine(b *testing.B, kernel string, size int, dense bool, shape func(*Config)) {
 	w := workload.MustBuild(kernel, workload.Params{Size: size})
@@ -54,6 +55,21 @@ func BenchmarkMachine(b *testing.B) {
 	// depth, which the default 8-frame machine cannot show.
 	b.Run("stencil/frames=32", func(b *testing.B) {
 		benchMachine(b, "stencil", 256, false, func(c *Config) {
+			c.Frames, c.GridWidth, c.GridHeight = 32, 8, 8
+		})
+	})
+	// Twice that window, at a size where it turns over, guards the claim
+	// that per-event host cost does not grow with window depth.
+	b.Run("stencil/frames=64", func(b *testing.B) {
+		benchMachine(b, "stencil", 1024, false, func(c *Config) {
+			c.Frames, c.GridWidth, c.GridHeight = 64, 8, 8
+		})
+	})
+	// Aggressive issue never parks a load by policy; store-set issue at
+	// the wide window keeps hundreds of loads parked on stores.
+	b.Run("histogram/storeset/frames=32", func(b *testing.B) {
+		benchMachine(b, "histogram", 1024, false, func(c *Config) {
+			c.Policy, c.Recovery = core.IssueStoreSet, core.RecoverFlush
 			c.Frames, c.GridWidth, c.GridHeight = 32, 8, 8
 		})
 	})
