@@ -119,10 +119,10 @@ func (h *Hist) String() string {
 	return sb.String()
 }
 
-// histJSON is the wire form of Hist: raw moments plus derived percentiles
+// HistWire is the wire form of Hist: raw moments plus derived percentiles
 // (emitted for consumers, ignored on decode) and the non-empty buckets by
 // their lower edge.
-type histJSON struct {
+type HistWire struct {
 	N       int64        `json:"n"`
 	Sum     int64        `json:"sum"`
 	Max     int64        `json:"max"`
@@ -130,10 +130,11 @@ type histJSON struct {
 	P50     int64        `json:"p50"`
 	P90     int64        `json:"p90"`
 	P99     int64        `json:"p99"`
-	Buckets []histBucket `json:"buckets,omitempty"`
+	Buckets []HistBucket `json:"buckets,omitempty"`
 }
 
-type histBucket struct {
+// HistBucket is one non-empty bucket of a HistWire.
+type HistBucket struct {
 	Lo    int64 `json:"lo"`
 	Count int64 `json:"count"`
 }
@@ -141,7 +142,7 @@ type histBucket struct {
 // MarshalJSON emits the histogram with derived percentiles and sparse
 // buckets, keyed by each bucket's lower edge.
 func (h *Hist) MarshalJSON() ([]byte, error) {
-	out := histJSON{
+	out := HistWire{
 		N: h.N, Sum: h.Sum, Max: h.Max, Mean: h.Mean(),
 		P50: h.Percentile(50), P90: h.Percentile(90), P99: h.Percentile(99),
 	}
@@ -150,20 +151,16 @@ func (h *Hist) MarshalJSON() ([]byte, error) {
 			continue
 		}
 		lo, _ := bucketBounds(i)
-		out.Buckets = append(out.Buckets, histBucket{Lo: lo, Count: c})
+		out.Buckets = append(out.Buckets, HistBucket{Lo: lo, Count: c})
 	}
 	return json.Marshal(out)
 }
 
-// UnmarshalJSON restores the raw histogram state; derived fields in the
-// input are ignored and recomputed on demand.
-func (h *Hist) UnmarshalJSON(data []byte) error {
-	var in histJSON
-	if err := json.Unmarshal(data, &in); err != nil {
-		return err
-	}
-	*h = Hist{N: in.N, Sum: in.Sum, Max: in.Max}
-	for _, b := range in.Buckets {
+// SetWire restores the raw histogram state from its wire form; the derived
+// fields are ignored and recomputed on demand.
+func (h *Hist) SetWire(w *HistWire) {
+	*h = Hist{N: w.N, Sum: w.Sum, Max: w.Max}
+	for _, b := range w.Buckets {
 		i := 0
 		if b.Lo > 1 {
 			i = bits.Len64(uint64(b.Lo)) - 1
@@ -173,6 +170,15 @@ func (h *Hist) UnmarshalJSON(data []byte) error {
 		}
 		h.Buckets[i] += b.Count
 	}
+}
+
+// UnmarshalJSON restores the raw histogram state through SetWire.
+func (h *Hist) UnmarshalJSON(data []byte) error {
+	var w HistWire
+	if err := json.Unmarshal(data, &w); err != nil {
+		return err
+	}
+	h.SetWire(&w)
 	return nil
 }
 

@@ -102,14 +102,7 @@ func (s JobSpec) Validate() error {
 	if s.Workload == "" {
 		return fmt.Errorf("sweep: spec has no workload (have %v)", repro.Workloads())
 	}
-	found := false
-	for _, w := range repro.Workloads() {
-		if w == s.Workload {
-			found = true
-			break
-		}
-	}
-	if !found {
+	if !repro.KnownWorkload(s.Workload) {
 		return fmt.Errorf("sweep: unknown workload %q (have %v)", s.Workload, repro.Workloads())
 	}
 	if s.Size < 0 || s.Unroll < 0 {

@@ -90,8 +90,8 @@ type DirStore struct {
 	dir string
 
 	// onCorrupt, when set, observes every record rejected by payload
-	// verification (the structured store_corrupt event).  Verification
-	// failures are still just misses; the hook is observability, not
+	// verification or decoding (the structured store_corrupt event).
+	// Rejections are still just misses; the hook is observability, not
 	// control flow.
 	onCorrupt func(hash, detail string)
 }
@@ -119,11 +119,13 @@ func (st *DirStore) objectPath(hash string) string {
 	return filepath.Join(st.dir, "objects", hash[:2], hash+".json")
 }
 
-// read loads and verifies the object for a hash.  A missing object, a
-// foreign or stale header and an undecodable payload are a plain miss (nil,
-// ""); a payload whose bytes do not match the header's digest is a miss
-// that returns the corruption detail.  The digest is taken over the stored
-// bytes in place, so verifying needs no re-encoding.
+// read loads and verifies the object for a hash.  A missing object and a
+// header that does not decode or names another schema, hash or simulator
+// version are a plain miss (nil, ""): nothing in them lies, they are just
+// not what this build addresses.  A payload whose bytes do not match the
+// header's digest, or that matches it but does not decode, is a miss that
+// returns the detail.  The digest is taken over the stored bytes in place,
+// so verifying needs no re-encoding.
 func (st *DirStore) read(hash string) (*Record, string) {
 	data, err := os.ReadFile(st.objectPath(hash))
 	if err != nil {
@@ -134,7 +136,7 @@ func (st *DirStore) read(hash string) (*Record, string) {
 		return nil, ""
 	}
 	var hdr recordHeader
-	if err := json.Unmarshal(line, &hdr); err != nil {
+	if err := headerCodec.decode(line, &hdr); err != nil {
 		return nil, ""
 	}
 	if hdr.Schema != RecordSchema || hdr.Hash != hash || hdr.SimVersion != sim.Version {
@@ -145,8 +147,8 @@ func (st *DirStore) read(hash string) (*Record, string) {
 		return nil, fmt.Sprintf("sweep: record %s payload hash %s, sealed %s", hash, sum, hdr.PayloadSHA256)
 	}
 	var rep telemetry.Report
-	if err := json.Unmarshal(payload, &rep); err != nil {
-		return nil, ""
+	if err := reportCodec.decode(payload, &rep); err != nil {
+		return nil, fmt.Sprintf("sweep: record %s payload matches its digest but does not decode: %v", hash, err)
 	}
 	return &Record{
 		Schema:        hdr.Schema,
@@ -162,7 +164,8 @@ func (st *DirStore) read(hash string) (*Record, string) {
 // stale-versioned or old-layout record is a cache miss (nil, nil), never an
 // error: the engine recomputes and Put replaces the object, which is always
 // safe for a content-addressed key.  A record whose payload fails SHA-256
-// verification additionally reports through the OnCorrupt hook.
+// verification, or passes it but does not decode, additionally reports
+// through the OnCorrupt hook.
 func (st *DirStore) Get(hash string) (*Record, error) {
 	if !validHash(hash) {
 		return nil, fmt.Errorf("sweep: malformed hash %q", hash)

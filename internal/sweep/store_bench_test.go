@@ -2,8 +2,11 @@ package sweep
 
 import (
 	"context"
+	"encoding/json"
 	"os"
 	"testing"
+
+	"repro/internal/telemetry"
 )
 
 // realRecord runs one tiny-size simulation through the engine and returns
@@ -70,5 +73,23 @@ func BenchmarkStorePut(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
+	}
+}
+
+// BenchmarkDecodeReport is the decode step of a warm cache hit alone: one
+// real report's stored payload into a telemetry.Report.
+func BenchmarkDecodeReport(b *testing.B) {
+	payload, err := json.Marshal(realRecord(b).Report)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(payload)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var rep telemetry.Report
+		if err := reportCodec.decode(payload, &rep); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

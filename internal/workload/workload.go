@@ -113,6 +113,12 @@ func Names() []string {
 	return names
 }
 
+// Known reports whether name is a registered workload.
+func Known(name string) bool {
+	_, ok := registry[name]
+	return ok
+}
+
 // Analog returns the SPEC-class analog string for a workload name.
 func Analog(name string) string { return registry[name].analog }
 

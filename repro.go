@@ -215,6 +215,9 @@ func CanonicalScheme(name string) (string, error) {
 // Workloads returns the registered kernel names.
 func Workloads() []string { return workload.Names() }
 
+// KnownWorkload reports whether name is a registered kernel.
+func KnownWorkload(name string) bool { return workload.Known(name) }
+
 // WorkloadAnalog describes which SPEC-2000 class a kernel stands in for.
 func WorkloadAnalog(name string) string { return workload.Analog(name) }
 
