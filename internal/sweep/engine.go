@@ -216,12 +216,14 @@ func (e *Engine) Run(ctx context.Context, specs []JobSpec) (*Summary, error) {
 	// Hash everything up front: an unhashable spec is invalid and fails
 	// without occupying a worker, and duplicate hashes collapse onto one
 	// execution (distinct spellings of the same point are common — an
-	// explicit default equals the implied one).
+	// explicit default equals the implied one).  One keyer encodes each
+	// distinct machine configuration of the grid once.
 	type group struct{ indices []int }
 	groups := make(map[string]*group)
 	var order []string
+	keys := newKeyer()
 	for i, s := range specs {
-		h, err := s.Hash()
+		h, err := keys.hash(s)
 		if err == nil {
 			err = s.Validate()
 		}

@@ -17,6 +17,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"strconv"
 
 	"repro"
 	"repro/internal/sim"
@@ -125,6 +126,8 @@ func (s JobSpec) Validate() error {
 // simulator-version stamp, the canonical workload point, and the fully
 // canonical machine configuration (every default explicit).  Field order
 // is fixed by this struct — changing it invalidates every cache, so don't.
+// keyer writes json.Marshal of it field by field; TestHashEncodingMatchesJSON
+// holds the two equal and TestHashGoldenKeys pins the resulting keys.
 type hashPayload struct {
 	SimVersion  string     `json:"sim_version"`
 	Workload    string     `json:"workload"`
@@ -141,13 +144,44 @@ type hashPayload struct {
 // differ only in alias spelling or in explicitly-written default values
 // hash identically; any bump of sim.Version changes every hash.
 func (s JobSpec) Hash() (string, error) {
-	c, err := s.Canonical()
+	var k keyer
+	return k.hash(s)
+}
+
+// keyer computes cache keys.  The hashed bytes are exactly
+// json.Marshal(hashPayload): the machine configuration is encoded with
+// json.Marshal and the other fields are written around it.  A keyer made by
+// newKeyer encodes each distinct canonical machine configuration once, so
+// hashing a grid whose specs share a handful of machines costs one encoding
+// per machine; the zero keyer encodes every time.  A keyer is not safe for
+// concurrent use.
+type keyer struct {
+	machines map[sim.Config][]byte // nil: no memo
+	buf      []byte
+}
+
+func newKeyer() *keyer { return &keyer{machines: make(map[sim.Config][]byte)} }
+
+// hash returns s's content address (JobSpec.Hash).
+func (k *keyer) hash(s JobSpec) (string, error) {
+	b, err := k.encode(s)
 	if err != nil {
 		return "", err
 	}
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:]), nil
+}
+
+// encode returns the bytes hash takes SHA-256 of: json.Marshal of s's
+// hashPayload.  The slice is reused by the next call.
+func (k *keyer) encode(s JobSpec) ([]byte, error) {
+	c, err := s.Canonical()
+	if err != nil {
+		return nil, err
+	}
 	mc, err := c.Config().MachineConfig()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	p := hashPayload{
 		SimVersion:  sim.Version,
@@ -159,12 +193,54 @@ func (s JobSpec) Hash() (string, error) {
 		Machine:     mc.Canonical(),
 		SampleEvery: c.SampleEvery,
 	}
-	b, err := json.Marshal(&p)
-	if err != nil {
-		return "", fmt.Errorf("sweep: hash %s/%s: %w", s.Workload, s.Scheme, err)
+	machine, ok := k.machines[p.Machine]
+	if !ok {
+		if machine, err = json.Marshal(p.Machine); err != nil {
+			return nil, fmt.Errorf("sweep: hash %s/%s: %w", s.Workload, s.Scheme, err)
+		}
+		if k.machines != nil {
+			k.machines[p.Machine] = machine
+		}
 	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:]), nil
+	b := k.buf[:0]
+	if b == nil {
+		b = make([]byte, 0, len(machine)+256) // room for the other fields
+	}
+	b = append(b, `{"sim_version":`...)
+	b = appendJSONString(b, p.SimVersion)
+	b = append(b, `,"workload":`...)
+	b = appendJSONString(b, p.Workload)
+	b = append(b, `,"size":`...)
+	b = strconv.AppendInt(b, int64(p.Size), 10)
+	b = append(b, `,"unroll":`...)
+	b = strconv.AppendInt(b, int64(p.Unroll), 10)
+	b = append(b, `,"seed":`...)
+	b = strconv.AppendUint(b, p.Seed, 10)
+	b = append(b, `,"scheme":`...)
+	b = appendJSONString(b, p.Scheme)
+	b = append(b, `,"machine":`...)
+	b = append(b, machine...)
+	b = append(b, `,"sample_every":`...)
+	b = strconv.AppendInt(b, int64(p.SampleEvery), 10)
+	b = append(b, '}')
+	k.buf = b
+	return b, nil
+}
+
+// appendJSONString appends s as json.Marshal encodes it.  Printable ASCII
+// other than the bytes json.Marshal escapes ('"', '\\', and '<', '>', '&'
+// for HTML safety) is written as is; any other string is rare in a spec and
+// goes through json.Marshal.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always encodes
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 // Name renders the spec's human-readable identity for logs and manifests.

@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
+	"syscall"
 
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -87,7 +89,8 @@ func validHash(h string) bool {
 // nil), never an error, because the engine can always recompute a
 // content-addressed key.
 type DirStore struct {
-	dir string
+	dir     string
+	objects string // <dir>/objects/, the prefix of every object path
 
 	// onCorrupt, when set, observes every record rejected by payload
 	// verification or decoding (the structured store_corrupt event).
@@ -101,10 +104,11 @@ func OpenStore(dir string) (*DirStore, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("sweep: empty store directory")
 	}
-	if err := os.MkdirAll(filepath.Join(dir, "objects"), 0o755); err != nil {
+	objects := filepath.Join(dir, "objects")
+	if err := os.MkdirAll(objects, 0o755); err != nil {
 		return nil, fmt.Errorf("sweep: open store: %w", err)
 	}
-	return &DirStore{dir: dir}, nil
+	return &DirStore{dir: dir, objects: objects + string(filepath.Separator)}, nil
 }
 
 // Dir returns the store's root directory.
@@ -116,7 +120,52 @@ func (st *DirStore) Dir() string { return st.dir }
 func (st *DirStore) SetOnCorrupt(fn func(hash, detail string)) { st.onCorrupt = fn }
 
 func (st *DirStore) objectPath(hash string) string {
-	return filepath.Join(st.dir, "objects", hash[:2], hash+".json")
+	return st.objects + hash[:2] + string(filepath.Separator) + hash + ".json"
+}
+
+// readBufs holds the buffers objects are read into.  Nothing decoded from
+// an object aliases its buffer (the decoder copies every string out), so a
+// buffer goes back to the pool as soon as read returns.
+var readBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, 8<<10)
+	return &b
+}}
+
+// maxPooledRead bounds the buffers readBufs keeps: a rare large object (a
+// long sample series) is read into a buffer the GC takes back.
+const maxPooledRead = 64 << 10
+
+// readObject reads the file at path into buf[:0] with three system calls
+// for an object that fits the buffer: open, read and close (os.ReadFile
+// adds two fcntl calls around a failing poller registration, an fstat and a
+// second read to reach EOF).  A short read ending in a newline, the last
+// byte of every object, ends the file; any other short read reads again,
+// until a zero-byte read.  Were that newline not the file's end, the object
+// would fail its digest and read as a miss, never as a wrong result.
+func readObject(path string, buf []byte) ([]byte, error) {
+	fd, err := syscall.Open(path, syscall.O_RDONLY|syscall.O_CLOEXEC, 0)
+	if err != nil {
+		return buf, err
+	}
+	defer syscall.Close(fd)
+	buf = buf[:0]
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		free := buf[len(buf):cap(buf)]
+		n, err := syscall.Read(fd, free)
+		if err == syscall.EINTR {
+			continue
+		}
+		if err != nil {
+			return buf, err
+		}
+		buf = buf[:len(buf)+n]
+		if n == 0 || (n < len(free) && buf[len(buf)-1] == '\n') {
+			return buf, nil
+		}
+	}
 }
 
 // read loads and verifies the object for a hash.  A missing object and a
@@ -127,7 +176,12 @@ func (st *DirStore) objectPath(hash string) string {
 // returns the detail.  The digest is taken over the stored bytes in place,
 // so verifying needs no re-encoding.
 func (st *DirStore) read(hash string) (*Record, string) {
-	data, err := os.ReadFile(st.objectPath(hash))
+	bp := readBufs.Get().(*[]byte)
+	data, err := readObject(st.objectPath(hash), *bp)
+	if cap(data) <= maxPooledRead {
+		*bp = data
+		defer readBufs.Put(bp)
+	}
 	if err != nil {
 		return nil, ""
 	}

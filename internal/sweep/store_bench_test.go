@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"os"
+	"path/filepath"
 	"testing"
 
+	"repro"
 	"repro/internal/telemetry"
 )
 
@@ -52,16 +54,17 @@ func BenchmarkStoreGet(b *testing.B) {
 	}
 }
 
-// BenchmarkStorePut is one fresh write: seal, encode and atomically place a
-// record.  The object is removed between iterations (untimed) so every Put
-// writes.
+// BenchmarkStorePut is one fresh write as a cold sweep into a fresh store
+// makes it: probe, seal, encode, create the object's shard directory and
+// atomically place the record.  The shard directory is removed between
+// iterations (untimed) so every Put creates it and writes.
 func BenchmarkStorePut(b *testing.B) {
 	rec := realRecord(b)
 	st, err := OpenStore(b.TempDir())
 	if err != nil {
 		b.Fatal(err)
 	}
-	path := st.objectPath(rec.Hash)
+	shard := filepath.Dir(st.objectPath(rec.Hash))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -69,10 +72,50 @@ func BenchmarkStorePut(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StopTimer()
-		if err := os.Remove(path); err != nil {
+		if err := os.RemoveAll(shard); err != nil {
 			b.Fatal(err)
 		}
 		b.StartTimer()
+	}
+}
+
+// BenchmarkSpecHash is one spec's cache key through JobSpec.Hash, which
+// encodes the machine configuration afresh every call.
+func BenchmarkSpecHash(b *testing.B) {
+	spec := JobSpec{Workload: "histogram", Size: 128, Seed: 2, Scheme: "storeset+flush"}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := spec.Hash(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWarmPass is one whole warm pass: Engine.Run of a 42-spec tiny
+// grid (every kernel under three schemes) against a store a cold pass
+// filled, so it is keys, validation and 42 cache hits.
+func BenchmarkWarmPass(b *testing.B) {
+	var specs []JobSpec
+	for _, w := range repro.Workloads() {
+		for _, sc := range []string{"storeset+flush", "dsre", "oracle"} {
+			specs = append(specs, JobSpec{Workload: w, Size: tinySizes[w], Scheme: sc})
+		}
+	}
+	st, err := OpenStore(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := Options{Workers: 1, Store: st}
+	if sum, err := New(opts).Run(context.Background(), specs); err != nil || sum.OK != len(specs) {
+		b.Fatalf("cold pass: %v, %s", err, sum.FirstError())
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sum, err := New(opts).Run(context.Background(), specs)
+		if err != nil || sum.CacheHits != len(specs) {
+			b.Fatalf("warm pass: %v, %d of %d hits", err, sum.CacheHits, len(specs))
+		}
 	}
 }
 
