@@ -14,7 +14,6 @@
 //	dsre-bench -cache .dsre-cache  # reuse cached results across runs
 //	dsre-bench -progress       # per-simulation progress lines on stderr
 //	dsre-bench -cpuprofile cpu.pb.gz -memprofile mem.pb.gz
-//	dsre-bench -pprof localhost:6060   # live net/http/pprof listener
 //
 // Experiments run through the sweep engine (internal/sweep): the grid
 // points of each experiment execute on a bounded worker pool, one program
@@ -27,8 +26,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -40,7 +37,6 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/obs"
-	"repro/internal/obs/status"
 	"repro/internal/stats"
 	"repro/internal/sweep"
 )
@@ -76,8 +72,6 @@ func main() {
 	tolerance := flag.Float64("tolerance", 0.05, "relative IPC/speedup change -baseline accepts before exiting 3")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-	statusAddr := flag.String("status", "", "serve /metrics, /healthz, /progress and /debug/pprof on this address (empty disables)")
 	eventsPath := flag.String("events", "", "write a dsre-events/v4 JSONL lifecycle log to this path (empty disables)")
 	flag.Parse()
 
@@ -97,14 +91,6 @@ func main() {
 		}
 	}()
 
-	if *pprofAddr != "" {
-		go func() {
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				fmt.Fprintf(os.Stderr, "dsre-bench: pprof listener: %v\n", err)
-			}
-		}()
-		fmt.Printf("pprof listening on http://%s/debug/pprof/\n", *pprofAddr)
-	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
@@ -150,33 +136,16 @@ func main() {
 		opts.Progress = sweep.NewReporter(os.Stderr, *jobs)
 	}
 
-	// Observability (opt-in): one observer spans every experiment, so
-	// /metrics and the event log see the whole harness run as one sweep.
-	if *eventsPath != "" || *statusAddr != "" {
-		var sink obs.EventSink
-		if *eventsPath != "" {
-			f, err := os.Create(*eventsPath)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "dsre-bench: %v\n", err)
-				os.Exit(1)
-			}
-			defer f.Close()
-			sink = obs.NewJSONLSink(f)
-		}
-		opts.Obs = obs.NewSweepObs(time.Now(), sink, nil)
-	}
-	if *statusAddr != "" {
-		observer := opts.Obs
-		srv, err := status.Serve(*statusAddr, status.Options{
-			Registry: observer.Reg,
-			Progress: func() obs.ProgressView { return observer.Progress(time.Now()) },
-		})
+	// Observability (opt-in): one observer spans every experiment, so the
+	// event log sees the whole harness run as one sweep.
+	if *eventsPath != "" {
+		f, err := os.Create(*eventsPath)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "dsre-bench: %v\n", err)
 			os.Exit(1)
 		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "dsre-bench: status server on http://%s\n", srv.Addr())
+		defer f.Close()
+		opts.Obs = obs.NewSweepObs(time.Now(), obs.NewJSONLSink(f), nil)
 	}
 	eng := sweep.New(opts)
 	o := experiments.Opts{Quick: *quick, Ctx: ctx, Engine: eng}

@@ -1,6 +1,6 @@
 // Command dsre-lint runs the repository's static-analysis suite (package
 // internal/lint): determinism, confighash, statscoverage, exhaustive,
-// lockcheck, atomiccheck, ctxcheck and schemadrift.
+// lockcheck, ctxcheck and schemadrift.
 //
 // Usage:
 //

@@ -21,7 +21,7 @@ func fixture(name string) string {
 func TestViolationFixturesExitNonZero(t *testing.T) {
 	for _, name := range []string{
 		"determinism_bad", "confighash_bad", "statscoverage_bad", "exhaustive_bad",
-		"lockcheck_bad", "atomiccheck_bad", "ctxcheck_bad", "annotations_bad", "schemadrift_bad",
+		"lockcheck_bad", "ctxcheck_bad", "annotations_bad", "schemadrift_bad",
 	} {
 		t.Run(name, func(t *testing.T) {
 			var out bytes.Buffer
@@ -158,10 +158,10 @@ func TestFixReport(t *testing.T) {
 		t.Fatalf("exit code = %d, want 1\n%s", code, out.String())
 	}
 	s := out.String()
-	if !strings.Contains(s, "lockcheck") || !strings.Contains(s, "internal/obs/status") {
+	if !strings.Contains(s, "lockcheck") || !strings.Contains(s, "internal/sweep") {
 		t.Fatalf("report missing analyzer/package row:\n%s", s)
 	}
-	if !strings.Contains(s, "5 diagnostics in 1 packages") {
+	if !strings.Contains(s, "2 diagnostics in 1 packages") {
 		t.Fatalf("unexpected totals line:\n%s", s)
 	}
 

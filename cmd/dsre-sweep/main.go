@@ -27,11 +27,10 @@
 // in-flight jobs but still write the manifest, so a ^C'd (or batch-
 // scheduler-killed) sweep is resumable.
 //
-// Observability is opt-in: -status :9090 serves /metrics (Prometheus
-// text), /healthz, /progress (live JSON) and /debug/pprof; -events
-// sweep.events writes a dsre-events/v4 JSONL lifecycle log; -span-trace
-// sweep-trace.json exports per-job lifecycle spans as a Chrome trace with
-// one lane per worker (open in chrome://tracing or Perfetto).
+// Observability is opt-in: -events sweep.events writes a dsre-events/v4
+// JSONL lifecycle log; -span-trace sweep-trace.json exports per-job
+// lifecycle spans as a Chrome trace with one lane per worker (open in
+// chrome://tracing or Perfetto).
 package main
 
 import (
@@ -48,7 +47,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/obs/status"
 	"repro/internal/sweep"
 )
 
@@ -111,10 +109,8 @@ func main() {
 	manifest := flag.String("manifest", "sweep-manifest.json", "manifest output path (empty disables)")
 	reports := flag.String("reports", "", "directory for per-point dsre-report/v1 artifacts (empty disables)")
 	quiet := flag.Bool("q", false, "suppress per-job progress on stderr")
-	statusAddr := flag.String("status", "", "serve /metrics, /healthz, /progress and /debug/pprof on this address (empty disables)")
 	eventsPath := flag.String("events", "", "write a dsre-events/v4 JSONL lifecycle log to this path (empty disables)")
 	spanTrace := flag.String("span-trace", "", "write per-job lifecycle spans as a Chrome trace to this path (empty disables)")
-	linger := flag.Duration("linger", 0, "keep the -status server up this long after the sweep (lets scrapers collect the final state)")
 	flag.Parse()
 	if flag.NArg() > 0 {
 		fatalf("unexpected arguments %q (axes are flags, not positional)", flag.Args())
@@ -178,7 +174,7 @@ func main() {
 		opts.Progress = sweep.NewReporter(os.Stderr, *jobs)
 	}
 
-	// Observability: all three surfaces are opt-in and disabled hooks
+	// Observability: both surfaces are opt-in and disabled hooks
 	// cost the engine one nil check, so a bare sweep stays byte-identical.
 	var sink *obs.JSONLSink
 	var eventsFile *os.File
@@ -194,27 +190,14 @@ func main() {
 	if *spanTrace != "" {
 		spans = obs.NewSpanLog()
 	}
-	var observer *obs.SweepObs
-	if *statusAddr != "" || sink != nil || spans != nil {
+	if sink != nil || spans != nil {
 		// The sink interface value must be nil when no log was requested;
 		// wrapping a nil *JSONLSink would produce a non-nil interface.
 		var s obs.EventSink
 		if sink != nil {
 			s = sink
 		}
-		observer = obs.NewSweepObs(time.Now(), s, spans)
-		opts.Obs = observer
-	}
-	if *statusAddr != "" {
-		srv, err := status.Serve(*statusAddr, status.Options{
-			Registry: observer.Reg,
-			Progress: func() obs.ProgressView { return observer.Progress(time.Now()) },
-		})
-		if err != nil {
-			fatalf("%v", err)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "dsre-sweep: status server on http://%s\n", srv.Addr())
+		opts.Obs = obs.NewSweepObs(time.Now(), s, spans)
 	}
 
 	// SIGINT and SIGTERM cancel in-flight jobs; the manifest below still
@@ -267,16 +250,6 @@ func main() {
 		}
 		if err := eventsFile.Close(); err != nil {
 			fatalf("event log: %v", err)
-		}
-	}
-
-	// -linger keeps the status server answering after the sweep so a final
-	// scrape (CI, a dashboard) sees the terminal counters; a signal ends it
-	// early.
-	if *linger > 0 && *statusAddr != "" {
-		select {
-		case <-time.After(*linger):
-		case <-ctx.Done():
 		}
 	}
 

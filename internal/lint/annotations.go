@@ -15,10 +15,9 @@ const annotationsName = "annotations"
 // that suppress nothing (stale), and unknown names (typos would otherwise
 // silently fail to suppress).
 var knownAnnotations = map[string]bool{
-	"ordered":     true, // determinism: map iteration is order-independent or normalised
-	"lockcheck":   true, // lockcheck: guarded-field access outside the lock is safe here
-	"atomiccheck": true, // atomiccheck: plain access to an atomic field is safe here
-	"ctxcheck":    true, // ctxcheck: this blocking loop terminates without cancellation
+	"ordered":   true, // determinism: map iteration is order-independent or normalised
+	"lockcheck": true, // lockcheck: guarded-field access outside the lock is safe here
+	"ctxcheck":  true, // ctxcheck: this blocking loop terminates without cancellation
 }
 
 func knownAnnotationNames() string {

@@ -8,10 +8,10 @@ import (
 
 const ctxcheckName = "ctxcheck"
 
-// ctxcheck guards the service layer's ability to shut down: every for-loop
-// in Config.CtxPkgs that can block — time.Sleep, bare channel operations,
-// single-case selects, HTTP round-trips, WaitGroup waits, ranging over a
-// channel — must observe a cancellation signal somewhere in the loop: a use
+// ctxcheck guards the sweep layer's ability to drain: every for-loop in
+// Config.CtxPkgs that can block — time.Sleep, bare channel operations,
+// single-case selects, WaitGroup waits, ranging over a channel — must
+// observe a cancellation signal somewhere in the loop: a use
 // of a context.Context value (ctx.Done(), ctx.Err(), or passing ctx into a
 // call that honours it), or a select with more than one way out (a second
 // comm case or a default).  Loops that provably terminate some other way
@@ -143,16 +143,8 @@ func (p *pass) blockingCall(call *ast.CallExpr) string {
 	}
 	if id, ok := sel.X.(*ast.Ident); ok {
 		if pn, ok := p.mod.Info.Uses[id].(*types.PkgName); ok {
-			switch pn.Imported().Path() {
-			case "time":
-				if sel.Sel.Name == "Sleep" {
-					return "time.Sleep"
-				}
-			case "net/http":
-				switch sel.Sel.Name {
-				case "Get", "Post", "Head", "PostForm":
-					return "http." + sel.Sel.Name
-				}
+			if pn.Imported().Path() == "time" && sel.Sel.Name == "Sleep" {
+				return "time.Sleep"
 			}
 			return ""
 		}
@@ -166,16 +158,8 @@ func (p *pass) blockingCall(call *ast.CallExpr) string {
 		if !ok || named.Obj().Pkg() == nil {
 			return ""
 		}
-		switch named.Obj().Pkg().Path() + "." + named.Obj().Name() {
-		case "net/http.Client":
-			switch sel.Sel.Name {
-			case "Do", "Get", "Post", "Head", "PostForm":
-				return "http.Client." + sel.Sel.Name
-			}
-		case "sync.WaitGroup":
-			if sel.Sel.Name == "Wait" {
-				return "WaitGroup.Wait"
-			}
+		if named.Obj().Pkg().Path() == "sync" && named.Obj().Name() == "WaitGroup" && sel.Sel.Name == "Wait" {
+			return "WaitGroup.Wait"
 		}
 	}
 	return ""

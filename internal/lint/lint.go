@@ -72,8 +72,8 @@ type Config struct {
 	// exhaustive (or carry an explicit default).
 	EnumTypes []string
 
-	// LockPkgs lists the concurrent packages audited by lockcheck
-	// (guarded-field discipline, lock copies, lock-order cycles).
+	// LockPkgs lists the concurrent packages whose guarded fields lockcheck
+	// audits.
 	LockPkgs []string
 
 	// CtxPkgs lists the packages whose blocking for-loops must observe
@@ -94,8 +94,7 @@ func DefaultConfig() Config {
 			"internal/account", "internal/sched", "internal/bitset",
 			// The observability core must stay deterministic-when-off: it
 			// takes every timestamp from its caller and never spawns
-			// goroutines (the HTTP server lives in internal/obs/status,
-			// outside this set precisely because servers need both).
+			// goroutines.
 			"internal/obs",
 		},
 		SimPkg:          "internal/sim",
@@ -124,10 +123,11 @@ func DefaultConfig() Config {
 			"internal/obs.EventKind",
 			"internal/obs.Phase",
 		},
-		// The concurrent sweep layer: mutex discipline and cancellation
-		// are audited everywhere a worker pool, drain or status server lives.
-		LockPkgs:  []string{"internal/sweep", "internal/obs", "internal/obs/status"},
-		CtxPkgs:   []string{"internal/sweep", "internal/obs", "internal/obs/status"},
+		// The concurrent sweep layer: guarded fields are audited in both
+		// packages that hold a mutex; only the engine's worker pool and
+		// feed loop block.
+		LockPkgs:  []string{"internal/sweep", "internal/obs"},
+		CtxPkgs:   []string{"internal/sweep"},
 		SchemaDir: "internal/lint/schemas",
 	}
 }
@@ -174,7 +174,6 @@ func Run(m *Module, cfg Config) *Result {
 	statscoverage(p)
 	exhaustive(p)
 	lockcheck(p)
-	atomiccheck(p)
 	ctxcheck(p)
 	schemadrift(p)
 	annotationAudit(p) // last: analyzers mark the escapes they consumed

@@ -11,37 +11,25 @@ import (
 
 const lockcheckName = "lockcheck"
 
-// lockcheck audits the mutex discipline of the service-layer packages
-// (Config.LockPkgs):
-//
-//   - guarded fields — inferred from `// guarded by <mu>` field comments
-//     plus the struct-local convention that the contiguous field group
-//     directly below a sync.Mutex/RWMutex field is guarded by it (a blank
-//     line ends the group) — must only be touched inside a critical
-//     section of that mutex, from a method whose name ends in "Locked"
-//     (caller holds the lock), or under a //lint:lockcheck escape;
-//   - lock-bearing structs must not be copied (value receivers, by-value
-//     parameters and results; plain assignment copies are go vet's
-//     copylocks domain);
-//   - the per-module lock-acquisition graph (which mutexes are taken while
-//     which are held, propagated through the call graph) must be acyclic —
-//     a cycle, including the self-cycle of re-locking a held mutex, is a
-//     deadlock waiting for the right interleaving.
+// lockcheck audits the mutex discipline of the sweep-layer packages
+// (Config.LockPkgs): guarded fields — inferred from `// guarded by <mu>`
+// field comments plus the struct-local convention that the contiguous field
+// group directly below a sync.Mutex/RWMutex field is guarded by it (a blank
+// line ends the group) — must only be touched inside a critical section of
+// that mutex, from a method whose name ends in "Locked" (caller holds the
+// lock), or under a //lint:lockcheck escape.  Copying a lock-bearing value
+// is go vet's copylocks domain, not this analyzer's.
 //
 // The critical-section analysis is positional, not path-sensitive: a
-// Lock/Unlock pair (or the tiny lock()/unlock() wrapper methods, or a
-// deferred unlock) covers the source span between them.  Unlocks whose next
-// statement leaves the function (return/branch/panic) close an early-exit
-// path, not the fall-through span, and are ignored.
+// Lock/Unlock pair (or a deferred unlock) covers the source span between
+// them.  Unlocks whose next statement leaves the function
+// (return/branch/panic) close an early-exit path, not the fall-through
+// span, and are ignored.
 func lockcheck(p *pass) {
 	lc := &lockChecker{
-		p:        p,
-		mutexes:  map[*types.Var]*mutexField{},
-		guards:   map[*types.Var]*mutexField{},
-		wrappers: map[*types.Func]*wrapperInfo{},
-		direct:   map[*types.Func]map[*mutexField]bool{},
-		calls:    map[*types.Func][]*types.Func{},
-		hasLock:  map[types.Type]bool{},
+		p:       p,
+		mutexes: map[*types.Var]*mutexField{},
+		guards:  map[*types.Var]*mutexField{},
 	}
 	var pkgs []*Package
 	for _, rel := range p.cfg.LockPkgs {
@@ -56,26 +44,14 @@ func lockcheck(p *pass) {
 		lc.discoverStructs(pkg)
 	}
 	for _, pkg := range pkgs {
-		lc.discoverWrappers(pkg)
-	}
-	for _, pkg := range pkgs {
 		lc.analyzePackage(pkg)
 	}
-	lc.checkLockOrder()
 }
 
-// mutexField is one sync.Mutex/RWMutex struct field under audit; it is the
-// node of the lock-order graph.
+// mutexField is one sync.Mutex/RWMutex struct field under audit.
 type mutexField struct {
 	owner *types.Named
-	field *types.Var
-	rw    bool
 	id    string // "relpkg.Owner.field"
-}
-
-type wrapperInfo struct {
-	mf *mutexField
-	op string // "Lock", "Unlock", "RLock", "RUnlock"
 }
 
 // lockEvent is one Lock/Unlock-shaped call in a function body.
@@ -86,11 +62,6 @@ type lockEvent struct {
 	op       string
 	deferred bool
 	earlyOut bool // unlock directly followed by return/branch/panic
-}
-
-type callSite struct {
-	pos    token.Pos
-	callee *types.Func
 }
 
 type guardedAccess struct {
@@ -108,38 +79,26 @@ type interval struct {
 }
 
 type funcInfo struct {
-	name      string
 	events    []lockEvent
-	calls     []callSite
 	intervals map[string]map[*mutexField][]interval // base -> mutex -> spans
 }
 
 type lockChecker struct {
-	p        *pass
-	mutexes  map[*types.Var]*mutexField
-	guards   map[*types.Var]*mutexField // guarded field -> its mutex
-	wrappers map[*types.Func]*wrapperInfo
-	direct   map[*types.Func]map[*mutexField]bool // direct acquisitions
-	calls    map[*types.Func][]*types.Func        // module-local call graph
-	infos    []*funcInfo
-	hasLock  map[types.Type]bool
+	p       *pass
+	mutexes map[*types.Var]*mutexField
+	guards  map[*types.Var]*mutexField // guarded field -> its mutex
 }
 
 var guardedByRE = regexp.MustCompile(`guarded by ([A-Za-z_][A-Za-z0-9_]*)`)
 
-// isMutexType reports sync.Mutex / sync.RWMutex (write = full Mutex).
-func isMutexType(t types.Type) (rw, ok bool) {
+// isMutexType reports sync.Mutex / sync.RWMutex.
+func isMutexType(t types.Type) bool {
 	named, isNamed := t.(*types.Named)
 	if !isNamed || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != "sync" {
-		return false, false
+		return false
 	}
-	switch named.Obj().Name() {
-	case "Mutex":
-		return false, true
-	case "RWMutex":
-		return true, true
-	}
-	return false, false
+	name := named.Obj().Name()
+	return name == "Mutex" || name == "RWMutex"
 }
 
 // discoverStructs finds the mutex fields of pkg's struct types and the
@@ -207,11 +166,8 @@ func (lc *lockChecker) discoverFields(pkg *Package, fset *token.FileSet, named *
 		if fa.obj == nil {
 			continue
 		}
-		if rw, ok := isMutexType(fa.obj.Type()); ok {
-			mf := &mutexField{
-				owner: named, field: fa.obj, rw: rw,
-				id: lockNodeID(pkg, named, fa.obj),
-			}
+		if isMutexType(fa.obj.Type()) {
+			mf := &mutexField{owner: named, id: mutexID(pkg, named, fa.obj)}
 			lc.mutexes[fa.obj] = mf
 			byName[fa.obj.Name()] = mf
 		}
@@ -266,41 +222,12 @@ func fieldCommentText(fd *ast.Field) string {
 	return b.String()
 }
 
-func lockNodeID(pkg *Package, named *types.Named, field *types.Var) string {
+func mutexID(pkg *Package, named *types.Named, field *types.Var) string {
 	rel := pkg.RelPath
 	if rel == "" {
 		rel = pkg.Name
 	}
 	return rel + "." + named.Obj().Name() + "." + field.Name()
-}
-
-// discoverWrappers finds methods whose whole body is a single Lock-shaped
-// call on a receiver mutex (e.g. Queue.lock / Queue.unlock), so calling
-// them counts as the underlying operation.
-func (lc *lockChecker) discoverWrappers(pkg *Package) {
-	for _, f := range pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Recv == nil || fd.Body == nil || len(fd.Body.List) != 1 {
-				continue
-			}
-			es, ok := fd.Body.List[0].(*ast.ExprStmt)
-			if !ok {
-				continue
-			}
-			call, ok := es.X.(*ast.CallExpr)
-			if !ok {
-				continue
-			}
-			mf, op, ok := lc.directLockCall(call)
-			if !ok {
-				continue
-			}
-			if fn, ok := lc.p.mod.Info.Defs[fd.Name].(*types.Func); ok {
-				lc.wrappers[fn] = &wrapperInfo{mf: mf, op: op}
-			}
-		}
-	}
 }
 
 // directLockCall matches `base.mu.Lock()`-shaped calls on a discovered
@@ -346,70 +273,13 @@ func (lc *lockChecker) analyzePackage(pkg *Package) {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			fn, _ := lc.p.mod.Info.Defs[fd.Name].(*types.Func)
-			lc.checkCopyByValue(pkg, fd)
-			lc.analyzeFunc(pkg, fd, fn, anns)
+			lc.analyzeFunc(fd, anns)
 		}
 	}
 }
 
-// checkCopyByValue flags lock-bearing structs passed by value through a
-// receiver, parameter or result.
-func (lc *lockChecker) checkCopyByValue(pkg *Package, fd *ast.FuncDecl) {
-	check := func(fl *ast.FieldList, what string) {
-		if fl == nil {
-			return
-		}
-		for _, fld := range fl.List {
-			tv, ok := lc.p.mod.Info.Types[fld.Type]
-			if !ok {
-				continue
-			}
-			if lc.typeHasLock(tv.Type) {
-				p := fld.Type.Pos()
-				lc.p.reportf(lockcheckName, p,
-					"%s %s of %s is passed by value, copying its mutex — use a pointer", what,
-					types.TypeString(tv.Type, types.RelativeTo(pkg.Types)), fd.Name.Name)
-			}
-		}
-	}
-	check(fd.Recv, "receiver")
-	check(fd.Type.Params, "parameter")
-	check(fd.Type.Results, "result")
-}
-
-// typeHasLock reports whether t (a value of it) contains a mutex, walking
-// named structs and arrays but not references.
-func (lc *lockChecker) typeHasLock(t types.Type) bool {
-	if v, ok := lc.hasLock[t]; ok {
-		return v
-	}
-	lc.hasLock[t] = false // breaks recursive types
-	v := false
-	switch u := t.(type) {
-	case *types.Named:
-		if _, ok := isMutexType(u); ok {
-			v = true
-		} else {
-			v = lc.typeHasLock(u.Underlying())
-		}
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if lc.typeHasLock(u.Field(i).Type()) {
-				v = true
-				break
-			}
-		}
-	case *types.Array:
-		v = lc.typeHasLock(u.Elem())
-	}
-	lc.hasLock[t] = v
-	return v
-}
-
-// analyzeFunc drives the per-function critical-section analysis and
-// records the function's lock summary for the order graph.
-func (lc *lockChecker) analyzeFunc(pkg *Package, fd *ast.FuncDecl, fn *types.Func, anns []*annotation) {
+// analyzeFunc drives the per-function critical-section analysis.
+func (lc *lockChecker) analyzeFunc(fd *ast.FuncDecl, anns []*annotation) {
 	var recvName string
 	var recvType *types.Named
 	if fd.Recv != nil && len(fd.Recv.List) == 1 && len(fd.Recv.List[0].Names) == 1 {
@@ -422,11 +292,7 @@ func (lc *lockChecker) analyzeFunc(pkg *Package, fd *ast.FuncDecl, fn *types.Fun
 			recvType, _ = t.(*types.Named)
 		}
 	}
-	isWrapper := fn != nil && lc.wrappers[fn] != nil
-	lc.analyzeBody(pkg, funcDisplayName(pkg, fd), fn, fd.Body, anns, func(a guardedAccess, covered, writeCovered bool) bool {
-		if isWrapper {
-			return true
-		}
+	lc.analyzeBody(funcDisplayName(fd), fd.Body, anns, func(a guardedAccess, covered, writeCovered bool) bool {
 		if covered && (!a.write || writeCovered) {
 			return true
 		}
@@ -439,21 +305,21 @@ func (lc *lockChecker) analyzeFunc(pkg *Package, fd *ast.FuncDecl, fn *types.Fun
 	})
 }
 
-func funcDisplayName(pkg *Package, fd *ast.FuncDecl) string {
+func funcDisplayName(fd *ast.FuncDecl) string {
 	if fd.Recv != nil {
 		return recvTypeName(fd) + "." + fd.Name.Name
 	}
 	return fd.Name.Name
 }
 
-// analyzeBody collects the lock events, guarded accesses and call sites of
-// one body (recursing into function literals as separate bodies), builds
-// the covered intervals, and reports uncovered accesses.  allow is the
+// analyzeBody collects the lock events and guarded accesses of one body
+// (recursing into function literals as separate bodies), builds the
+// covered intervals, and reports uncovered accesses.  allow is the
 // enclosing declaration's extra exemptions.
-func (lc *lockChecker) analyzeBody(pkg *Package, name string, fn *types.Func, body *ast.BlockStmt,
+func (lc *lockChecker) analyzeBody(name string, body *ast.BlockStmt,
 	anns []*annotation, allow func(a guardedAccess, covered, writeCovered bool) bool) {
 
-	info := &funcInfo{name: name, intervals: map[string]map[*mutexField][]interval{}}
+	info := &funcInfo{intervals: map[string]map[*mutexField][]interval{}}
 	var accesses []guardedAccess
 	var lits []*ast.FuncLit
 	writeTargets := map[ast.Expr]bool{}
@@ -482,7 +348,7 @@ func (lc *lockChecker) analyzeBody(pkg *Package, name string, fn *types.Func, bo
 				lits = append(lits, n)
 				return false
 			case *ast.DeferStmt:
-				walkCallStmt(lc, info, n.Call, true)
+				lc.lockEvent(info, n.Call, true)
 				if lit, ok := n.Call.Fun.(*ast.FuncLit); ok {
 					lits = append(lits, lit)
 				}
@@ -511,7 +377,7 @@ func (lc *lockChecker) analyzeBody(pkg *Package, name string, fn *types.Func, bo
 					markWrite(n.X) // the pointee escapes; treat as a write
 				}
 			case *ast.CallExpr:
-				walkCallStmt(lc, info, n, false)
+				lc.lockEvent(info, n, false)
 			case *ast.SelectorExpr:
 				if s, ok := lc.p.mod.Info.Selections[n]; ok && s.Kind() == types.FieldVal {
 					if obj, ok := s.Obj().(*types.Var); ok {
@@ -555,72 +421,23 @@ func (lc *lockChecker) analyzeBody(pkg *Package, name string, fn *types.Func, bo
 			verb, a.mf.owner.Obj().Name(), a.field.Name(), a.mf.id, name)
 	}
 
-	// Record the summary inputs for the lock-order graph.  Function
-	// literals have no callable identity: their events still contribute
-	// intra-body edges, but nothing propagates to callers.
-	lc.infos = append(lc.infos, info)
-	if fn != nil {
-		d := lc.direct[fn]
-		if d == nil {
-			d = map[*mutexField]bool{}
-			lc.direct[fn] = d
-		}
-		for _, ev := range info.events {
-			if ev.op == "Lock" || ev.op == "RLock" {
-				d[ev.mf] = true
-			}
-		}
-		for _, cs := range info.calls {
-			lc.calls[fn] = append(lc.calls[fn], cs.callee)
-		}
-	}
-
 	for _, lit := range lits {
-		lc.analyzeBody(pkg, name+".func", nil, lit.Body, anns,
+		lc.analyzeBody(name+".func", lit.Body, anns,
 			func(a guardedAccess, covered, writeCovered bool) bool {
 				return covered && (!a.write || writeCovered)
 			})
 	}
 }
 
-// walkCallStmt classifies one call: a lock event (direct or via wrapper) or
-// a plain call site feeding the order graph.
-func walkCallStmt(lc *lockChecker, info *funcInfo, call *ast.CallExpr, deferred bool) {
+// lockEvent records call as a lock event when it is a Lock-shaped call
+// on an audited mutex.
+func (lc *lockChecker) lockEvent(info *funcInfo, call *ast.CallExpr, deferred bool) {
 	if mf, op, ok := lc.directLockCall(call); ok {
 		sel := call.Fun.(*ast.SelectorExpr).X.(*ast.SelectorExpr)
 		info.events = append(info.events, lockEvent{
 			pos: call.Pos(), base: types.ExprString(sel.X), mf: mf, op: op, deferred: deferred,
 		})
-		return
 	}
-	callee := calledFunc(lc.p.mod.Info, call)
-	if callee == nil {
-		return
-	}
-	if w := lc.wrappers[callee]; w != nil {
-		base := ""
-		if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-			base = types.ExprString(sel.X)
-		}
-		info.events = append(info.events, lockEvent{
-			pos: call.Pos(), base: base, mf: w.mf, op: w.op, deferred: deferred,
-		})
-		return
-	}
-	info.calls = append(info.calls, callSite{pos: call.Pos(), callee: callee})
-}
-
-// calledFunc resolves a call expression to its *types.Func, if any.
-func calledFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, _ := info.Uses[fun].(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		fn, _ := info.Uses[fun.Sel].(*types.Func)
-		return fn
-	}
-	return nil
 }
 
 // markEarlyOuts flags unlock events whose next sibling statement leaves the
@@ -692,7 +509,7 @@ func buildIntervals(info *funcInfo, bodyEnd token.Pos) {
 	for k, evs := range byKey {
 		sort.Slice(evs, func(i, j int) bool { return evs[i].pos < evs[j].pos })
 		var spans []interval
-		depth, writeDepth := 0, 0
+		depth := 0
 		var start token.Pos
 		deferredOpen := false
 		for _, ev := range evs {
@@ -705,9 +522,6 @@ func buildIntervals(info *funcInfo, bodyEnd token.Pos) {
 					start = ev.pos
 				}
 				depth++
-				if ev.op == "Lock" {
-					writeDepth++
-				}
 			case "Unlock", "RUnlock":
 				if ev.deferred {
 					deferredOpen = true
@@ -718,11 +532,8 @@ func buildIntervals(info *funcInfo, bodyEnd token.Pos) {
 				}
 				if depth > 0 {
 					depth--
-					if ev.op == "Unlock" && writeDepth > 0 {
-						writeDepth--
-					}
 					if depth == 0 {
-						spans = append(spans, interval{start: start, end: ev.pos, write: writeDepth >= 0 && spanHadWrite(evs, start, ev.pos)})
+						spans = append(spans, interval{start: start, end: ev.pos, write: spanHadWrite(evs, start, ev.pos)})
 					}
 				}
 			}
@@ -781,154 +592,4 @@ func coveredAt(info *funcInfo, base string, mf *mutexField, pos token.Pos) (cove
 		}
 	}
 	return covered, write
-}
-
-// checkLockOrder propagates lock acquisitions through the call graph and
-// reports cycles in the while-holding graph.
-func (lc *lockChecker) checkLockOrder() {
-	// Fixpoint: summary(fn) = direct(fn) ∪ summary(callees).
-	summary := map[*types.Func]map[*mutexField]bool{}
-	for fn, d := range lc.direct {
-		s := map[*mutexField]bool{}
-		for mf := range d {
-			s[mf] = true
-		}
-		summary[fn] = s
-	}
-	for changed := true; changed; {
-		changed = false
-		for fn, callees := range lc.calls {
-			s := summary[fn]
-			if s == nil {
-				s = map[*mutexField]bool{}
-				summary[fn] = s
-			}
-			for _, callee := range callees {
-				for mf := range summary[callee] {
-					if !s[mf] {
-						s[mf] = true
-						changed = true
-					}
-				}
-			}
-		}
-	}
-
-	// Edges: B acquired (directly or via a call) while an interval of A is
-	// open.  The event that opens the interval itself is not an edge.
-	type edge struct{ from, to string }
-	witnesses := map[edge]token.Pos{}
-	adj := map[string]map[string]bool{}
-	addEdge := func(from, to *mutexField, pos token.Pos) {
-		e := edge{from.id, to.id}
-		if w, ok := witnesses[e]; !ok || pos < w {
-			witnesses[e] = pos
-		}
-		if adj[e.from] == nil {
-			adj[e.from] = map[string]bool{}
-		}
-		adj[e.from][e.to] = true
-	}
-	for _, info := range lc.infos {
-		for _, byMF := range info.intervals {
-			for mf, spans := range byMF {
-				for _, iv := range spans {
-					for _, ev := range info.events {
-						if ev.pos > iv.start && ev.pos <= iv.end &&
-							(ev.op == "Lock" || ev.op == "RLock") && ev.mf != mf {
-							addEdge(mf, ev.mf, ev.pos)
-						}
-					}
-					for _, cs := range info.calls {
-						if cs.pos <= iv.start || cs.pos > iv.end {
-							continue
-						}
-						for acq := range summary[cs.callee] {
-							addEdge(mf, acq, cs.pos)
-						}
-					}
-				}
-			}
-		}
-	}
-
-	// Report one diagnostic per cycle, deterministically: walk nodes in
-	// sorted order and report the first cycle each node closes.
-	nodes := make([]string, 0, len(adj))
-	for n := range adj {
-		nodes = append(nodes, n)
-	}
-	sort.Strings(nodes)
-	reported := map[string]bool{}
-	for _, n := range nodes {
-		// Self-cycles first: re-acquiring a held mutex needs no partner.
-		if adj[n][n] {
-			lc.p.reportf(lockcheckName, witnesses[edge{n, n}],
-				"lock-order cycle: %s → %s — re-acquiring a mutex already held deadlocks (sync.Mutex is not reentrant)", n, n)
-		}
-		cycle := findCycle(adj, n)
-		if cycle == nil {
-			continue
-		}
-		key := strings.Join(cycle, "→")
-		if reported[key] {
-			continue
-		}
-		reported[key] = true
-		e := edge{cycle[0], cycle[1%len(cycle)]}
-		if len(cycle) == 1 {
-			e = edge{cycle[0], cycle[0]}
-		}
-		lc.p.reportf(lockcheckName, witnesses[e],
-			"lock-order cycle: %s — a matching interleaving deadlocks; acquire these mutexes in one global order",
-			strings.Join(append(cycle, cycle[0]), " → "))
-	}
-}
-
-// findCycle returns a cycle through start (canonicalised to start at its
-// lexicographically smallest node), or nil.
-func findCycle(adj map[string]map[string]bool, start string) []string {
-	var path []string
-	onPath := map[string]bool{}
-	visited := map[string]bool{}
-	var found []string
-	var dfs func(n string) bool
-	dfs = func(n string) bool {
-		path = append(path, n)
-		onPath[n] = true
-		visited[n] = true
-		tos := make([]string, 0, len(adj[n]))
-		for to := range adj[n] {
-			tos = append(tos, to)
-		}
-		sort.Strings(tos)
-		for _, to := range tos {
-			if to == n {
-				continue // self-cycles are reported separately
-			}
-			if to == start && onPath[start] {
-				found = append([]string(nil), path...)
-				return true
-			}
-			if !visited[to] {
-				if dfs(to) {
-					return true
-				}
-			}
-		}
-		path = path[:len(path)-1]
-		onPath[n] = false
-		return false
-	}
-	if dfs(start) {
-		// Canonicalise: rotate so the smallest node leads.
-		min := 0
-		for i, n := range found {
-			if n < found[min] {
-				min = i
-			}
-		}
-		return append(found[min:], found[:min]...)
-	}
-	return nil
 }

@@ -1,5 +1,5 @@
-// Package status carries broken //lint: annotations: the audit fixture.
-package status
+// Package sweep carries broken //lint: annotations: the audit fixture.
+package sweep
 
 import "time"
 

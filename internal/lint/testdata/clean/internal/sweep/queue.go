@@ -1,11 +1,10 @@
-// Package status holds a concurrency-correct queue: the passing fixture
-// for lockcheck, atomiccheck and ctxcheck.
-package status
+// Package sweep holds a concurrency-correct queue: the passing fixture
+// for lockcheck and ctxcheck.
+package sweep
 
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -14,8 +13,6 @@ type Queue struct {
 	mu      sync.Mutex
 	pending []string // guarded by mu
 	leased  int      // guarded by mu
-
-	served atomic.Int64
 }
 
 // Push appends a job under the lock.
@@ -35,7 +32,6 @@ func (q *Queue) Lease() (string, bool) {
 	h := q.pending[0]
 	q.pending = q.pending[1:]
 	q.leased++
-	q.served.Add(1)
 	return h, true
 }
 
@@ -48,9 +44,6 @@ func (q *Queue) Size() int {
 	defer q.mu.Unlock()
 	return q.sizeLocked()
 }
-
-// Served reports jobs handed out, through the atomic API only.
-func (q *Queue) Served() int64 { return q.served.Load() }
 
 // Drain polls the queue until empty or cancelled.
 func (q *Queue) Drain(ctx context.Context) bool {

@@ -1,6 +1,6 @@
-// Package status loops without observing cancellation: the ctxcheck
+// Package sweep loops without observing cancellation: the ctxcheck
 // fixture.
-package status
+package sweep
 
 import (
 	"context"

@@ -5,8 +5,8 @@ import "time"
 // RateWindow estimates a completion rate from the most recent N events
 // instead of the whole-run cumulative mean, so a sweep that warms up (cold
 // cache, first-touch workload builds) converges to the steady-state rate
-// instead of being skewed by its start.  It is not synchronised: callers
-// (sweep.Reporter, SweepObs) hold their own locks.
+// instead of being skewed by its start.  It is not synchronised: its caller,
+// sweep.Reporter, holds its own lock.
 type RateWindow struct {
 	samples []int64 // unix nanos, ring buffer
 	n, next int

@@ -25,7 +25,7 @@ func (c *clock) advance(d time.Duration) time.Time {
 }
 
 // TestSweepObsLifecycle drives one grid through a mixed outcome set and
-// checks counters, events, spans, and the final progress view all agree.
+// checks the events and spans agree.
 func TestSweepObsLifecycle(t *testing.T) {
 	var log bytes.Buffer
 	sink := NewJSONLSink(&log)
@@ -60,43 +60,20 @@ func TestSweepObsLifecycle(t *testing.T) {
 	g.Drain(errors.New("context canceled"), c.advance(time.Millisecond))
 	g.End(3, 1, 2, c.advance(time.Millisecond))
 
-	s := o.Reg.Snapshot()
-	for name, want := range map[string]int64{
-		"dsre_sweep_jobs_total":         4,
-		"dsre_sweep_jobs_ok_total":      3,
-		"dsre_sweep_jobs_failed_total":  1,
-		"dsre_sweep_cache_hits_total":   2,
-		"dsre_sweep_retries_total":      1,
-		"dsre_sweep_panics_total":       1,
-		"dsre_sweep_store_writes_total": 1,
-		"dsre_sweep_drains_total":       1,
-		"dsre_sweep_grids_total":        1,
-	} {
-		if got := s.Counter(name); got != want {
-			t.Errorf("%s = %d, want %d", name, got, want)
-		}
-	}
-	for name, want := range map[string]int64{
-		"dsre_sweep_jobs_queued":  0,
-		"dsre_sweep_jobs_running": 0,
-		"dsre_sweep_workers_busy": 0,
-		"dsre_sweep_workers":      2,
-	} {
-		if got := s.Gauge(name); got != want {
-			t.Errorf("%s = %d, want %d", name, got, want)
-		}
-	}
-
 	events, err := ReadEvents(bytes.NewReader(log.Bytes()))
 	if err != nil {
 		t.Fatalf("ReadEvents: %v", err)
 	}
 	counts := map[EventKind]int{}
 	hitCopies := 0
+	doneCopies := map[string]int{}
 	for _, e := range events {
 		counts[e.Kind]++
-		if e.Kind == EventCacheHit {
+		switch e.Kind {
+		case EventCacheHit:
 			hitCopies += e.Copies
+		case EventJobDone:
+			doneCopies[e.Status] += e.Copies
 		}
 		if e.Kind == EventRetry && strings.Contains(e.Error, "\n") {
 			t.Errorf("retry error not trimmed to first line: %q", e.Error)
@@ -115,6 +92,10 @@ func TestSweepObsLifecycle(t *testing.T) {
 	// reconciliation the obs-smoke CI job pins end to end.
 	if hitCopies != 2 {
 		t.Errorf("cache_hit copies sum = %d, want 2", hitCopies)
+	}
+	// Σ job_done copies by status covers every spec once.
+	if doneCopies["ok"] != 3 || doneCopies["failed"] != 1 || len(doneCopies) != 2 {
+		t.Errorf("job_done copies by status = %v, want ok:3 failed:1", doneCopies)
 	}
 
 	jobs := spans.Jobs()
@@ -135,78 +116,22 @@ func TestSweepObsLifecycle(t *testing.T) {
 			}
 		}
 	}
-
-	v := o.Progress(c.now())
-	if v.Schema != ProgressSchema {
-		t.Errorf("progress schema = %q", v.Schema)
-	}
-	if len(v.Workers) != 2 || len(v.Grids) != 1 {
-		t.Fatalf("progress = %d workers / %d grids, want 2 / 1", len(v.Workers), len(v.Grids))
-	}
-	gv := v.Grids[0]
-	if !gv.Finished || gv.Done != 4 || gv.Cached != 2 || gv.Failed != 1 || gv.Queued != 0 {
-		t.Errorf("grid view = %+v", gv)
-	}
-	if _, err := json.Marshal(v); err != nil {
-		t.Fatalf("progress view not marshalable: %v", err)
-	}
 }
 
-// TestSweepObsNilSinkAndSpans pins that a metrics-only observer works with
-// both optional surfaces disabled.
+// TestSweepObsNilSinkAndSpans pins that an observer works with both
+// optional surfaces disabled.
 func TestSweepObsNilSinkAndSpans(t *testing.T) {
 	c := newClock()
 	o := NewSweepObs(c.now(), nil, nil)
 	g := o.GridBegin(1, 1, 1, c.now())
 	j := g.StartJob(0, "job", "h", 1, c.advance(time.Millisecond))
 	j.Mark(PhaseRun, c.advance(time.Millisecond))
+	j.StoreWrite(true, c.advance(time.Millisecond))
 	j.Done("ok", false, 1, 1, c.now())
+	o.StoreCorrupt("h", "bad digest", c.now())
 	g.End(1, 0, 0, c.now())
-	if got := o.Reg.Snapshot().Counter("dsre_sweep_jobs_ok_total"); got != 1 {
-		t.Errorf("ok counter = %d, want 1", got)
-	}
-}
-
-// TestProgressEta pins that the ETA comes from the rolling window rate, not
-// a cumulative average: after 4 completions 1s apart, 10 remaining jobs
-// extrapolate to ~10s.
-func TestProgressEta(t *testing.T) {
-	c := newClock()
-	o := NewSweepObs(c.now(), nil, nil)
-	g := o.GridBegin(14, 14, 1, c.now())
-	for i := 0; i < 4; i++ {
-		j := g.StartJob(0, "job", "h", 1, c.advance(time.Second))
-		j.Done("ok", false, 1, 1000, c.now())
-	}
-	v := o.Progress(c.now())
-	if v.RatePerSec < 0.9 || v.RatePerSec > 1.1 {
-		t.Fatalf("rate = %v, want ~1/s", v.RatePerSec)
-	}
-	eta := v.Grids[0].EtaMS
-	if eta < 9_000 || eta > 11_000 {
-		t.Errorf("eta = %dms, want ~10000ms for 10 remaining at 1/s", eta)
-	}
-}
-
-// TestProgressKeepsUnfinishedGrids pins the pruning rule: an unfinished
-// grid survives any number of later finished ones, which are cut to the
-// newest keptFinishedGrids in begin order.
-func TestProgressKeepsUnfinishedGrids(t *testing.T) {
-	c := newClock()
-	o := NewSweepObs(c.now(), nil, nil)
-	o.GridBegin(1, 1, 1, c.now()) // never ends
-	for i := 0; i < 100; i++ {
-		o.GridBegin(1, 1, 1, c.advance(time.Millisecond)).End(1, 0, 0, c.now())
-	}
-	grids := o.Progress(c.now()).Grids
-	if len(grids) != keptFinishedGrids+1 {
-		t.Fatalf("progress holds %d grids, want %d finished + 1 open", len(grids), keptFinishedGrids)
-	}
-	if g := grids[0]; g.Grid != "grid-1" || g.Finished {
-		t.Errorf("first grid = %+v, want the open grid-1", g)
-	}
-	if g := grids[len(grids)-1]; g.Grid != "grid-101" {
-		t.Errorf("last grid = %s, want grid-101", g.Grid)
+	if len(j.phases) != 3 {
+		t.Errorf("job recorded %d phases, want 3", len(j.phases))
 	}
 }
 

@@ -42,8 +42,8 @@ type Options struct {
 	// Runner overrides job execution (tests); nil selects the default
 	// simulate-and-verify runner.
 	Runner Runner
-	// Obs receives sweep-level observability signals: metrics, lifecycle
-	// events, per-job spans and live progress.  nil disables every hook at
+	// Obs receives sweep-level observability signals: lifecycle events and
+	// per-job spans.  nil disables every hook at
 	// the cost of one pointer compare — the zero-alloc fast path and
 	// byte-identity pins run with Obs off.
 	Obs *obs.SweepObs
@@ -197,9 +197,6 @@ func (e *Engine) simulate(ctx context.Context, spec JobSpec) (*telemetry.Report,
 	wall := time.Since(start)
 	e.simCycles.Add(res.Cycles)
 	e.simWallMicros.Add(wall.Microseconds())
-	if e.opts.Obs != nil {
-		e.opts.Obs.AddSimCycles(res.Cycles)
-	}
 	rep := res.Report()
 	rep.StampWall(wall)
 	return rep, nil
@@ -344,7 +341,7 @@ feed:
 // is on, the job's lifecycle is recorded as a contiguous span chain
 // (queue-wait, cache-lookup, prepare, run, store-write) plus lifecycle
 // events; copies is how many specs deduplicated onto this execution, so
-// the observer's counters reconcile with the manifest totals.
+// the observer's events reconcile with the manifest totals.
 func (e *Engine) executeJob(ctx context.Context, spec JobSpec, hash string, grid *obs.Grid, worker, copies int) (res JobResult) {
 	res = JobResult{Spec: spec, Hash: hash}
 	var jo *obs.JobObs
@@ -424,8 +421,8 @@ func (e *Engine) executeJob(ctx context.Context, spec JobSpec, hash string, grid
 }
 
 // panicError marks an attempt that died by panic rather than by returning
-// an error, so the observer can distinguish a panic (its own counter and
-// event) from an ordinary failure.  Error renders the same "panic: ..."
+// an error, so the observer can distinguish a panic (its own event) from
+// an ordinary failure.  Error renders the same "panic: ..."
 // message the engine always produced.
 type panicError struct {
 	val   any

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -22,9 +21,10 @@ func newObserved() (*obs.SweepObs, *bytes.Buffer, *obs.SpanLog) {
 }
 
 // TestEngineObsReconciles runs a grid with dedup, a cache replay and a
-// failure, and pins that the observer's counters and the cache_hit events
-// reconcile exactly with the manifest totals — the same equality the
-// obs-smoke CI job asserts against the real binary.
+// failure, and pins that the event log reconciles exactly with the
+// manifest totals — the same equality the obs-smoke CI job asserts against
+// the real binary: the sweep_done totals, Σ job_done copies by status and
+// Σ cache_hit copies.
 func TestEngineObsReconciles(t *testing.T) {
 	st, err := OpenStore(t.TempDir())
 	if err != nil {
@@ -43,7 +43,7 @@ func TestEngineObsReconciles(t *testing.T) {
 		return fakeReport(spec), nil
 	}
 
-	run := func() (*Summary, *obs.SweepObs, []obs.Event) {
+	run := func() (*Summary, []obs.Event) {
 		o, log, _ := newObserved()
 		eng := New(Options{Workers: 2, Store: st, Runner: runner, Obs: o})
 		sum, err := eng.Run(context.Background(), specs)
@@ -54,64 +54,55 @@ func TestEngineObsReconciles(t *testing.T) {
 		if err != nil {
 			t.Fatalf("event log invalid: %v", err)
 		}
-		return sum, o, events
+		return sum, events
 	}
 
-	check := func(name string, sum *Summary, o *obs.SweepObs, events []obs.Event) {
+	check := func(name string, sum *Summary, events []obs.Event) {
 		t.Helper()
 		m := NewManifest(sum)
-		s := o.Reg.Snapshot()
-		for metric, want := range map[string]int{
-			"dsre_sweep_jobs_total":        m.Totals.Jobs,
-			"dsre_sweep_jobs_ok_total":     m.Totals.OK,
-			"dsre_sweep_jobs_failed_total": m.Totals.Failed,
-			"dsre_sweep_cache_hits_total":  m.Totals.CacheHits,
-		} {
-			if got := s.Counter(metric); got != int64(want) {
-				t.Errorf("%s: %s = %d, manifest says %d", name, metric, got, want)
-			}
-		}
-		hitCopies := 0
-		for _, e := range events {
-			if e.Kind == obs.EventCacheHit {
+		hitCopies, okCopies, failedCopies := 0, 0, 0
+		var doneTotals *obs.Event
+		for i, e := range events {
+			switch e.Kind {
+			case obs.EventCacheHit:
 				hitCopies += e.Copies
+			case obs.EventJobDone:
+				if e.Status == StatusOK {
+					okCopies += e.Copies
+				} else {
+					failedCopies += e.Copies
+				}
+			case obs.EventSweepDone:
+				doneTotals = &events[i]
 			}
 		}
 		if hitCopies != m.Totals.CacheHits {
 			t.Errorf("%s: Σ cache_hit copies = %d, manifest says %d", name, hitCopies, m.Totals.CacheHits)
 		}
-		var doneTotals *obs.Event
-		for i := range events {
-			if events[i].Kind == obs.EventSweepDone {
-				doneTotals = &events[i]
-			}
+		if okCopies != m.Totals.OK || failedCopies != m.Totals.Failed || okCopies+failedCopies != m.Totals.Jobs {
+			t.Errorf("%s: Σ job_done copies ok=%d failed=%d, manifest says %+v", name, okCopies, failedCopies, m.Totals)
 		}
 		if doneTotals == nil {
 			t.Fatalf("%s: no sweep_done event", name)
 		}
-		if doneTotals.OK != m.Totals.OK || doneTotals.Failed != m.Totals.Failed || doneTotals.CacheHits != m.Totals.CacheHits {
+		if doneTotals.Total != m.Totals.Jobs || doneTotals.OK != m.Totals.OK ||
+			doneTotals.Failed != m.Totals.Failed || doneTotals.CacheHits != m.Totals.CacheHits {
 			t.Errorf("%s: sweep_done totals %+v disagree with manifest %+v", name, doneTotals, m.Totals)
-		}
-		// Gauges must read clean after the run.
-		for _, g := range []string{"dsre_sweep_jobs_queued", "dsre_sweep_jobs_running", "dsre_sweep_workers_busy"} {
-			if got := s.Gauge(g); got != 0 {
-				t.Errorf("%s: %s = %d after run, want 0", name, g, got)
-			}
 		}
 	}
 
 	// Cold run: one dedup hit; warm run: store replays cover everything OK.
-	sum, o, events := run()
+	sum, events := run()
 	if sum.OK != 3 || sum.CacheHits != 1 || sum.Failed != 1 {
 		t.Fatalf("cold run totals: %+v", sum)
 	}
-	check("cold", sum, o, events)
+	check("cold", sum, events)
 
-	sum, o, events = run()
+	sum, events = run()
 	if sum.OK != 3 || sum.CacheHits != 3 || sum.Failed != 1 {
 		t.Fatalf("warm run totals: %+v", sum)
 	}
-	check("warm", sum, o, events)
+	check("warm", sum, events)
 }
 
 // TestEngineSpanDecomposition pins the contiguity invariant the Chrome
@@ -180,7 +171,7 @@ func TestEngineSpanDecomposition(t *testing.T) {
 
 // TestEngineObsRetryAndPanic pins the retry/panic event stream: a job that
 // panics once and fails once under Retries=1 yields one panic event, one
-// retry event, and retry metrics equal to attempts-1.
+// retry event (attempts-1 of them) and a failed job_done after 2 attempts.
 func TestEngineObsRetryAndPanic(t *testing.T) {
 	o, log, _ := newObserved()
 	var mu sync.Mutex
@@ -204,13 +195,6 @@ func TestEngineObsRetryAndPanic(t *testing.T) {
 		t.Fatalf("summary: %+v", sum)
 	}
 
-	s := o.Reg.Snapshot()
-	if got := s.Counter("dsre_sweep_retries_total"); got != 1 {
-		t.Errorf("retries = %d, want 1", got)
-	}
-	if got := s.Counter("dsre_sweep_panics_total"); got != 1 {
-		t.Errorf("panics = %d, want 1", got)
-	}
 	events, err := obs.ReadEvents(bytes.NewReader(log.Bytes()))
 	if err != nil {
 		t.Fatal(err)
@@ -221,14 +205,17 @@ func TestEngineObsRetryAndPanic(t *testing.T) {
 		if e.Kind == obs.EventPanic && e.Error != "panic: simulated wreck" {
 			t.Errorf("panic event error = %q, want first line of the panic", e.Error)
 		}
+		if e.Kind == obs.EventJobDone && (e.Status != StatusFailed || e.Attempt != 2) {
+			t.Errorf("job_done = %+v, want failed after 2 attempts", e)
+		}
 	}
-	if kinds[obs.EventPanic] != 1 || kinds[obs.EventRetry] != 1 {
-		t.Errorf("event kinds = %v, want 1 panic and 1 retry", kinds)
+	if kinds[obs.EventPanic] != 1 || kinds[obs.EventRetry] != 1 || kinds[obs.EventJobDone] != 1 {
+		t.Errorf("event kinds = %v, want 1 panic, 1 retry and 1 job_done", kinds)
 	}
 }
 
-// TestEngineObsDrain cancels a sweep mid-run and pins the structured drain
-// event plus the drain counter.
+// TestEngineObsDrain cancels a sweep mid-run and pins that the log carries
+// exactly one structured drain event, naming the cause.
 func TestEngineObsDrain(t *testing.T) {
 	o, log, _ := newObserved()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -256,21 +243,20 @@ func TestEngineObsDrain(t *testing.T) {
 		t.Fatalf("drained summary: OK=%d Failed=%d, want 1/3", sum.OK, sum.Failed)
 	}
 
-	if got := o.Reg.Snapshot().Counter("dsre_sweep_drains_total"); got != 1 {
-		t.Errorf("drains = %d, want 1", got)
-	}
 	events, err := obs.ReadEvents(bytes.NewReader(log.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var drain *obs.Event
+	drains := 0
 	for i := range events {
 		if events[i].Kind == obs.EventDrain {
 			drain = &events[i]
+			drains++
 		}
 	}
-	if drain == nil {
-		t.Fatal("no drain event in the log")
+	if drains != 1 {
+		t.Fatalf("log holds %d drain events, want 1", drains)
 	}
 	if drain.Error != context.Canceled.Error() {
 		t.Errorf("drain cause = %q, want %q", drain.Error, context.Canceled)
@@ -303,36 +289,6 @@ func TestEngineObsOffMatchesOn(t *testing.T) {
 		a, b := off.Jobs[i], on.Jobs[i]
 		if a.Status != b.Status || a.Hash != b.Hash || a.CacheHit != b.CacheHit {
 			t.Errorf("job %d diverges: off %+v, on %+v", i, a, b)
-		}
-	}
-}
-
-// TestProgressKeepsNewestGrids pins the live view's bound: an observer
-// shared by many engine Runs (dsre-bench runs several) keeps
-// only the newest finished grids, newest last, while the grid counter
-// still counts every Run.
-func TestProgressKeepsNewestGrids(t *testing.T) {
-	o, _, _ := newObserved()
-	eng := New(Options{Workers: 1, Obs: o, Runner: func(ctx context.Context, spec JobSpec) (*telemetry.Report, error) {
-		return fakeReport(spec), nil
-	}})
-	const runs = 100
-	for i := 0; i < runs; i++ {
-		if _, err := eng.Run(context.Background(), []JobSpec{{Workload: "vecsum"}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := o.Reg.Snapshot().Counter("dsre_sweep_grids_total"); got != runs {
-		t.Errorf("dsre_sweep_grids_total = %d, want %d", got, runs)
-	}
-	grids := o.Progress(time.Now()).Grids
-	if len(grids) == 0 || len(grids) >= runs {
-		t.Fatalf("progress keeps %d of %d finished grids, want a bounded tail", len(grids), runs)
-	}
-	first := runs - len(grids) + 1
-	for i, g := range grids {
-		if want := fmt.Sprintf("grid-%d", first+i); g.Grid != want || !g.Finished {
-			t.Errorf("progress grid %d = %s (finished %v), want %s, finished", i, g.Grid, g.Finished, want)
 		}
 	}
 }
