@@ -294,3 +294,31 @@ func BenchmarkE16ValuePrediction(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPrepare times the golden pre-pass, repro.Prepare: building a
+// workload and running the emulator with the oracle and the block trace
+// on.  "recovery" prepares the five conflict kernels at their default
+// sizes, one op per five points; "sweep-size" prepares one kernel at the
+// size a sweep grid uses.
+func BenchmarkPrepare(b *testing.B) {
+	prepare := func(b *testing.B, kernel string, size int) {
+		b.Helper()
+		if _, err := repro.Prepare(kernel, size, 0, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Run("recovery", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, k := range conflictKernels {
+				prepare(b, k, 0)
+			}
+		}
+	})
+	b.Run("sweep-size", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			prepare(b, "stencil", 64)
+		}
+	})
+}

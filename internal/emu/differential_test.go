@@ -414,3 +414,193 @@ func TestDifferentialOracleCorruptLSIDs(t *testing.T) {
 		}
 	}
 }
+
+// dep is a dependence the oracle must report: block seq's load LSID
+// waits for the store LSID store of block storeSeq.
+type dep struct {
+	seq      int64
+	lsid     int8
+	storeSeq int64
+	store    int8
+}
+
+// checkDeps requires each listed dependence in the result's oracle.  A
+// store of -1 means the load has none.
+func checkDeps(t *testing.T, name string, res *emu.Result, deps []dep) {
+	t.Helper()
+	for _, d := range deps {
+		want := core.DynRef{Seq: d.storeSeq, LSID: d.store}
+		if d.store < 0 {
+			want = core.NoDynRef
+		}
+		if got := res.Oracle.Dep(core.DynRef{Seq: d.seq, LSID: d.lsid}); got != want {
+			t.Errorf("%s: load %d/%d depends on %v, want %v", name, d.seq, d.lsid, got, want)
+		}
+	}
+}
+
+// TestDifferentialShadowWords drives the shadow's word and byte entries:
+// a byte store into a word a whole-word store stamped, then word and byte
+// loads of it; a word stamped byte by byte in reverse order, then an
+// aligned and an unaligned word load and a byte load over it; a
+// whole-word store over those bytes, then a byte load; a byte store into
+// a word nothing wrote, then loads of the word and of a byte no store
+// wrote.  Each load's store is also checked by hand.
+func TestDifferentialShadowWords(t *testing.T) {
+	b := program.New("words")
+	blk := b.NewBlock("only")
+	x := blk.Read(1)
+	at := func(a int64) program.Val { return blk.Const(a) }
+	plus := func(k int64) program.Val { return blk.Op(isa.OpAdd, x, blk.Const(k)) }
+	sum := x
+	add := func(v program.Val) { sum = blk.Op(isa.OpAdd, sum, v) }
+	blk.Store(at(0x100), 0, x)        // m0
+	blk.Store1(at(0x103), 0, plus(1)) // m1
+	add(blk.Load(at(0x100), 0))       // m2: m1, the word's last writer
+	add(blk.Load1(at(0x101), 0))      // m3: m0, the byte's
+	for k := int64(7); k >= 0; k-- {
+		blk.Store1(at(0x200+k), 0, plus(k)) // m4..m11: m11 writes byte 0x200
+	}
+	add(blk.Load(at(0x200), 0))       // m12: m11
+	add(blk.Load(at(0x1fd), 0))       // m13: m11, over 0x1fd..0x204
+	add(blk.Load1(at(0x207), 0))      // m14: m4
+	blk.Store(at(0x200), 0, plus(9))  // m15
+	add(blk.Load1(at(0x203), 0))      // m16: m15
+	blk.Store1(at(0x20a), 0, plus(3)) // m17
+	add(blk.Load(at(0x208), 0))       // m18: m17
+	add(blk.Load1(at(0x209), 0))      // m19: none
+	blk.Write(2, sum)
+	blk.Halt()
+	p, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var regs [isa.NumRegs]int64
+	regs[1] = 0x1234567
+	m := mem.New()
+	m.Write(0x1f8, -1, 8)
+	m.Write(0x208, 0x0102030405060708, 8)
+	res := diffRun(t, "words", p, &regs, m, diffOptions)
+	if res == nil {
+		t.Fatal("no result")
+	}
+	checkDeps(t, "words", res, []dep{
+		{0, 2, 0, 1}, {0, 3, 0, 0}, {0, 12, 0, 11}, {0, 13, 0, 11},
+		{0, 14, 0, 4}, {0, 16, 0, 15}, {0, 18, 0, 17}, {0, 19, 0, -1},
+	})
+}
+
+// TestDifferentialPageEdge makes 8-byte stores and loads at each of
+// 0xff9–0xfff, which cross into the page at 0x1000, right after touching
+// that neighbouring page and then after touching their own, so the page
+// caches of memory and shadow hold one page or the other when an access
+// crosses.
+func TestDifferentialPageEdge(t *testing.T) {
+	b := program.New("edge")
+	blk := b.NewBlock("loop")
+	off := blk.Read(1)
+	sum := blk.Read(2)
+	add := func(v program.Val) { sum = blk.Op(isa.OpAdd, sum, v) }
+	add(blk.Load(blk.Const(0x1010), 0))                           // m0: page 1
+	blk.Store(off, 0, blk.Op(isa.OpMul, off, blk.Const(0x10001))) // m1: crosses
+	add(blk.Load(off, 0))                                         // m2: m1
+	add(blk.Load(blk.Const(0xff0), 0))                            // m3: page 0
+	blk.Store1(off, 7, sum)                                       // m4: byte on page 1
+	add(blk.Load(off, 0))                                         // m5: m4
+	add(blk.Load1(blk.Const(0x1000), 0))                          // m6: m1
+	blk.Store(blk.Const(0x1000), 0, sum)                          // m7: page 1
+	add(blk.Load(off, 1))                                         // m8: m7
+	next := blk.Op(isa.OpAdd, off, blk.Const(1))
+	blk.Write(1, next)
+	blk.Write(2, sum)
+	blk.BranchIf(blk.Op(isa.OpTltu, next, blk.Const(0x1000)), "loop", "@halt")
+	p, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var regs [isa.NumRegs]int64
+	regs[1] = 0xff9
+	m := mem.New()
+	for a := uint64(0xfe8); a < 0x1018; a += 8 {
+		m.Write(a, int64(a*0x9e3779b9), 8)
+	}
+	res := diffRun(t, "edge", p, &regs, m, diffOptions)
+	if res == nil {
+		t.Fatal("no result")
+	}
+	if res.Blocks != 7 {
+		t.Fatalf("ran %d blocks, want one per offset 0xff9..0xfff", res.Blocks)
+	}
+	for seq := int64(0); seq < 7; seq++ {
+		byte0 := int8(1)
+		if seq == 0 {
+			byte0 = 4
+		}
+		checkDeps(t, "edge", res, []dep{{seq, 2, seq, 1}, {seq, 5, seq, 4}, {seq, 6, seq, byte0}, {seq, 8, seq, 7}})
+	}
+}
+
+// reentry builds blocks a and b that alternate: a stores and loads words
+// at 0x300 and moves on to b, which loops back to a while r1 counts down.
+// When feedOdd is set, a writes r2 through a mov predicated on r1 being
+// odd, so the second entry of a, with r1 even, leaves the write slot
+// empty although the first entry filled it.
+func reentry(b *program.Builder, feedOdd bool) {
+	a := b.NewBlock("a")
+	i := a.Read(1)
+	acc := a.Read(2)
+	slot := func(k int64) program.Val {
+		return a.Op(isa.OpAdd, a.Const(0x300), a.Op(isa.OpShl, a.Op(isa.OpAnd, a.Op(isa.OpAdd, i, a.Const(k)), a.Const(3)), a.Const(3)))
+	}
+	a.Store(slot(0), 0, i)
+	v := a.Op(isa.OpAdd, acc, a.Load(slot(3), 0))
+	if feedOdd {
+		v = a.OpPred(isa.OpMov, a.Op(isa.OpAnd, i, a.Const(1)), true, v, program.Val{})
+	}
+	a.Write(2, v)
+	a.Branch("b")
+	bb := b.NewBlock("b")
+	j := bb.Read(1)
+	j2 := bb.Op(isa.OpSub, j, bb.Const(1))
+	bb.Store1(bb.Const(0x301), 0, j2)
+	bb.Write(1, j2)
+	bb.BranchIf(bb.Op(isa.OpTgt, j2, bb.Const(0)), "a", "@halt")
+}
+
+// TestDifferentialBlockReentry runs a block again after another block
+// ran, so the emulator executes it from the form it decoded on the first
+// entry: once to completion, and once where the re-entry must fail on a
+// write slot the first entry filled.
+func TestDifferentialBlockReentry(t *testing.T) {
+	for _, feedOdd := range []bool{false, true} {
+		b := program.New("reentry")
+		reentry(b, feedOdd)
+		p, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var regs [isa.NumRegs]int64
+		regs[1] = 9
+		name := fmt.Sprintf("feedOdd=%v", feedOdd)
+		res := diffRun(t, name, p, &regs, mem.New(), diffOptions)
+		if feedOdd {
+			if res != nil {
+				t.Errorf("%s: ran to completion", name)
+			}
+			_, _, err := emu.ReferenceRun(p, &regs, mem.New(), diffOptions)
+			if err == nil || !strings.Contains(err.Error(), "(seq 2): write slot 0 (r2) received no value") {
+				t.Errorf("%s: reference error %v, want the second entry of a to fail", name, err)
+			}
+			continue
+		}
+		if res == nil {
+			t.Fatalf("%s: no result", name)
+		}
+		if len(res.BlockTrace) != 18 || res.BlockTrace[0] != 0 || res.BlockTrace[1] != 1 || res.BlockTrace[2] != 0 {
+			t.Errorf("%s: block trace %v, want a and b alternating nine times", name, res.BlockTrace)
+		}
+		if res.DependentLoads() == 0 {
+			t.Errorf("%s: no load depends on a store", name)
+		}
+	}
+}

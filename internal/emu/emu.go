@@ -17,7 +17,7 @@ package emu
 
 import (
 	"fmt"
-	"math"
+	"math/bits"
 
 	"repro/internal/core"
 	"repro/internal/isa"
@@ -98,6 +98,7 @@ func Run(p *isa.Program, regs *[isa.NumRegs]int64, m *mem.Memory, opt Options) (
 		p:   p,
 		m:   m.Clone(),
 		opt: opt,
+		dec: make([]*block, len(p.Blocks)),
 	}
 	if regs != nil {
 		e.regs = *regs
@@ -120,19 +121,11 @@ func Run(p *isa.Program, regs *[isa.NumRegs]int64, m *mem.Memory, opt Options) (
 		Loads:  e.loads,
 		Stores: e.stores,
 	}
-	if e.oracle != nil {
-		e.oracle.stores = e.shadow.writers
-		res.Oracle = e.oracle
-	}
+	res.Oracle = e.oracle
 	res.DepDistance = e.depDist
-	res.BlockTrace = e.trace
+	res.BlockTrace = e.trace.flatten()
 	res.StoreTrace = e.storeTrace
 	return res, nil
-}
-
-type writerInfo struct {
-	ref    core.DynRef
-	memSeq int64 // dynamic memory-op sequence number of the writer
 }
 
 type emulator struct {
@@ -141,29 +134,27 @@ type emulator struct {
 	regs [isa.NumRegs]int64
 	opt  Options
 
+	// dec holds each static block's decoded form, by block ID, made the
+	// first time the block runs.
+	dec []*block
+	// gen stamps the executing block's operands: an operand is present
+	// when its stamp equals gen, which execBlock bumps once per block, so
+	// nothing is cleared between blocks.
+	gen uint64
+
+	// blocks, insts, loads and stores count what has committed.  A load
+	// or store's dynamic memory-op sequence number is loads + stores
+	// before it.
 	blocks int64
 	insts  int64
 	loads  int64
 	stores int64
-	memSeq int64
-
-	// Per-block operand and write slots.  The backing arrays are reused
-	// by every block and grow to the largest block seen; slots and writes
-	// are the executing block's views of them, cut to its length so a
-	// target past the block still fails its bounds check.  An operand is
-	// present when its stamp equals gen, which begin bumps once per
-	// block, so nothing is cleared between blocks.
-	slotBuf  [][isa.NumSlots]operand
-	writeBuf []operand
-	slots    [][isa.NumSlots]operand
-	writes   []operand
-	gen      uint64
 
 	oracle     *Oracle
 	storeTrace []StoreRecord
 	shadow     *shadow
 	depDist    [24]int64
-	trace      []int
+	trace      segList[int]
 }
 
 func (e *emulator) run() error {
@@ -176,12 +167,17 @@ func (e *emulator) run() error {
 		if b == nil {
 			return fmt.Errorf("emu: branch to nonexistent block %d", cur)
 		}
-		next, err := e.execBlock(b)
+		d := e.dec[cur]
+		if d == nil {
+			d = decode(b)
+			e.dec[cur] = d
+		}
+		next, err := e.execBlock(d)
 		if err != nil {
 			return fmt.Errorf("emu: block %d %q (seq %d): %w", b.ID, b.Name, e.blocks, err)
 		}
-		if e.opt.TraceBlocks > 0 && len(e.trace) < e.opt.TraceBlocks {
-			e.trace = append(e.trace, b.ID)
+		if e.opt.TraceBlocks > 0 && e.trace.n < e.opt.TraceBlocks {
+			e.trace.push(b.ID)
 		}
 		e.blocks++
 		if next == isa.HaltTarget {
@@ -191,63 +187,156 @@ func (e *emulator) run() error {
 	}
 }
 
-// operand is one operand slot during a block execution; it holds a value
-// for the executing block only when gen equals the emulator's stamp.
+// block is one static block decoded for execution.  Every operand and
+// register-write slot of the block is one entry of slots: instruction i's
+// slot s is 3i+s, and write slot w follows the instructions' at 3n+w.
+// Each instruction and register read names its consumers as a range of
+// targets, which holds slot indices, so a delivery is one indexed store
+// after the generation check.
+type block struct {
+	src     *isa.Block
+	insts   []inst
+	reads   []read
+	targets []int32
+	slots   []operand
+	writes  int // index of write slot 0 in slots
+}
+
+// inst is one decoded instruction.  nd is its number of data operands;
+// targets[tlo:thi] are its consumers.
+type inst struct {
+	imm      int64
+	tlo, thi int32
+	kind     kind
+	op       isa.Opcode
+	pred     isa.PredMode
+	nd       uint8
+	size     uint8
+	lsid     int8
+}
+
+// read is one decoded register read: targets[tlo:thi] receive register reg.
+type read struct {
+	reg      uint8
+	tlo, thi int32
+}
+
+// kind is what an instruction does once it fires.
+type kind uint8
+
+const (
+	kindEval  kind = iota // delivers isa.Eval (nop included)
+	kindMov               // delivers operand A, as isa.Eval does for mov
+	kindConst             // delivers imm, as isa.Eval does for movi
+	kindLoad
+	kindStore
+	kindBranch // bro: branches to imm
+	kindBri    // branches to operand A
+)
+
+// operand is one slot during a block execution; it holds a value for the
+// executing block only when gen equals the emulator's stamp.
 type operand struct {
 	val int64
 	gen uint64
 }
 
-// begin stamps a new block generation and points the slot views at
-// scratch sized for b.  Fresh scratch is zeroed, and the stamp is never
-// zero, so a grown array starts with every slot absent.
-func (e *emulator) begin(b *isa.Block) {
-	e.gen++
-	if n := len(b.Insts); n > len(e.slotBuf) {
-		e.slotBuf = make([][isa.NumSlots]operand, n)
+// decode flattens b.  A target that names no slot of b (an index past the
+// block or an operand slot past SlotP, which only a corrupted program
+// has) becomes -1, so delivering to it panics on the bounds check, as in
+// ReferenceRun; a target of unknown kind is dropped, as ReferenceRun
+// drops it.
+func decode(b *isa.Block) *block {
+	n := len(b.Insts)
+	d := &block{
+		src:    b,
+		insts:  make([]inst, n),
+		reads:  make([]read, len(b.Reads)),
+		slots:  make([]operand, int(isa.NumSlots)*n+len(b.Writes)),
+		writes: int(isa.NumSlots) * n,
 	}
-	if n := len(b.Writes); n > len(e.writeBuf) {
-		e.writeBuf = make([]operand, n)
+	addTargets := func(ts []isa.Target) (lo, hi int32) {
+		lo = int32(len(d.targets))
+		for _, t := range ts {
+			s := int32(-1)
+			switch t.Kind {
+			case isa.TargetInst:
+				if int(t.Index) < n && t.Slot < isa.NumSlots {
+					s = int32(isa.NumSlots)*int32(t.Index) + int32(t.Slot)
+				}
+			case isa.TargetWrite:
+				if int(t.Index) < len(b.Writes) {
+					s = int32(d.writes + int(t.Index))
+				}
+			default:
+				continue
+			}
+			d.targets = append(d.targets, s)
+		}
+		return lo, int32(len(d.targets))
 	}
-	e.slots = e.slotBuf[:len(b.Insts)]
-	e.writes = e.writeBuf[:len(b.Writes)]
+	for i, r := range b.Reads {
+		lo, hi := addTargets(r.Targets)
+		d.reads[i] = read{reg: r.Reg, tlo: lo, thi: hi}
+	}
+	for i := range b.Insts {
+		in := &b.Insts[i]
+		k := kindEval
+		switch {
+		case in.Op == isa.OpMov:
+			k = kindMov
+		case in.Op == isa.OpMovi:
+			k = kindConst
+		case in.Op.IsLoad():
+			k = kindLoad
+		case in.Op.IsStore():
+			k = kindStore
+		case in.Op == isa.OpBri:
+			k = kindBri
+		case in.Op.IsBranch():
+			k = kindBranch
+		}
+		lo, hi := addTargets(in.Targets)
+		d.insts[i] = inst{
+			imm: in.Imm, tlo: lo, thi: hi, kind: k, op: in.Op, pred: in.Pred,
+			nd: uint8(in.Op.NumDataOperands()), size: uint8(in.Op.MemSize()), lsid: in.LSID,
+		}
+	}
+	return d
 }
 
-// deliver sends v to every target, enforcing that each operand and write
-// slot receives at most one value per block.
-func (e *emulator) deliver(ts []isa.Target, v int64) error {
-	for _, t := range ts {
-		switch t.Kind {
-		case isa.TargetWrite:
-			w := &e.writes[t.Index]
-			if w.gen == e.gen {
-				return fmt.Errorf("write slot %d received two values", t.Index)
-			}
-			w.val, w.gen = v, e.gen
-		case isa.TargetInst:
-			s := &e.slots[t.Index][t.Slot]
-			if s.gen == e.gen {
-				return fmt.Errorf("operand %s received two values", t)
-			}
-			s.val, s.gen = v, e.gen
+// deliver sends v to the slots targets[lo:hi] name, enforcing that each
+// receives at most one value per block.  execBlock inlines the same loop
+// for instructions.
+func (e *emulator) deliver(d *block, lo, hi int32, v int64) error {
+	for _, t := range d.targets[lo:hi] {
+		s := &d.slots[t]
+		if s.gen == e.gen {
+			return d.twice(t)
 		}
+		s.val, s.gen = v, e.gen
 	}
 	return nil
 }
 
-// get returns instruction i's operand in slot s, or an error when no
-// producer delivered it.
-func (e *emulator) get(i int, in *isa.Inst, s isa.Slot) (int64, error) {
-	o := &e.slots[i][s]
-	if o.gen != e.gen {
-		return 0, fmt.Errorf("i%d (%s): operand %s missing", i, in.Op, s)
+// twice is the error for slot t receiving a second value.
+func (d *block) twice(t int32) error {
+	if int(t) >= d.writes {
+		return fmt.Errorf("write slot %d received two values", int(t)-d.writes)
 	}
-	return o.val, nil
+	n := int32(isa.NumSlots)
+	return fmt.Errorf("operand %s received two values", isa.Target{Kind: isa.TargetInst, Index: uint8(t / n), Slot: isa.Slot(t % n)})
 }
 
-func (e *emulator) execBlock(b *isa.Block) (next int, err error) {
+// missing is the error for instruction i firing without operand s.
+func (d *block) missing(i int, s isa.Slot) error {
+	return fmt.Errorf("i%d (%s): operand %s missing", i, d.insts[i].op, s)
+}
+
+func (e *emulator) execBlock(d *block) (next int, err error) {
 	seq := e.blocks
-	e.begin(b)
+	e.gen++
+	gen := e.gen
 	if e.oracle != nil {
 		if err := e.oracle.begin(); err != nil {
 			return 0, err
@@ -256,65 +345,74 @@ func (e *emulator) execBlock(b *isa.Block) (next int, err error) {
 	var target int64
 	branchTaken := false
 
-	for _, r := range b.Reads {
-		if err := e.deliver(r.Targets, e.regs[r.Reg]); err != nil {
-			return 0, fmt.Errorf("read r%d: %w", r.Reg, err)
+	for _, r := range d.reads {
+		if err := e.deliver(d, r.tlo, r.thi, e.regs[r.reg]); err != nil {
+			return 0, fmt.Errorf("read r%d: %w", r.reg, err)
 		}
 	}
 
-	for i := range b.Insts {
-		in := &b.Insts[i]
-		var a, bv, pv int64
-		if nd := in.Op.NumDataOperands(); nd >= 1 {
-			if a, err = e.get(i, in, isa.SlotA); err != nil {
-				return 0, err
+	// The block's counts stay in locals and are stored once it commits;
+	// a block that fails discards them with the whole run.
+	insts, loads, stores := e.insts, e.loads, e.stores
+	slots := d.slots
+	for i := range d.insts {
+		in := &d.insts[i]
+		ops := slots[int(isa.NumSlots)*i:][:isa.NumSlots]
+		var a, bv int64
+		if in.nd >= 1 {
+			if ops[isa.SlotA].gen != gen {
+				return 0, d.missing(i, isa.SlotA)
 			}
-			if nd >= 2 {
-				if bv, err = e.get(i, in, isa.SlotB); err != nil {
-					return 0, err
+			a = ops[isa.SlotA].val
+			if in.nd >= 2 {
+				if ops[isa.SlotB].gen != gen {
+					return 0, d.missing(i, isa.SlotB)
 				}
+				bv = ops[isa.SlotB].val
 			}
 		}
-		if in.Pred != isa.PredNone {
-			if pv, err = e.get(i, in, isa.SlotP); err != nil {
-				return 0, err
+		if in.pred != isa.PredNone {
+			if ops[isa.SlotP].gen != gen {
+				return 0, d.missing(i, isa.SlotP)
 			}
-			if (in.Pred == isa.PredTrue) != (pv != 0) {
+			if (in.pred == isa.PredTrue) != (ops[isa.SlotP].val != 0) {
 				continue // nullified: fires nothing
 			}
 		}
-		e.insts++
-		switch {
-		case in.Op.IsLoad():
-			addr := uint64(a + in.Imm)
-			size := in.Op.MemSize()
-			v := e.m.Read(addr, size)
-			e.loads++
+		insts++
+		var v int64
+		switch in.kind {
+		case kindEval:
+			v = isa.Eval(in.op, a, bv, in.imm)
+		case kindMov:
+			v = a
+		case kindConst:
+			v = in.imm
+		case kindLoad:
+			addr := uint64(a + in.imm)
+			v = e.m.Read(addr, int(in.size))
 			if e.oracle != nil {
-				e.recordLoad(in.LSID, addr, size)
+				e.recordLoad(in.lsid, addr, int(in.size), loads+stores)
 			}
-			e.memSeq++
-			if err := e.deliver(in.Targets, v); err != nil {
-				return 0, fmt.Errorf("i%d: %w", i, err)
-			}
-		case in.Op.IsStore():
-			addr := uint64(a + in.Imm)
-			size := in.Op.MemSize()
-			e.m.Write(addr, bv, size)
-			e.stores++
-			ref := core.DynRef{Seq: seq, LSID: in.LSID}
+			loads++
+		case kindStore:
+			addr := uint64(a + in.imm)
+			e.m.Write(addr, bv, int(in.size))
 			if e.opt.TraceStores {
-				e.storeTrace = append(e.storeTrace, StoreRecord{Ref: ref, Addr: addr, Data: bv, Size: size})
+				ref := core.DynRef{Seq: seq, LSID: in.lsid}
+				e.storeTrace = append(e.storeTrace, StoreRecord{Ref: ref, Addr: addr, Data: bv, Size: int(in.size)})
 			}
 			if e.oracle != nil {
-				if err := e.recordStore(ref, addr, size); err != nil {
-					return 0, err
+				if seq >= maxPackedSeq {
+					return 0, fmt.Errorf("emu: the oracle names stores of at most %d blocks", int64(maxPackedSeq))
 				}
+				e.shadow.store(addr, int(in.size), writer{order: loads + stores + 1, ref: packRef(seq, in.lsid)})
 			}
-			e.memSeq++
-		case in.Op.IsBranch():
-			t := in.Imm
-			if in.Op == isa.OpBri {
+			stores++
+			continue
+		default:
+			t := in.imm
+			if in.kind == kindBri {
 				t = a
 			}
 			if branchTaken {
@@ -322,10 +420,24 @@ func (e *emulator) execBlock(b *isa.Block) (next int, err error) {
 			}
 			branchTaken = true
 			target = t
-		default:
-			v := isa.Eval(in.Op, a, bv, in.Imm)
-			if err := e.deliver(in.Targets, v); err != nil {
-				return 0, fmt.Errorf("i%d: %w", i, err)
+			continue
+		}
+		// Deliver v, enforcing that each slot receives at most one
+		// value per block.  The first target is peeled off the loop:
+		// nearly every instruction has one or two.
+		if in.thi > in.tlo {
+			t := d.targets[in.tlo]
+			s := &slots[t]
+			if s.gen == gen {
+				return 0, fmt.Errorf("i%d: %w", i, d.twice(t))
+			}
+			s.val, s.gen = v, gen
+			for _, t := range d.targets[in.tlo+1 : in.thi] {
+				s := &slots[t]
+				if s.gen == gen {
+					return 0, fmt.Errorf("i%d: %w", i, d.twice(t))
+				}
+				s.val, s.gen = v, gen
 			}
 		}
 	}
@@ -333,174 +445,35 @@ func (e *emulator) execBlock(b *isa.Block) (next int, err error) {
 	if !branchTaken {
 		return 0, fmt.Errorf("no branch fired")
 	}
-	for w := range e.writes {
-		if e.writes[w].gen != e.gen {
-			return 0, fmt.Errorf("write slot %d (r%d) received no value", w, b.Writes[w].Reg)
+	writes := slots[d.writes:]
+	for w := range writes {
+		if writes[w].gen != gen {
+			return 0, fmt.Errorf("write slot %d (r%d) received no value", w, d.src.Writes[w].Reg)
 		}
 	}
-	for w := range e.writes {
-		e.regs[b.Writes[w].Reg] = e.writes[w].val
+	for w := range writes {
+		e.regs[d.src.Writes[w].Reg] = writes[w].val
 	}
 	next = int(target)
 	if next != isa.HaltTarget && (next < 0 || next >= len(e.p.Blocks)) {
 		return 0, fmt.Errorf("branch to out-of-range block %d", next)
 	}
+	e.insts, e.loads, e.stores = insts, loads, stores
 	return next, nil
 }
 
-func (e *emulator) recordStore(ref core.DynRef, addr uint64, size int) error {
-	return e.shadow.store(addr, size, writerInfo{ref: ref, memSeq: e.memSeq})
-}
-
-// recordLoad enters the executing block's load lsid in the oracle table.
-func (e *emulator) recordLoad(lsid int8, addr uint64, size int) {
-	id := e.shadow.youngest(addr, size)
-	if id == 0 {
+// recordLoad enters the executing block's load lsid in the oracle table
+// and its store→load distance in the histogram.
+// The load is dynamic memory op memSeq.
+func (e *emulator) recordLoad(lsid int8, addr uint64, size int, memSeq int64) {
+	w := e.shadow.youngest(addr, size)
+	if w.order == 0 {
 		return
 	}
-	e.oracle.set(lsid, id)
-	d := e.memSeq - e.shadow.writers[id-1].memSeq
+	e.oracle.set(lsid, w.ref)
 	bucket := 0
-	for d > 1 && bucket < len(e.depDist)-1 {
-		d >>= 1
-		bucket++
+	if d := memSeq - (w.order - 1); d > 1 {
+		bucket = min(bits.Len64(uint64(d))-1, len(e.depDist)-1)
 	}
 	e.depDist[bucket]++
-}
-
-// The oracle's shadow memory mirrors mem's 4 KiB pages.
-const (
-	shadowBits = 12
-	shadowSize = 1 << shadowBits
-	shadowMask = shadowSize - 1
-)
-
-// shadowPage holds, per byte of one page, 1 + the writers index of the
-// youngest store that wrote the byte, or 0 if no store has.
-type shadowPage [shadowSize]int32
-
-// shadow is the oracle's last-writer memory.  Every dynamic store appends
-// one entry to writers, in memSeq order, and stamps its bytes with that
-// entry; so among the bytes a load covers, the youngest writer is simply
-// the one with the highest index.
-type shadow struct {
-	pages   map[uint64]*shadowPage
-	lastKey uint64
-	last    *shadowPage // page lastKey, or nil before the first hit
-	writers []writerInfo
-}
-
-// page returns the shadow page holding addr, creating it when create is
-// set; without create a missing page is nil.
-func (s *shadow) page(addr uint64, create bool) *shadowPage {
-	k := addr >> shadowBits
-	if s.last != nil && k == s.lastKey {
-		return s.last
-	}
-	p := s.pages[k]
-	if p == nil {
-		if !create {
-			return nil
-		}
-		p = new(shadowPage)
-		s.pages[k] = p
-	}
-	s.lastKey, s.last = k, p
-	return p
-}
-
-// store records w as the last writer of the size bytes at addr.
-func (s *shadow) store(addr uint64, size int, w writerInfo) error {
-	if len(s.writers) == math.MaxInt32 {
-		return fmt.Errorf("emu: oracle shadow holds at most %d stores", math.MaxInt32)
-	}
-	s.writers = append(s.writers, w)
-	id := int32(len(s.writers))
-	if off := addr & shadowMask; off+uint64(size) <= shadowSize {
-		row := s.page(addr, true)[off : off+uint64(size)]
-		for i := range row {
-			row[i] = id
-		}
-		return nil
-	}
-	for i := 0; i < size; i++ {
-		a := addr + uint64(i)
-		s.page(a, true)[a&shadowMask] = id
-	}
-	return nil
-}
-
-// youngest returns 1 + the writers index of the youngest store that wrote
-// any of the size bytes at addr, or 0 if no store has.
-func (s *shadow) youngest(addr uint64, size int) int32 {
-	var id int32
-	if off := addr & shadowMask; off+uint64(size) <= shadowSize {
-		if p := s.page(addr, false); p != nil {
-			for _, v := range p[off : off+uint64(size)] {
-				id = max(id, v)
-			}
-		}
-	} else {
-		for i := 0; i < size; i++ {
-			a := addr + uint64(i)
-			if p := s.page(a, false); p != nil {
-				id = max(id, p[a&shadowMask])
-			}
-		}
-	}
-	return id
-}
-
-// Oracle is the perfect-oracle table: for each dynamic load, the dynamic
-// store (if any) that most recently wrote an overlapping byte.  It is dense
-// and read-only once Run returns.  Committed block seq owns the slots from
-// base[seq] up to the next block's base, one per LSID up to its highest
-// dependent load; a slot holds 1 + the index of the conflicting store in
-// stores, or 0 when there is none.  stores is the shadow's append-only
-// store list, which the table shares rather than copies.
-type Oracle struct {
-	base   []int32
-	slots  []int32
-	stores []writerInfo
-}
-
-// begin opens the next committed block's slot range.
-func (o *Oracle) begin() error {
-	if len(o.slots) > math.MaxInt32-isa.MaxMemOps {
-		return fmt.Errorf("emu: oracle table holds at most %d slots", math.MaxInt32)
-	}
-	o.base = append(o.base, int32(len(o.slots)))
-	return nil
-}
-
-// set records that the executing block's load lsid depends on store id-1,
-// growing the block's slot range to reach it.  An LSID outside the ISA's
-// range names no slot (only a corrupted program has one) and is dropped.
-func (o *Oracle) set(lsid int8, id int32) {
-	if lsid < 0 || int(lsid) >= isa.MaxMemOps {
-		return
-	}
-	i := int(o.base[len(o.base)-1]) + int(lsid)
-	if i >= len(o.slots) {
-		o.slots = append(o.slots, make([]int32, i+1-len(o.slots))...)
-	}
-	o.slots[i] = id
-}
-
-// Dep returns the store the dynamic load must wait for, or core.NoDynRef.
-// A store, a load with no conflicting store and any reference the run
-// never committed all answer core.NoDynRef.
-func (o *Oracle) Dep(load core.DynRef) core.DynRef {
-	if load.Seq < 0 || load.Seq >= int64(len(o.base)) || load.LSID < 0 {
-		return core.NoDynRef
-	}
-	i := int(o.base[load.Seq]) + int(load.LSID)
-	end := len(o.slots)
-	if load.Seq+1 < int64(len(o.base)) {
-		end = int(o.base[load.Seq+1])
-	}
-	if i >= end || o.slots[i] == 0 {
-		return core.NoDynRef
-	}
-	return o.stores[o.slots[i]-1].ref
 }

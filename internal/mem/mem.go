@@ -14,9 +14,31 @@ const pageMask = pageSize - 1
 
 // Memory is a sparse little-endian 64-bit address space.  The zero value is
 // not usable; call New.
+//
+// A Memory has one owner.  Every read and write goes through a cache of
+// the pages it touched last, so even reads write the Memory: two
+// goroutines may share one only to Clone it or compare it (Equal,
+// FirstDiff, Footprint), which read the page map and never the cache.
 type Memory struct {
 	pages map[uint64]*[pageSize]byte
+	cache [cacheSize]cached
 }
+
+// The page cache is direct-mapped: page k may sit only in entry
+// cacheIndex(k), and a page, once made, stays, so an entry is never stale.
+const (
+	cacheBits = 5
+	cacheSize = 1 << cacheBits
+)
+
+type cached struct {
+	tag  uint64 // 1 + the page number of page, or 0 when the entry is empty
+	page *[pageSize]byte
+}
+
+// cacheIndex spreads page numbers over the cache by Fibonacci hashing, so
+// arrays that start on aligned pages still get distinct entries.
+func cacheIndex(k uint64) uint64 { return k * 0x9e3779b97f4a7c15 >> (64 - cacheBits) }
 
 // New returns an empty memory.  Unwritten bytes read as zero.
 func New() *Memory {
@@ -97,13 +119,23 @@ func isZero(p *[pageSize]byte) bool {
 	return true
 }
 
+// page returns the page holding addr, creating it when create is set;
+// without create a missing page is nil.
 func (m *Memory) page(addr uint64, create bool) *[pageSize]byte {
 	k := addr >> pageBits
+	c := &m.cache[cacheIndex(k)]
+	if c.tag == k+1 {
+		return c.page
+	}
 	p := m.pages[k]
-	if p == nil && create {
+	if p == nil {
+		if !create {
+			return nil
+		}
 		p = new([pageSize]byte)
 		m.pages[k] = p
 	}
+	c.tag, c.page = k+1, p
 	return p
 }
 
@@ -151,6 +183,13 @@ func (m *Memory) Uint(addr uint64, size int) uint64 {
 func (m *Memory) Read(addr uint64, size int) int64 {
 	if size == 1 {
 		return int64(m.ByteAt(addr))
+	}
+	if off := addr & pageMask; off+8 <= pageSize {
+		p := m.page(addr, false)
+		if p == nil {
+			return 0
+		}
+		return int64(binary.LittleEndian.Uint64(p[off:]))
 	}
 	return int64(m.Uint(addr, 8))
 }

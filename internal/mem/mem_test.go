@@ -181,3 +181,51 @@ func TestWriteResidency(t *testing.T) {
 		}
 	}
 }
+
+// TestPageCacheMatchesBytes drives random reads and writes at every width
+// over pages that share a page-cache entry, pages never written, and a
+// clone written after its original's cache filled, and checks each read
+// against a byte map: the cache must never answer with another page's,
+// a missing page's or the other memory's bytes.
+func TestPageCacheMatchesBytes(t *testing.T) {
+	var keys []uint64
+	for k := uint64(0x100); len(keys) < 4; k++ {
+		if len(keys) == 0 || cacheIndex(k) == cacheIndex(keys[0]) {
+			keys = append(keys, k)
+		}
+	}
+	keys = append(keys, 0x101, 0x102)
+	rng := rand.New(rand.NewSource(3))
+	m, ref := New(), map[uint64]byte{}
+	var c *Memory
+	cref := map[uint64]byte{}
+	for i := 0; i < 20000; i++ {
+		if i == 10000 {
+			c = m.Clone()
+			for a, b := range ref {
+				cref[a] = b
+			}
+		}
+		mm, rr := m, ref
+		if c != nil && rng.Intn(2) == 0 {
+			mm, rr = c, cref
+		}
+		addr := keys[rng.Intn(len(keys))]<<pageBits + uint64(rng.Intn(pageSize+8)) - 4
+		size := 1 + 7*rng.Intn(2)
+		if rng.Intn(3) == 0 {
+			v := rng.Int63()
+			mm.Write(addr, v, size)
+			for j := 0; j < size; j++ {
+				rr[addr+uint64(j)] = byte(uint64(v) >> (8 * j))
+			}
+			continue
+		}
+		var want int64
+		for j := 0; j < size; j++ {
+			want |= int64(rr[addr+uint64(j)]) << (8 * j)
+		}
+		if got := mm.Read(addr, size); got != want {
+			t.Fatalf("step %d: Read(%#x, %d) = %#x, want %#x", i, addr, size, got, want)
+		}
+	}
+}

@@ -1,7 +1,10 @@
 package repro_test
 
 import (
+	"context"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro"
@@ -115,6 +118,75 @@ func TestSampleSeriesKeepsEveryWindow(t *testing.T) {
 	for i, s := range r.Samples {
 		if s.Cycle != int64(i+1) || s.Window != 1 {
 			t.Fatalf("window %d ends at cycle %d over %d cycles, want cycle %d over 1", i, s.Cycle, s.Window, i+1)
+		}
+	}
+}
+
+// TestSharedPreparedConcurrently runs every scheme on one Prepared from
+// several goroutines at once, as sweep workers do, while other goroutines
+// Prepare points of their own.  Each run must equal the same scheme run
+// alone.  Under -race it also checks that simulating from a Prepared only
+// clones and compares its memories and reads its oracle: a mem.Memory
+// fills its page cache even on reads, so one may be shared only that way.
+func TestSharedPreparedConcurrently(t *testing.T) {
+	ctx := context.Background()
+	cfg := func(scheme string) repro.Config {
+		return repro.Config{Workload: "stencil", Scheme: scheme, Size: 64, Seed: 3}
+	}
+	alone, err := repro.Prepare("stencil", 64, 0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]*repro.Result{}
+	for _, s := range repro.Schemes() {
+		if want[s], err = repro.RunPrepared(ctx, cfg(s), alone); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Each round shares clones of the memories, whose page caches are
+	// empty, so a read of either by one goroutine fills a cache entry that
+	// the others read: the race detector reports it when nothing orders
+	// the two, and rounds repeat the chance.  The workers only run, and
+	// the results are compared once they have all finished.
+	var got []*repro.Result
+	errs := make(chan error, 64) // more than the failures one round can send
+	for round := 0; round < 4; round++ {
+		w, g := *alone.Workload, *alone.Golden
+		w.Mem, g.Mem = w.Mem.Clone(), g.Mem.Clone()
+		shared := &repro.Prepared{Workload: &w, Golden: &g}
+		results := make([]*repro.Result, len(repro.Schemes()))
+		var wg sync.WaitGroup
+		for i, s := range repro.Schemes() {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				r, err := repro.RunPrepared(ctx, cfg(s), shared)
+				if err != nil {
+					errs <- err
+				}
+				results[i] = r
+			}()
+		}
+		for _, k := range []string{"histogram", "bank", "hashmap", "cursor"} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := repro.Prepare(k, 64, 0, uint64(round)); err != nil {
+					errs <- err
+				}
+			}()
+		}
+		wg.Wait()
+		got = append(got, results...)
+	}
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	for i, r := range got {
+		s := repro.Schemes()[i%len(repro.Schemes())]
+		if r != nil && (r.Cycles != want[s].Cycles || !reflect.DeepEqual(r.Sim, want[s].Sim)) {
+			t.Errorf("%s: %d cycles run concurrently, %d alone", s, r.Cycles, want[s].Cycles)
 		}
 	}
 }
