@@ -64,3 +64,26 @@ func TestAccountingConservationMatrix(t *testing.T) {
 		}
 	}
 }
+
+// TestWaveSizeHistCountsWaves: the wave-size histogram holds one
+// observation per wave or VP repair and sums their attributed
+// re-executions, so re-executions under tag zero or a flush's tag make no
+// pseudo-wave.
+func TestWaveSizeHistCountsWaves(t *testing.T) {
+	for _, k := range conflictKernels {
+		t.Run(k, func(t *testing.T) {
+			res, err := repro.Run(repro.Config{Workload: k, Scheme: "dsre", Size: 256})
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := res.Sim.WaveSizeHist
+			if res.Sim.WaveCount == 0 {
+				t.Fatal("no waves; the check is vacuous")
+			}
+			if h.N != res.Sim.WaveCount || h.Sum != res.Sim.Forensics.WaveReexecs {
+				t.Errorf("histogram N %d, sum %d; want %d waves, %d wave re-executions",
+					h.N, h.Sum, res.Sim.WaveCount, res.Sim.Forensics.WaveReexecs)
+			}
+		})
+	}
+}

@@ -128,7 +128,7 @@ func (f *Forensics) Record(kind EventKind, seq int64, lsid int, loadPC, storePC 
 		r := f.waves.at(tag)
 		r.depth = d
 		if kind != EventFlush {
-			r.ev = uint32(pi+1)<<recProfileShift | recPresent
+			r.ev = uint32(pi+1) << recProfileShift
 		}
 	}
 	slot := &f.ring[int(seq%int64(len(f.ring)))]

@@ -167,9 +167,9 @@ func waveSize(f *Forensics, tag core.Tag) int64 {
 }
 
 // TestWaveStats: re-executions land on their wave's record and count in
-// the totals; a wave with no re-executions is still a wave; tags far apart
-// leave the tags between them out, and a tag beyond every touched page
-// reads as size zero.
+// the totals; a wave with no re-executions is still a wave, and a tag no
+// wave started is none; tags far apart leave the tags between them out,
+// and a tag beyond every touched page reads as size zero.
 func TestWaveStats(t *testing.T) {
 	load, store := predictor.MakePC(1, 0), predictor.MakePC(2, 0)
 	f := NewForensics(8)
@@ -191,6 +191,13 @@ func TestWaveStats(t *testing.T) {
 	f2.Record(EventVP, 2, 0, load, 0, 9, 0, 0)
 	if h2 := f2.SizeHist(); h2.N != 1 || h2.Max != 0 || f2.Waves() != 1 {
 		t.Errorf("zero-size wave hist = %v, %d waves", h2, f2.Waves())
+	}
+	// Re-executions on tag zero or on a flush's tag count, but neither tag
+	// is a wave.
+	f2.Reexecuted(0)
+	f2.Reexecuted(8)
+	if h2 := f2.SizeHist(); h2.N != 1 || h2.Sum != 0 || f2.Reexecs() != 2 {
+		t.Errorf("hist with unstarted tags = %v, %d reexecs", h2, f2.Reexecs())
 	}
 	// Tags pages apart: the unseen tags between them are not waves.
 	f3 := NewForensics(8)
@@ -401,11 +408,15 @@ func TestWaveTableAllocations(t *testing.T) {
 
 	t.Run("a small run allocates one page", func(t *testing.T) {
 		// The same ten repairs as waves, with re-executions, and as tagless
-		// flushes, which never touch the table: the difference is what the
-		// table allocates.
-		run := func(waves bool) int64 {
-			const runs = 1000
-			var before, after runtime.MemStats
+		// flushes, which never touch the table: the difference in each size
+		// class's allocation count is what the table allocates.  Every run
+		// builds its own table, so each of its allocations shows as one
+		// per run in its class; the few stray runtime allocations a loop
+		// of runs makes (the race detector makes some) round down to none,
+		// where in TotalAlloc bytes they read as a larger table.
+		const runs = 1000
+		run := func(waves bool) (ms runtime.MemStats) {
+			var before runtime.MemStats
 			runtime.ReadMemStats(&before)
 			for range runs {
 				f := NewForensics(8)
@@ -418,13 +429,26 @@ func TestWaveTableAllocations(t *testing.T) {
 					}
 				}
 			}
-			runtime.ReadMemStats(&after)
-			return int64(after.TotalAlloc-before.TotalAlloc) / runs
+			runtime.ReadMemStats(&ms)
+			for i := range ms.BySize {
+				ms.BySize[i].Mallocs -= before.BySize[i].Mallocs
+			}
+			return ms
 		}
-		table := run(true) - run(false)
-		t.Logf("ten waves: the table allocates %d B", table)
-		if dir := int64(unsafe.Sizeof((*wavePage)(nil))); table > int64(page)+dir {
-			t.Fatalf("ten waves allocate %d B of table, want at most one %d B page and its %d B directory", table, page, dir)
+		w, f := run(true), run(false)
+		var pages, other int64 // per run, rounded down
+		for i, c := range w.BySize {
+			d := (int64(c.Mallocs) - int64(f.BySize[i].Mallocs)) / runs
+			if uint64(c.Size) == page {
+				pages = d
+			} else {
+				other += d * int64(c.Size)
+			}
+		}
+		dir := int64(unsafe.Sizeof((*wavePage)(nil)))
+		t.Logf("ten waves: the table allocates %d page(s) and %d B besides, per run", pages, other)
+		if pages != 1 || other > dir {
+			t.Fatalf("ten waves allocate %d pages and %d B besides, want one %d B page and at most its %d B directory", pages, other, page, dir)
 		}
 	})
 
@@ -505,8 +529,8 @@ func BenchmarkWaveTable(b *testing.B) {
 			recordWave(f, &events[j])
 		}
 		h := f.SizeHist()
-		if s := f.Summarize(16); s.WaveReexecs+s.UnattributedReexecs != h.Sum {
-			b.Fatalf("summary re-executions %d+%d, histogram %d", s.WaveReexecs, s.UnattributedReexecs, h.Sum)
+		if s := f.Summarize(16); s.WaveReexecs != h.Sum || h.N != f.Waves() {
+			b.Fatalf("summary wave re-executions %d, histogram %d over %d of %d waves", s.WaveReexecs, h.Sum, h.N, f.Waves())
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/wave")

@@ -190,8 +190,9 @@ func (f *refForensics) Summarize(waveSize func(core.Tag) int64, totalReexecs int
 type refWaveStats struct {
 	// perWave counts re-executed instructions by wave tag, indexed by tag:
 	// tags come densely from TagSource.Next, so a slice replaces a map.
-	// present marks the tags that have been seen (one bit per tag), so a
-	// wave with zero re-executions still counts as a wave.
+	// present marks the tags a wave started (one bit per tag), so a wave
+	// with zero re-executions still counts as a wave and a tag no wave
+	// started does not.
 	perWave []int64
 	present []uint64
 	waves   int // distinct tags present
@@ -202,16 +203,12 @@ type refWaveStats struct {
 	Waves int64
 }
 
-// touch returns tag's counter slot, registering the tag on first sight.
+// touch returns tag's counter slot, growing the tables to hold it.
 func (w *refWaveStats) touch(tag core.Tag) *int64 {
 	i := int(tag)
 	if i >= len(w.perWave) {
 		w.perWave = slices.Grow(w.perWave, i+1-len(w.perWave))[:i+1]
 		w.present = slices.Grow(w.present, i/64+1-len(w.present))[:i/64+1]
-	}
-	if bit := uint64(1) << (i & 63); w.present[i/64]&bit == 0 {
-		w.present[i/64] |= bit
-		w.waves++
 	}
 	return &w.perWave[i]
 }
@@ -222,9 +219,15 @@ func (w *refWaveStats) touch(tag core.Tag) *int64 {
 func (w *refWaveStats) WaveStarted(tag core.Tag) {
 	w.Waves++
 	w.touch(tag)
+	i := int(tag)
+	if bit := uint64(1) << (i & 63); w.present[i/64]&bit == 0 {
+		w.present[i/64] |= bit
+		w.waves++
+	}
 }
 
-// Reexecuted records one instruction re-execution attributed to wave tag.
+// Reexecuted records one instruction re-execution attributed to wave tag;
+// a tag no wave started holds re-executions but is no wave.
 func (w *refWaveStats) Reexecuted(tag core.Tag) {
 	w.Reexecs++
 	*w.touch(tag)++

@@ -10,10 +10,11 @@ import (
 
 // waveRec is one wave tag's record: the re-executions attributed to the
 // tag, its wave depth (zero until a repair carries the tag), and ev, which
-// packs the owning profile of a wave or VP repair with two flags:
-// (profile index+1)<<recProfileShift | recPresent | recSuperseded.  Twelve
-// bytes a tag.  Measured wave sizes stay below 30 re-executions, so 32
-// bits hold them with room to spare; Reexecuted panics rather than wrap.
+// packs the owning profile of a wave or VP repair with a flag:
+// (profile index+1)<<recProfileShift | recSuperseded.  A tag is a wave when
+// its profile is set.  Twelve bytes a tag.  Measured wave sizes stay below
+// 30 re-executions, so 32 bits hold them with room to spare; Reexecuted
+// panics rather than wrap.
 type waveRec struct {
 	reexecs uint32
 	depth   int32
@@ -23,12 +24,8 @@ type waveRec struct {
 const (
 	// recSuperseded: a later repair of the same dynamic load superseded
 	// this tag's repair, so its re-executions were wasted.
-	recSuperseded = 1 << iota
-	// recPresent: the tag is a wave — a wave or VP repair started it, or
-	// an instruction re-executed under it — and counts in the size
-	// histogram, even with zero re-executions.
-	recPresent
-	recProfileShift = iota
+	recSuperseded   = 1
+	recProfileShift = 1
 )
 
 // profile returns the owning profile index plus one, or zero when no wave
@@ -56,8 +53,10 @@ type waveTable struct {
 // at returns tag's record, allocating its page on first touch.
 func (t *waveTable) at(tag core.Tag) *waveRec {
 	i := int(tag / pageLen)
-	if i >= len(t.pages) {
-		t.pages = append(t.pages, make([]*wavePage, i+1-len(t.pages))...)
+	for i >= len(t.pages) {
+		// One entry at a time: append(pages, make(...)...) allocates a
+		// temporary slice when the build is instrumented (-race).
+		t.pages = append(t.pages, nil)
 	}
 	p := t.pages[i]
 	if p == nil {
@@ -88,7 +87,8 @@ func (t *waveTable) each(fn func(r *waveRec)) {
 }
 
 // Reexecuted records one instruction re-execution attributed to wave tag.
-// A tag no repair started (tag zero, say) becomes a wave of its own.
+// A tag no wave or VP repair started (tag zero, a flush's tag) counts its
+// re-executions but is no wave.
 func (f *Forensics) Reexecuted(tag core.Tag) {
 	f.waves.reexecs++
 	r := f.waves.at(tag)
@@ -96,7 +96,6 @@ func (f *Forensics) Reexecuted(tag core.Tag) {
 		panic(fmt.Sprintf("account: wave %d re-executed 2^32 times", tag))
 	}
 	r.reexecs++
-	r.ev |= recPresent
 }
 
 // Waves returns the number of wave and VP repairs recorded.
@@ -105,12 +104,13 @@ func (f *Forensics) Waves() int64 { return f.waves.started }
 // Reexecs returns the number of re-executions recorded.
 func (f *Forensics) Reexecs() int64 { return f.waves.reexecs }
 
-// SizeHist returns the histogram of wave sizes: one observation per wave
-// tag, its re-execution count.  It reads the table in place.
+// SizeHist returns the histogram of wave sizes: one observation per tag a
+// wave or VP repair started, its re-execution count, so its N is Waves.
+// It reads the table in place.
 func (f *Forensics) SizeHist() stats.Hist {
 	var h stats.Hist
 	f.waves.each(func(r *waveRec) {
-		if r.ev&recPresent != 0 {
+		if r.profile() != 0 {
 			h.Add(int64(r.reexecs))
 		}
 	})

@@ -21,7 +21,8 @@ func benchQueue(b *testing.B, policy core.IssuePolicy) (*Queue, *mem.Memory) {
 }
 
 // BenchmarkForwardingScan measures byte-wise reconstruction against a
-// full window (8 blocks × 32 memory ops).
+// full window (8 blocks × 32 memory ops): the load's word chain in the
+// store index holds two stores, and the youngest covers it.
 func BenchmarkForwardingScan(b *testing.B) {
 	q, _ := benchQueue(b, core.IssueAggressive)
 	ops := make([]OpInfo, 32)
@@ -190,8 +191,9 @@ func BenchmarkStoreRecheck(b *testing.B) {
 
 // BenchmarkReconstructMiss measures forwarding for a load no store covers:
 // the load sits in the youngest block behind a window of executed stores
-// at other addresses (and other address words), so every older block is
-// skipped on its store summary and the value comes from memory.
+// at other addresses (and other address words), so the store index holds
+// nothing under the load's word and the value comes from memory.  ns/op
+// should not grow from the 8-block window to the 32-block one.
 func BenchmarkReconstructMiss(b *testing.B) {
 	for _, blocks := range []int{8, 32} {
 		b.Run(fmt.Sprintf("blocks=%d", blocks), func(b *testing.B) {
@@ -220,7 +222,7 @@ func BenchmarkReconstructMiss(b *testing.B) {
 // BenchmarkTakeReadyParked measures a re-evaluation pass over a 32-block
 // window of 992 loads parked by the store-set policy on stores that have
 // not executed, with no store executing between passes: no parked load is
-// woken, so the pass only counts their deferrals.
+// woken, so the pass retries nothing, however many loads are parked.
 func BenchmarkTakeReadyParked(b *testing.B) {
 	const blocks = 32
 	m := mem.New()
@@ -253,7 +255,6 @@ func BenchmarkTakeReadyParked(b *testing.B) {
 	buf := make([]ReadyLoad, 0, 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q.MarkDirty() // as an unrelated queue event would
 		if buf = q.TakeReady(int64(i), buf[:0]); len(buf) != 0 {
 			b.Fatal("no parked load can issue")
 		}

@@ -313,7 +313,7 @@ func TestCertificationKeepsArrivalOrder(t *testing.T) {
 
 // TestCandidateCountSquashDrain: squashing and draining blocks drop their
 // uncertified candidates from the live count, so a scan over an emptied
-// window is skipped and nothing stale is reported.
+// window is skipped and nothing left over is reported.
 func TestCandidateCountSquashDrain(t *testing.T) {
 	q, _, _ := newQueue(t, core.IssueAggressive, nil, nil)
 	for seq := int64(0); seq < 4; seq++ {

@@ -27,7 +27,7 @@ type LoadResult struct {
 func (q *Queue) LoadTry(now int64, k core.DynRef, addr uint64, tag core.Tag) LoadResult {
 	s, op := q.opSlot(k)
 	if s < 0 || q.stores[s].Test(op) {
-		return LoadResult{Deferred: true, Reason: DeferNone} // stale message for a squashed block
+		return LoadResult{Deferred: true, Reason: DeferNone} // a message for a squashed block
 	}
 	f := s*opStride + op
 	first := !q.exec[s].Test(op)
@@ -56,12 +56,11 @@ func (q *Queue) LoadTry(now int64, k core.DynRef, addr uint64, tag core.Tag) Loa
 func (q *Queue) tryIssue(now int64, k core.DynRef, s, op int) LoadResult {
 	f := s*opStride + op
 	if w, wait := q.deferOn(k, s, op); wait {
-		q.park(k, s, op)
+		q.park(s, op)
 		if !q.waiting[s].Test(op) {
+			q.deactivate(s, op)
 			q.waitOn(waitIssue, w, f)
 			q.waiting[s].Set(op)
-			q.active[s].Clear(op)
-			q.nWaitEnt += int(q.nEnt[f])
 		}
 		q.Stats.DeferredPolicy++
 		return LoadResult{Deferred: true, Reason: DeferPolicy}
@@ -75,9 +74,8 @@ func (q *Queue) tryIssue(now int64, k core.DynRef, s, op int) LoadResult {
 		clat, ok := q.hier.DataAccess(now, q.addr[f], false)
 		if !ok {
 			// All MSHRs busy: park and retry as time passes.
-			q.park(k, s, op)
+			q.park(s, op)
 			q.activate(k, s, op)
-			q.mshrWait = true
 			q.Stats.DeferredMSHR++
 			return LoadResult{Deferred: true, Reason: DeferMSHR}
 		}
@@ -89,10 +87,8 @@ func (q *Queue) tryIssue(now int64, k core.DynRef, s, op int) LoadResult {
 		}
 	}
 	q.issued[s].Set(op)
-	if q.parked[s].Test(op) {
-		q.parked[s].Clear(op)
-		q.stale = append(q.stale, k) // its entries go at the next pass
-	}
+	q.parked[s].Clear(op) // drops its deferred-list entry
+	q.deactivate(s, op)
 	q.data[f] = v
 	// Issuing is one of the conditions certification waits on.
 	q.certDirty = true
@@ -100,24 +96,15 @@ func (q *Queue) tryIssue(now int64, k core.DynRef, s, op int) LoadResult {
 	return LoadResult{Value: v, Tag: q.tag[f], Latency: lat, PC: q.pc[f]}
 }
 
-// park gives a load a deferred-list entry unless it is already parked.  A
-// load that issued outside a pass still has its old entries until the
-// next pass drops them; parking again before then revives them, so it
-// holds several (see the package comment).
-func (q *Queue) park(k core.DynRef, s, op int) {
+// park gives a load its deferred-list entry, at a new park position,
+// unless it is already parked.
+func (q *Queue) park(s, op int) {
 	if q.parked[s].Test(op) {
 		return
 	}
 	q.parked[s].Set(op)
-	f := s*opStride + op
 	q.nextPos++
-	if q.nEnt[f] == 0 {
-		q.ppos[f] = q.nextPos
-	} else {
-		q.dups = append(q.dups, parkEntry{k, q.nextPos})
-	}
-	q.nEnt[f]++
-	q.nEntries++
+	q.ppos[s*opStride+op] = q.nextPos
 }
 
 // activate puts a parked load on the active list, which the next pass
@@ -125,7 +112,17 @@ func (q *Queue) park(k core.DynRef, s, op int) {
 func (q *Queue) activate(k core.DynRef, s, op int) {
 	if !q.active[s].Test(op) {
 		q.active[s].Set(op)
+		q.nActive++
 		q.activeList = append(q.activeList, k)
+	}
+}
+
+// deactivate takes a load off the active list: it issued or waits on a
+// store again.  Its key may stay listed; a pass passes over it.
+func (q *Queue) deactivate(s, op int) {
+	if q.active[s].Test(op) {
+		q.active[s].Clear(op)
+		q.nActive--
 	}
 }
 
@@ -138,24 +135,9 @@ func (q *Queue) wakeIssueWaiters(f int) {
 		q.wait[fl][waitIssue] = link{}
 		s, op := fl/opStride, fl%opStride
 		q.waiting[s].Clear(op)
-		q.nWaitEnt -= int(q.nEnt[fl])
 		q.activate(q.keyAt(fl), s, op)
 	}
 	q.wait[f][waitIssue].next = 0
-}
-
-// dropEntries removes a load's deferred-list entries unless it has parked
-// again since it issued.
-func (q *Queue) dropEntries(k core.DynRef, s, op int) {
-	f := s*opStride + op
-	if q.parked[s].Test(op) || q.nEnt[f] == 0 {
-		return
-	}
-	if q.nEnt[f] > 1 {
-		q.dups = slices.DeleteFunc(q.dups, func(e parkEntry) bool { return e.k == k })
-	}
-	q.nEntries -= int(q.nEnt[f])
-	q.nEnt[f] = 0
 }
 
 // GuardLoad marks a flushed violating load: its replayed instance (same
@@ -224,79 +206,43 @@ func (q *Queue) oldestOlderUnexecutedStore(k core.DynRef) (int, bool) {
 	return 0, false
 }
 
-// HasReadyWork reports whether the next TakeReady call will re-evaluate
-// parked loads (as opposed to returning immediately).  The event-driven
-// run loop uses it to classify a cycle as active: a re-evaluation pass can
-// issue loads or count deferral retries even when it returns nothing.
-func (q *Queue) HasReadyWork() bool {
-	return (q.dirty || q.mshrWait) && q.nEntries > 0
-}
+// HasReadyWork reports whether the next TakeReady pass will retry a load:
+// whether a live load is on the active list.  The event-driven run loop
+// uses it to classify a cycle as active.
+func (q *Queue) HasReadyWork() bool { return q.nActive > 0 }
 
 // TakeReady runs a re-evaluation pass over the deferred list and returns
 // the loads that can now issue, appending into buf (pass buf[:0] to reuse
 // a scratch buffer; the result must be consumed before the next call).
 // Call once per cycle; it is cheap when nothing changed.  A pass retries
 // only the active loads — woken by their store's first execution, or
-// parked on a full MSHR file — entry by entry in park order; every entry
-// of a load still waiting on its store counts one policy deferral, as
-// re-running its policy check would (see the package comment).
+// parked on a full MSHR file — each once, in park order.
 func (q *Queue) TakeReady(now int64, buf []ReadyLoad) []ReadyLoad {
-	if !q.HasReadyWork() {
-		q.dirty = false
+	if q.nActive == 0 {
+		q.activeList = q.activeList[:0] // only loads that have left it
 		return buf
 	}
-	q.dirty = false
-	q.mshrWait = false
-	q.Stats.DeferredPolicy += int64(q.nWaitEnt)
 	ents := q.passBuf[:0]
 	for _, k := range q.activeList {
 		s, op := q.opSlot(k)
 		if s < 0 || !q.active[s].Test(op) {
-			continue // squashed, or waiting again
+			continue // squashed, drained, issued or waiting again
 		}
 		q.active[s].Clear(op)
-		if !q.parked[s].Test(op) {
-			continue // issued since
-		}
-		f := s*opStride + op
-		ents = append(ents, parkEntry{k, q.ppos[f]})
-		if q.nEnt[f] > 1 {
-			for _, e := range q.dups {
-				if e.k == k {
-					ents = append(ents, e)
-				}
-			}
-		}
+		ents = append(ents, parkEntry{k, q.ppos[s*opStride+op]})
 	}
+	q.nActive = 0
 	q.activeList = q.activeList[:0]
 	slices.SortFunc(ents, func(a, b parkEntry) int { return cmp.Compare(a.pos, b.pos) })
 	out := buf
 	for _, e := range ents {
 		q.work.ReadyVisits++
 		s, op := q.opSlot(e.k)
-		switch {
-		case !q.parked[s].Test(op): // issued at an earlier entry
-		case q.waiting[s].Test(op): // deferred again at an earlier entry
-			q.Stats.DeferredPolicy++
-		default:
-			if r := q.tryIssue(now, e.k, s, op); !r.Deferred {
-				out = append(out, ReadyLoad{Load: e.k, Addr: q.addr[s*opStride+op], Res: r})
-			}
+		if r := q.tryIssue(now, e.k, s, op); !r.Deferred {
+			out = append(out, ReadyLoad{Load: e.k, Addr: q.addr[s*opStride+op], Res: r})
 		}
 	}
 	q.passBuf = ents
-	// A pass drops the entries of loads that issued since they parked and
-	// of drained blocks.
-	for _, k := range q.stale {
-		if s, op := q.opSlot(k); s >= 0 {
-			q.dropEntries(k, s, op)
-		}
-	}
-	q.stale = q.stale[:0]
-	for _, o := range q.orphans {
-		q.nEntries -= o.n
-	}
-	q.orphans = q.orphans[:0]
 	q.work.ReadyIssued += int64(len(out) - len(buf))
 	return out
 }
@@ -314,7 +260,6 @@ func (q *Queue) LoadInputsCommitted(k core.DynRef) {
 	q.nextStamp++
 	q.nCand++
 	q.wakeCand(k, s, op)
-	q.dirty = true
 	q.certDirty = true
 }
 
@@ -462,8 +407,8 @@ func (q *Queue) certBlocker(f int, addr uint64, size int) int {
 		return bs*opStride + q.barrier(bs).Max()
 	}
 	// Every uncommitted store older than the load is address-final, so
-	// filed in the store index; the first aliasing one older than the load
-	// in a chain is the chain's youngest.
+	// filed in the store index; the first uncommitted aliasing one older
+	// than the load in a chain is the chain's youngest.
 	kAge := q.age(f)
 	youngest, youngestAge := -1, -1
 	w0, w1 := opWords(addr, size)
@@ -479,7 +424,7 @@ func (q *Queue) certBlocker(f int, addr uint64, size int) int {
 			if a <= youngestAge {
 				break
 			}
-			if match && overlap(q.addr[fs], int(q.size[fs]), addr, size) {
+			if match && !q.committed[fs/opStride].Test(fs%opStride) && overlap(q.addr[fs], int(q.size[fs]), addr, size) {
 				youngest, youngestAge = fs, a
 				break
 			}
@@ -503,7 +448,3 @@ func sortByStamp(hits []CertifiedLoad, stamps []uint64) {
 
 // Occupancy returns the number of resident entries (for stats).
 func (q *Queue) Occupancy() int { return q.occupancy() }
-
-// MarkDirty forces deferred-load re-evaluation on the next TakeReady (used
-// by the simulator after events the queue cannot see, e.g. MSHR drain).
-func (q *Queue) MarkDirty() { q.dirty = true }

@@ -49,39 +49,29 @@
 //     aliases it.  Nothing else can make it certifiable, so a scan that
 //     examines only the woken candidates certifies exactly what a walk of
 //     every candidate would.
-//   - Violation re-check.  Every load that has been given an address is
-//     filed in an exact word index (loadIdx) under the 8-byte words its
-//     byte range touches, from LoadTry, where the address is set: a load
-//     that re-executes at a new address while the MSHRs are busy keeps its
-//     issued bit, and the re-check must find it at the new address.  A
-//     store's re-check walks the chains of its own words only, youngest
-//     load first, stopping at the first load older than the store.
-//     Certification finds aliasing stores the same way in storeIdx, which
-//     files every executed, live, uncommitted store.
+//   - Violation re-check and forwarding.  Every load that has been given an
+//     address is filed in an exact word index (loadIdx) under the 8-byte
+//     words its byte range touches, from LoadTry, where the address is
+//     set: a load that re-executes at a new address while the MSHRs are
+//     busy keeps its issued bit, and the re-check must find it at the new
+//     address.  A store's re-check walks the chains of its own words only,
+//     youngest load first, stopping at the first load older than the
+//     store.  storeIdx files every executed, live store until it drains,
+//     committed or not, since a committed store still forwards until its
+//     bytes reach memory.  A load's forwarding walk reads the chains of
+//     its own words youngest store first; certification finds aliasing
+//     stores there too, passing over committed ones.
 //
-// Deferred list: a pass returns what rescanning the list of every parked
-// load would, and moves Stats the same way.  A load gets an entry whenever
-// it parks while not parked, and keeps its entries while it issues outside
-// a pass until the next pass drops them; parking again before then revives
-// them, so a load can hold several, each retried at its own park position
-// (dups holds all but the oldest).  Entries of drained blocks also wait for
-// the next pass.  HasReadyWork counts every entry, so it marks the same
-// cycles active as before.  Stats.DeferredPolicy counts one deferral per
-// entry of a policy-parked load per pass, the count a re-evaluation of
-// every entry produced; it is kept for byte-identical results, not because
-// a pass still evaluates those loads.
-//
-// Address summaries: each block slot carries a 64-bit summary, swords, of
-// every address any of its stores has executed at (one bit per 8-byte
-// word, hashed modulo 64; see wordBits).  It is ORed into and zeroed only
-// when the slot is (re)registered, so it is a superset: a stale bit costs
-// one wasted block walk, never a missed overlap.  A load's forwarding walk
-// skips every older block whose summary misses the load's words.
+// Deferred list: a parked load holds one entry, made when it parks while
+// not parked and dropped when it issues, drains or is squashed.  The entry
+// keeps the load's park position, so a pass retries its active loads in
+// park order, each once.  HasReadyWork reports whether a live load is
+// active, and Stats.DeferredPolicy counts one deferral per park decision
+// the issue policy makes.
 package lsq
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/bitset"
 	"repro/internal/cache"
@@ -103,7 +93,7 @@ type OpInfo struct {
 	PC      predictor.PC
 }
 
-// Violation reports a load whose previously returned value is stale.
+// Violation reports a load whose previously returned value is out of date.
 type Violation struct {
 	Load    core.DynRef
 	Addr    uint64 // the load's address (for D-tile bank routing)
@@ -187,12 +177,9 @@ type Queue struct {
 	head int
 	n    int
 
-	// Read every cycle, so kept with the window bounds: the deferred
-	// list's entry count and whether a pass is due (see "Deferred list"
-	// below).
-	nEntries int
-	dirty    bool
-	mshrWait bool // some load parked on MSHR pressure; retry every cycle
+	// Read every cycle, so kept with the window bounds: the live loads on
+	// the active list, which the next pass retries.
+	nActive int
 
 	// Per-block state, indexed by physical slot.
 	seqs []int64
@@ -230,18 +217,13 @@ type Queue struct {
 	// under each 8-byte word its byte range touches (one or two).
 	wait [][2]link
 	word [][2]link
-	// A parked load's deferred-list entries (see "Deferred list" in the
-	// package comment): how many it has, and the park position of its
-	// oldest; the rest are on dups.
-	nEnt []int32
+	// ppos is a parked load's park position (see "Deferred list" in the
+	// package comment).
 	ppos []uint64
 
-	// Per-block store address-word summaries (see the package comment).
-	swords []uint64
-
 	// loadIdx files every load that has been given an address, storeIdx
-	// every executed, live, uncommitted store, each under the words of its
-	// current address.
+	// every executed, live store until it drains, each under the words of
+	// its current address.
 	loadIdx, storeIdx wordIndex
 
 	// viol is the violation list StoreUpdate and StoreNullify return,
@@ -253,18 +235,12 @@ type Queue struct {
 
 	resident int // ops across blocks (occupancy is read every cycle)
 
-	// Deferred list.  nEntries (above) counts its entries, nWaitEnt those
-	// of loads waiting on a store.  activeList holds the loads a pass must
-	// retry (woken, or parked on the MSHRs), stale the loads that issued
-	// outside a pass while they had entries, orphans the entries of
-	// drained loads; a pass drops both.  dups holds every entry but a
-	// load's oldest.
+	// Deferred list.  nextPos numbers park positions.  activeList holds
+	// the loads the next pass retries (woken, or parked on the MSHRs),
+	// and may still hold loads that left it since; passBuf is a pass's
+	// scratch list.
 	nextPos    uint64
-	nWaitEnt   int
 	activeList []core.DynRef
-	stale      []core.DynRef
-	orphans    []orphan
-	dups       []parkEntry
 	passBuf    []parkEntry
 
 	// certDirty gates TakeCertifiable's scan: a parked certification
@@ -307,12 +283,6 @@ type Queue struct {
 type parkEntry struct {
 	k   core.DynRef
 	pos uint64
-}
-
-// orphan counts the deferred-list entries of a drained block.
-type orphan struct {
-	seq int64
-	n   int
 }
 
 // New builds a queue.  mem holds committed state; hier provides data-side
@@ -362,7 +332,6 @@ func (q *Queue) grow(c int) {
 	for _, m := range all {
 		*m, masks = masks[:c:c], masks[c:]
 	}
-	q.swords = make([]uint64, c)
 	q.barBlocks = make([]uint64, (c+63)/64)
 	q.addr = make([]uint64, c*opStride)
 	q.data = make([]int64, c*opStride)
@@ -373,7 +342,6 @@ func (q *Queue) grow(c int) {
 	q.stamp = make([]uint64, c*opStride)
 	q.wait = make([][2]link, c*opStride)
 	q.word = make([][2]link, c*opStride)
-	q.nEnt = make([]int32, c*opStride)
 	q.ppos = make([]uint64, c*opStride)
 	oldAll := [nMasks][]bitset.Mask32{old.stores, old.exec, old.null, old.committed, old.addrCom,
 		old.dataCom, old.issued, old.certified, old.inputsCom, old.parked, old.waitValid,
@@ -385,7 +353,6 @@ func (q *Queue) grow(c int) {
 		for i, m := range all {
 			(*m)[l] = oldAll[i][s]
 		}
-		q.swords[l] = old.swords[s]
 		q.noteBarrier(l)
 	}
 	relocate(q.addr, old.addr, &old)
@@ -396,7 +363,6 @@ func (q *Queue) grow(c int) {
 	relocate(q.waitFor, old.waitFor, &old)
 	relocate(q.stamp, old.stamp, &old)
 	relocate(q.wait, old.wait, &old)
-	relocate(q.nEnt, old.nEnt, &old)
 	relocate(q.ppos, old.ppos, &old)
 	q.head = 0
 	q.remapLinks(old.head, len(old.seqs))
@@ -408,7 +374,7 @@ func (q *Queue) grow(c int) {
 			op := m.Min()
 			q.index(&q.loadIdx, fb+op)
 		}
-		for m := q.stores[l] & q.exec[l] &^ q.null[l] &^ q.committed[l]; !m.Empty(); m &= m - 1 {
+		for m := q.stores[l] & q.exec[l] &^ q.null[l]; !m.Empty(); m &= m - 1 {
 			op := m.Min()
 			q.index(&q.storeIdx, fb+op)
 		}
@@ -467,7 +433,6 @@ func (q *Queue) RegisterBlock(seq int64, ops []OpInfo) {
 	q.issued[s], q.certified[s], q.inputsCom[s] = 0, 0, 0
 	q.parked[s], q.waitValid[s] = 0, 0
 	q.waiting[s], q.active[s], q.certWoken[s] = 0, 0, 0
-	q.swords[s] = 0
 	base := s * opStride
 	end := base + len(ops)
 	clear(q.addr[base:end])
@@ -523,55 +488,36 @@ func (q *Queue) SquashFrom(seq int64) {
 			s := (q.head + l) & q.ringMask()
 			q.resident -= int(q.nops[s])
 			q.nCand -= (q.inputsCom[s] &^ q.certified[s]).Count()
-			q.nEntries -= q.release(s)
+			q.release(s)
 		}
 		if int64(q.n) > cut {
 			q.n = int(cut)
 		}
 	}
-	q.dups = slices.DeleteFunc(q.dups, func(e parkEntry) bool { return e.k.Seq >= seq })
-	q.orphans = slices.DeleteFunc(q.orphans, func(o orphan) bool {
-		if o.seq >= seq {
-			q.nEntries -= o.n
-			return true
-		}
-		return false
-	})
 	q.filterKeys(&q.activeList, seq)
 	q.filterKeys(&q.certWake, seq)
-	q.dirty = true
 	q.certDirty = true
 }
 
 // release unlinks block slot s's ops as the block leaves the window: from
-// wait lists and word indexes, and their deferred-list entries from the
-// per-load counts.  It leaves every op's links and entry count zero, so a
-// slot is ready for reuse without clearing.  It returns how many entries
-// its loads had; the caller settles nEntries.  Only a load that has been
-// given an address can park or wait.
-func (q *Queue) release(s int) int {
+// wait lists, word indexes and the active count, which drops its parked
+// loads' deferred-list entries.  It leaves every op's links zero, so a
+// slot is ready for reuse without clearing.
+func (q *Queue) release(s int) {
 	fb := s * opStride
-	n := 0
+	for m := q.waiting[s]; !m.Empty(); m &= m - 1 {
+		q.unwait(waitIssue, fb+m.Min())
+	}
+	q.nActive -= q.active[s].Count()
 	for m := q.exec[s] &^ q.stores[s]; !m.Empty(); m &= m - 1 {
-		op := m.Min()
-		f := fb + op
-		if e := int(q.nEnt[f]); e > 0 {
-			n += e
-			if q.waiting[s].Test(op) {
-				q.nWaitEnt -= e
-				q.unwait(waitIssue, f)
-			}
-			q.nEnt[f] = 0
-		}
-		q.unindex(&q.loadIdx, f)
+		q.unindex(&q.loadIdx, fb+m.Min())
 	}
 	for m := q.inputsCom[s] &^ q.certified[s] &^ q.certWoken[s]; !m.Empty(); m &= m - 1 {
 		q.unwait(waitCert, fb+m.Min()) // a candidate may wait on a store
 	}
-	for m := q.stores[s] & q.exec[s] &^ q.null[s] &^ q.committed[s]; !m.Empty(); m &= m - 1 {
+	for m := q.stores[s] & q.exec[s] &^ q.null[s]; !m.Empty(); m &= m - 1 {
 		q.unindex(&q.storeIdx, fb+m.Min())
 	}
-	return n
 }
 
 func (q *Queue) filterKeys(keys *[]core.DynRef, fromSeq int64) {
@@ -587,15 +533,4 @@ func (q *Queue) filterKeys(keys *[]core.DynRef, fromSeq int64) {
 // overlap reports whether [a, a+as) and [b, b+bs) intersect.
 func overlap(a uint64, as int, b uint64, bs int) bool {
 	return a < b+uint64(bs) && b < a+uint64(as)
-}
-
-// wordBits maps a byte range onto a 64-bit address-word summary: one bit
-// per 8-byte word it touches (at most two), hashed modulo 64.  Overlapping
-// ranges always share a bit, so a zero intersection proves disjointness.
-func wordBits(addr uint64, size int) uint64 {
-	last := addr
-	if size > 1 {
-		last += uint64(size - 1)
-	}
-	return 1<<(addr>>3&63) | 1<<(last>>3&63)
 }

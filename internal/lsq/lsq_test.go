@@ -383,11 +383,11 @@ func TestSquashRemovesEntries(t *testing.T) {
 	}
 	// Messages for squashed blocks are ignored.
 	if vs := q.StoreUpdate(core.DynRef{Seq: 2, LSID: 0}, 0x100, 9, 0, false, false); vs != nil {
-		t.Fatalf("stale store produced violations: %v", vs)
+		t.Fatalf("a squashed block's store produced violations: %v", vs)
 	}
 	r := q.LoadTry(0, core.DynRef{Seq: 1, LSID: 0}, 0x100, 0)
 	if !r.Deferred {
-		t.Fatal("stale load message must be swallowed (deferred, no reply)")
+		t.Fatal("a squashed block's load message must be swallowed (deferred, no reply)")
 	}
 	// Refetch re-registers the blocks.
 	regBlock(q, 1, OpInfo{})
@@ -453,7 +453,7 @@ func TestFlushGuardForcesConservativeReplay(t *testing.T) {
 	regBlock(q, 1, OpInfo{IsStore: true}, OpInfo{})
 	r = q.LoadTry(3, core.DynRef{Seq: 1, LSID: 1}, 0x100, 0)
 	if r.Deferred {
-		t.Fatal("fresh instance inherited a stale guard")
+		t.Fatal("fresh instance inherited an old guard")
 	}
 }
 
@@ -477,4 +477,117 @@ func TestPartialStoreCommitReleasesDisjointLoads(t *testing.T) {
 	if len(cs) != 1 || cs[0].Value != 42 {
 		t.Fatalf("certifiable = %+v", cs)
 	}
+}
+
+// newOneMSHRQueue builds an aggressive queue whose data cache has a single
+// MSHR, so a second outstanding miss parks its load.
+func newOneMSHRQueue(t *testing.T) *Queue {
+	t.Helper()
+	hc := cache.DefaultHierConfig()
+	hc.MSHRs = 1
+	h, err := cache.NewHierarchy(hc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return New(Config{Policy: core.IssueAggressive}, mem.New(), h, &core.TagSource{}, nil, nil)
+}
+
+// TestReparkedLoadHoldsOneEntry: a load that parks, issues outside a pass
+// and parks again holds one deferred-list entry, at its new park position:
+// the next pass retries it once, after a load that parked in between.
+func TestReparkedLoadHoldsOneEntry(t *testing.T) {
+	q := newOneMSHRQueue(t)
+	regBlock(q, 0, OpInfo{IsStore: true}, OpInfo{}, OpInfo{}, OpInfo{})
+	st, x, a, b := core.DynRef{Seq: 0, LSID: 0}, core.DynRef{Seq: 0, LSID: 1}, core.DynRef{Seq: 0, LSID: 2}, core.DynRef{Seq: 0, LSID: 3}
+	q.StoreUpdate(st, 0x500, 5, 0, false, false)
+	if r := q.LoadTry(0, x, 0x1000, 0); r.Deferred {
+		t.Fatalf("first miss %+v, want it issued", r)
+	}
+	for _, p := range []struct {
+		k    core.DynRef
+		addr uint64
+	}{{a, 0x2000}, {b, 0x3000}} {
+		if r := q.LoadTry(0, p.k, p.addr, 0); r.Reason != DeferMSHR {
+			t.Fatalf("%s: %+v, want an MSHR deferral", p.k, r)
+		}
+	}
+	// a re-executes at the store's address and issues outside a pass, then
+	// re-executes at a new address and parks again.
+	if r := q.LoadTry(0, a, 0x500, 0); r.Deferred || r.Value != 5 {
+		t.Fatalf("forwarded re-execution %+v, want value 5", r)
+	}
+	if r := q.LoadTry(0, a, 0x4000, 0); r.Reason != DeferMSHR {
+		t.Fatalf("second park %+v, want an MSHR deferral", r)
+	}
+	before := q.Work().ReadyVisits
+	ready := q.TakeReady(10_000, nil) // the first miss has long returned
+	if n := q.Work().ReadyVisits - before; n != 2 {
+		t.Errorf("pass visited %d entries, want 2 (one per parked load)", n)
+	}
+	if len(ready) == 0 || ready[0].Load != b {
+		t.Errorf("pass issued %+v, want %s first: %s parked again after it", ready, b, a)
+	}
+}
+
+// TestDrainedParkedLoadIsNoReadyWork: a load parked when its block drains
+// leaves the deferred list with the block, so it gives the next pass no
+// work.
+func TestDrainedParkedLoadIsNoReadyWork(t *testing.T) {
+	q := newOneMSHRQueue(t)
+	regBlock(q, 0, OpInfo{}, OpInfo{})
+	q.LoadTry(0, core.DynRef{Seq: 0, LSID: 0}, 0x1000, 0)
+	if r := q.LoadTry(0, core.DynRef{Seq: 0, LSID: 1}, 0x2000, 0); r.Reason != DeferMSHR {
+		t.Fatalf("%+v, want an MSHR deferral", r)
+	}
+	if !q.HasReadyWork() {
+		t.Fatal("a load parked on the MSHRs should be ready work")
+	}
+	q.Drain(0)
+	if q.HasReadyWork() {
+		t.Error("the drained block's parked load still counts as ready work")
+	}
+	before := q.Work().ReadyVisits
+	if ready := q.TakeReady(1, nil); len(ready) != 0 || q.Work().ReadyVisits != before {
+		t.Errorf("pass after the drain issued %+v after %d visits", ready, q.Work().ReadyVisits-before)
+	}
+}
+
+// TestDeferredPolicyCountsParkDecisions: Stats.DeferredPolicy rises by one
+// each time the issue policy parks a load, not once per pass the load
+// spends parked: a conservative load parked behind two older stores is
+// deferred on arrival and again when woken by the first, and passes in
+// between, due to an unrelated younger store, count nothing.
+func TestDeferredPolicyCountsParkDecisions(t *testing.T) {
+	q, _, _ := newQueue(t, core.IssueConservative, nil, nil)
+	regBlock(q, 0, OpInfo{IsStore: true}, OpInfo{IsStore: true}, OpInfo{})
+	regBlock(q, 1, OpInfo{IsStore: true})
+	s0, s1, ld := core.DynRef{Seq: 0, LSID: 0}, core.DynRef{Seq: 0, LSID: 1}, core.DynRef{Seq: 0, LSID: 2}
+	want := int64(0)
+	check := func(what string) {
+		t.Helper()
+		if q.Stats.DeferredPolicy != want {
+			t.Fatalf("%s: DeferredPolicy %d, want %d", what, q.Stats.DeferredPolicy, want)
+		}
+	}
+	if r := q.LoadTry(0, ld, 0x100, 0); r.Reason != DeferPolicy {
+		t.Fatalf("%+v, want a policy deferral", r)
+	}
+	want++
+	check("parked on arrival")
+	q.StoreUpdate(core.DynRef{Seq: 1, LSID: 0}, 0x900, 1, 0, false, false)
+	for now := int64(1); now <= 3; now++ {
+		q.TakeReady(now, nil)
+	}
+	check("passes while it waits")
+	q.StoreUpdate(s0, 0x200, 1, 0, false, false)
+	if ready := q.TakeReady(4, nil); len(ready) != 0 {
+		t.Fatalf("woken early, issued %+v", ready)
+	}
+	want++
+	check("deferred again on the second store")
+	q.StoreUpdate(s1, 0x300, 1, 0, false, false)
+	if ready := q.TakeReady(5, nil); len(ready) != 1 {
+		t.Fatalf("woken by the last older store, issued %+v", ready)
+	}
+	check("issued")
 }

@@ -16,8 +16,8 @@ import (
 
 // refReconstruct is the forwarding walk reconstruct must agree with, kept
 // as the reference the differential test compares against: every block
-// from the load's own back to the window head is searched, whatever its
-// store summary says.
+// from the load's own back to the window head is searched, youngest store
+// first, with no index.
 func refReconstruct(q *Queue, k core.DynRef, addr uint64, size int) (val int64, forwarded int) {
 	var bytes [8]byte
 	var have [8]bool
@@ -100,64 +100,99 @@ func refRecheckHits(q *Queue, store core.DynRef, addr uint64, size int) []int32 
 
 // refTwin runs rescanning versions of the event-driven queries on a second
 // queue, kept as the reference the differential test compares against:
-//   - the deferred list as a full rescan keeps it: a load gets an entry
-//     whenever it parks while not parked, and a pass re-runs the policy
-//     check for every entry whose load is still parked and resident, in
-//     list order, and drops the others;
+//   - the deferred list as a plain list of parked loads: a load joins its
+//     tail when it is deferred while not on it and leaves when it issues,
+//     drains or is squashed.  A pass re-runs the policy check for every
+//     listed load, in list order, and retries the loads it lets go.  A
+//     policy deferral counts once per store the load is deferred on, so a
+//     pass counts one for a load whose store executed but whose policy
+//     now names another; a pass is due when some listed load would be
+//     retried or so counted;
 //   - certification as the per-candidate walk (refCertifiable) over every
-//     candidate in arrival order, behind the same certDirty gate;
-//   - forwarding with every block summary saturated.
+//     candidate in arrival order, behind the same certDirty gate.
 //
 // Everything else is the queue's own code, whose wake-up bookkeeping the
 // twin never consults.
 type refTwin struct {
 	*Queue
-	deferred []core.DynRef
+	deferred []twinEntry
+	counts   map[string]int // rare states reached, for the vacuity check
 }
 
-// unfilter saturates every store summary, so reconstruct walks every
-// block for the next operation as the unfiltered search did.
-func (r *refTwin) unfilter() {
-	for s := range r.swords {
-		r.swords[s] = ^uint64(0)
+// twinEntry is a parked load of the reference list and the store its last
+// policy deferral named (NoDynRef after an MSHR deferral).
+type twinEntry struct {
+	k, on core.DynRef
+}
+
+// deferredOn returns the store the policy defers load k on, or
+// NoDynRef when it lets the load go.
+func (r *refTwin) deferredOn(k core.DynRef) core.DynRef {
+	s, op := r.opSlot(k)
+	if w, wait := r.deferOn(k, s, op); wait {
+		return r.keyAt(w)
+	}
+	return core.NoDynRef
+}
+
+// note files the outcome of an issue attempt for load k on the list.
+func (r *refTwin) note(k core.DynRef, res LoadResult) {
+	i := slices.IndexFunc(r.deferred, func(e twinEntry) bool { return e.k == k })
+	switch {
+	case !res.Deferred:
+		if i >= 0 {
+			r.deferred = slices.Delete(r.deferred, i, i+1)
+		}
+		return
+	case i < 0:
+		if s, op := r.opSlot(k); r.issued[s].Test(op) {
+			r.counts["parked again after issuing"]++
+		}
+		r.deferred = append(r.deferred, twinEntry{k: k})
+		i = len(r.deferred) - 1
+	}
+	r.deferred[i].on = core.NoDynRef
+	if res.Reason == DeferPolicy {
+		r.deferred[i].on = r.deferredOn(k)
 	}
 }
 
 func (r *refTwin) LoadTry(now int64, k core.DynRef, addr uint64, tag core.Tag) LoadResult {
-	s, op := r.opSlot(k)
-	was := s >= 0 && r.parked[s].Test(op)
 	res := r.Queue.LoadTry(now, k, addr, tag)
-	if s >= 0 && !was && r.parked[s].Test(op) {
-		r.deferred = append(r.deferred, k)
-	}
+	r.note(k, res)
 	return res
 }
 
 func (r *refTwin) HasReadyWork() bool {
-	return (r.dirty || r.mshrWait) && len(r.deferred) > 0
+	for _, e := range r.deferred {
+		if w := r.deferredOn(e.k); !w.Valid() || w != e.on {
+			return true
+		}
+	}
+	return false
 }
 
 func (r *refTwin) TakeReady(now int64) []ReadyLoad {
 	if !r.HasReadyWork() {
-		r.dirty = false
 		return nil
 	}
-	r.dirty, r.mshrWait = false, false
 	var out []ReadyLoad
-	kept := r.deferred[:0]
-	for _, k := range r.deferred {
-		s, op := r.opSlot(k)
-		if s < 0 || !r.parked[s].Test(op) {
+	for _, e := range slices.Clone(r.deferred) {
+		if w := r.deferredOn(e.k); w == e.on && w.Valid() {
+			continue // still deferred on the same store
+		} else if w.Valid() {
+			r.Stats.DeferredPolicy++
+			r.counts["deferred on a later store"]++
+			r.note(e.k, LoadResult{Deferred: true, Reason: DeferPolicy})
 			continue
 		}
-		res := r.tryIssue(now, k, s, op)
-		if res.Deferred {
-			kept = append(kept, k)
-			continue
+		s, op := r.opSlot(e.k)
+		res := r.tryIssue(now, e.k, s, op)
+		r.note(e.k, res)
+		if !res.Deferred {
+			out = append(out, ReadyLoad{Load: e.k, Addr: r.addr[s*opStride+op], Res: res})
 		}
-		out = append(out, ReadyLoad{Load: k, Addr: r.addr[s*opStride+op], Res: res})
 	}
-	r.deferred = kept
 	return out
 }
 
@@ -189,7 +224,16 @@ func (r *refTwin) TakeCertifiable() []CertifiedLoad {
 
 func (r *refTwin) SquashFrom(seq int64) {
 	r.Queue.SquashFrom(seq)
-	r.deferred = slices.DeleteFunc(r.deferred, func(k core.DynRef) bool { return k.Seq >= seq })
+	r.deferred = slices.DeleteFunc(r.deferred, func(e twinEntry) bool { return e.k.Seq >= seq })
+}
+
+func (r *refTwin) Drain(seq int64) int {
+	n := len(r.deferred)
+	r.deferred = slices.DeleteFunc(r.deferred, func(e twinEntry) bool { return e.k.Seq == seq })
+	if len(r.deferred) < n {
+		r.counts["drained while parked"]++
+	}
+	return r.Queue.Drain(seq)
 }
 
 // pairDriver applies one random protocol-respecting operation stream to
@@ -203,8 +247,7 @@ type pairDriver struct {
 	certDriver
 	ref      *refTwin
 	policy   core.IssuePolicy
-	words    map[core.DynRef]uint64 // words of every address each op was given
-	counts   map[string]int         // events seen, for the vacuity check
+	counts   map[string]int // events seen, for the vacuity check
 	maxDepth int
 }
 
@@ -212,7 +255,6 @@ func newPairDriver(t *testing.T, policy core.IssuePolicy, blocks int, seed int64
 	d := &pairDriver{
 		certDriver: certDriver{t: t, rng: rand.New(rand.NewSource(seed)), maxBlocks: blocks},
 		policy:     policy,
-		words:      make(map[core.DynRef]uint64),
 		counts:     make(map[string]int),
 	}
 	build := func() *Queue {
@@ -232,7 +274,7 @@ func newPairDriver(t *testing.T, policy core.IssuePolicy, blocks int, seed int64
 		}
 		return New(Config{Policy: policy}, m, h, &core.TagSource{}, ss, nil)
 	}
-	d.q, d.ref = build(), &refTwin{Queue: build()}
+	d.q, d.ref = build(), &refTwin{Queue: build(), counts: d.counts}
 	return d
 }
 
@@ -290,8 +332,6 @@ func (d *pairDriver) register() {
 			size = 8
 		}
 		ops[i] = OpInfo{LSID: int8(i), IsStore: rng.Intn(3) == 0, Size: size, PC: predictor.MakePC(rng.Intn(3), i)}
-		k := core.DynRef{Seq: seq, LSID: int8(i)}
-		delete(d.words, k)
 		deps[i] = core.NoDynRef
 		if ops[i].IsStore || rng.Intn(2) == 0 {
 			continue
@@ -340,7 +380,6 @@ func (d *pairDriver) squash(cut int64) {
 func (d *pairDriver) step() {
 	q, rng := d.q, d.rng
 	isStore := func(s, op int) bool { return q.stores[s].Test(op) }
-	d.ref.unfilter()
 	switch r := rng.Intn(100); {
 	case r < 12:
 		d.register()
@@ -356,7 +395,6 @@ func (d *pairDriver) step() {
 			addr = q.addr[f] // a final address never moves
 		}
 		data, addrCom, dataCom := rng.Int63n(4), rng.Intn(2) == 0, rng.Intn(4) == 0
-		d.words[k] |= wordBits(addr, int(q.size[f]))
 		d.sameHits(k, addr, int(q.size[f]))
 		got := append([]Violation(nil), q.StoreUpdate(k, addr, data, 0, addrCom, dataCom)...)
 		want := d.ref.StoreUpdate(k, addr, data, 0, addrCom, dataCom)
@@ -390,7 +428,6 @@ func (d *pairDriver) step() {
 		size := int(q.size[s*opStride+op])
 		addr := d.wideAddr(size)
 		d.tick()
-		d.words[k] |= wordBits(addr, size)
 		got := q.LoadTry(d.now, k, addr, 0)
 		d.same("LoadTry "+k.String(), got, d.ref.LoadTry(d.now, k, addr, 0))
 		if got.Reason == DeferMSHR {
@@ -438,43 +475,29 @@ func (d *pairDriver) step() {
 	}
 	d.same("Stats", q.Stats, d.ref.Stats)
 	d.same("HasReadyWork", q.HasReadyWork(), d.ref.HasReadyWork())
-	d.same("deferred-list entries", q.nEntries, len(d.ref.deferred))
 	if q.ss != nil {
 		d.same("store-set state", *q.ss, *d.ref.ss)
 	}
-	d.checkSummaries()
+	d.checkForwarding()
 	d.checkLinks()
-	if len(q.dups) > 0 {
-		d.counts["duplicate entries"]++
-	}
-	if len(q.orphans) > 0 {
-		d.counts["drained entries"]++
-	}
 	d.maxDepth = max(d.maxDepth, q.n)
 }
 
-// checkSummaries requires each block's store summary to be exactly the
-// words of the addresses its stores were given since registration, the
-// forwarding walk to agree with the reference walk for every resident
-// load at its current address, and the re-check's index lookup to agree
-// with the full walk at every executed store's address.
-func (d *pairDriver) checkSummaries() {
+// checkForwarding requires the forwarding walk to agree with the
+// reference walk for every resident load at its current address, and the
+// re-check's index lookup to agree with the full walk at every executed
+// store's address.
+func (d *pairDriver) checkForwarding() {
 	q := d.q
 	for l := 0; l < q.n; l++ {
 		s := (q.head + l) & q.ringMask()
-		var sw uint64
-		for op := 0; op < int(q.nops[s]); op++ {
+		for m := q.exec[s]; !m.Empty(); m &= m - 1 {
+			op := m.Min()
 			k := core.DynRef{Seq: q.seqs[s], LSID: int8(op)}
 			f := s*opStride + op
 			addr, size := q.addr[f], int(q.size[f])
 			if q.stores[s].Test(op) {
-				sw |= d.words[k]
-				if q.exec[s].Test(op) {
-					d.sameHits(k, addr, size)
-				}
-				continue
-			}
-			if !q.exec[s].Test(op) {
+				d.sameHits(k, addr, size)
 				continue
 			}
 			gv, gf := q.reconstruct(k, addr, size)
@@ -482,9 +505,6 @@ func (d *pairDriver) checkSummaries() {
 			if gv != wv || gf != wf {
 				d.t.Fatalf("reconstruct %s = (%d, %d bytes), reference (%d, %d bytes)", k, gv, gf, wv, wf)
 			}
-		}
-		if q.swords[s] != sw {
-			d.t.Fatalf("block %d store summary %#x, want %#x", q.seqs[s], q.swords[s], sw)
 		}
 	}
 }
@@ -503,16 +523,17 @@ func (d *pairDriver) sameHits(k core.DynRef, addr uint64, size int) {
 // should: each word index every member op under each of its words, youngest
 // first, and nothing else; each store's wait lists only loads that wait on
 // it, and only while it can still lift their wait; every certification
-// candidate woken, waiting on a store, or waiting for its own issue; and the
-// deferred-list entries, counted and ordered, as the reference list holds
-// them.
+// candidate woken, waiting on a store, or waiting for its own issue; every
+// parked load either waiting on a store or active, each active load listed
+// and counted; and the parked loads, in park order, as the reference list
+// holds them.
 func (d *pairDriver) checkLinks() {
 	q := d.q
 	d.checkIndex("load", &q.loadIdx, func(s, op int) bool { return !q.stores[s].Test(op) && q.exec[s].Test(op) })
 	d.checkIndex("store", &q.storeIdx, func(s, op int) bool {
-		return q.stores[s].Test(op) && q.exec[s].Test(op) && !q.null[s].Test(op) && !q.committed[s].Test(op)
+		return q.stores[s].Test(op) && q.exec[s].Test(op) && !q.null[s].Test(op)
 	})
-	waiting, linked, waitEnt := 0, 0, 0
+	waiting, linked, active := 0, 0, 0
 	var ents []parkEntry
 	for l := 0; l < q.n; l++ {
 		s := (q.head + l) & q.ringMask()
@@ -547,12 +568,20 @@ func (d *pairDriver) checkLinks() {
 			}
 			if q.waiting[s].Test(op) {
 				waiting--
-				waitEnt += int(q.nEnt[f])
 			}
 			if q.inputsCom[s].Test(op) && !q.certified[s].Test(op) && q.wait[f][waitCert].prev != 0 {
 				linked--
 			}
-			if q.nEnt[f] > 0 {
+			if q.parked[s].Test(op) != (q.waiting[s].Test(op) != q.active[s].Test(op)) {
+				d.t.Fatalf("%s: parked %v, waiting %v, active %v", k, q.parked[s].Test(op), q.waiting[s].Test(op), q.active[s].Test(op))
+			}
+			if q.active[s].Test(op) {
+				active++
+				if !slices.Contains(q.activeList, k) {
+					d.t.Fatalf("active load %s missing from the active list", k)
+				}
+			}
+			if q.parked[s].Test(op) {
 				ents = append(ents, parkEntry{k, q.ppos[f]})
 			}
 		}
@@ -560,29 +589,18 @@ func (d *pairDriver) checkLinks() {
 	if waiting != 0 || linked != 0 {
 		d.t.Fatalf("wait lists hold %d loads more than are waiting, %d more than are linked", waiting, linked)
 	}
-	if waitEnt != q.nWaitEnt {
-		d.t.Fatalf("waiting loads have %d entries, counted %d", waitEnt, q.nWaitEnt)
+	if active != q.nActive {
+		d.t.Fatalf("%d loads active, counted %d", active, q.nActive)
 	}
-	ents = append(ents, q.dups...)
 	slices.SortFunc(ents, func(a, b parkEntry) int { return cmp.Compare(a.pos, b.pos) })
 	var got, want []core.DynRef
 	for _, e := range ents {
 		got = append(got, e.k)
 	}
-	orphans := 0
-	for _, k := range d.ref.deferred {
-		if s, _ := q.opSlot(k); s >= 0 {
-			want = append(want, k)
-		} else {
-			orphans++
-		}
+	for _, e := range d.ref.deferred {
+		want = append(want, e.k)
 	}
-	d.same("deferred-list entries in park order", got, want)
-	n := 0
-	for _, o := range q.orphans {
-		n += o.n
-	}
-	d.same("drained blocks' entries", n, orphans)
+	d.same("parked loads in park order", got, want)
 }
 
 // checkIndex requires x to file exactly the resident ops member reports,
@@ -632,11 +650,10 @@ func (d *pairDriver) checkIndex(name string, x *wordIndex, member func(s, op int
 }
 
 // TestSearchesMatchUnfilteredReference: the indexed violation re-check,
-// the summary-filtered forwarding walk, the wake-up passes over parked
-// loads and the wake-up certification scans behave exactly like the
-// rescanning searches they replaced, under every issue policy, with
-// re-executing loads, exhausted MSHRs, guarded replays, squashes and
-// drains.
+// the indexed forwarding walk, the wake-up passes over parked loads and
+// the wake-up certification scans behave exactly like the rescanning
+// searches they replaced, under every issue policy, with re-executing
+// loads, exhausted MSHRs, guarded replays, squashes and drains.
 func TestSearchesMatchUnfilteredReference(t *testing.T) {
 	policies := []core.IssuePolicy{core.IssueAggressive, core.IssueConservative, core.IssueStoreSet, core.IssueOracle}
 	seen := make(map[string]int)
@@ -668,9 +685,10 @@ func TestSearchesMatchUnfilteredReference(t *testing.T) {
 		}
 	}
 	// Rare states each sequence need not reach, but the matrix must: a
-	// load holding several deferred-list entries, and a drained block's
-	// entries awaiting a pass.
-	for _, c := range []string{"duplicate entries", "drained entries"} {
+	// load that parks again after issuing, a pass that finds a woken load
+	// deferred on a later store, and a block drained while a load of it
+	// was parked.
+	for _, c := range []string{"parked again after issuing", "deferred on a later store", "drained while parked"} {
 		if seen[c] == 0 {
 			t.Errorf("no %s in any sequence; the comparison is vacuous", c)
 		}

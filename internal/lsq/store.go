@@ -1,6 +1,7 @@
 package lsq
 
 import (
+	"math/bits"
 	"slices"
 
 	"repro/internal/core"
@@ -18,7 +19,7 @@ import (
 func (q *Queue) StoreUpdate(k core.DynRef, addr uint64, data int64, tag core.Tag, addrCom, dataCom bool) []Violation {
 	s, op := q.opSlot(k)
 	if s < 0 || !q.stores[s].Test(op) {
-		return nil // stale message for a squashed block
+		return nil // a message for a squashed block
 	}
 	f := s*opStride + op
 	first := !q.exec[s].Test(op)
@@ -33,7 +34,6 @@ func (q *Queue) StoreUpdate(k core.DynRef, addr uint64, data int64, tag core.Tag
 	q.addr[f] = addr
 	q.data[f] = data
 	q.tag[f] = tag
-	q.swords[s] |= wordBits(addr, int(q.size[f]))
 	if addrCom {
 		q.addrCom[s].Set(op)
 	}
@@ -43,7 +43,7 @@ func (q *Queue) StoreUpdate(k core.DynRef, addr uint64, data int64, tag core.Tag
 	if q.addrCom[s].Test(op) && q.dataCom[s].Test(op) {
 		q.markStoreCommitted(s, op)
 	}
-	if !q.committed[s].Test(op) && !q.indexed(f) {
+	if !q.indexed(f) {
 		q.index(&q.storeIdx, f)
 	}
 	q.noteBarrier(s)
@@ -56,7 +56,6 @@ func (q *Queue) StoreUpdate(k core.DynRef, addr uint64, data int64, tag core.Tag
 		// commit.
 		q.wakeCertWaiters(f)
 	}
-	q.dirty = true
 	q.certDirty = true
 
 	// Affected range: where the store's bytes used to land plus where they
@@ -104,7 +103,6 @@ func (q *Queue) StoreNullify(k core.DynRef) []Violation {
 	if first {
 		q.storeDone(k, f)
 	}
-	q.dirty = true
 	q.certDirty = true
 	if !wasLive {
 		return nil
@@ -189,87 +187,61 @@ func (q *Queue) recheckHits(store core.DynRef, addr uint64, size int) []int32 {
 	return hits
 }
 
-// lastHit returns the last window position at or before l whose block
-// summary in sum intersects words, or -1 when none does.
-func (q *Queue) lastHit(sum []uint64, words uint64, l int64) int64 {
-	for l >= 0 {
-		s := (q.head + int(l)) & q.ringMask()
-		run := sum[max(0, s-int(l)) : s+1]
-		for i := len(run) - 1; i >= 0; i-- {
-			if run[i]&words != 0 {
-				return l - int64(len(run)-1-i)
-			}
-		}
-		l -= int64(len(run))
-	}
-	return -1
-}
-
 // reconstruct assembles the value a load at key sees: for each byte, the
 // youngest older live store covering it wins; uncovered bytes come from
 // committed memory.  forwarded is the number of bytes supplied by stores.
-// The youngest-first walk skips every block whose store summary misses the
-// load's address words and iterates live-store masks high-bit-first, so
-// only executed, non-null stores of possibly overlapping blocks are ever
-// touched.
+// The store word index files every live store under each word it touches,
+// youngest first, so the walk reads the chains of the load's own words
+// (one or two), fills each word's bytes from the first older stores that
+// cover them, and stops once they are all filled.
 func (q *Queue) reconstruct(k core.DynRef, addr uint64, size int) (val int64, forwarded int) {
-	var bytes [8]byte
-	var have [8]bool
-	remaining := size
-	words := wordBits(addr, size)
-
-	var base int64
+	var v uint64
+	var have uint8 // bytes filled from stores, one bit per byte
+	kAge := 0
 	if q.n > 0 {
-		base = q.seqs[q.head]
+		kAge = int(k.Seq-q.seqs[q.head])*opStride + int(k.LSID)
 	}
-	top := k.Seq - base
-	if top >= int64(q.n) {
-		top = int64(q.n) - 1
-	}
-	// Walk blocks youngest-to-oldest up to the load's block.
-	for l := q.lastHit(q.swords, words, top); l >= 0 && remaining > 0; l = q.lastHit(q.swords, words, l-1) {
-		s := (q.head + int(l)) & q.ringMask()
-		live := q.stores[s] & q.exec[s] &^ q.null[s]
-		if base+l == k.Seq {
-			live = live.Below(int(k.LSID))
+	w0, w1 := opWords(addr, size)
+	for w := w0; ; w = w1 {
+		// want: the load's bytes in word w.
+		want := uint8(1)<<size - 1
+		if lo := int(8 - addr&7); w0 != w1 {
+			if w == w0 {
+				want &= uint8(1)<<lo - 1
+			} else {
+				want &^= uint8(1)<<lo - 1
+			}
 		}
-		fb := s * opStride
-		for m := live; !m.Empty() && remaining > 0; {
-			si := m.Max()
-			m.Clear(si)
-			f := fb + si
-			saddr, ssize := q.addr[f], int(q.size[f])
-			if !overlap(addr, size, saddr, ssize) {
+		for n := q.storeIdx.chain(w); n != 0 && have&want != want; {
+			fs, match, next := q.nodeOp(n, w)
+			n = next
+			if !match || q.age(fs) > kAge {
 				continue
 			}
-			sdata := uint64(q.data[f])
+			saddr, ssize := q.addr[fs], uint64(q.size[fs])
+			sdata := uint64(q.data[fs])
 			for i := 0; i < size; i++ {
-				if have[i] {
-					continue
-				}
 				ba := addr + uint64(i)
-				if ba >= saddr && ba < saddr+uint64(ssize) {
-					bytes[i] = byte(sdata >> (8 * (ba - saddr)))
-					have[i] = true
-					remaining--
+				if bit := uint8(1) << i; want&^have&bit != 0 && ba-saddr < ssize {
+					v |= uint64(byte(sdata>>(8*(ba-saddr)))) << (8 * i)
+					have |= bit
 				}
 			}
+		}
+		if w == w1 {
+			break
 		}
 	}
 	// Uncovered bytes come from one committed-memory read.
-	var mv uint64
-	if remaining > 0 {
-		mv = q.mem.Uint(addr, size)
-	}
-	var v uint64
-	for i := 0; i < size; i++ {
-		bv := bytes[i]
-		if !have[i] {
-			bv = byte(mv >> (8 * i))
+	if all := uint8(1)<<size - 1; have != all {
+		mv := q.mem.Uint(addr, size)
+		for i := 0; i < size; i++ {
+			if have&(1<<i) == 0 {
+				v |= uint64(byte(mv>>(8*i))) << (8 * i)
+			}
 		}
-		v |= uint64(bv) << (8 * i)
 	}
-	return int64(v), size - remaining
+	return int64(v), bits.OnesCount8(have)
 }
 
 // StoreCommitted marks a store's output final (its operand inputs are
@@ -291,11 +263,8 @@ func (q *Queue) markStoreCommitted(s, op int) {
 	q.committed[s].Set(op)
 	q.addrCom[s].Set(op)
 	q.dataCom[s].Set(op)
-	f := s*opStride + op
-	q.unindex(&q.storeIdx, f)
 	q.noteBarrier(s)
-	q.wakeCertWaiters(f)
-	q.dirty = true
+	q.wakeCertWaiters(s*opStride + op)
 	q.certDirty = true
 }
 
@@ -339,17 +308,11 @@ func (q *Queue) Drain(seq int64) int {
 	for m := q.stores[s] &^ q.committed[s]; !m.Empty(); m &= m - 1 {
 		q.wakeCertWaiters(fb + m.Min()) // a committed store woke its own
 	}
-	// The block's deferred-list entries stay counted until the next pass
-	// drops them.
-	if n := q.release(s); n > 0 {
-		q.orphans = append(q.orphans, orphan{seq, n})
-		q.dups = slices.DeleteFunc(q.dups, func(e parkEntry) bool { return e.k.Seq == seq })
-	}
+	q.release(s)
 	q.resident -= int(q.nops[s])
 	q.nCand -= (q.inputsCom[s] &^ q.certified[s]).Count()
 	q.head = (q.head + 1) & q.ringMask()
 	q.n--
-	q.dirty = true
 	q.certDirty = true
 	return writes
 }

@@ -6,4 +6,4 @@ package sim
 // so bumping it is what invalidates every cached experiment point.  Pure
 // refactors, new telemetry and faster code that produces identical numbers
 // must NOT bump it: that is exactly the case the cache exists for.
-const Version = "dsre-sim/v2"
+const Version = "dsre-sim/v3"

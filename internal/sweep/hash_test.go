@@ -21,18 +21,18 @@ func TestHashGoldenKeys(t *testing.T) {
 		want string
 	}{
 		{"zero spec", JobSpec{Workload: "histogram"},
-			"bb7f309cdbdfe370b1ed0b0f3f860d45d0ee4ba73b9f02a4fb07133b4c5adc0c"},
+			"4a1b701c1ad00c489ff3e743fe8896e82a36007ff7d46491ddc734f6a3353e36"},
 		{"every field set", JobSpec{
 			Workload: "stencil", Size: 512, Unroll: 2, Seed: 7, Scheme: "storeset",
 			Frames: 16, GridWidth: 8, GridHeight: 6, HopLatency: 2, LinkBandwidth: 3,
 			CommitTokensFree: true, NoSuppressIdentical: true, BlockPredictor: "last",
 			Placement: "chain", StoreSetSize: 2048, MemLatency: 150, DTileBanks: 3,
 			LSQCapacity: 512, ValuePredict: true, SampleEvery: 100,
-		}, "3b0fcc8e061d8b20a78e42b0e004e6ba8fda484943fedc03814f71a9aa7d0eb5"},
+		}, "92ba400cd9f186843160f77799321756155fff36b0e1083dbe149a647b8d1f99"},
 		// Hash does not consult the workload registry, so a name needing
 		// every kind of JSON escape still hashes.
 		{"escaped workload", JobSpec{Workload: "a\"b\\c<d>&eé\x01\u2028\xff", Scheme: "aggressive+dsre"},
-			"fad253e98055b0bcbad406492780d1c63543ff9e870a8df97244d7b83dea2792"},
+			"364708a2aa789efd6d9881b8d66bee60329740040c9e0ec12759dad492792e68"},
 	} {
 		if got := mustHash(t, c.spec); got != c.want {
 			t.Errorf("%s: key %s, want %s", c.name, got, c.want)
